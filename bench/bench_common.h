@@ -18,6 +18,7 @@
 
 #include "src/mr/cluster.h"
 #include "src/mr/config.h"
+#include "src/util/simd_dispatch.h"
 #include "src/workloads/clickstream.h"
 #include "src/workloads/documents.h"
 
@@ -44,11 +45,12 @@ struct Flags {
   // Block codec for spill/shuffle/bucket streams: "none" (default) or
   // "lz" (JobConfig::block_codec = kLz).
   std::string codec = "none";
-  // Batch data plane (DESIGN.md Â§5.8). --batch_size=N pins
+  // Batch data plane (DESIGN.md §5.8). --batch_size=N pins
   // JobConfig::batch_records (0 = derive from codec_block_bytes);
-  // --batch_size=1 is the scalar-equivalent walk. --simd=scalar pins
-  // JobConfig::simd to kForceScalar so the hash kernels skip the
-  // vectorized tiers; --simd=auto (default) uses the detected tier.
+  // --batch_size=1 is the scalar-equivalent walk. --simd=scalar pins the
+  // process-wide SIMD tier to kScalar (SetSimdTier), so the hash and
+  // CRC32C kernels skip the hardware paths; --simd=auto (default) uses
+  // the detected tier.
   uint64_t batch_size = 0;
   std::string simd = "auto";
   // Resident shuffle engine (DESIGN.md §5.9). --iterations=N sets
@@ -66,8 +68,8 @@ struct Flags {
 
 namespace detail {
 // Data-plane defaults recorded by ParseFlags (write-once in main) so
-// every bench's ScaledJobConfig picks up --threads/--codec/--batch_size/
-// --simd without each helper threading a Flags parameter through.
+// every bench's ScaledJobConfig picks up --threads/--codec/--batch_size
+// without each helper threading a Flags parameter through.
 inline Flags& DataPlaneDefaults() {
   static Flags defaults;
   return defaults;
@@ -108,6 +110,12 @@ inline Flags ParseFlags(int argc, char** argv) {
       flags.plot = arg.substr(7);
     }
   }
+  if (flags.simd == "scalar") {
+    SetSimdTier(SimdTier::kScalar);
+  } else if (flags.simd != "auto" && !flags.simd.empty()) {
+    std::fprintf(stderr, "unknown --simd=%s, using auto\n",
+                 flags.simd.c_str());
+  }
   detail::DataPlaneDefaults() = flags;
   return flags;
 }
@@ -144,7 +152,7 @@ inline ShuffleMode ShuffleModeFromFlag(const std::string& name) {
   return ShuffleMode::kDisk;
 }
 
-// Applies the data-plane flags (--threads/--codec/--batch_size/--simd/
+// Applies the data-plane flags (--threads/--codec/--batch_size/
 // --iterations/--shuffle_mode/--combine_scope/--node_combine_budget) to a
 // job config. Every bench routes its config through here so the whole
 // suite exposes the same knobs.
@@ -156,15 +164,6 @@ inline void ApplyDataPlaneFlags(const Flags& flags, JobConfig* cfg) {
   cfg->shuffle_mode = ShuffleModeFromFlag(flags.shuffle_mode);
   cfg->combine_scope = CombineScopeFromFlag(flags.combine_scope);
   cfg->node_combine_budget_bytes = flags.node_combine_budget;
-  if (flags.simd == "scalar") {
-    cfg->simd = JobConfig::SimdPolicy::kForceScalar;
-  } else {
-    if (flags.simd != "auto" && !flags.simd.empty()) {
-      std::fprintf(stderr, "unknown --simd=%s, using auto\n",
-                   flags.simd.c_str());
-    }
-    cfg->simd = JobConfig::SimdPolicy::kAuto;
-  }
 }
 
 // Headline throughput metric for the vectorized data plane: input tuples
@@ -232,7 +231,7 @@ inline JobConfig ScaledJobConfig(EngineKind engine) {
 }
 
 // Scaled config with the data-plane flags applied — the form every bench
-// should prefer so --threads/--codec/--batch_size/--simd reach every run.
+// should prefer so --threads/--codec/--batch_size reach every run.
 inline JobConfig ScaledJobConfig(EngineKind engine, const Flags& flags) {
   JobConfig cfg = ScaledJobConfig(engine);
   ApplyDataPlaneFlags(flags, &cfg);

@@ -1,5 +1,5 @@
-// Microbenchmark: FREQUENT (the basis of DINC-hash) vs SpaceSaving vs a
-// plain hash table, on Zipf streams. The paper picks FREQUENT because it
+// Microbenchmark: FREQUENT (the basis of DINC-hash) vs a plain hash
+// table, on Zipf streams. The paper picks FREQUENT because it
 // explicitly maintains the hot-key set; this bench shows its per-tuple
 // cost is competitive, i.e. monitoring is not the bottleneck.
 
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/sketch/frequent.h"
-#include "src/sketch/space_saving.h"
 #include "src/util/random.h"
 
 namespace onepass {
@@ -37,17 +36,6 @@ void BM_Frequent(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * keys.size());
 }
 BENCHMARK(BM_Frequent)->Arg(5)->Arg(10)->Arg(12);  // skew 0.5 / 1.0 / 1.2
-
-void BM_SpaceSaving(benchmark::State& state) {
-  const auto keys = MakeStream(1 << 17, state.range(0) / 10.0);
-  for (auto _ : state) {
-    SpaceSavingSketch sketch(4096);
-    for (const auto& k : keys) sketch.Offer(k);
-    benchmark::DoNotOptimize(sketch.size());
-  }
-  state.SetItemsProcessed(state.iterations() * keys.size());
-}
-BENCHMARK(BM_SpaceSaving)->Arg(5)->Arg(10)->Arg(12);
 
 void BM_ExactHashTable(benchmark::State& state) {
   const auto keys = MakeStream(1 << 17, state.range(0) / 10.0);

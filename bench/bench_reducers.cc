@@ -42,19 +42,6 @@ Row Run(int r_per_node, BlockCodecKind codec, const ChunkStore& input) {
   return row;
 }
 
-double RunInc(int r_per_node, HashCoreKind core, const ChunkStore& input) {
-  JobConfig cfg = bench::ScaledJobConfig(EngineKind::kIncHash);
-  cfg.hash_core = core;
-  // The node tier requires the flat core's reproducible iteration order;
-  // the legacy-core baseline runs at task scope regardless.
-  if (core == HashCoreKind::kLegacy) cfg.combine_scope = CombineScope::kTask;
-  cfg.reduce_memory_bytes = 128 << 10;
-  cfg.reducers_per_node = r_per_node;
-  cfg.map_side_combine = true;
-  auto res = bench::MustRun(ClickCountJob(), cfg, input);
-  return res.ok() ? res->running_time : 0.0;
-}
-
 }  // namespace
 }  // namespace onepass
 
@@ -90,16 +77,5 @@ int main(int argc, char** argv) {
       "second reducer\nwave starts after the mappers finished and must "
       "fetch their output from disk.\n");
 
-  // Hash-core before/after (DESIGN.md §5.4): the same INC-hash click-count
-  // job at both reducer counts, under the flat and legacy hash cores.
-  std::printf("\n=== hash core: INC-hash running time, flat vs legacy "
-              "===\n\n");
-  std::printf("%-24s %14s %14s\n", "", "R=4", "R=8");
-  std::printf("%-24s %14.2f %14.2f\n", "flat (s)",
-              RunInc(4, HashCoreKind::kFlat, input),
-              RunInc(8, HashCoreKind::kFlat, input));
-  std::printf("%-24s %14.2f %14.2f\n", "legacy (s)",
-              RunInc(4, HashCoreKind::kLegacy, input),
-              RunInc(8, HashCoreKind::kLegacy, input));
   return 0;
 }

@@ -20,7 +20,6 @@
 #include "src/util/batch_hash.h"
 #include "src/util/hash.h"
 #include "src/util/kv_buffer.h"
-#include "src/util/simd_dispatch.h"
 
 namespace onepass {
 
@@ -33,7 +32,8 @@ struct NoProbePrefetch {
 };
 
 // Runs `body(key, value, digest)` for every record of `segment` in order,
-// with digests[i] == h(keys[i]) precomputed per batch and `probe`'s
+// with digests[i] == h(keys[i]) precomputed per batch at the process-wide
+// SIMD tier (CurrentSimdTier) and `probe`'s
 // three-stage prefetch pipeline (FlatTable's ctrl word, entry, key bytes
 // — see flat_table.h) staged kProbePrefetchDistance records apart ahead
 // of the body. Pass NoProbePrefetch when there is no table to warm.
@@ -41,8 +41,8 @@ struct NoProbePrefetch {
 // reuse one allocation.
 template <typename ProbeTarget, typename Body>
 void ConsumeBatched(const KvBuffer& segment, size_t batch_records,
-                    const UniversalHash& h, SimdTier tier,
-                    JobMetrics* metrics, std::vector<uint64_t>* digests,
+                    const UniversalHash& h, JobMetrics* metrics,
+                    std::vector<uint64_t>* digests,
                     const ProbeTarget& probe, Body&& body) {
   constexpr size_t kD = kProbePrefetchDistance;
   if (batch_records == 0) batch_records = 1;
@@ -51,7 +51,7 @@ void ConsumeBatched(const KvBuffer& segment, size_t batch_records,
   for (;;) {
     const size_t n = reader.Fill();
     if (n == 0) break;
-    h.HashBatch(reader.keys(), n, digests->data(), tier);
+    h.HashBatch(reader.keys(), n, digests->data());
     const std::string_view* keys = reader.keys();
     const std::string_view* values = reader.values();
     const uint64_t* d = digests->data();

@@ -17,7 +17,6 @@ constexpr int kExpirySweep = 4;
 
 DincHashEngine::DincHashEngine(const EngineContext& ctx)
     : GroupByEngine(ctx),
-      use_flat_(ctx.config->hash_core == HashCoreKind::kFlat),
       h3_(ctx.hashes.At(2)) {
   CHECK(ctx.inc != nullptr) << "DINC-hash requires an IncrementalReducer";
   const JobConfig& cfg = *ctx.config;
@@ -57,10 +56,6 @@ void DincHashEngine::SpillState(std::string_view key, uint64_t digest,
 }
 
 Status DincHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
-  return use_flat_ ? ConsumeFlat(segment) : ConsumeLegacy(segment);
-}
-
-Status DincHashEngine::ConsumeFlat(const KvBuffer& segment) {
   const CostModel& costs = ctx_.config->costs;
   IncrementalReducer* inc = ctx_.inc;
   ctx_.out->set_streaming(true);
@@ -71,9 +66,8 @@ Status DincHashEngine::ConsumeFlat(const KvBuffer& segment) {
   // spill-bucket route, with the sketch index's control word prefetched
   // kProbePrefetchDistance tuples ahead.
   ConsumeBatched(
-      segment, EffectiveBatchRecords(*ctx_.config), h3_,
-      ResolveSimdTier(ctx_.config->simd), ctx_.metrics, &digest_scratch_,
-      *sketch_,
+      segment, EffectiveBatchRecords(*ctx_.config), h3_, ctx_.metrics,
+      &digest_scratch_, *sketch_,
       [&](std::string_view key, std::string_view value, uint64_t digest) {
     ++n;
     // Tuples arrive as key-state pairs (init ran map-side); otherwise
@@ -147,79 +141,7 @@ Status DincHashEngine::ConsumeFlat(const KvBuffer& segment) {
   return Status::OK();
 }
 
-Status DincHashEngine::ConsumeLegacy(const KvBuffer& segment) {
-  const CostModel& costs = ctx_.config->costs;
-  IncrementalReducer* inc = ctx_.inc;
-  ctx_.out->set_streaming(true);
-  KvBufferReader reader(segment);
-  std::string_view key, value;
-  uint64_t n = 0, combines = 0;
-  std::string tmp_state;
-  while (reader.Next(&key, &value)) {
-    ++n;
-    std::string_view state = value;
-    if (!ctx_.values_are_states) {
-      tmp_state = inc->Init(key, value);
-      state = tmp_state;
-    }
-    const int found = sketch_->Find(key);
-    if (found >= 0) {
-      sketch_->Hit(found);
-      inc->Combine(key, &states_[found], state);
-      inc->OnUpdate(key, &states_[found], ctx_.out);
-      ++combines;
-      ctx_.trace->Cpu(costs.combine_record_s, OpTag::kCombine,
-                      /*d_reduce_work=*/1);
-      continue;
-    }
-    if (!sketch_->HasFreeSlot()) {
-      for (int c : sketch_->ColdestSlots(kExpirySweep)) {
-        if (sketch_->Count(c) <= 1 &&
-            inc->TryDiscard(sketch_->Key(c), &states_[c], ctx_.out)) {
-          states_[c].clear();
-          sketch_->Release(c);
-          break;
-        }
-      }
-    }
-    if (sketch_->HasFreeSlot()) {
-      const int slot = sketch_->InsertIntoFree(key);
-      states_[slot].assign(state.data(), state.size());
-      inc->OnUpdate(key, &states_[slot], ctx_.out);
-      ++combines;
-      ctx_.trace->Cpu(costs.combine_record_s, OpTag::kCombine,
-                      /*d_reduce_work=*/1);
-      continue;
-    }
-    if (sketch_->MinCount() == 0) {
-      const int slot = sketch_->MinSlot();
-      std::string old = std::move(states_[slot]);
-      const std::string evicted_key = sketch_->ReplaceSlot(slot, key);
-      SpillState(evicted_key, h3_(evicted_key), &old);
-      states_[slot].assign(state.data(), state.size());
-      inc->OnUpdate(key, &states_[slot], ctx_.out);
-      ++combines;
-      ctx_.trace->Cpu(costs.combine_record_s, OpTag::kCombine,
-                      /*d_reduce_work=*/1);
-      continue;
-    }
-    sketch_->DecrementAll();
-    buckets_->Add(static_cast<int>(h3_.Bucket(key, num_buckets_)), key,
-                  state);
-  }
-  ctx_.metrics->reduce_input_records += n;
-  ctx_.metrics->combine_invocations += combines;
-  ctx_.trace->Cpu(costs.hash_record_s * static_cast<double>(n),
-                  OpTag::kShuffle);
-  ctx_.out->set_streaming(false);
-  return Status::OK();
-}
-
 Status DincHashEngine::SaveCheckpoint(CheckpointWriter* w) const {
-  if (!use_flat_) {
-    return Status::InvalidArgument(
-        "DINC-hash checkpointing requires the flat hash core");
-  }
   w->PutU64("dinc.covered", covered_keys_);
   sketch_->SaveTo(w);
   for (size_t slot = 0; slot < capacity_entries_; ++slot) {
@@ -231,10 +153,6 @@ Status DincHashEngine::SaveCheckpoint(CheckpointWriter* w) const {
 }
 
 Status DincHashEngine::RestoreCheckpoint(CheckpointReader* r) {
-  if (!use_flat_) {
-    return Status::InvalidArgument(
-        "DINC-hash checkpointing requires the flat hash core");
-  }
   RETURN_IF_ERROR(r->GetU64("dinc.covered", &covered_keys_));
   RETURN_IF_ERROR(sketch_->RestoreFrom(r));
   for (size_t slot = 0; slot < capacity_entries_; ++slot) {
@@ -285,9 +203,7 @@ Status DincHashEngine::Finish() {
     for (size_t slot = 0; slot < capacity_entries_; ++slot) {
       const int s = static_cast<int>(slot);
       if (!sketch_->SlotOccupied(s)) continue;
-      const std::string_view key = sketch_->Key(s);
-      const uint64_t digest = use_flat_ ? sketch_->SlotHash(s) : h3_(key);
-      SpillState(key, digest, &states_[slot]);
+      SpillState(sketch_->Key(s), sketch_->SlotHash(s), &states_[slot]);
       states_[slot].clear();
     }
   } else {

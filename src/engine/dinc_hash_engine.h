@@ -27,12 +27,9 @@
 //       phi and skips the disk-resident data entirely (§4.3's early
 //       termination).
 //
-// Under JobConfig::hash_core == kFlat each tuple is hashed once with h3;
-// the digest probes the sketch's FlatTable index and routes any spill to
-// the bucket h3.Bucket would pick (evicted keys reuse the digest retained
-// in their slot). The kLegacy mode keeps the old costs — a DefaultHash
-// index probe plus a separate h3 spill hash per spilled tuple — for
-// before/after benches; spill routing is identical in both modes.
+// Each tuple is hashed once with h3; the digest probes the sketch's
+// FlatTable index and routes any spill to the bucket h3.Bucket would pick
+// (evicted keys reuse the digest retained in their slot).
 
 #ifndef ONEPASS_ENGINE_DINC_HASH_ENGINE_H_
 #define ONEPASS_ENGINE_DINC_HASH_ENGINE_H_
@@ -56,7 +53,7 @@ class DincHashEngine : public GroupByEngine {
   Status Consume(const KvBuffer& segment, bool sorted) override;
   Status Finish() override;
   // Sketch slots (with their Misra–Gries counters and retained digests),
-  // the monitored states by slot, and the spill buckets. Flat core only.
+  // the monitored states by slot, and the spill buckets.
   Status SaveCheckpoint(CheckpointWriter* w) const override;
   Status RestoreCheckpoint(CheckpointReader* r) override;
 
@@ -65,14 +62,10 @@ class DincHashEngine : public GroupByEngine {
   uint64_t covered_keys() const { return covered_keys_; }
 
  private:
-  Status ConsumeFlat(const KvBuffer& segment);
-  Status ConsumeLegacy(const KvBuffer& segment);
   // Routes a key-state pair to its disk bucket unless the workload
-  // discards it via TryDiscard. `digest` must be h3(key) — both modes
-  // route spills with the same function, so bucket contents match.
+  // discards it via TryDiscard. `digest` must be h3(key).
   void SpillState(std::string_view key, uint64_t digest, std::string* state);
 
-  bool use_flat_;
   std::unique_ptr<FrequentSketch> sketch_;
   std::vector<std::string> states_;  // slot id -> state bytes
   std::vector<uint64_t> digest_scratch_;  // batch-plane digests (§5.8)

@@ -1,7 +1,5 @@
 #include "src/engine/hash_bucket_pass.h"
 
-#include <unordered_map>
-
 #include "src/common/logging.h"
 #include "src/engine/batch_consume.h"
 #include "src/storage/bucket_manager.h"
@@ -14,9 +12,7 @@ constexpr int kMaxRecursionDepth = 16;
 
 BucketPassProcessor::BucketPassProcessor(const EngineContext* ctx,
                                          uint64_t capacity_bytes)
-    : ctx_(ctx),
-      capacity_bytes_(capacity_bytes),
-      use_flat_(ctx->config->hash_core == HashCoreKind::kFlat) {
+    : ctx_(ctx), capacity_bytes_(capacity_bytes) {
   CHECK(ctx_->inc != nullptr);
 }
 
@@ -24,20 +20,15 @@ Status BucketPassProcessor::Process(KvBuffer data, uint64_t level, int depth,
                                     uint64_t owner) {
   // Beyond the recursion bound (pathological hash collisions), finish in
   // memory regardless of the budget rather than looping.
-  const bool force_in_memory = depth > kMaxRecursionDepth;
-  bool overflow = false;
-  if (use_flat_) {
-    RETURN_IF_ERROR(ProcessFlat(data, level, force_in_memory, &overflow));
-  } else {
-    RETURN_IF_ERROR(ProcessLegacy(data, level, force_in_memory, &overflow));
+  if (ReduceInMemory(data, level, /*force=*/depth > kMaxRecursionDepth)) {
+    return Status::OK();
   }
-  if (!overflow) return Status::OK();
   // The bucket's keys exceed memory: repartition with the next hash level.
   return Repartition(std::move(data), level, depth, owner);
 }
 
-Status BucketPassProcessor::ProcessFlat(const KvBuffer& data, uint64_t level,
-                                        bool force, bool* overflow) {
+bool BucketPassProcessor::ReduceInMemory(const KvBuffer& data,
+                                         uint64_t level, bool force) {
   const JobConfig& cfg = *ctx_->config;
   const CostModel& costs = cfg.costs;
   IncrementalReducer* inc = ctx_->inc;
@@ -45,17 +36,16 @@ Status BucketPassProcessor::ProcessFlat(const KvBuffer& data, uint64_t level,
   const UniversalHash h = ctx_->hashes.At(level);
   table_.Clear();
   uint64_t bytes_used = 0, combines = 0;
-  *overflow = false;
+  bool overflow = false;
   // Batched walk (§5.8): one digest per tuple at this level, computed a
   // RecordBatch at a time and shared by every probe below. After an
   // overflow the remaining records are skipped exactly as the scalar
   // walk's break skipped them (they are re-read by the repartition pass).
   ConsumeBatched(
-      data, EffectiveBatchRecords(cfg), h, ResolveSimdTier(cfg.simd),
-      ctx_->metrics, &digest_scratch_,
+      data, EffectiveBatchRecords(cfg), h, ctx_->metrics, &digest_scratch_,
       table_,
       [&](std::string_view key, std::string_view state, uint64_t digest) {
-    if (*overflow) return;
+    if (overflow) return;
     const uint32_t found = table_.Find(key, digest);
     if (found != FlatTable::kNoEntry) {
       const std::string_view cur = table_.value_at(found);
@@ -68,7 +58,7 @@ Status BucketPassProcessor::ProcessFlat(const KvBuffer& data, uint64_t level,
     const uint64_t entry = key.size() + inc->StateBytesHint() +
                            cfg.resident_entry_overhead;
     if (!force && bytes_used + entry > capacity_bytes_ && !table_.empty()) {
-      *overflow = true;
+      overflow = true;
       return;
     }
     bool inserted = false;
@@ -82,9 +72,9 @@ Status BucketPassProcessor::ProcessFlat(const KvBuffer& data, uint64_t level,
                        costs.combine_record_s *
                            static_cast<double>(combines),
                    OpTag::kReduceFn);
-  if (*overflow) {
+  if (overflow) {
     table_.Clear();
-    return Status::OK();
+    return false;
   }
   ctx_->metrics->combine_invocations += combines;
   uint64_t fn_bytes = 0;
@@ -99,55 +89,7 @@ Status BucketPassProcessor::ProcessFlat(const KvBuffer& data, uint64_t level,
   ctx_->trace->Cpu(costs.reduce_fn_byte_s * static_cast<double>(fn_bytes),
                    OpTag::kReduceFn);
   table_.Clear();
-  return Status::OK();
-}
-
-Status BucketPassProcessor::ProcessLegacy(const KvBuffer& data,
-                                          uint64_t level, bool force,
-                                          bool* overflow) {
-  const JobConfig& cfg = *ctx_->config;
-  const CostModel& costs = cfg.costs;
-  IncrementalReducer* inc = ctx_->inc;
-  std::unordered_map<std::string, std::string> table;
-  uint64_t bytes_used = 0, combines = 0;
-  *overflow = false;
-  {
-    KvBufferReader reader(data);
-    std::string_view key, state;
-    while (reader.Next(&key, &state)) {
-      auto it = table.find(std::string(key));
-      if (it != table.end()) {
-        inc->Combine(key, &it->second, state);
-        ++combines;
-        continue;
-      }
-      const uint64_t entry = key.size() + inc->StateBytesHint() +
-                             cfg.resident_entry_overhead;
-      if (!force && bytes_used + entry > capacity_bytes_ && !table.empty()) {
-        *overflow = true;
-        break;
-      }
-      table.emplace(std::string(key), std::string(state));
-      bytes_used += entry;
-      ++combines;
-    }
-  }
-  ctx_->trace->Cpu(costs.hash_record_s * static_cast<double>(data.count()) +
-                       costs.combine_record_s *
-                           static_cast<double>(combines),
-                   OpTag::kReduceFn);
-  if (*overflow) return Status::OK();
-  ctx_->metrics->combine_invocations += combines;
-  uint64_t fn_bytes = 0;
-  for (auto& [k, state] : table) {
-    inc->Finalize(k, state, ctx_->out);
-    fn_bytes += k.size() + state.size();
-    ctx_->trace->Cpu(0.0, OpTag::kReduceFn, /*d_reduce_work=*/1);
-  }
-  ctx_->metrics->reduce_groups += table.size();
-  ctx_->trace->Cpu(costs.reduce_fn_byte_s * static_cast<double>(fn_bytes),
-                   OpTag::kReduceFn);
-  return Status::OK();
+  return true;
 }
 
 Status BucketPassProcessor::Repartition(KvBuffer data, uint64_t level,
@@ -161,8 +103,8 @@ Status BucketPassProcessor::Repartition(KvBuffer data, uint64_t level,
   // Batched route: FastRangeBucket(digest, sub) == h.Bucket(key, sub) by
   // the hash.h identity, so sub-bucket assignment is unchanged.
   ConsumeBatched(
-      data, EffectiveBatchRecords(cfg), h, ResolveSimdTier(cfg.simd),
-      ctx_->metrics, &digest_scratch_, NoProbePrefetch{},
+      data, EffectiveBatchRecords(cfg), h, ctx_->metrics, &digest_scratch_,
+      NoProbePrefetch{},
       [&](std::string_view key, std::string_view state, uint64_t digest) {
         subs.Add(static_cast<int>(FastRangeBucket(
                      digest, static_cast<uint64_t>(sub))),

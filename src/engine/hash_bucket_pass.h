@@ -9,14 +9,11 @@
 // Both engines previously carried a private copy of this loop; it lives
 // here once, with the memory budget as the only per-engine parameter.
 //
-// The in-memory table follows JobConfig::hash_core: the arena-backed
-// FlatTable (one UniversalHash digest per tuple per level, reused for the
-// table probe) or the legacy std::unordered_map baseline. The FlatTable is
-// owned by the processor and recycled across passes (Clear keeps the
-// control array and the arena's first block warm). Finalize order is the
-// table's iteration order — insertion order for FlatTable, stdlib order
-// for the legacy map; each mode is deterministic on its own and tests
-// compare outputs order-insensitively.
+// The in-memory table is an arena-backed FlatTable (one UniversalHash
+// digest per tuple per level, reused for the table probe), owned by the
+// processor and recycled across passes (Clear keeps the control array and
+// the arena's first block warm). Finalize order is the table's insertion
+// order, so every pass is deterministic.
 
 #ifndef ONEPASS_ENGINE_HASH_BUCKET_PASS_H_
 #define ONEPASS_ENGINE_HASH_BUCKET_PASS_H_
@@ -44,23 +41,21 @@ class BucketPassProcessor {
   Status Process(KvBuffer data, uint64_t level, int depth, uint64_t owner);
 
   // Adds the pass table's counters to `m` (call once, when the engine
-  // finishes). No-op in legacy mode.
+  // finishes).
   template <typename Metrics>
   void FlushStatsTo(Metrics* m) const {
-    if (use_flat_) table_.FlushStatsTo(m);
+    table_.FlushStatsTo(m);
   }
 
  private:
-  Status ProcessFlat(const KvBuffer& data, uint64_t level, bool force,
-                     bool* overflow);
-  Status ProcessLegacy(const KvBuffer& data, uint64_t level, bool force,
-                       bool* overflow);
+  // Combines and finalizes `data` in the pass table. Returns false,
+  // finalizing nothing, if its keys exceed the budget and `force` is off.
+  bool ReduceInMemory(const KvBuffer& data, uint64_t level, bool force);
   Status Repartition(KvBuffer data, uint64_t level, int depth,
                      uint64_t owner);
 
   const EngineContext* ctx_;
   uint64_t capacity_bytes_;
-  bool use_flat_;
   FlatTable table_;
   std::string scratch_;
   std::vector<uint64_t> digest_scratch_;  // batch-plane digests (§5.8)

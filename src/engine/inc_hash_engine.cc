@@ -44,7 +44,6 @@ int IncHashEngine::ChooseNumBuckets(uint64_t expected_keys,
 
 IncHashEngine::IncHashEngine(const EngineContext& ctx)
     : GroupByEngine(ctx),
-      use_flat_(ctx.config->hash_core == HashCoreKind::kFlat),
       h3_(ctx.hashes.At(2)) {
   CHECK(ctx.inc != nullptr) << "INC-hash requires an IncrementalReducer";
   const JobConfig& cfg = *ctx.config;
@@ -71,10 +70,6 @@ IncHashEngine::IncHashEngine(const EngineContext& ctx)
 }
 
 Status IncHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
-  return use_flat_ ? ConsumeFlat(segment) : ConsumeLegacy(segment);
-}
-
-Status IncHashEngine::ConsumeFlat(const KvBuffer& segment) {
   const CostModel& costs = ctx_.config->costs;
   IncrementalReducer* inc = ctx_.inc;
   const uint64_t hint = inc->StateBytesHint();
@@ -85,9 +80,8 @@ Status IncHashEngine::ConsumeFlat(const KvBuffer& segment) {
   // already prefetched; on overflow the digest routes the spill to the
   // same bucket h3_.Bucket would pick.
   ConsumeBatched(
-      segment, EffectiveBatchRecords(*ctx_.config), h3_,
-      ResolveSimdTier(ctx_.config->simd), ctx_.metrics, &digest_scratch_,
-      table_,
+      segment, EffectiveBatchRecords(*ctx_.config), h3_, ctx_.metrics,
+      &digest_scratch_, table_,
       [&](std::string_view key, std::string_view value, uint64_t digest) {
     ++n;
     const uint32_t found = table_.Find(key, digest);
@@ -147,75 +141,7 @@ Status IncHashEngine::ConsumeFlat(const KvBuffer& segment) {
   return Status::OK();
 }
 
-Status IncHashEngine::ConsumeLegacy(const KvBuffer& segment) {
-  const CostModel& costs = ctx_.config->costs;
-  IncrementalReducer* inc = ctx_.inc;
-  ctx_.out->set_streaming(true);
-  KvBufferReader reader(segment);
-  std::string_view key, value;
-  uint64_t n = 0, combines = 0;
-  while (reader.Next(&key, &value)) {
-    ++n;
-    auto it = states_.find(std::string(key));
-    if (it != states_.end()) {
-      const uint64_t before = it->second.size();
-      if (ctx_.values_are_states) {
-        inc->Combine(key, &it->second, value);
-      } else {
-        const std::string state = inc->Init(key, value);
-        inc->Combine(key, &it->second, state);
-      }
-      inc->OnUpdate(key, &it->second, ctx_.out);
-      // States are budgeted at their hint size; growth beyond the hint is
-      // still tracked so memory accounting cannot be gamed.
-      if (it->second.size() > inc->StateBytesHint() &&
-          it->second.size() > before) {
-        resident_bytes_ += it->second.size() - std::max<uint64_t>(
-                                                   before,
-                                                   inc->StateBytesHint());
-      }
-      ++combines;
-      ctx_.trace->Cpu(costs.combine_record_s, OpTag::kCombine,
-                      /*d_reduce_work=*/1);
-    } else {
-      const uint64_t entry = key.size() + inc->StateBytesHint() +
-                             ctx_.config->resident_entry_overhead;
-      if (resident_bytes_ + entry <= capacity_bytes_) {
-        std::string state = ctx_.values_are_states
-                                ? std::string(value)
-                                : inc->Init(key, value);
-        inc->OnUpdate(key, &state, ctx_.out);
-        states_.emplace(std::string(key), std::move(state));
-        resident_bytes_ += entry;
-        ctx_.trace->Cpu(costs.combine_record_s, OpTag::kCombine,
-                        /*d_reduce_work=*/1);
-        ++combines;
-      } else {
-        // Overflow tuple: stage to the appropriate disk bucket.
-        if (ctx_.values_are_states) {
-          buckets_->Add(static_cast<int>(h3_.Bucket(key, num_buckets_)),
-                        key, value);
-        } else {
-          const std::string state = inc->Init(key, value);
-          buckets_->Add(static_cast<int>(h3_.Bucket(key, num_buckets_)),
-                        key, state);
-        }
-      }
-    }
-  }
-  ctx_.metrics->reduce_input_records += n;
-  ctx_.metrics->combine_invocations += combines;
-  ctx_.trace->Cpu(costs.hash_record_s * static_cast<double>(n),
-                  OpTag::kShuffle);
-  ctx_.out->set_streaming(false);
-  return Status::OK();
-}
-
 Status IncHashEngine::SaveCheckpoint(CheckpointWriter* w) const {
-  if (!use_flat_) {
-    return Status::InvalidArgument(
-        "INC-hash checkpointing requires the flat hash core");
-  }
   w->PutU64("inc.resident_bytes", resident_bytes_);
   w->PutU64("inc.entries", table_.size());
   for (uint32_t i = 0; i < table_.size(); ++i) {
@@ -228,10 +154,6 @@ Status IncHashEngine::SaveCheckpoint(CheckpointWriter* w) const {
 }
 
 Status IncHashEngine::RestoreCheckpoint(CheckpointReader* r) {
-  if (!use_flat_) {
-    return Status::InvalidArgument(
-        "INC-hash checkpointing requires the flat hash core");
-  }
   RETURN_IF_ERROR(r->GetU64("inc.resident_bytes", &resident_bytes_));
   uint64_t entries = 0;
   RETURN_IF_ERROR(r->GetU64("inc.entries", &entries));
@@ -262,26 +184,16 @@ Status IncHashEngine::Finish() {
   // exact — and immediate, which is what lets INC-hash emit results the
   // moment the maps finish.
   uint64_t fn_bytes = 0;
-  if (use_flat_) {
-    table_.ForEach([&](uint32_t idx) {
-      const std::string_view key = table_.key_at(idx);
-      const std::string_view state = table_.value_at(idx);
-      inc->Finalize(key, state, ctx_.out);
-      fn_bytes += key.size() + state.size();
-      ctx_.trace->Cpu(0.0, OpTag::kReduceFn, /*d_reduce_work=*/1);
-    });
-    ctx_.metrics->reduce_groups += table_.size();
-    table_.FlushStatsTo(ctx_.metrics);
-    table_.Clear();
-  } else {
-    for (auto& [key, state] : states_) {
-      inc->Finalize(key, state, ctx_.out);
-      fn_bytes += key.size() + state.size();
-      ctx_.trace->Cpu(0.0, OpTag::kReduceFn, /*d_reduce_work=*/1);
-    }
-    ctx_.metrics->reduce_groups += states_.size();
-    states_.clear();
-  }
+  table_.ForEach([&](uint32_t idx) {
+    const std::string_view key = table_.key_at(idx);
+    const std::string_view state = table_.value_at(idx);
+    inc->Finalize(key, state, ctx_.out);
+    fn_bytes += key.size() + state.size();
+    ctx_.trace->Cpu(0.0, OpTag::kReduceFn, /*d_reduce_work=*/1);
+  });
+  ctx_.metrics->reduce_groups += table_.size();
+  table_.FlushStatsTo(ctx_.metrics);
+  table_.Clear();
   ctx_.trace->Cpu(costs.reduce_fn_byte_s * static_cast<double>(fn_bytes),
                   OpTag::kReduceFn);
   resident_bytes_ = 0;

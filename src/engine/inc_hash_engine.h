@@ -19,17 +19,15 @@
 // recursion) — the Hybrid-Cache analysis the paper cites. Recursion is
 // still implemented as a fallback for under-provisioned bucket counts.
 //
-// The state table H follows JobConfig::hash_core: the arena-backed
-// FlatTable (each tuple hashed once with h3, the digest shared between the
-// table probe and the spill-bucket route) or the legacy std::unordered_map
-// baseline kept for before/after benches.
+// The state table H is an arena-backed FlatTable: each tuple is hashed
+// once with h3, the digest shared between the table probe and the
+// spill-bucket route.
 
 #ifndef ONEPASS_ENGINE_INC_HASH_ENGINE_H_
 #define ONEPASS_ENGINE_INC_HASH_ENGINE_H_
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/engine/group_by_engine.h"
@@ -48,9 +46,7 @@ class IncHashEngine : public GroupByEngine {
   Status Finish() override;
   // State table entries in insertion order (FlatTable iteration is
   // deterministic, so the restored table reproduces it exactly), plus the
-  // spill buckets. Flat core only — JobConfig::Validate rejects
-  // checkpointing with kLegacy because unordered_map iteration order does
-  // not survive a rebuild.
+  // spill buckets.
   Status SaveCheckpoint(CheckpointWriter* w) const override;
   Status RestoreCheckpoint(CheckpointReader* r) override;
 
@@ -65,19 +61,10 @@ class IncHashEngine : public GroupByEngine {
   static uint64_t ClampedPageBytes(uint64_t page_bytes,
                                    uint64_t memory_bytes, int h);
 
-  uint64_t resident_keys() const {
-    return use_flat_ ? table_.size() : states_.size();
-  }
-
  private:
-  Status ConsumeFlat(const KvBuffer& segment);
-  Status ConsumeLegacy(const KvBuffer& segment);
-
-  bool use_flat_;
-  FlatTable table_;  // key -> state (kFlat)
+  FlatTable table_;  // key -> state
   std::string scratch_state_;
   std::vector<uint64_t> digest_scratch_;  // batch-plane digests (§5.8)
-  std::unordered_map<std::string, std::string> states_;  // (kLegacy)
   uint64_t resident_bytes_ = 0;
   uint64_t capacity_bytes_ = 0;
   int num_buckets_;

@@ -1,11 +1,9 @@
 #include "src/engine/mr_hash_engine.h"
 
-#include "src/engine/batch_consume.h"
-
 #include <string>
-#include <unordered_map>
 
 #include "src/common/logging.h"
+#include "src/engine/batch_consume.h"
 #include "src/engine/inc_hash_engine.h"
 
 namespace onepass {
@@ -41,7 +39,6 @@ int MRHashEngine::ChooseNumBuckets(uint64_t expected_bytes,
 
 MRHashEngine::MRHashEngine(const EngineContext& ctx)
     : GroupByEngine(ctx),
-      use_flat_(ctx.config->hash_core == HashCoreKind::kFlat),
       h2_(ctx.hashes.At(1)) {
   const JobConfig& cfg = *ctx.config;
   const uint64_t expected = cfg.expected_bytes_per_reducer;
@@ -74,8 +71,8 @@ Status MRHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
   // FastRangeBucket identity (hash.h) makes FastRangeBucket(h2(key), h+1)
   // == h2_.Bucket(key, h+1) exactly, so routing is unchanged.
   ConsumeBatched(
-      segment, EffectiveBatchRecords(*ctx_.config), h2_,
-      ResolveSimdTier(ctx_.config->simd), ctx_.metrics, &digest_scratch_,
+      segment, EffectiveBatchRecords(*ctx_.config), h2_, ctx_.metrics,
+      &digest_scratch_,
       NoProbePrefetch{},  // no table to warm: records route to buffers
       [&](std::string_view key, std::string_view value, uint64_t digest) {
     ++n;
@@ -145,14 +142,6 @@ Status MRHashEngine::RestoreCheckpoint(CheckpointReader* r) {
 }
 
 void MRHashEngine::ProcessInMemory(const KvBuffer& data, uint64_t level) {
-  if (use_flat_) {
-    ProcessInMemoryFlat(data, level);
-  } else {
-    ProcessInMemoryLegacy(data, level);
-  }
-}
-
-void MRHashEngine::ProcessInMemoryFlat(const KvBuffer& data, uint64_t level) {
   // Group by key with the level's hash function, hashed once per tuple.
   // Values are not copied: each occurrence is a view into `data`, chained
   // per group through nodes_ in arrival order.
@@ -165,9 +154,8 @@ void MRHashEngine::ProcessInMemoryFlat(const KvBuffer& data, uint64_t level) {
   // Batched walk (§5.8): the level hash for a whole RecordBatch at a time,
   // group-table control words prefetched kProbePrefetchDistance ahead.
   ConsumeBatched(
-      data, EffectiveBatchRecords(*ctx_.config), h,
-      ResolveSimdTier(ctx_.config->simd), ctx_.metrics, &digest_scratch_,
-      group_table_,
+      data, EffectiveBatchRecords(*ctx_.config), h, ctx_.metrics,
+      &digest_scratch_, group_table_,
       [&](std::string_view key, std::string_view value, uint64_t digest) {
     bool inserted = false;
     const uint32_t idx = group_table_.FindOrInsert(key, digest, &inserted);
@@ -203,34 +191,6 @@ void MRHashEngine::ProcessInMemoryFlat(const KvBuffer& data, uint64_t level) {
   ctx_.trace->Cpu(costs.reduce_fn_byte_s * static_cast<double>(fn_bytes),
                   OpTag::kReduceFn);
   group_table_.Clear();
-}
-
-void MRHashEngine::ProcessInMemoryLegacy(const KvBuffer& data,
-                                         uint64_t level) {
-  // Group by key with the level's hash function (h3, h5, ...): an
-  // unordered_map keyed by the key bytes, seeded per level.
-  const CostModel& costs = ctx_.config->costs;
-  std::unordered_map<std::string_view, std::vector<std::string_view>> groups;
-  groups.reserve(static_cast<size_t>(data.count()));
-  KvBufferReader reader(data);
-  std::string_view key, value;
-  while (reader.Next(&key, &value)) {
-    groups[key].push_back(value);
-  }
-  ctx_.trace->Cpu(costs.hash_record_s * static_cast<double>(data.count()),
-                  OpTag::kReduceFn);
-  uint64_t fn_bytes = 0;
-  for (auto& [k, values] : groups) {
-    VectorValueIterator it(&values);
-    ctx_.reducer->Reduce(k, &it, ctx_.out);
-    fn_bytes += k.size();
-    for (auto v : values) fn_bytes += v.size();
-    ctx_.trace->Cpu(0.0, OpTag::kReduceFn, /*d_reduce_work=*/1);
-  }
-  ctx_.metrics->reduce_groups += groups.size();
-  ctx_.trace->Cpu(costs.reduce_fn_byte_s * static_cast<double>(fn_bytes),
-                  OpTag::kReduceFn);
-  (void)level;
 }
 
 Status MRHashEngine::ProcessBucket(KvBuffer data, uint64_t level,
@@ -306,7 +266,7 @@ Status MRHashEngine::Finish() {
                 (static_cast<uint64_t>(b) + 1))));
     }
   }
-  if (use_flat_) group_table_.FlushStatsTo(ctx_.metrics);
+  group_table_.FlushStatsTo(ctx_.metrics);
   ctx_.out->Flush();
   return Status::OK();
 }

@@ -13,10 +13,9 @@
 // but reduce work still cannot start before end of input, so its progress
 // plateaus at 33% (shuffle only) until the maps finish — Fig. 7(a)/(b).
 //
-// The in-memory group-by follows JobConfig::hash_core: a FlatTable whose
-// entries hold the head/tail of a chain of value nodes (views into the
-// bucket buffer — values are never copied), hashed once per tuple with the
-// pass's UniversalHash; or the legacy unordered_map of value vectors.
+// The in-memory group-by is a FlatTable whose entries hold the head/tail
+// of a chain of value nodes (views into the bucket buffer — values are
+// never copied), hashed once per tuple with the pass's UniversalHash.
 
 #ifndef ONEPASS_ENGINE_MR_HASH_ENGINE_H_
 #define ONEPASS_ENGINE_MR_HASH_ENGINE_H_
@@ -66,8 +65,6 @@ class MRHashEngine : public GroupByEngine {
 
   // Groups `data` in memory using hash `level` and reduces every group.
   void ProcessInMemory(const KvBuffer& data, uint64_t level);
-  void ProcessInMemoryFlat(const KvBuffer& data, uint64_t level);
-  void ProcessInMemoryLegacy(const KvBuffer& data, uint64_t level);
   // Processes a bucket that may exceed memory: in-memory if it fits, else
   // recursive partitioning with hash `level`. `owner` is the integrity
   // owner id a sub-partition manager created here would carry (stable
@@ -75,14 +72,13 @@ class MRHashEngine : public GroupByEngine {
   Status ProcessBucket(KvBuffer data, uint64_t level, int depth,
                        uint64_t owner);
 
-  bool use_flat_;
   int num_disk_buckets_;        // h (excluding D1)
   uint64_t d1_capacity_bytes_;  // memory available to D1
   bool d1_demoted_ = false;     // D1 overflowed and moved to disk
   KvBuffer d1_;
   std::unique_ptr<BucketFileManager> buckets_;  // null when h == 0
   UniversalHash h2_;
-  // Flat grouping scratch, recycled across passes.
+  // Grouping scratch, recycled across passes.
   FlatTable group_table_;  // key -> ChainRef
   std::vector<ValueNode> nodes_;
   std::vector<uint64_t> digest_scratch_;  // batch-plane digests (§5.8)

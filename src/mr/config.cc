@@ -112,11 +112,6 @@ Status JobConfig::Validate() const {
           "map_side_combine (values-list reducers alone cannot merge "
           "partial aggregates at the node tier)");
     }
-    if (hash_core == HashCoreKind::kLegacy) {
-      return Status::InvalidArgument(
-          "combine_scope=kNode requires the flat hash core: the node tier "
-          "merges shards in FlatTable insertion order");
-    }
   }
   if (node_combine_budget_bytes != 0 && node_combine_budget_bytes < 4096) {
     return Status::InvalidArgument(
@@ -131,11 +126,6 @@ Status JobConfig::Validate() const {
       return Status::InvalidArgument(
           "checkpoint_replication must be in [1, nodes], got " +
           std::to_string(checkpoint_replication));
-    }
-    if (hash_core == HashCoreKind::kLegacy) {
-      return Status::InvalidArgument(
-          "checkpointing requires the flat hash core: restoring "
-          "std::unordered_map state does not reproduce iteration order");
     }
   }
   return faults.Validate(cluster.nodes);

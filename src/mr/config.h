@@ -11,7 +11,6 @@
 #include "src/sim/fault_injector.h"
 #include "src/storage/block_format.h"
 #include "src/storage/framed_io.h"
-#include "src/util/simd_dispatch.h"
 
 namespace onepass {
 
@@ -57,18 +56,6 @@ enum class CombineScope : uint8_t {
 };
 
 std::string_view CombineScopeName(CombineScope scope);
-
-// Which hash-table implementation backs the hot grouping structures
-// (engine state tables, sketch indexes, the map-side combiner). kFlat is
-// the arena-backed open-addressing FlatTable (src/util/flat_table.h);
-// kLegacy keeps the original std::unordered_map paths as a before/after
-// baseline for the perf benches. Both produce the same output set; record
-// order within a run may differ between the two (tests compare
-// order-insensitively, and each mode is deterministic on its own).
-enum class HashCoreKind : uint8_t {
-  kFlat,
-  kLegacy,
-};
 
 struct ClusterConfig {
   int nodes = 10;           // N
@@ -155,9 +142,6 @@ struct JobConfig {
   // resident key (hash-table slot, counter, pointers).
   uint64_t resident_entry_overhead = 32;
 
-  // Hash-table implementation for the hot grouping paths (see HashCoreKind).
-  HashCoreKind hash_core = HashCoreKind::kFlat;
-
   // Batch data plane (DESIGN.md §5.8). Records per RecordBatch handed
   // through MapBatch and the engines' consume loops. 0 derives the batch
   // from codec_block_bytes (the ~48 KB block is the natural unit; see
@@ -165,14 +149,6 @@ struct JobConfig {
   // scalar-equivalent plane — produces byte-identical outputs, schedules,
   // and serialized metrics; the batch_equivalence test enforces this.
   uint64_t batch_records = 0;
-
-  // SIMD policy for this job's inner loops (batch hash mixing). kAuto uses
-  // the process-wide detected tier; kForceScalar pins the portable scalar
-  // kernels — a testing knob, since every tier is bit-identical anyway.
-  // CRC32C framing dispatches on the process-wide tier (SetSimdTier)
-  // because checksums are tier-invariant by definition.
-  enum class SimdPolicy : uint8_t { kAuto = 0, kForceScalar = 1 };
-  SimdPolicy simd = SimdPolicy::kAuto;
 
   // Fault injection & recovery (simulated time plane; see
   // src/sim/fault_injector.h). Default: no faults.
@@ -257,12 +233,6 @@ inline uint64_t EffectiveBatchRecords(const JobConfig& cfg) {
   if (derived < 64) return 64;
   if (derived > 4096) return 4096;
   return derived;
-}
-
-// The SIMD tier this job's batch kernels run at (see JobConfig::simd).
-inline SimdTier ResolveSimdTier(JobConfig::SimdPolicy policy) {
-  return policy == JobConfig::SimdPolicy::kForceScalar ? SimdTier::kScalar
-                                                       : CurrentSimdTier();
 }
 
 }  // namespace onepass

@@ -69,12 +69,6 @@ Result<ChainResult> RunJobChain(const std::vector<ChainStage>& stages) {
                                      " has no input store");
     }
     RETURN_IF_ERROR(st.config.Validate());
-    if (CarriesState(st.config) &&
-        st.config.hash_core == HashCoreKind::kLegacy) {
-      return Status::InvalidArgument(
-          "resident state carry-over requires the flat hash core: restoring "
-          "std::unordered_map state does not reproduce iteration order");
-    }
     if (i > 0 && st.config.shuffle_mode == ShuffleMode::kResident) {
       const JobConfig& prev = stages[i - 1].config;
       if (st.config.engine != prev.engine || st.config.seed != prev.seed ||

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 
 #include "src/common/logging.h"
 #include "src/engine/sorted_merge.h"
@@ -67,11 +66,10 @@ class PartitionEmitter : public Emitter {
  public:
   PartitionEmitter(const UniversalHash* partitioner,
                    std::vector<KvBuffer>* partitions,
-                   IncrementalReducer* init_per_record, SimdTier tier)
+                   IncrementalReducer* init_per_record)
       : partitioner_(partitioner),
         partitions_(partitions),
-        init_(init_per_record),
-        tier_(tier) {}
+        init_(init_per_record) {}
 
   void Emit(std::string_view key, std::string_view value) override {
     Route(key, value,
@@ -83,7 +81,7 @@ class PartitionEmitter : public Emitter {
   // records route in batch order, so output is identical to per-emit.
   void EmitBatch(const RecordBatch& batch) override {
     if (digests_.size() < batch.size) digests_.resize(batch.size);
-    partitioner_->HashBatch(batch.keys, batch.size, digests_.data(), tier_);
+    partitioner_->HashBatch(batch.keys, batch.size, digests_.data());
     for (size_t i = 0; i < batch.size; ++i) {
       Route(batch.keys[i], batch.values[i],
             FastRangeBucket(digests_[i], partitions_->size()));
@@ -109,53 +107,37 @@ class PartitionEmitter : public Emitter {
   const UniversalHash* partitioner_;
   std::vector<KvBuffer>* partitions_;
   IncrementalReducer* init_;
-  SimdTier tier_;
   std::vector<uint64_t> digests_;
   uint64_t bytes_ = 0;
   uint64_t records_ = 0;
 };
 
 // Map-side combiner: in-memory hash table of key -> state (§5's Hash-based
-// Map Output component). Under hash_core == kFlat the table is a FlatTable
-// keyed by the partitioner's digest — computed once per emitted record and
-// reused by FlushTo for the partition assignment (FastRangeBucket over the
-// cached digest equals partitioner.Bucket exactly). kLegacy keeps the old
-// unordered_map for before/after benches.
+// Map Output component). The table is a FlatTable keyed by the
+// partitioner's digest — computed once per emitted record and reused by
+// FlushTo for the partition assignment (FastRangeBucket over the cached
+// digest equals partitioner.Bucket exactly).
 class CombiningEmitter : public Emitter {
  public:
-  CombiningEmitter(IncrementalReducer* inc, const UniversalHash* partitioner,
-                   bool use_flat)
-      : inc_(inc), partitioner_(partitioner), use_flat_(use_flat) {}
+  CombiningEmitter(IncrementalReducer* inc, const UniversalHash* partitioner)
+      : inc_(inc), partitioner_(partitioner) {}
 
-  // Flat-core emits run through a small pending ring (§5.8): Emit hashes
-  // the record and prefetches its control word immediately, but the table
-  // update happens when the record leaves the ring — up to kRing emits
-  // later, by which time the prefetched line has arrived. Drain() empties
-  // the ring; MapRunner drains before every flush check, so the update
-  // sequence the table sees (and thus every flush boundary, byte count,
-  // and combine total) is exactly the per-emit order.
+  // Emits run through a small pending ring (§5.8): Emit hashes the record
+  // and prefetches its control word immediately, but the table update
+  // happens when the record leaves the ring — up to kRing emits later, by
+  // which time the prefetched line has arrived. Drain() empties the ring;
+  // MapRunner drains before every flush check, so the update sequence the
+  // table sees (and thus every flush boundary, byte count, and combine
+  // total) is exactly the per-emit order.
   void Emit(std::string_view key, std::string_view value) override {
     ++records_;
-    if (use_flat_) {
-      if (pending_ == kRing) ProcessOldest();
-      Pending& p = ring_[(head_ + pending_) % kRing];
-      p.key.assign(key.data(), key.size());
-      p.value.assign(value.data(), value.size());
-      p.digest = (*partitioner_)(key);
-      flat_.PrefetchProbe(p.digest);
-      ++pending_;
-      return;
-    }
-    auto it = table_.find(std::string(key));
-    if (it == table_.end()) {
-      std::string state = inc_->Init(key, value);
-      bytes_ += key.size() + state.size() + 32;
-      table_.emplace(std::string(key), std::move(state));
-    } else {
-      const std::string state = inc_->Init(key, value);
-      inc_->Combine(key, &it->second, state);
-      ++combines_;
-    }
+    if (pending_ == kRing) ProcessOldest();
+    Pending& p = ring_[(head_ + pending_) % kRing];
+    p.key.assign(key.data(), key.size());
+    p.value.assign(value.data(), value.size());
+    p.digest = (*partitioner_)(key);
+    flat_.PrefetchProbe(p.digest);
+    ++pending_;
   }
 
   // Applies every ring-buffered emit to the table, in emit order.
@@ -165,39 +147,25 @@ class CombiningEmitter : public Emitter {
 
   // Moves the table's contents into per-partition buffers and clears it.
   // Callers must Drain() first (MapRunner's flush checks already do).
-  void FlushTo(const UniversalHash& partitioner,
-               std::vector<KvBuffer>* partitions, uint64_t* out_bytes,
+  void FlushTo(std::vector<KvBuffer>* partitions, uint64_t* out_bytes,
                uint64_t* out_records) {
     CHECK_EQ(pending_, 0u) << "FlushTo with undrained pending emits";
-    if (use_flat_) {
-      flat_.ForEach([&](uint32_t idx) {
-        const std::string_view key = flat_.key_at(idx);
-        const std::string_view state = flat_.value_at(idx);
-        const auto part =
-            FastRangeBucket(flat_.hash_at(idx), partitions->size());
-        (*partitions)[part].Append(key, state);
-        *out_bytes += RecordBytes(key, state);
-        ++*out_records;
-      });
-      flat_.Clear();
-      bytes_ = 0;
-      return;
-    }
-    for (auto& [key, state] : table_) {
-      const auto part = partitioner.Bucket(key, partitions->size());
+    flat_.ForEach([&](uint32_t idx) {
+      const std::string_view key = flat_.key_at(idx);
+      const std::string_view state = flat_.value_at(idx);
+      const auto part =
+          FastRangeBucket(flat_.hash_at(idx), partitions->size());
       (*partitions)[part].Append(key, state);
       *out_bytes += RecordBytes(key, state);
       ++*out_records;
-    }
-    table_.clear();
+    });
+    flat_.Clear();
     bytes_ = 0;
   }
 
-  // Adds the flat table's counters to `m` (no-op in legacy mode). Stats
-  // survive FlushTo's Clear, so call once after the final flush.
-  void FlushStatsTo(JobMetrics* m) const {
-    if (use_flat_) flat_.FlushStatsTo(m);
-  }
+  // Adds the table's counters to `m`. Stats survive FlushTo's Clear, so
+  // call once after the final flush.
+  void FlushStatsTo(JobMetrics* m) const { flat_.FlushStatsTo(m); }
 
   uint64_t table_bytes() const { return bytes_; }
   uint64_t records() const { return records_; }
@@ -239,13 +207,11 @@ class CombiningEmitter : public Emitter {
 
   IncrementalReducer* inc_;
   const UniversalHash* partitioner_;
-  bool use_flat_;
   FlatTable flat_;
   std::string scratch_;
   Pending ring_[kRing];
   size_t head_ = 0;
   size_t pending_ = 0;
-  std::unordered_map<std::string, std::string> table_;
   uint64_t bytes_ = 0;
   uint64_t records_ = 0;
   uint64_t combines_ = 0;
@@ -426,8 +392,7 @@ Result<MapTaskOutput> MapRunner::Run(const KvBuffer& chunk,
       std::vector<KvBuffer> parts(total_partitions_);
       PartitionEmitter emitter(
           &partitioner_, &parts,
-          mode_ == MapOutputMode::kHashInit ? inc_ : nullptr,
-          ResolveSimdTier(config_.simd));
+          mode_ == MapOutputMode::kHashInit ? inc_ : nullptr);
       // Batch plane (§5.8): hand the mapper whole RecordBatches. These
       // paths have no mid-stream thresholds, so any batch size yields the
       // same emit sequence — MapBatch overrides included (they must
@@ -455,8 +420,7 @@ Result<MapTaskOutput> MapRunner::Run(const KvBuffer& chunk,
     }
     case MapOutputMode::kHashCombine: {
       std::vector<KvBuffer> parts(total_partitions_);
-      CombiningEmitter emitter(inc_, &partitioner_,
-                               config_.hash_core == HashCoreKind::kFlat);
+      CombiningEmitter emitter(inc_, &partitioner_);
       uint64_t out_bytes = 0, out_records = 0;
       // The combiner's flush threshold is checked after every input record
       // (a batched check would move flush boundaries and change output),
@@ -472,13 +436,13 @@ Result<MapTaskOutput> MapRunner::Run(const KvBuffer& chunk,
           mapper_->Map(reader.keys()[i], reader.values()[i], &emitter);
           emitter.Drain();
           if (emitter.table_bytes() >= config_.map_buffer_bytes) {
-            emitter.FlushTo(partitioner_, &parts, &out_bytes, &out_records);
+            emitter.FlushTo(&parts, &out_bytes, &out_records);
           }
         }
         out.metrics.record_batches += 1;
         out.metrics.batched_records += bn;
       }
-      emitter.FlushTo(partitioner_, &parts, &out_bytes, &out_records);
+      emitter.FlushTo(&parts, &out_bytes, &out_records);
       emitter.FlushStatsTo(&out.metrics);
       trace.Cpu(map_fn_cost, OpTag::kMapFn);
       trace.Cpu((costs.hash_record_s + costs.combine_record_s) *
@@ -634,9 +598,10 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
     return Status::OK();
   }
 
-  if (runs.empty()) {
-    // The whole chunk's output fit in the map buffer: the sorted buffer is
-    // the map output (the paper's recommended operating point for C).
+  if (run_bytes.empty()) {
+    // Nothing spilled (run_bytes has one entry per run, raw or encoded):
+    // the whole chunk's output fit in the map buffer, so the sorted buffer
+    // is the map output (the paper's recommended operating point for C).
     sort_and_cut(CutKind::kFinalOutput);
     return Status::OK();
   }

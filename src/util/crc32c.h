@@ -33,8 +33,7 @@ uint32_t Crc32cExtendHardware(uint32_t crc, std::string_view data);
 // Whether this build/CPU has a hardware CRC32C path at all.
 bool Crc32cHardwareAvailable();
 
-// Explicit-tier variant for callers that resolved a tier once up front
-// (the batch data plane resolves JobConfig::simd per task).
+// Explicit-tier variant for callers that resolved a tier once up front.
 inline uint32_t Crc32cExtendWithTier(SimdTier tier, uint32_t crc,
                                      std::string_view data) {
   return TierHasHardwareCrc(tier) ? Crc32cExtendHardware(crc, data)

@@ -7,11 +7,11 @@
 //   batch size   {1, 7, 64, 0 (block-derived)}   x
 //   threads      {1, 8}                          x
 //   codec        {kNone, kLz}                    x
-//   SIMD policy  {kForceScalar, kAuto}
+//   SIMD tier    {kScalar, detected}
 // and under a faulted schedule (crash + straggler + corruption). The
 // baseline is the scalar-equivalent walk: batch_records=1, one thread,
-// SIMD pinned off. Anything the batch plane changes beyond wall-clock
-// shows up here as a fingerprint diff.
+// the process-wide SIMD tier pinned to kScalar. Anything the batch plane
+// changes beyond wall-clock shows up here as a fingerprint diff.
 //
 // The serialized metrics are also required to stay free of the batch
 // counters themselves (record_batches / batched_records are host-side
@@ -20,78 +20,17 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "src/mr/cluster.h"
-#include "src/sim/timeline.h"
+#include "src/util/simd_dispatch.h"
 #include "src/workloads/clickstream.h"
 #include "src/workloads/jobs.h"
+#include "tests/test_fingerprint.h"
 
 namespace onepass {
 namespace {
-
-void AppendSeries(std::string* fp, const char* name,
-                  const sim::StepSeries& s) {
-  char buf[64];
-  *fp += name;
-  for (size_t i = 0; i < s.times.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), " (%.17g,%.17g)", s.times[i],
-                  s.values[i]);
-    *fp += buf;
-  }
-  *fp += '\n';
-}
-
-void AppendBinned(std::string* fp, const char* name,
-                  const sim::BinnedSeries& s) {
-  char buf[48];
-  *fp += name;
-  std::snprintf(buf, sizeof(buf), " bin=%.17g", s.bin_seconds);
-  *fp += buf;
-  for (double v : s.values) {
-    std::snprintf(buf, sizeof(buf), " %.17g", v);
-    *fp += buf;
-  }
-  *fp += '\n';
-}
-
-// Every deterministic field of a JobResult, rendered exactly (the same
-// fingerprint the parallel-determinism test uses). Excludes only the
-// host-measured wall times.
-std::string Fingerprint(const JobResult& r) {
-  std::string fp = r.metrics.Serialize();
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "running_time=%.17g\nmap_finish_time=%.17g\n"
-                "map_tasks=%d\nreduce_tasks=%d\n"
-                "shuffle_from_disk_bytes=%llu\n"
-                "map_cpu_s=%.17g\nreduce_cpu_s=%.17g\n",
-                r.running_time, r.map_finish_time, r.map_tasks,
-                r.reduce_tasks,
-                static_cast<unsigned long long>(r.shuffle_from_disk_bytes),
-                r.map_cpu_s, r.reduce_cpu_s);
-  fp += buf;
-  AppendSeries(&fp, "map_progress", r.map_progress);
-  AppendSeries(&fp, "reduce_progress", r.reduce_progress);
-  AppendSeries(&fp, "shuffle_progress", r.shuffle_progress);
-  AppendSeries(&fp, "reduce_work_progress", r.reduce_work_progress);
-  AppendSeries(&fp, "output_progress", r.output_progress);
-  AppendSeries(&fp, "active_map", r.active_map);
-  AppendSeries(&fp, "active_shuffle", r.active_shuffle);
-  AppendSeries(&fp, "active_merge", r.active_merge);
-  AppendSeries(&fp, "active_reduce", r.active_reduce);
-  AppendBinned(&fp, "cpu_util", r.cpu_util);
-  AppendBinned(&fp, "iowait", r.iowait);
-  for (const Record& rec : r.outputs) {
-    fp += rec.key;
-    fp += '=';
-    fp += rec.value;
-    fp += '\n';
-  }
-  return fp;
-}
 
 // Zipf-skewed users, padded 128-byte records: the §5.8 stress shape.
 ChunkStore MakeInputStore(int replication = 1) {
@@ -145,11 +84,12 @@ void ExpectBatchInvariant(const JobConfig& base, const ChunkStore& input) {
     JobConfig cfg = base;
     cfg.block_codec = codec;
     // Scalar-equivalent baseline: one record per batch, one thread, SIMD
-    // kernels pinned off.
+    // kernels pinned off (then restored for the variants).
     cfg.batch_records = 1;
     cfg.data_plane_threads = 1;
-    cfg.simd = JobConfig::SimdPolicy::kForceScalar;
+    SetSimdTier(SimdTier::kScalar);
     auto baseline = LocalCluster::RunJob(ClickCountJob(), cfg, input);
+    SetSimdTier(DetectSimdTier());
     ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
     const std::string want = Fingerprint(*baseline);
     ASSERT_EQ(want.find("record_batches"), std::string::npos)
@@ -158,7 +98,6 @@ void ExpectBatchInvariant(const JobConfig& base, const ChunkStore& input) {
     for (const Variant& v : kVariants) {
       cfg.batch_records = v.batch;
       cfg.data_plane_threads = v.threads;
-      cfg.simd = JobConfig::SimdPolicy::kAuto;
       auto run = LocalCluster::RunJob(ClickCountJob(), cfg, input);
       ASSERT_TRUE(run.ok()) << "batch=" << v.batch
                             << " threads=" << v.threads << ": "

@@ -227,17 +227,9 @@ TEST(ConfigTest, CombineScopeValidation) {
   cfg.map_side_combine = false;
   EXPECT_TRUE(cfg.Validate().ok());
 
-  // The legacy hash core's iteration order is not reproducible enough for
-  // the node tier's deterministic shard merge.
-  cfg.hash_core = HashCoreKind::kLegacy;
-  EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
-  cfg.hash_core = HashCoreKind::kFlat;
-  EXPECT_TRUE(cfg.Validate().ok());
-
   // kTask is the default and never constrained by any of the above.
   JobConfig task;
   task.pipelining = true;
-  task.hash_core = HashCoreKind::kLegacy;
   EXPECT_EQ(task.combine_scope, CombineScope::kTask);
   EXPECT_TRUE(task.Validate().ok());
 }

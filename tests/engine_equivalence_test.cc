@@ -6,6 +6,7 @@
 
 #include <map>
 #include <tuple>
+#include <type_traits>
 
 #include "src/mr/cluster.h"
 #include "src/workloads/clickstream.h"
@@ -15,12 +16,24 @@
 namespace onepass {
 namespace {
 
+// gtest prints a parameter that has no PrintTo as its raw bytes, and ctest
+// names each case after that text. Compiler padding is indeterminate, so
+// every byte here is a named, zero-initialised member: the case names are
+// then the same on every build and every run.
 struct Params {
+  Params(EngineKind e, uint64_t memory, int factor, uint64_t page)
+      : engine(e), reduce_memory(memory), merge_factor(factor), page_bytes(page) {}
+
   EngineKind engine;
+  uint8_t pad0[7] = {};
   uint64_t reduce_memory;
   int merge_factor;
+  int32_t pad1 = 0;
   uint64_t page_bytes;
 };
+static_assert(std::has_unique_object_representations_v<Params>,
+              "Params must have no padding bytes");
+static_assert(sizeof(Params) == 32);
 
 std::string ParamName(const ::testing::TestParamInfo<Params>& info) {
   std::string name;

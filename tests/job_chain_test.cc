@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -15,24 +14,10 @@
 #include "src/mr/job_manager.h"
 #include "src/workloads/iterative.h"
 #include "src/workloads/jobs.h"
+#include "tests/test_fingerprint.h"
 
 namespace onepass {
 namespace {
-
-std::string SortedOutputs(const JobResult& r) {
-  std::vector<std::string> lines;
-  lines.reserve(r.outputs.size());
-  for (const Record& rec : r.outputs) {
-    lines.push_back(rec.key + "=" + rec.value);
-  }
-  std::sort(lines.begin(), lines.end());
-  std::string out;
-  for (const std::string& l : lines) {
-    out += l;
-    out += '\n';
-  }
-  return out;
-}
 
 JobConfig ChainConfig(EngineKind engine) {
   JobConfig cfg;
@@ -227,15 +212,6 @@ TEST(JobChainTest, RejectsMalformedChains) {
         {ClickCountJob(), cfg, log.deltas[0].get()},
         {ClickCountJob(), other, log.deltas[1].get()},
     };
-    EXPECT_FALSE(RunJobChain(stages).ok());
-  }
-
-  // State carry-over requires the flat hash core.
-  {
-    JobConfig legacy = cfg;
-    legacy.hash_core = HashCoreKind::kLegacy;
-    std::vector<ChainStage> stages = {
-        {ClickCountJob(), legacy, log.deltas[0].get()}};
     EXPECT_FALSE(RunJobChain(stages).ok());
   }
 }

@@ -16,22 +16,10 @@
 #include "src/sim/timeline.h"
 #include "src/workloads/clickstream.h"
 #include "src/workloads/jobs.h"
+#include "tests/test_fingerprint.h"
 
 namespace onepass {
 namespace {
-
-void AppendBinned(std::string* fp, const char* name,
-                  const sim::BinnedSeries& s) {
-  char buf[48];
-  *fp += name;
-  std::snprintf(buf, sizeof(buf), " bin=%.17g", s.bin_seconds);
-  *fp += buf;
-  for (double v : s.values) {
-    std::snprintf(buf, sizeof(buf), " %.17g", v);
-    *fp += buf;
-  }
-  *fp += '\n';
-}
 
 // Every deterministic field of a ManagerResult, rendered exactly.
 std::string Fingerprint(const ManagerResult& r) {

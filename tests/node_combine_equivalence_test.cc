@@ -17,26 +17,10 @@
 #include "src/mr/cluster.h"
 #include "src/workloads/clickstream.h"
 #include "src/workloads/jobs.h"
+#include "tests/test_fingerprint.h"
 
 namespace onepass {
 namespace {
-
-// Canonical rendering of a job's answer: record order is a scheduling
-// artifact, so compare the sorted multiset.
-std::string SortedOutputs(const JobResult& r) {
-  std::vector<std::string> lines;
-  lines.reserve(r.outputs.size());
-  for (const Record& rec : r.outputs) {
-    lines.push_back(rec.key + "=" + rec.value);
-  }
-  std::sort(lines.begin(), lines.end());
-  std::string out;
-  for (const std::string& l : lines) {
-    out += l;
-    out += '\n';
-  }
-  return out;
-}
 
 // Output iterator that renders multiset-difference elements into a
 // comma-separated string for failure messages.

@@ -8,76 +8,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
 #include "src/mr/cluster.h"
-#include "src/sim/timeline.h"
 #include "src/workloads/clickstream.h"
 #include "src/workloads/jobs.h"
+#include "tests/test_fingerprint.h"
 
 namespace onepass {
 namespace {
-
-void AppendSeries(std::string* fp, const char* name,
-                  const sim::StepSeries& s) {
-  char buf[64];
-  *fp += name;
-  for (size_t i = 0; i < s.times.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), " (%.17g,%.17g)", s.times[i],
-                  s.values[i]);
-    *fp += buf;
-  }
-  *fp += '\n';
-}
-
-void AppendBinned(std::string* fp, const char* name,
-                  const sim::BinnedSeries& s) {
-  char buf[48];
-  *fp += name;
-  std::snprintf(buf, sizeof(buf), " bin=%.17g", s.bin_seconds);
-  *fp += buf;
-  for (double v : s.values) {
-    std::snprintf(buf, sizeof(buf), " %.17g", v);
-    *fp += buf;
-  }
-  *fp += '\n';
-}
-
-// Every deterministic field of a JobResult, rendered exactly. Excludes
-// only map_plane_wall_s / reduce_plane_wall_s, which measure the host.
-std::string Fingerprint(const JobResult& r) {
-  std::string fp = r.metrics.Serialize();
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "running_time=%.17g\nmap_finish_time=%.17g\n"
-                "map_tasks=%d\nreduce_tasks=%d\n"
-                "shuffle_from_disk_bytes=%llu\n"
-                "map_cpu_s=%.17g\nreduce_cpu_s=%.17g\n",
-                r.running_time, r.map_finish_time, r.map_tasks,
-                r.reduce_tasks,
-                static_cast<unsigned long long>(r.shuffle_from_disk_bytes),
-                r.map_cpu_s, r.reduce_cpu_s);
-  fp += buf;
-  AppendSeries(&fp, "map_progress", r.map_progress);
-  AppendSeries(&fp, "reduce_progress", r.reduce_progress);
-  AppendSeries(&fp, "shuffle_progress", r.shuffle_progress);
-  AppendSeries(&fp, "reduce_work_progress", r.reduce_work_progress);
-  AppendSeries(&fp, "output_progress", r.output_progress);
-  AppendSeries(&fp, "active_map", r.active_map);
-  AppendSeries(&fp, "active_shuffle", r.active_shuffle);
-  AppendSeries(&fp, "active_merge", r.active_merge);
-  AppendSeries(&fp, "active_reduce", r.active_reduce);
-  AppendBinned(&fp, "cpu_util", r.cpu_util);
-  AppendBinned(&fp, "iowait", r.iowait);
-  for (const Record& rec : r.outputs) {
-    fp += rec.key;
-    fp += '=';
-    fp += rec.value;
-    fp += '\n';
-  }
-  return fp;
-}
 
 ChunkStore MakeInputStore(int replication = 1) {
   ClickStreamConfig clicks;

@@ -71,16 +71,11 @@ TEST_P(SessionSweep, ClickMultisetPreserved) {
   EXPECT_EQ(expected, actual);
 }
 
-TEST_P(SessionSweep, ExactSessionsWithAmpleState) {
-  const auto [engine, memory] = GetParam();
-  if (memory < (1u << 20)) GTEST_SKIP() << "exactness needs ample memory";
-  if (engine == EngineKind::kDincHash) {
-    // DINC-hash monitors a bounded hot set (here: 2MB / 1MB-states = one
-    // slot); a key's clicks legitimately split between its resident
-    // spells and the disk buckets, so exact session ids are not part of
-    // its contract — ClickMultisetPreserved covers it instead.
-    GTEST_SKIP() << "session-id exactness is not DINC's contract";
-  }
+// Exact session ids need ample state: 2 MB of reduce memory.
+class SessionExactness : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(SessionExactness, ExactSessionsWithAmpleState) {
+  const EngineKind engine = GetParam();
   // Exactness additionally needs *bounded disorder* (paper §6.1): the
   // shuffle reorders deliveries within a map wave, so a chunk's time span
   // must stay well under the 5-minute session gap — use a denser stream
@@ -100,7 +95,7 @@ TEST_P(SessionSweep, ExactSessionsWithAmpleState) {
   cfg.cluster.reduce_slots = 2;
   cfg.reducers_per_node = 2;
   cfg.chunk_bytes = 64 << 10;
-  cfg.reduce_memory_bytes = memory;
+  cfg.reduce_memory_bytes = 2 << 20;
   cfg.expected_keys_per_reducer = 180;
   cfg.expected_bytes_per_reducer = 1 << 20;
   cfg.collect_outputs = true;
@@ -114,6 +109,20 @@ TEST_P(SessionSweep, ExactSessionsWithAmpleState) {
             ReferenceSessionization(input, kDefaultClickPayloadBytes));
 }
 
+std::string EngineName(EngineKind engine) {
+  switch (engine) {
+    case EngineKind::kSortMerge:
+      return "SortMerge";
+    case EngineKind::kMRHash:
+      return "MRHash";
+    case EngineKind::kIncHash:
+      return "IncHash";
+    case EngineKind::kDincHash:
+      return "DincHash";
+  }
+  return "Unknown";
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SessionSweep,
     ::testing::Combine(::testing::Values(EngineKind::kSortMerge,
@@ -124,24 +133,21 @@ INSTANTIATE_TEST_SUITE_P(
                                          uint64_t{128} << 10,
                                          uint64_t{2} << 20)),
     [](const auto& info) {
-      std::string name;
-      switch (std::get<0>(info.param)) {
-        case EngineKind::kSortMerge:
-          name = "SortMerge";
-          break;
-        case EngineKind::kMRHash:
-          name = "MRHash";
-          break;
-        case EngineKind::kIncHash:
-          name = "IncHash";
-          break;
-        case EngineKind::kDincHash:
-          name = "DincHash";
-          break;
-      }
-      return name + "_mem" +
+      return EngineName(std::get<0>(info.param)) + "_mem" +
              std::to_string(std::get<1>(info.param) >> 10) + "k";
     });
+
+// DINC-hash monitors a bounded hot set (here: 2MB / 1MB-states = one
+// slot); a key's clicks legitimately split between its resident spells
+// and the disk buckets, so exact session ids are not part of its contract
+// — ClickMultisetPreserved covers it instead.
+INSTANTIATE_TEST_SUITE_P(Engines, SessionExactness,
+                         ::testing::Values(EngineKind::kSortMerge,
+                                           EngineKind::kMRHash,
+                                           EngineKind::kIncHash),
+                         [](const auto& info) {
+                           return EngineName(info.param);
+                         });
 
 }  // namespace
 }  // namespace onepass

@@ -1,0 +1,98 @@
+// Canonical renderings of job results shared by the equivalence and
+// determinism tests. SortedOutputs compares answers as multisets (record
+// order is a scheduling artifact); Fingerprint renders every
+// deterministic field of a JobResult exactly, for byte-identity checks.
+
+#ifndef ONEPASS_TESTS_TEST_FINGERPRINT_H_
+#define ONEPASS_TESTS_TEST_FINGERPRINT_H_
+
+#include <algorithm>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "src/mr/cluster.h"
+#include "src/sim/timeline.h"
+
+namespace onepass {
+
+// The job's output records as sorted "key=value" lines.
+inline std::string SortedOutputs(const JobResult& r) {
+  std::vector<std::string> lines;
+  lines.reserve(r.outputs.size());
+  for (const Record& rec : r.outputs) {
+    lines.push_back(rec.key + "=" + rec.value);
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string out;
+  for (const std::string& l : lines) {
+    out += l;
+    out += '\n';
+  }
+  return out;
+}
+
+inline void AppendSeries(std::string* fp, const char* name,
+                         const sim::StepSeries& s) {
+  char buf[64];
+  *fp += name;
+  for (size_t i = 0; i < s.times.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), " (%.17g,%.17g)", s.times[i],
+                  s.values[i]);
+    *fp += buf;
+  }
+  *fp += '\n';
+}
+
+inline void AppendBinned(std::string* fp, const char* name,
+                         const sim::BinnedSeries& s) {
+  char buf[48];
+  *fp += name;
+  std::snprintf(buf, sizeof(buf), " bin=%.17g", s.bin_seconds);
+  *fp += buf;
+  for (double v : s.values) {
+    std::snprintf(buf, sizeof(buf), " %.17g", v);
+    *fp += buf;
+  }
+  *fp += '\n';
+}
+
+// Every deterministic field of a JobResult, rendered exactly, outputs in
+// emitted order. Excludes only map_plane_wall_s / reduce_plane_wall_s,
+// which measure the host.
+inline std::string Fingerprint(const JobResult& r) {
+  std::string fp = r.metrics.Serialize();
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "running_time=%.17g\nmap_finish_time=%.17g\n"
+                "map_tasks=%d\nreduce_tasks=%d\n"
+                "shuffle_from_disk_bytes=%llu\n"
+                "map_cpu_s=%.17g\nreduce_cpu_s=%.17g\n",
+                r.running_time, r.map_finish_time, r.map_tasks,
+                r.reduce_tasks,
+                static_cast<unsigned long long>(r.shuffle_from_disk_bytes),
+                r.map_cpu_s, r.reduce_cpu_s);
+  fp += buf;
+  AppendSeries(&fp, "map_progress", r.map_progress);
+  AppendSeries(&fp, "reduce_progress", r.reduce_progress);
+  AppendSeries(&fp, "shuffle_progress", r.shuffle_progress);
+  AppendSeries(&fp, "reduce_work_progress", r.reduce_work_progress);
+  AppendSeries(&fp, "output_progress", r.output_progress);
+  AppendSeries(&fp, "active_map", r.active_map);
+  AppendSeries(&fp, "active_shuffle", r.active_shuffle);
+  AppendSeries(&fp, "active_merge", r.active_merge);
+  AppendSeries(&fp, "active_reduce", r.active_reduce);
+  AppendBinned(&fp, "cpu_util", r.cpu_util);
+  AppendBinned(&fp, "iowait", r.iowait);
+  for (const Record& rec : r.outputs) {
+    fp += rec.key;
+    fp += '=';
+    fp += rec.value;
+    fp += '\n';
+  }
+  return fp;
+}
+
+}  // namespace onepass
+
+#endif  // ONEPASS_TESTS_TEST_FINGERPRINT_H_
