@@ -20,17 +20,28 @@
 // Data ("who computed what, how many bytes spilled") is exact and
 // engine-authoritative; time is simulated from the calibrated CostModel.
 //
-// Steps 1 and 3 — the data plane — may execute across a work-stealing
-// thread pool (JobConfig::data_plane_threads; DESIGN.md §5.3). Steps 2
-// and 4 — the time plane — are always single-threaded. Results are
-// byte-identical at every thread count: tasks write only state keyed by
-// their own task id, and per-task results merge in task-id order.
+// PrepareJob runs steps 1-3 as a fixed list of named stages over one
+// PreparedJob, each optional tier a single stage that runs or not:
 //
-// PrepareJob runs steps 1–3 and packages everything step 4 needs into a
-// self-contained PreparedJob, so a scheduler (src/mr/job_manager.h) can
-// replay many prepared jobs on one shared SlotPool. RunJob is the solo
-// path: PrepareJob plus a single-job replay, byte-identical to the
-// historical monolithic implementation.
+//   MapPlane -> [NodeCombine] -> OrderDeliveries -> ReducePlane
+//            -> [ResidentTransform] -> Package
+//
+// MapPlane is step 1, OrderDeliveries step 2 and ReducePlane step 3.
+// NodeCombine (combine_scope == kNode, §5.10) folds co-located map outputs
+// into virtual combine tasks before the order is fixed; ResidentTransform
+// (shuffle_mode == kResident, §5.9) rewrites only time-plane charges;
+// Package fills the reduce replay inputs, the progress totals and the CPU
+// attribution. The map and reduce planes may execute across a
+// work-stealing thread pool (JobConfig::data_plane_threads; DESIGN.md
+// §5.3); steps 2 and 4, the time plane, are always single-threaded.
+// Results are byte-identical at every thread count: tasks write only
+// state keyed by their own task id, and per-task results merge in task-id
+// order.
+//
+// The PreparedJob is self-contained, so a scheduler (src/mr/job_manager.h)
+// can replay many prepared jobs on one shared SlotPool. Replay is the solo
+// step 4, and RunJob is PrepareJob plus Replay; both fill the JobResult
+// through Replayer::ExportResult, as the JobManager does.
 
 #ifndef ONEPASS_MR_CLUSTER_H_
 #define ONEPASS_MR_CLUSTER_H_
@@ -142,7 +153,7 @@ class LocalCluster {
   static Result<JobResult> RunJob(const JobSpec& spec, const JobConfig& config,
                                   const ChunkStore& input);
 
-  // Runs the data plane only (steps 1–3) and returns the replay inputs.
+  // Runs the data plane only (steps 1-3) and returns the replay inputs.
   // The caller owns when and where the time plane runs — solo (RunJob) or
   // interleaved with other jobs on a shared SlotPool (JobManager).
   //
@@ -158,6 +169,13 @@ class LocalCluster {
                                         const ChunkStore& input,
                                         const ResidentContext* resident =
                                             nullptr);
+
+  // Step 4 alone: replays `pj` by itself on a fresh simulated cluster and
+  // completes its JobResult. `placement` (may be null) receives the node
+  // that won each of the input's map tasks and each reduce partition —
+  // what the next stage of a resident chain pins its tasks to.
+  static Result<JobResult> Replay(PreparedJob pj,
+                                  PartitionPlacement* placement = nullptr);
 };
 
 }  // namespace onepass

@@ -120,7 +120,7 @@ Status JobConfig::Validate() const {
         "got " +
         std::to_string(node_combine_budget_bytes));
   }
-  if (checkpoint_interval_segments > 0 || checkpoint_interval_bytes > 0) {
+  if (checkpoint_interval_segments > 0) {
     if (checkpoint_replication < 1 ||
         checkpoint_replication > cluster.nodes) {
       return Status::InvalidArgument(

@@ -155,17 +155,15 @@ struct JobConfig {
   sim::FaultConfig faults;
 
   // Reduce-state checkpointing (DESIGN.md §5.6): every N shuffle
-  // deliveries (checkpoint_interval_segments) or every time this many
-  // consumed shuffle bytes accumulate (checkpoint_interval_bytes), a
-  // reducer serializes its engine state through the framed/CRC +
-  // block-codec path and writes it as `checkpoint_replication` replicated
-  // copies (local disk + peers over the network). A crashed reducer then
-  // resumes from the newest verified replica and re-fetches only the
-  // segments past the checkpoint's watermark instead of replaying the
-  // whole shuffle. 0/0 (the default) disables checkpointing, leaving
-  // schedules byte-identical to the pre-checkpoint platform.
+  // deliveries a reducer serializes its engine state through the
+  // framed/CRC + block-codec path and writes it as
+  // `checkpoint_replication` replicated copies (local disk + peers over
+  // the network). A crashed reducer then resumes from the newest verified
+  // replica and re-fetches only the segments past the checkpoint's
+  // watermark instead of replaying the whole shuffle. 0 (the default)
+  // disables checkpointing, leaving schedules byte-identical to the
+  // pre-checkpoint platform.
   uint64_t checkpoint_interval_segments = 0;
-  uint64_t checkpoint_interval_bytes = 0;
   int checkpoint_replication = 2;
 
   // Shuffle delivery mode (see ShuffleMode). Resident mode changes only

@@ -1,49 +1,12 @@
 #include "src/mr/job_chain.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
-
-#include "src/mr/slot_pool.h"
-#include "src/sim/event_queue.h"
 
 namespace onepass {
 namespace {
 
 constexpr size_t kMaxChainStages = 64;
-
-// Phase 4 for one stage: the solo replay RunJob performs, plus placement
-// capture for the next stage.
-Result<JobResult> ReplayStage(PreparedJob& pj,
-                              PartitionPlacement* placement_out) {
-  sim::Engine engine;
-  SlotPool slots(&engine, pj.config.cluster);
-  Replayer replay(&engine, &slots, pj.config, pj.plan, pj.map_ins,
-                  pj.reduce_ins, pj.totals);
-  RETURN_IF_ERROR(replay.Run());
-
-  JobResult result = std::move(pj.result);
-  result.running_time = replay.end_time();
-  result.map_finish_time = replay.map_finish_time();
-  result.shuffle_from_disk_bytes = replay.shuffle_from_disk_bytes();
-  replay.ExportSeries(&result);
-  replay.ExportFaultMetrics(&result.metrics);
-  slots.ExportUtilization(
-      pj.config.timeline_bin_s,
-      std::max(replay.end_time(), pj.config.timeline_bin_s),
-      &result.cpu_util, &result.iowait);
-
-  placement_out->map_node.resize(pj.map_ins.size());
-  for (size_t m = 0; m < pj.map_ins.size(); ++m) {
-    placement_out->map_node[m] = replay.map_winner_node(static_cast<int>(m));
-  }
-  placement_out->reduce_node.resize(pj.reduce_ins.size());
-  for (size_t r = 0; r < pj.reduce_ins.size(); ++r) {
-    placement_out->reduce_node[r] =
-        replay.reduce_winner_node(static_cast<int>(r));
-  }
-  return result;
-}
 
 bool CarriesState(const JobConfig& cfg) {
   return cfg.shuffle_mode == ShuffleMode::kResident &&
@@ -108,11 +71,11 @@ Result<ChainResult> RunJobChain(const std::vector<ChainStage>& stages) {
     ASSIGN_OR_RETURN(PreparedJob pj,
                      LocalCluster::PrepareJob(st.spec, st.config, *st.input,
                                               res ? &ctx : nullptr));
-    PartitionPlacement stage_placement;
-    ASSIGN_OR_RETURN(JobResult result, ReplayStage(pj, &stage_placement));
+    // The prepared job keeps no pointer into `placement`, so the replay
+    // may overwrite it with this stage's winners.
+    ASSIGN_OR_RETURN(JobResult result,
+                     LocalCluster::Replay(std::move(pj), &placement));
     out.iterations.push_back(std::move(result));
-
-    placement = std::move(stage_placement);
     prior = save;
     prior_input = st.input;
   }

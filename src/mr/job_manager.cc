@@ -69,7 +69,6 @@ class ManagerRun {
   struct JobState {
     Phase phase = Phase::kPending;
     JobOutcome outcome;
-    double dispatch_time = -1;  // current attempt's start
     std::unique_ptr<PreparedJob> prepared;
     std::unique_ptr<Replayer> replayer;
     // Earlier attempts' state. In-flight simulated ops of an aborted
@@ -172,7 +171,6 @@ void ManagerRun::Dispatch(int j) {
   JobState& st = jobs_[static_cast<size_t>(j)];
   const JobSubmission& sub = subs_[static_cast<size_t>(j)];
   st.phase = Phase::kRunning;
-  st.dispatch_time = engine_.now();
   if (st.outcome.start_time < 0) st.outcome.start_time = engine_.now();
   ++running_;
 
@@ -209,11 +207,7 @@ void ManagerRun::OnDone(int j, const Status& s) {
 
   if (s.ok()) {
     JobResult& r = st.prepared->result;
-    r.running_time = engine_.now() - st.dispatch_time;
-    r.map_finish_time = st.replayer->map_finish_time() - st.dispatch_time;
-    r.shuffle_from_disk_bytes = st.replayer->shuffle_from_disk_bytes();
-    st.replayer->ExportSeries(&r);
-    st.replayer->ExportFaultMetrics(&r.metrics);
+    st.replayer->ExportResult(&r);
     st.outcome.result = std::move(r);
     FinishJob(j, JobOutcomeState::kCompleted, Status::OK());
   } else if (s.IsDeadlineExceeded()) {

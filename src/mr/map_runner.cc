@@ -305,15 +305,6 @@ void EncodePushSegment(const JobConfig& config, PushSegment* push,
   push->bytes = encoded_total;
 }
 
-void MapRunner::StampPushCrcs(PushSegment* push) const {
-  StampPushSegmentCrcs(config_, push);
-}
-
-void MapRunner::EncodePush(PushSegment* push, bool sorted,
-                           TraceRecorder* trace, JobMetrics* metrics) const {
-  EncodePushSegment(config_, push, sorted, OpTag::kMapOutput, trace, metrics);
-}
-
 void MapRunner::PublishOrFeed(std::vector<KvBuffer> parts, uint64_t bytes,
                               uint64_t records, bool sorted,
                               TraceRecorder* trace, MapTaskOutput* out) const {
@@ -331,12 +322,13 @@ void MapRunner::PublishOrFeed(std::vector<KvBuffer> parts, uint64_t bytes,
   PushSegment push;
   push.partitions = std::move(parts);
   push.bytes = bytes;
-  EncodePush(&push, sorted, trace, &out->metrics);
+  EncodePushSegment(config_, &push, sorted, OpTag::kMapOutput, trace,
+                    &out->metrics);
   trace->DiskWrite(push.bytes, OpTag::kMapOutput, WriteRequests(push.bytes));
   out->metrics.map_output_bytes += push.bytes;
   out->metrics.map_output_records += records;
   push.gate_op = static_cast<uint32_t>(out->trace.ops.size() - 1);
-  StampPushCrcs(&push);
+  StampPushSegmentCrcs(config_, &push);
   out->pushes.push_back(std::move(push));
 }
 

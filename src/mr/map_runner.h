@@ -138,18 +138,6 @@ class MapRunner {
   void PublishOrFeed(std::vector<KvBuffer> parts, uint64_t bytes,
                      uint64_t records, bool sorted, TraceRecorder* trace,
                      MapTaskOutput* out) const;
-  // Fills push.crcs from the bytes the push actually carries (encoded
-  // block streams under a codec, raw partitions otherwise) when integrity
-  // checksums are on.
-  void StampPushCrcs(PushSegment* push) const;
-  // Under an active block codec: encodes push->partitions into
-  // per-partition block streams (prefix-coded when `sorted`, run-length
-  // key-grouped otherwise), charges the codec CPU to `trace`, updates the
-  // codec shuffle counters, releases the raw partitions, and rewrites
-  // push->bytes to the encoded total. No-op under kNone. Call before
-  // charging the push's disk write.
-  void EncodePush(PushSegment* push, bool sorted, TraceRecorder* trace,
-                  JobMetrics* metrics) const;
 
   const JobConfig& config_;
   MapOutputMode mode_;

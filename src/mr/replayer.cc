@@ -6,6 +6,19 @@
 #include "src/mr/cluster.h"
 
 namespace onepass {
+namespace {
+
+std::vector<std::vector<CheckpointMark>> CheckpointMarksOf(
+    const std::vector<Replayer::ReduceTaskIn>& reduces) {
+  std::vector<std::vector<CheckpointMark>> marks;
+  marks.reserve(reduces.size());
+  for (const Replayer::ReduceTaskIn& in : reduces) {
+    marks.push_back(in.checkpoints);
+  }
+  return marks;
+}
+
+}  // namespace
 
 Replayer::Activity Replayer::Categorize(bool is_map_task, OpTag tag) {
   if (is_map_task) return Activity::kMap;
@@ -40,7 +53,8 @@ Replayer::Replayer(sim::Engine* engine, SlotPool* pool,
       opts_(options),
       stream_(options.stream),
       engine_(engine),
-      pool_(pool) {
+      pool_(pool),
+      ladder_(config, plan, CheckpointMarksOf(reduces_)) {
   CHECK_EQ(pool_->num_nodes(), config.cluster.nodes);
   dead_.assign(static_cast<size_t>(pool_->num_nodes()), 0);
   map_winner_.assign(maps_.size(), -1);
@@ -74,15 +88,10 @@ Replayer::Replayer(sim::Engine* engine, SlotPool* pool,
     }
   }
   reduce_delta_applied_.resize(reduces_.size());
-  ckpt_gates_.resize(reduces_.size());
   for (size_t r = 0; r < reduces_.size(); ++r) {
     reduce_delta_applied_[r].assign(reduces_[r].trace->ops.size(), false);
     reduce_states_[r].attempts.reserve(
         static_cast<size_t>(config.faults.max_attempts));
-    for (uint32_t c = 0;
-         c < static_cast<uint32_t>(reduces_[r].checkpoints.size()); ++c) {
-      ckpt_gates_[r][reduces_[r].checkpoints[c].gate_op] = c;
-    }
   }
 }
 
@@ -156,7 +165,20 @@ void Replayer::NotifyDone(const Status& s) {
   }
 }
 
-void Replayer::ExportFaultMetrics(JobMetrics* m) const {
+void Replayer::ExportResult(JobResult* result) const {
+  result->running_time = end_time_ - start_time_;
+  result->map_finish_time = last_map_finish_ - start_time_;
+  result->shuffle_from_disk_bytes = shuffle_from_disk_bytes_;
+  result->map_progress = map_progress_;
+  result->reduce_progress = reduce_progress_;
+  result->shuffle_progress = shuffle_series_;
+  result->reduce_work_progress = work_series_;
+  result->output_progress = output_series_;
+  result->active_map = active_[0];
+  result->active_shuffle = active_[1];
+  result->active_merge = active_[2];
+  result->active_reduce = active_[3];
+  JobMetrics* m = &result->metrics;
   tracker_.ExportMetrics(m);
   m->node_crashes += node_crashes_;
   m->lost_map_outputs += lost_map_outputs_;
@@ -175,18 +197,6 @@ void Replayer::ExportFaultMetrics(JobMetrics* m) const {
   m->resident_hit_bytes += resident_hit_bytes_;
   m->resident_invalidated_segments += resident_invalidated_segments_;
   m->resident_invalidated_bytes += resident_invalidated_bytes_;
-}
-
-void Replayer::ExportSeries(JobResult* result) const {
-  result->map_progress = map_progress_;
-  result->reduce_progress = reduce_progress_;
-  result->shuffle_progress = shuffle_series_;
-  result->reduce_work_progress = work_series_;
-  result->output_progress = output_series_;
-  result->active_map = active_[0];
-  result->active_shuffle = active_[1];
-  result->active_merge = active_[2];
-  result->active_reduce = active_[3];
 }
 
 double Replayer::Duration(const TraceOp& op, int node) const {
@@ -209,12 +219,6 @@ double Replayer::Duration(const TraceOp& op, int node) const {
 uint64_t Replayer::FetchRetryKey(int r, int m, uint32_t p) {
   return (static_cast<uint64_t>(r) << 40) ^
          (static_cast<uint64_t>(m) << 16) ^ static_cast<uint64_t>(p);
-}
-
-uint64_t Replayer::CheckpointRetryKey(int r, int ordinal, int try_i) {
-  return (static_cast<uint64_t>(r) << 40) ^
-         (static_cast<uint64_t>(ordinal) << 16) ^
-         static_cast<uint64_t>(try_i);
 }
 
 double Replayer::WithDiskRetries(double dur, const TraceOp& op, bool is_map,
@@ -575,7 +579,7 @@ void Replayer::ScheduleReduceRun(int r) {
   // The new attempt refetches everything past its restore watermark;
   // make sure every map output it needs is rematerializing. Deliveries
   // folded into a durable checkpoint stay retired.
-  const uint32_t watermark = RestoreWatermark(r);
+  const uint32_t watermark = ladder_.Watermark(r);
   for (size_t s = watermark;
        s < reduces_[static_cast<size_t>(r)].deliveries.size(); ++s) {
     const DeliveryRef& d = reduces_[static_cast<size_t>(r)].deliveries[s];
@@ -669,154 +673,21 @@ void Replayer::ScheduleSpeculationTick() {
       });
 }
 
-// ---- checkpoint recovery (DESIGN.md §5.6) ----
+// ---- checkpoint restore (DESIGN.md §5.6) ----
 
-void Replayer::RegisterCheckpoint(int r, uint32_t c, int writer_node) {
-  // The checkpoint-write op for instance `c` of reduce r completed on
-  // `writer_node`: the instance is durable, replicated on the writer plus
-  // the next checkpoint_replication - 1 alive nodes round-robin. At most
-  // once per instance across attempts (a speculative backup reaching the
-  // same gate later does not re-place the replicas).
-  ReduceTaskState& st = reduce_states_[static_cast<size_t>(r)];
-  for (const DurableCkpt& d : st.durable) {
-    if (d.ordinal == c) return;
-  }
-  const CheckpointMark& mark = reduces_[static_cast<size_t>(r)]
-                                   .checkpoints[c];
-  DurableCkpt d;
-  d.ordinal = c;
-  d.watermark = mark.watermark;
-  d.bytes = mark.bytes;
-  d.raw_bytes = mark.raw_bytes;
-  int slot = 0;
-  d.replicas.emplace_back(slot++, writer_node);
-  const int nodes = pool_->num_nodes();
-  for (int off = 1; off < nodes && slot < config_.checkpoint_replication;
-       ++off) {
-    const int n = (writer_node + off) % nodes;
-    if (!dead_[static_cast<size_t>(n)]) d.replicas.emplace_back(slot++, n);
-  }
-  st.durable.push_back(std::move(d));
-}
-
-Replayer::CkptChoice Replayer::ChooseCheckpoint(int r) const {
-  // Newest instance first, replica slots in order; a replica is usable iff
-  // its holder survives (dead holders are pruned eagerly) and the plan's
-  // seeded draw leaves it uncorrupted. Pure given (durable state, plan).
-  CkptChoice choice;
-  const ReduceTaskState& st = reduce_states_[static_cast<size_t>(r)];
-  for (auto it = st.durable.rbegin(); it != st.durable.rend(); ++it) {
-    choice.had_durable = true;
-    for (const auto& [slot, node] : it->replicas) {
-      if (plan_.CheckpointCorruptions(r, it->ordinal, slot) > 0) {
-        choice.tried.push_back({slot, node, it->bytes});
-        continue;
-      }
-      choice.ordinal = static_cast<int>(it->ordinal);
-      choice.watermark = it->watermark;
-      choice.bytes = it->bytes;
-      choice.raw_bytes = it->raw_bytes;
-      choice.node = node;
-      return choice;
-    }
-  }
-  return choice;
-}
-
-uint32_t Replayer::RestoreWatermark(int r) const {
-  // Deliveries below this watermark will never be re-fetched by a
-  // restarted attempt of r; used by the lost-map-output scan to keep maps
-  // whose outputs are fully covered by a durable checkpoint retired.
-  if (reduce_states_[static_cast<size_t>(r)].durable.empty()) return 0;
-  return ChooseCheckpoint(r).watermark;
-}
-
-void Replayer::RunRestoreOps(int r, int a, const CkptChoice& choice) {
-  // Charges the restore I/O as a sequential op chain on the attempt's
-  // node: each rejected candidate is read in full before its verification
-  // fails (network pull, or a local disk read when the attempt node holds
-  // the replica), the next candidate backs off per the shared RetryPolicy,
-  // then the good replica is read and — under a codec — its field stream
-  // decoded. When the chain drains, the fetch/consume streams start from
-  // the checkpoint watermark.
-  auto ops = std::make_shared<std::vector<RestoreOp>>();
-  const int att_node = reduce_states_[static_cast<size_t>(r)]
-                           .attempts[static_cast<size_t>(a)].node;
-  int try_i = 0;
-  auto read_replica = [&](int holder, uint64_t bytes) {
-    RestoreOp rop;
-    rop.op.tag = OpTag::kCheckpoint;
-    rop.op.bytes = bytes;
-    if (holder == att_node) {
-      rop.op.resource = OpResource::kDisk;
-      rop.op.is_read = true;
-    } else {
-      rop.op.resource = OpResource::kNet;
-    }
-    if (try_i > 0) {
-      rop.delay = config_.faults.fetch_retry.BackoffFor(
-          try_i - 1, CheckpointRetryKey(r, choice.ordinal, try_i));
-    }
-    ++try_i;
-    ops->push_back(rop);
-    checkpoint_restore_bytes_ += bytes;
-  };
-  for (const TriedReplica& t : choice.tried) read_replica(t.node, t.bytes);
-  read_replica(choice.node, choice.bytes);
-  if (config_.block_codec != BlockCodecKind::kNone) {
-    RestoreOp rop;
-    rop.op.resource = OpResource::kCpu;
-    rop.op.tag = OpTag::kCheckpoint;
-    rop.op.cpu_s = config_.costs.decompress_byte_s *
-                   static_cast<double>(choice.raw_bytes);
-    ops->push_back(rop);
-  }
-  RunRestoreOp(r, a, std::move(ops), 0);
-}
-
-void Replayer::RunRestoreOp(int r, int a,
-                            std::shared_ptr<std::vector<RestoreOp>> ops,
-                            size_t i) {
+void Replayer::RunRestoreOp(int r, int a, size_t i) {
   if (failed_) return;
-  ReduceAttempt& at = reduce_states_[static_cast<size_t>(r)]
-                          .attempts[static_cast<size_t>(a)];
+  const ReduceAttempt& at = reduce_states_[static_cast<size_t>(r)]
+                                .attempts[static_cast<size_t>(a)];
   if (!at.alive) return;
-  if (i >= ops->size()) {
+  if (i >= at.restore.ops.size()) {
     StartFetch(r, a);
     TryConsume(r, a);
     return;
   }
-  const RestoreOp& rop = (*ops)[i];
-  if (rop.delay > 0) {
-    engine_->ScheduleAfterStream(rop.delay, stream_, [this, r, a, ops, i]() {
-      if (failed_) return;
-      if (!reduce_states_[static_cast<size_t>(r)]
-               .attempts[static_cast<size_t>(a)].alive) {
-        return;
-      }
-      SubmitRestoreOp(r, a, std::move(ops), i);
-    });
-    return;
-  }
-  SubmitRestoreOp(r, a, std::move(ops), i);
-}
-
-void Replayer::SubmitRestoreOp(int r, int a,
-                               std::shared_ptr<std::vector<RestoreOp>> ops,
-                               size_t i) {
-  ReduceAttempt& at = reduce_states_[static_cast<size_t>(r)]
-                          .attempts[static_cast<size_t>(a)];
-  const TraceOp& op = (*ops)[i].op;
-  pool_->Route(at.node, op)->Submit(
-      Duration(op, at.node), stream_,
-      [this, r, a, ops = std::move(ops), i]() {
-        if (failed_) return;
-        if (!reduce_states_[static_cast<size_t>(r)]
-                 .attempts[static_cast<size_t>(a)].alive) {
-          return;
-        }
-        RunRestoreOp(r, a, std::move(ops), i + 1);
-      });
+  const TraceOp& op = at.restore.ops[i];
+  SubmitOp(op, at.node, Duration(op, at.node),
+           [this, r, a, i]() { RunRestoreOp(r, a, i + 1); });
 }
 
 // ---- crash handling ----
@@ -866,7 +737,7 @@ bool Replayer::OutputNeeded(int m) const {
       }
       if (AliveReduceAttempts(static_cast<int>(r)) == 0) {
         if (!watermark_known) {
-          watermark = RestoreWatermark(static_cast<int>(r));
+          watermark = ladder_.Watermark(static_cast<int>(r));
           watermark_known = true;
         }
         if (s >= watermark) return true;
@@ -889,19 +760,9 @@ void Replayer::CrashNode(int n) {
   dead_[static_cast<size_t>(n)] = 1;
   ++node_crashes_;
   // Checkpoint replicas stored on n are gone. Pruning before the kill /
-  // reschedule scans below means every RestoreWatermark query already
-  // sees the post-crash replica view. Surviving replicas keep their
-  // original slot index (stable corruption draws).
-  for (ReduceTaskState& st : reduce_states_) {
-    for (DurableCkpt& d : st.durable) {
-      d.replicas.erase(
-          std::remove_if(d.replicas.begin(), d.replicas.end(),
-                         [n](const std::pair<int, int>& rep) {
-                           return rep.second == n;
-                         }),
-          d.replicas.end());
-    }
-  }
+  // reschedule scans below means every restore-watermark query already
+  // sees the post-crash replica view.
+  ladder_.NodeDied(n);
   // Unstarted tasks this job queued here go back through the scheduler.
   for (const PendingTask& p :
        pool_->TakeJobQueue(opts_.job_id, n, /*is_map=*/true)) {
@@ -1173,8 +1034,7 @@ void Replayer::StartReduceAttempt(int r, int node, bool speculative) {
   // deliveries below the watermark count as fetched and consumed, and
   // the restore reads (corrupt candidates included) are charged before
   // the fetch/consume streams start.
-  CkptChoice choice;
-  if (!st.durable.empty()) choice = ChooseCheckpoint(r);
+  const CheckpointLadder::Choice choice = ladder_.Choose(r);
   if (choice.node >= 0) {
     for (uint32_t s = 0; s < choice.watermark; ++s) {
       at.fetched[s] = true;
@@ -1187,8 +1047,12 @@ void Replayer::StartReduceAttempt(int r, int node, bool speculative) {
     ++checkpoints_restored_;
     checkpoint_corrupt_replicas_ +=
         static_cast<uint64_t>(choice.tried.size());
+    at.restore = ladder_.RestoreChain(r, choice, node);
+    for (const TraceOp& op : at.restore.ops) {
+      checkpoint_restore_bytes_ += op.bytes;
+    }
     st.attempts.push_back(std::move(at));
-    RunRestoreOps(r, a, choice);
+    RunRestoreOp(r, a, 0);
     return;
   }
   if (choice.had_durable) ++checkpoint_full_replays_;
@@ -1408,11 +1272,7 @@ void Replayer::TryConsume(int r, int a) {
         done_op.resource == OpResource::kCpu ? 0 : done_op.bytes);
     ApplyDeltasOnce(reduce_delta_applied_[static_cast<size_t>(r)], idx,
                     done_op);
-    auto gate =
-        ckpt_gates_[static_cast<size_t>(r)].find(static_cast<uint32_t>(idx));
-    if (gate != ckpt_gates_[static_cast<size_t>(r)].end()) {
-      RegisterCheckpoint(r, gate->second, att.node);
-    }
+    ladder_.OpDone(r, static_cast<uint32_t>(idx), att.node);
     TryConsume(r, a);
   });
 }

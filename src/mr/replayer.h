@@ -17,7 +17,8 @@
 // exponential backoff; stragglers dilate op durations; speculative backups
 // race the original attempt and the first finisher wins. A task that
 // exhausts max_attempts (or loses every replica of its input) fails the
-// job with a non-OK Status instead of stalling.
+// job with a non-OK Status instead of stalling. A restarted reduce attempt
+// resumes from the checkpoint its CheckpointLadder picks (DESIGN.md §5.6).
 //
 // Multi-job operation (DESIGN.md §5.7): several Replayers share one
 // sim::Engine and one SlotPool. Faults are a per-job domain — this job's
@@ -34,12 +35,12 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/mr/checkpoint_ladder.h"
 #include "src/mr/config.h"
 #include "src/mr/cost_trace.h"
 #include "src/mr/slot_pool.h"
@@ -58,17 +59,6 @@ struct DeliveryRef {
   int map_task = 0;
   uint32_t push = 0;
   uint64_t bytes = 0;
-};
-
-// One checkpoint the reduce data plane recorded (DESIGN.md §5.6): after
-// consuming `watermark` deliveries the engine image measured `bytes` framed
-// bytes (raw_bytes before codec/framing). `gate_op` is the trace op whose
-// completion makes the instance durable in the time-plane replay.
-struct CheckpointMark {
-  uint32_t watermark = 0;
-  uint64_t bytes = 0;
-  uint64_t raw_bytes = 0;
-  uint32_t gate_op = 0;
 };
 
 class Replayer {
@@ -148,16 +138,8 @@ class Replayer {
   void Abort(Status s);
 
   // --- results ---
-  bool complete() const { return JobComplete(); }
-  bool failed() const { return failed_; }
-  const Status& status() const { return status_; }
-  double end_time() const { return end_time_; }
-  double map_finish_time() const { return last_map_finish_; }
   double push_ready_time(int m, uint32_t p) const {
     return push_ready_[static_cast<size_t>(m)][p];
-  }
-  uint64_t shuffle_from_disk_bytes() const {
-    return shuffle_from_disk_bytes_;
   }
   // Placement capture for resident chains: the node whose attempt won each
   // task (first finisher under speculation/recovery), or -1 if the job did
@@ -169,13 +151,13 @@ class Replayer {
     return reduce_winner_[static_cast<size_t>(r)];
   }
 
-  // Folds attempt/recovery counters into `m` (full replay only; the
-  // provisional replay's faults are a scheduling rehearsal, not results).
-  void ExportFaultMetrics(JobMetrics* m) const;
-
-  // Fills the progress/activity series of `result` (not utilization —
-  // that is cluster state, exported by SlotPool::ExportUtilization).
-  void ExportSeries(JobResult* result) const;
+  // Completes `result` from this finished full replay: running_time and
+  // map_finish_time measured from the replay's start (a solo replay
+  // starts at 0), shuffle_from_disk_bytes, the progress and activity
+  // series, and the attempt/recovery counters folded into its metrics.
+  // Not utilization — that is cluster state, exported by
+  // SlotPool::ExportUtilization.
+  void ExportResult(JobResult* result) const;
 
   // --- SlotPool-facing scheduling surface ---
 
@@ -235,56 +217,19 @@ class Replayer {
     std::vector<uint8_t> fetch_tries;   // failed tries per section
     std::vector<uint8_t> verify_tries;  // checksum-failed fetches per section
     int act[4] = {0, 0, 0, 0};  // outstanding activity counts, by Activity
-  };
-  // A checkpoint instance whose write+replication op completed: its
-  // replicas live on `replicas` (slot, holder node) until a holder dies.
-  // Slots keep their original index when holders drop out, so the plan's
-  // per-slot corruption draws stay stable across crash schedules.
-  struct DurableCkpt {
-    uint32_t ordinal = 0;
-    uint32_t watermark = 0;
-    uint64_t bytes = 0;
-    uint64_t raw_bytes = 0;
-    std::vector<std::pair<int, int>> replicas;  // (slot, holder node)
+    // A restored attempt's checkpoint restore chain (CheckpointLadder::
+    // RestoreChain), run before its fetch and consume streams start.
+    CostTrace restore;
   };
   struct ReduceTaskState {
     std::vector<ReduceAttempt> attempts;
-    std::vector<DurableCkpt> durable;  // oldest first (ordinal order)
     bool done = false;
     bool queued = false;
     bool spec_queued = false;
   };
 
-  // A replica read and rejected by verification on the restore ladder.
-  struct TriedReplica {
-    int slot = 0;
-    int node = 0;
-    uint64_t bytes = 0;
-  };
-  // Outcome of the restore ladder: node >= 0 means a verifiable replica of
-  // instance `ordinal` exists and a restarted attempt resumes from
-  // `watermark`; otherwise (had_durable) every replica of every instance
-  // was corrupt or lost and the attempt falls back to full replay.
-  struct CkptChoice {
-    int ordinal = -1;
-    uint32_t watermark = 0;
-    uint64_t bytes = 0;
-    uint64_t raw_bytes = 0;
-    int node = -1;
-    std::vector<TriedReplica> tried;
-    bool had_durable = false;
-  };
-  // One op of the synthesized restore chain, waiting `delay` simulated
-  // seconds (the shared RetryPolicy's backoff after a rejected replica)
-  // before occupying its resource.
-  struct RestoreOp {
-    TraceOp op;
-    double delay = 0;
-  };
-
   double Duration(const TraceOp& op, int node) const;
   static uint64_t FetchRetryKey(int r, int m, uint32_t p);
-  static uint64_t CheckpointRetryKey(int r, int ordinal, int try_i);
   double WithDiskRetries(double dur, const TraceOp& op, bool is_map,
                          int task, int attempt, size_t idx);
   // Submits `op` for attempt-completion callback `done`: a timer for
@@ -326,15 +271,9 @@ class Replayer {
   void MaybeSpeculate(TaskKind kind);
   void ScheduleSpeculationTick();
 
-  void RegisterCheckpoint(int r, uint32_t c, int writer_node);
-  CkptChoice ChooseCheckpoint(int r) const;
-  uint32_t RestoreWatermark(int r) const;
-  void RunRestoreOps(int r, int a, const CkptChoice& choice);
-  void RunRestoreOp(int r, int a,
-                    std::shared_ptr<std::vector<RestoreOp>> ops, size_t i);
-  void SubmitRestoreOp(int r, int a,
-                       std::shared_ptr<std::vector<RestoreOp>> ops,
-                       size_t i);
+  // Runs op i of attempt a's restore chain; past the end, starts the
+  // attempt's fetch and consume streams.
+  void RunRestoreOp(int r, int a, size_t i);
 
   void KillMapAttempt(int m, int a);
   void KillReduceAttempt(int r, int a);
@@ -391,9 +330,7 @@ class Replayer {
       push_waiters_;
   std::vector<std::vector<bool>> map_delta_applied_;
   std::vector<std::vector<bool>> reduce_delta_applied_;
-  // Per reduce task: trace op index of a checkpoint write's last op ->
-  // checkpoint ordinal (mirrors maps_[m].gates for pushes).
-  std::vector<std::map<uint32_t, uint32_t>> ckpt_gates_;
+  CheckpointLadder ladder_;
   std::vector<sim::CrashEvent> fraction_crashes_;
   std::vector<bool> fraction_fired_;
 

@@ -1,0 +1,236 @@
+// CheckpointLadder (DESIGN.md §5.6): durable-instance registration,
+// replica placement, crash pruning, the newest-first restore choice and
+// the restore op chain, driven directly without a replay.
+
+#include "src/mr/checkpoint_ladder.h"
+
+#include <gtest/gtest.h>
+
+#include <vector>
+
+#include "src/sim/fault_injector.h"
+
+namespace onepass {
+namespace {
+
+constexpr uint32_t kGate0 = 10;
+constexpr uint32_t kGate1 = 20;
+
+JobConfig LadderConfig(double corruption_rate) {
+  JobConfig cfg;
+  cfg.cluster.nodes = 4;
+  cfg.checkpoint_replication = 3;
+  cfg.faults.corruption_rate = corruption_rate;
+  return cfg;
+}
+
+CheckpointMark Mark(uint32_t watermark, uint64_t bytes, uint32_t gate) {
+  CheckpointMark mark;
+  mark.watermark = watermark;
+  mark.bytes = bytes;
+  mark.raw_bytes = 2 * bytes;
+  mark.gate_op = gate;
+  return mark;
+}
+
+// `tasks` reduce tasks, each with two checkpoints: watermark 4 (1000
+// bytes) at op kGate0 and watermark 8 (1100 bytes) at op kGate1.
+std::vector<std::vector<CheckpointMark>> TwoMarksEach(int tasks) {
+  return std::vector<std::vector<CheckpointMark>>(
+      static_cast<size_t>(tasks),
+      {Mark(4, 1000, kGate0), Mark(8, 1100, kGate1)});
+}
+
+TEST(CheckpointLadderTest, NewestDurableInstanceFirst) {
+  const JobConfig cfg = LadderConfig(0);
+  const sim::FaultPlan plan(cfg.faults, cfg.seed);
+  CheckpointLadder ladder(cfg, plan, TwoMarksEach(1));
+
+  CheckpointLadder::Choice none = ladder.Choose(0);
+  EXPECT_FALSE(none.had_durable);
+  EXPECT_LT(none.node, 0);
+  EXPECT_EQ(ladder.Watermark(0), 0u);
+
+  ladder.OpDone(0, kGate0 + 1, 3);  // not a gate: nothing becomes durable
+  EXPECT_FALSE(ladder.Choose(0).had_durable);
+  ladder.OpDone(0, kGate0, 0);
+  ladder.OpDone(0, kGate1, 1);
+  ladder.OpDone(0, kGate1, 2);  // a backup at the same gate: not re-placed
+
+  const CheckpointLadder::Choice choice = ladder.Choose(0);
+  EXPECT_TRUE(choice.had_durable);
+  EXPECT_EQ(choice.ordinal, 1);
+  EXPECT_EQ(choice.watermark, 8u);
+  EXPECT_EQ(choice.node, 1);  // slot 0 is the writer
+  EXPECT_TRUE(choice.tried.empty());
+  EXPECT_EQ(ladder.Watermark(0), 8u);
+}
+
+TEST(CheckpointLadderTest, WalksSlotsInOrderPastCorruptReplicas) {
+  const JobConfig cfg = LadderConfig(0.5);
+  const sim::FaultPlan plan(cfg.faults, cfg.seed);
+  constexpr int kTasks = 64;
+  CheckpointLadder ladder(
+      cfg, plan,
+      std::vector<std::vector<CheckpointMark>>(kTasks,
+                                               {Mark(4, 1000, kGate0)}));
+  int skipped_then_restored = 0;
+  for (int r = 0; r < kTasks; ++r) {
+    const int writer = r % 4;
+    ladder.OpDone(r, kGate0, writer);
+    const CheckpointLadder::Choice choice = ladder.Choose(r);
+    // Replicas sit on the writer and the next two nodes, slots 0..2.
+    std::vector<CheckpointLadder::TriedReplica> want_tried;
+    int want_node = -1;
+    for (int slot = 0; slot < 3; ++slot) {
+      const int node = (writer + slot) % 4;
+      if (plan.CheckpointCorruptions(r, 0, slot) > 0) {
+        want_tried.push_back({slot, node, 1000});
+        continue;
+      }
+      want_node = node;
+      break;
+    }
+    EXPECT_TRUE(choice.had_durable);
+    EXPECT_EQ(choice.node, want_node) << "task " << r;
+    ASSERT_EQ(choice.tried.size(), want_tried.size()) << "task " << r;
+    for (size_t i = 0; i < want_tried.size(); ++i) {
+      EXPECT_EQ(choice.tried[i].slot, want_tried[i].slot) << "task " << r;
+      EXPECT_EQ(choice.tried[i].node, want_tried[i].node) << "task " << r;
+      EXPECT_EQ(choice.tried[i].bytes, 1000u);
+    }
+    EXPECT_EQ(ladder.Watermark(r), want_node >= 0 ? 4u : 0u);
+    if (want_node >= 0 && !want_tried.empty()) ++skipped_then_restored;
+  }
+  EXPECT_GT(skipped_then_restored, 0) << "no task exercised the ladder";
+}
+
+TEST(CheckpointLadderTest, SlotIdsSurviveCrashPruning) {
+  const JobConfig cfg = LadderConfig(0.5);
+  const sim::FaultPlan plan(cfg.faults, cfg.seed);
+  // A task whose slot 1 is corrupt and slot 2 clean: after the writer
+  // (slot 0) dies, the ladder must still draw the survivors as slots 1
+  // and 2 — renumbering them 0 and 1 would change the draws.
+  int r = 0;
+  while (r < 256 && !(plan.CheckpointCorruptions(r, 0, 1) > 0 &&
+                      plan.CheckpointCorruptions(r, 0, 2) == 0)) {
+    ++r;
+  }
+  ASSERT_LT(r, 256);
+  CheckpointLadder ladder(
+      cfg, plan,
+      std::vector<std::vector<CheckpointMark>>(static_cast<size_t>(r + 1),
+                                               {Mark(4, 1000, kGate0)}));
+  ladder.OpDone(r, kGate0, 0);
+  ladder.NodeDied(0);
+  const CheckpointLadder::Choice choice = ladder.Choose(r);
+  ASSERT_EQ(choice.tried.size(), 1u);
+  EXPECT_EQ(choice.tried[0].slot, 1);
+  EXPECT_EQ(choice.tried[0].node, 1);
+  EXPECT_EQ(choice.node, 2);
+}
+
+TEST(CheckpointLadderTest, PlacementSkipsDeadNodesAndLossFallsBack) {
+  const JobConfig cfg = LadderConfig(0);
+  const sim::FaultPlan plan(cfg.faults, cfg.seed);
+  CheckpointLadder ladder(cfg, plan, TwoMarksEach(1));
+  ladder.NodeDied(0);
+  // Writer 3, replicas round-robin past the dead node 0: 3, 1, 2.
+  ladder.OpDone(0, kGate0, 3);
+  EXPECT_EQ(ladder.Choose(0).node, 3);
+  ladder.NodeDied(3);
+  EXPECT_EQ(ladder.Choose(0).node, 1);
+  ladder.NodeDied(1);
+  EXPECT_EQ(ladder.Choose(0).node, 2);
+  ladder.NodeDied(2);
+  const CheckpointLadder::Choice lost = ladder.Choose(0);
+  EXPECT_TRUE(lost.had_durable);
+  EXPECT_LT(lost.node, 0);
+  EXPECT_TRUE(lost.tried.empty());
+  EXPECT_EQ(ladder.Watermark(0), 0u);
+}
+
+TEST(CheckpointLadderTest, EveryReplicaCorruptFallsBackToFullReplay) {
+  const JobConfig cfg = LadderConfig(0.9);
+  const sim::FaultPlan plan(cfg.faults, cfg.seed);
+  auto all_corrupt = [&plan](int r) {
+    for (uint32_t ordinal = 0; ordinal < 2; ++ordinal) {
+      for (int slot = 0; slot < 3; ++slot) {
+        if (plan.CheckpointCorruptions(r, ordinal, slot) == 0) return false;
+      }
+    }
+    return true;
+  };
+  int r = 0;
+  while (r < 256 && !all_corrupt(r)) ++r;
+  ASSERT_LT(r, 256);
+  CheckpointLadder ladder(cfg, plan, TwoMarksEach(r + 1));
+  ladder.OpDone(r, kGate0, 2);
+  ladder.OpDone(r, kGate1, 2);
+  const CheckpointLadder::Choice choice = ladder.Choose(r);
+  EXPECT_TRUE(choice.had_durable);
+  EXPECT_LT(choice.node, 0);
+  EXPECT_EQ(ladder.Watermark(r), 0u);
+  // Every replica was read and rejected: the newer instance's slots
+  // first, then the older one's.
+  ASSERT_EQ(choice.tried.size(), 6u);
+  for (size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(choice.tried[i].slot, static_cast<int>(i % 3));
+    EXPECT_EQ(choice.tried[i].node, static_cast<int>((2 + i % 3) % 4));
+    EXPECT_EQ(choice.tried[i].bytes, i < 3 ? 1100u : 1000u);
+  }
+}
+
+TEST(CheckpointLadderTest, RestoreChainReadsBacksOffAndDecodes) {
+  JobConfig cfg = LadderConfig(0);
+  cfg.block_codec = BlockCodecKind::kLz;
+  const sim::FaultPlan plan(cfg.faults, cfg.seed);
+  const CheckpointLadder ladder(cfg, plan, TwoMarksEach(1));
+  CheckpointLadder::Choice choice;
+  choice.ordinal = 1;
+  choice.watermark = 8;
+  choice.node = 2;
+  choice.tried = {{0, 1, 1100}, {0, 3, 1000}};
+
+  // Attempt on node 3: the second tried replica is local.
+  const CostTrace chain = ladder.RestoreChain(0, choice, 3);
+  ASSERT_EQ(chain.ops.size(), 6u);
+  EXPECT_EQ(chain.ops[0].resource, OpResource::kNet);
+  EXPECT_EQ(chain.ops[0].bytes, 1100u);
+  EXPECT_EQ(chain.ops[1].resource, OpResource::kStall);
+  EXPECT_GT(chain.ops[1].cpu_s, 0);
+  EXPECT_EQ(chain.ops[2].resource, OpResource::kDisk);
+  EXPECT_TRUE(chain.ops[2].is_read);
+  EXPECT_EQ(chain.ops[2].bytes, 1000u);
+  EXPECT_EQ(chain.ops[3].resource, OpResource::kStall);
+  EXPECT_GT(chain.ops[3].cpu_s, chain.ops[1].cpu_s);  // exponential
+  EXPECT_EQ(chain.ops[4].resource, OpResource::kNet);
+  EXPECT_EQ(chain.ops[4].bytes, 1100u);  // the chosen instance's image
+  EXPECT_EQ(chain.ops[5].resource, OpResource::kCpu);
+  EXPECT_DOUBLE_EQ(chain.ops[5].cpu_s, cfg.costs.decompress_byte_s * 2200);
+  for (const TraceOp& op : chain.ops) EXPECT_EQ(op.tag, OpTag::kCheckpoint);
+}
+
+TEST(CheckpointLadderTest, ZeroBackoffRestoreChainHasNoStall) {
+  JobConfig cfg = LadderConfig(0);
+  cfg.faults.fetch_retry.base_backoff_s = 0;
+  const sim::FaultPlan plan(cfg.faults, cfg.seed);
+  const CheckpointLadder ladder(cfg, plan, TwoMarksEach(1));
+  CheckpointLadder::Choice choice;
+  choice.ordinal = 0;
+  choice.watermark = 4;
+  choice.node = 1;
+  choice.tried = {{0, 0, 1000}, {1, 2, 1000}};
+  const CostTrace chain = ladder.RestoreChain(0, choice, 1);
+  // Three replica reads, no waits, no decode under kNone.
+  ASSERT_EQ(chain.ops.size(), 3u);
+  EXPECT_EQ(chain.ops[0].resource, OpResource::kNet);
+  EXPECT_EQ(chain.ops[1].resource, OpResource::kNet);
+  EXPECT_EQ(chain.ops[2].resource, OpResource::kDisk);
+  for (const TraceOp& op : chain.ops) {
+    EXPECT_NE(op.resource, OpResource::kStall);
+  }
+}
+
+}  // namespace
+}  // namespace onepass

@@ -210,35 +210,27 @@ TEST(CheckpointRecoveryTest, DeterministicUnderCheckpointedRecovery) {
 }
 
 // The equivalence sweep: every engine, with checkpointing off / every
-// segment / every 4th segment / byte-triggered, single-threaded and
-// parallel, clean and crashed — all produce the same counts.
+// segment / every 4th segment, single-threaded and parallel, clean and
+// crashed — all produce the same counts.
 TEST(CheckpointRecoveryTest, OutputsInvariantAcrossIntervalsAndThreads) {
   const ChunkStore input = RecoveryInput(/*replication=*/2, 10'000);
   const auto expected = ReferenceClickCounts(input, ClickKeyField::kUser);
-  struct IntervalCase {
-    uint64_t segments;
-    uint64_t bytes;
-  };
-  constexpr IntervalCase kIntervals[] = {
-      {0, 0}, {1, 0}, {4, 0}, {0, 24 << 10}};
   for (EngineKind engine : kAllEngines) {
-    for (const IntervalCase& interval : kIntervals) {
+    for (const uint64_t interval : {0, 1, 4}) {
       for (const int threads : {1, 4}) {
         for (const bool faulted : {false, true}) {
           JobConfig cfg = RecoveryConfigFor(engine);
-          cfg.checkpoint_interval_segments = interval.segments;
-          cfg.checkpoint_interval_bytes = interval.bytes;
+          cfg.checkpoint_interval_segments = interval;
           cfg.data_plane_threads = threads;
           if (faulted) cfg.faults.crashes = {CrashLateInShuffle(1, 0.75)};
           auto r = LocalCluster::RunJob(ClickCountJob(), cfg, input);
           ASSERT_TRUE(r.ok())
-              << EngineKindName(engine) << " segs=" << interval.segments
-              << " bytes=" << interval.bytes << " threads=" << threads
-              << " faulted=" << faulted << ": " << r.status().ToString();
+              << EngineKindName(engine) << " segs=" << interval
+              << " threads=" << threads << " faulted=" << faulted << ": "
+              << r.status().ToString();
           EXPECT_EQ(CountsOf(r->outputs), expected)
-              << EngineKindName(engine) << " segs=" << interval.segments
-              << " bytes=" << interval.bytes << " threads=" << threads
-              << " faulted=" << faulted;
+              << EngineKindName(engine) << " segs=" << interval
+              << " threads=" << threads << " faulted=" << faulted;
         }
       }
     }

@@ -12,6 +12,7 @@
 #include "src/mr/job_builder.h"
 #include "src/mr/job_chain.h"
 #include "src/mr/job_manager.h"
+#include "src/workloads/clickstream.h"
 #include "src/workloads/iterative.h"
 #include "src/workloads/jobs.h"
 #include "tests/test_fingerprint.h"
@@ -166,12 +167,75 @@ TEST(JobChainTest, DiskModeChainRunsColdEveryIteration) {
   };
   auto chain = RunJobChain(stages);
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
-  for (const JobResult& iter : chain->iterations) {
+  ASSERT_EQ(chain->iterations.size(), stages.size());
+  for (size_t i = 0; i < stages.size(); ++i) {
+    const JobResult& iter = chain->iterations[i];
     EXPECT_EQ(iter.metrics.resident_publish_segments, 0u);
     EXPECT_EQ(iter.metrics.resident_state_restores, 0u);
     EXPECT_EQ(iter.metrics.resident_cached_input_bytes, 0u);
+    // A kDisk stage is an ordinary cold job, replayed on the same path
+    // as RunJob, so it must reproduce RunJob exactly.
+    auto solo = LocalCluster::RunJob(ClickCountJob(), cfg, *stages[i].input);
+    ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+    EXPECT_EQ(iter.metrics.Serialize(), solo->metrics.Serialize());
+    EXPECT_EQ(iter.running_time, solo->running_time);
+    EXPECT_EQ(iter.map_finish_time, solo->map_finish_time);
+    EXPECT_EQ(iter.reduce_progress.times, solo->reduce_progress.times);
+    EXPECT_EQ(iter.reduce_progress.values, solo->reduce_progress.values);
+    EXPECT_EQ(iter.cpu_util.bin_seconds, solo->cpu_util.bin_seconds);
+    EXPECT_EQ(iter.cpu_util.values, solo->cpu_util.values);
   }
 }
+
+// Partition-stable placement survives a crash: stage 1 loses node 1 at
+// 30% of its maps, so some maps finish on another replica holder; clean
+// stage 2 re-reads the same store and must run every one of the input's
+// map tasks where stage 1's winner ran. Under kNode the replay also runs
+// one virtual combine task per node, which must not hide the real maps'
+// placement from the next stage.
+class JobChainPlacement : public ::testing::TestWithParam<CombineScope> {};
+
+TEST_P(JobChainPlacement, StageTwoMapsRunWhereStageOneWon) {
+  ClickStreamConfig clicks;
+  clicks.num_clicks = 40'000;
+  clicks.num_users = 1'500;
+  clicks.seed = 29;
+  ChunkStore input(64 << 10, 4, /*replication=*/2);
+  GenerateClickStream(clicks, &input);
+
+  JobConfig cfg = ChainConfig(EngineKind::kIncHash);
+  cfg.combine_scope = GetParam();
+  JobConfig crashed = cfg;
+  sim::CrashEvent crash;
+  crash.node = 1;
+  crash.at_map_fraction = 0.3;
+  crashed.faults.crashes = {crash};
+
+  auto one = RunJobChain({{ClickCountJob(), crashed, &input}});
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  auto two = RunJobChain({{ClickCountJob(), crashed, &input},
+                          {ClickCountJob(), cfg, &input}});
+  ASSERT_TRUE(two.ok()) << two.status().ToString();
+
+  const size_t maps = input.chunks().size();
+  ASSERT_GE(one->placement.map_node.size(), maps);
+  ASSERT_GE(two->placement.map_node.size(), maps);
+  int moved = 0;
+  for (size_t m = 0; m < maps; ++m) {
+    const int won = one->placement.map_node[m];
+    if (won != input.chunks()[m].node) ++moved;
+    EXPECT_EQ(two->placement.map_node[m], won) << "map " << m;
+  }
+  EXPECT_GT(moved, 0) << "the crash moved no map; nothing was pinned";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scopes, JobChainPlacement,
+    ::testing::Values(CombineScope::kTask, CombineScope::kNode),
+    [](const ::testing::TestParamInfo<CombineScope>& info) {
+      return std::string(info.param == CombineScope::kTask ? "Task"
+                                                           : "Node");
+    });
 
 TEST(JobChainTest, RejectsMalformedChains) {
   const GrowingLog log = MakeLog(2);
