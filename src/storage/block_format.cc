@@ -217,12 +217,13 @@ Result<KvBuffer> DecodeKvStream(std::string_view stream, CodecStats* stats) {
     stream.remove_prefix(body_len);
     if (lz) {
       // The encoded body is never larger than raw_len plus a small
-      // per-record overhead; reject inflation bombs before allocating.
+      // per-record overhead. LzDecompress sizes its output only after
+      // checking the body can decode to ubody_len bytes, so a forged
+      // header cannot force a large allocation.
       if (ubody_len > raw_len + 16 * num_records + 64) {
         return Status::Corruption("block stream: implausible body size");
       }
       decompressed.clear();
-      decompressed.reserve(ubody_len);
       const double t0 = NowNs();
       const bool ok = LzDecompress(body, ubody_len, &decompressed);
       if (stats != nullptr) stats->decompress_ns += NowNs() - t0;

@@ -1,5 +1,7 @@
 #include "src/util/compress.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -17,10 +19,20 @@ constexpr size_t kHashSize = 1u << kHashBits;
 // chunks.
 constexpr int kMaxChainDepth = 32;
 constexpr size_t kMaxInput = 1u << 30;
+// Most output bytes one input byte can decode to: a match token, its
+// 2-byte offset and k 255-run bytes (3 + k input bytes) yield at most
+// 18 + 255 * k output bytes.
+constexpr size_t kMaxExpansion = 255;
 
 inline uint32_t Load32(const char* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);
+  return v;
+}
+
+inline uint64_t Load64(const char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
   return v;
 }
 
@@ -29,8 +41,21 @@ inline uint32_t Hash4(const char* p) {
 }
 
 // Length of the common prefix of [a, limit) and [b, limit), where a < b.
+// On little-endian hosts it compares 8 bytes at a time: the lowest set
+// bit of the XOR lies in the first differing byte.
 inline size_t MatchLength(const char* a, const char* b, const char* limit) {
   const char* start = b;
+  if constexpr (std::endian::native == std::endian::little) {
+    while (limit - b >= 8) {
+      const uint64_t diff = Load64(a) ^ Load64(b);
+      if (diff != 0) {
+        return static_cast<size_t>(b - start) +
+               static_cast<size_t>(std::countr_zero(diff) >> 3);
+      }
+      a += 8;
+      b += 8;
+    }
+  }
   while (b < limit && *a == *b) {
     ++a;
     ++b;
@@ -38,12 +63,22 @@ inline size_t MatchLength(const char* a, const char* b, const char* limit) {
   return static_cast<size_t>(b - start);
 }
 
-// Emits one sequence: `lits` literal bytes followed (unless this is the
-// stream-final literals-only sequence, match_len == 0) by a match of
-// `match_len` bytes at `offset` back.
-void EmitSequence(std::string_view lits, size_t match_len, size_t offset,
-                  std::string* out) {
-  const size_t lit_len = lits.size();
+// Writes the 255-run continuation of a length whose token nibble is 15.
+inline char* PutLengthRun(size_t rem, char* dst) {
+  while (rem >= 255) {
+    *dst++ = static_cast<char>(255);
+    rem -= 255;
+  }
+  *dst++ = static_cast<char>(rem);
+  return dst;
+}
+
+// Writes one sequence at `dst` and returns its end: `lit_len` literal
+// bytes from `lits` followed (unless this is the stream-final
+// literals-only sequence, match_len == 0) by a match of `match_len` bytes
+// at `offset` back.
+char* EmitSequence(const char* lits, size_t lit_len, size_t match_len,
+                   size_t offset, char* dst) {
   const uint8_t lit_code =
       lit_len >= 15 ? 15 : static_cast<uint8_t>(lit_len);
   uint8_t match_code = 0;
@@ -51,27 +86,15 @@ void EmitSequence(std::string_view lits, size_t match_len, size_t offset,
     const size_t m = match_len - kMinMatch;
     match_code = m >= 15 ? 15 : static_cast<uint8_t>(m);
   }
-  out->push_back(static_cast<char>((lit_code << 4) | match_code));
-  if (lit_code == 15) {
-    size_t rem = lit_len - 15;
-    while (rem >= 255) {
-      out->push_back(static_cast<char>(255));
-      rem -= 255;
-    }
-    out->push_back(static_cast<char>(rem));
-  }
-  out->append(lits.data(), lits.size());
-  if (match_len == 0) return;
-  out->push_back(static_cast<char>(offset & 0xff));
-  out->push_back(static_cast<char>((offset >> 8) & 0xff));
-  if (match_code == 15) {
-    size_t rem = match_len - kMinMatch - 15;
-    while (rem >= 255) {
-      out->push_back(static_cast<char>(255));
-      rem -= 255;
-    }
-    out->push_back(static_cast<char>(rem));
-  }
+  *dst++ = static_cast<char>((lit_code << 4) | match_code);
+  if (lit_code == 15) dst = PutLengthRun(lit_len - 15, dst);
+  if (lit_len > 0) std::memcpy(dst, lits, lit_len);
+  dst += lit_len;
+  if (match_len == 0) return dst;
+  *dst++ = static_cast<char>(offset & 0xff);
+  *dst++ = static_cast<char>((offset >> 8) & 0xff);
+  if (match_code == 15) dst = PutLengthRun(match_len - kMinMatch - 15, dst);
+  return dst;
 }
 
 }  // namespace
@@ -85,60 +108,74 @@ size_t LzCompress(std::string_view input, std::string* out) {
   if (input.size() > kMaxInput) return 0;
   const size_t before = out->size();
   const size_t n = input.size();
-  if (n < kMinMatch + 1) {
-    EmitSequence(input, 0, 0, out);
-    return out->size() - before;
-  }
-
-  // Hash chains: head[h] is the most recent position with hash h, prev[i]
-  // the previous position sharing position i's hash.
-  std::vector<int32_t> head(kHashSize, -1);
-  std::vector<int32_t> prev(n, -1);
+  // Sequences are written through a pointer into output presized to the
+  // worst case and trimmed at the end.
+  out->resize(before + LzMaxCompressedSize(n));
+  char* const dst_begin = out->data() + before;
+  char* dst = dst_begin;
   const char* base = input.data();
-  const char* limit = base + n;
-  // The last position where a 4-byte load is in range.
-  const size_t match_end = n - kMinMatch;
-
-  size_t i = 0;
   size_t lit_start = 0;
-  while (i <= match_end) {
-    const uint32_t h = Hash4(base + i);
-    size_t best_len = 0;
-    size_t best_offset = 0;
-    int32_t cand = head[h];
-    int depth = 0;
-    while (cand >= 0 && depth < kMaxChainDepth) {
-      const size_t offset = i - static_cast<size_t>(cand);
-      if (offset > kMaxOffset) break;  // chain is position-ordered
-      const size_t len = MatchLength(base + cand, base + i, limit);
-      if (len >= kMinMatch && len > best_len) {
-        best_len = len;
-        best_offset = offset;
+  if (n >= kMinMatch + 1) {
+    // Hash chains: head[h] is the most recent position with hash h,
+    // prev[i] the previous position sharing position i's hash (written
+    // when i enters its chain, before any walk can read it).
+    std::vector<int32_t> head(kHashSize, -1);
+    std::vector<int32_t> prev(n);
+    const char* limit = base + n;
+    // The last position where a 4-byte load is in range.
+    const size_t match_end = n - kMinMatch;
+
+    size_t i = 0;
+    while (i <= match_end) {
+      const char* cur = base + i;
+      const uint32_t h = Hash4(cur);
+      size_t best_len = 0;
+      size_t best_offset = 0;
+      // A candidate wins only by matching all of bytes [0, need], where
+      // need = max(best_len, kMinMatch - 1); so if the 4 bytes ending at
+      // `need` differ it cannot win and skips the full compare (it still
+      // counts against the depth cap).
+      size_t probe = 0;  // need - 3
+      uint32_t cur_word = Load32(cur);
+      int32_t cand = head[h];
+      for (int depth = 0; cand >= 0 && depth < kMaxChainDepth;
+           ++depth, cand = prev[cand]) {
+        const size_t offset = i - static_cast<size_t>(cand);
+        if (offset > kMaxOffset) break;  // chain is position-ordered
+        const char* ref = base + cand;
+        if (Load32(ref + probe) != cur_word) continue;
+        const size_t len = MatchLength(ref, cur, limit);
+        if (len > best_len) {  // so len >= kMinMatch, by the probe
+          best_len = len;
+          best_offset = offset;
+          if (i + best_len == n) break;  // no later candidate can be longer
+          probe = best_len - 3;
+          cur_word = Load32(cur + probe);
+        }
       }
-      cand = prev[cand];
-      ++depth;
+      if (best_len == 0) {
+        prev[i] = head[h];
+        head[h] = static_cast<int32_t>(i);
+        ++i;
+        continue;
+      }
+      dst = EmitSequence(base + lit_start, i - lit_start, best_len,
+                         best_offset, dst);
+      // Index the matched region so later data can reference into it.
+      const size_t insert_end = std::min(i + best_len, match_end + 1);
+      for (size_t j = i; j < insert_end; ++j) {
+        const uint32_t hj = Hash4(base + j);
+        prev[j] = head[hj];
+        head[hj] = static_cast<int32_t>(j);
+      }
+      i += best_len;
+      lit_start = i;
     }
-    if (best_len == 0) {
-      prev[i] = head[h];
-      head[h] = static_cast<int32_t>(i);
-      ++i;
-      continue;
-    }
-    EmitSequence(input.substr(lit_start, i - lit_start), best_len,
-                 best_offset, out);
-    // Index the matched region so later data can reference into it.
-    const size_t insert_end =
-        i + best_len <= match_end ? i + best_len : match_end + 1;
-    for (size_t j = i; j < insert_end; ++j) {
-      const uint32_t hj = Hash4(base + j);
-      prev[j] = head[hj];
-      head[hj] = static_cast<int32_t>(j);
-    }
-    i += best_len;
-    lit_start = i;
   }
-  EmitSequence(input.substr(lit_start), 0, 0, out);
-  return out->size() - before;
+  dst = EmitSequence(base + lit_start, n - lit_start, 0, 0, dst);
+  const size_t written = static_cast<size_t>(dst - dst_begin);
+  out->resize(before + written);
+  return written;
 }
 
 namespace {
@@ -161,7 +198,14 @@ bool ReadLengthRun(const uint8_t** p, const uint8_t* end, size_t cap,
 
 bool LzDecompress(std::string_view input, size_t raw_size,
                   std::string* out) {
+  // Reject a raw size the input cannot produce before allocating for it:
+  // a forged size must not turn into a huge allocation.
+  if (raw_size > 0 && (raw_size - 1) / kMaxExpansion >= input.size()) {
+    return false;
+  }
   const size_t base_size = out->size();
+  out->resize(base_size + raw_size);
+  char* const dst = out->data() + base_size;
   const uint8_t* p = reinterpret_cast<const uint8_t*>(input.data());
   const uint8_t* end = p + input.size();
   size_t produced = 0;
@@ -180,7 +224,7 @@ bool LzDecompress(std::string_view input, size_t raw_size,
       ok = false;
       break;
     }
-    out->append(reinterpret_cast<const char*>(p), lit_len);
+    if (lit_len > 0) std::memcpy(dst + produced, p, lit_len);
     p += lit_len;
     produced += lit_len;
     if (p == end) break;  // stream-final literals-only sequence
@@ -202,11 +246,14 @@ bool LzDecompress(std::string_view input, size_t raw_size,
       ok = false;
       break;
     }
-    // Byte-wise copy: overlapping matches (offset < match_len) replicate
-    // the repeated pattern, as in every LZ77 family codec.
-    size_t src = out->size() - offset;
-    for (size_t j = 0; j < match_len; ++j) {
-      out->push_back((*out)[src + j]);
+    char* const to = dst + produced;
+    const char* from = to - offset;
+    if (offset >= match_len) {
+      std::memcpy(to, from, match_len);
+    } else {
+      // Overlapping match: a byte-wise copy replicates the repeated
+      // pattern, as in every LZ77 family codec.
+      for (size_t j = 0; j < match_len; ++j) to[j] = from[j];
     }
     produced += match_len;
   }

@@ -25,7 +25,8 @@
 namespace onepass {
 
 // Upper bound on the compressed size of `raw_size` input bytes (worst case
-// is all-literals plus token/run overhead).
+// is all-literals plus token/run overhead). LzCompress writes into output
+// presized to this bound.
 size_t LzMaxCompressedSize(size_t raw_size);
 
 // Appends the compressed image of `input` to *out and returns the number
@@ -35,7 +36,9 @@ size_t LzCompress(std::string_view input, std::string* out);
 
 // Appends exactly `raw_size` decompressed bytes to *out. Returns false —
 // leaving *out restored to its original size — if `input` is malformed,
-// truncated, or does not decode to exactly `raw_size` bytes.
+// truncated, or does not decode to exactly `raw_size` bytes. No input byte
+// decodes to more than 255 output bytes, so a larger `raw_size` is refused
+// before any allocation.
 bool LzDecompress(std::string_view input, size_t raw_size, std::string* out);
 
 }  // namespace onepass

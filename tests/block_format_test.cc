@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/util/coding.h"
 #include "src/util/kv_buffer.h"
 
 namespace onepass {
@@ -192,6 +193,24 @@ TEST(BlockFormatTest, DecodeRejectsCorruptHeader) {
   std::string bad = enc;
   bad[2] = static_cast<char>(0x80);
   EXPECT_FALSE(DecodeKvStream(bad, nullptr).ok());
+}
+
+TEST(BlockFormatTest, DecodeRejectsForgedDecompressedSize) {
+  // A header that passes the plausibility check (the largest ubody_len it
+  // allows for 2^30 raw bytes in 2^30 records, about 17 GiB) over a 1-byte
+  // lz body: rejected as corrupt without allocating the claimed size.
+  const uint64_t raw_len = uint64_t{1} << 30;
+  const uint64_t num_records = uint64_t{1} << 30;
+  std::string forged;
+  PutVarint64(&forged, raw_len);
+  PutVarint64(&forged, num_records);
+  forged.push_back(static_cast<char>(0x2));  // kPrefix, lz-compressed
+  PutVarint64(&forged, raw_len + 16 * num_records + 64);
+  PutVarint64(&forged, 1);
+  forged.push_back('\0');
+  Result<KvBuffer> dec = DecodeKvStream(forged, nullptr);
+  ASSERT_FALSE(dec.ok());
+  EXPECT_TRUE(dec.status().IsCorruption()) << dec.status().ToString();
 }
 
 TEST(BlockFormatTest, StatsCountStoredBlocksForIncompressibleData) {
