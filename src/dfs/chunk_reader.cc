@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/storage/stored_run.h"
 
 namespace onepass {
 
@@ -53,14 +54,7 @@ Result<KvBuffer> ChunkReader::Read(int index, ChunkReadStats* stats) {
     if (ev.fires()) {
       // Damage this copy and prove the reader notices: a single flipped
       // bit or truncated tail must never verify.
-      std::string damaged = framed;
-      if (ev.torn) {
-        TornTruncate(&damaged, static_cast<uint64_t>(ev.bit) / 8);
-      } else {
-        FlipBit(&damaged, static_cast<uint64_t>(ev.bit));
-      }
-      const Status verdict = VerifyFramed(damaged, expect);
-      CHECK(!verdict.ok()) << "undetected injected corruption";
+      ProveDamageDetected(framed, ev, expect);
       ++stats->quarantined;
       if (ev.torn) ++stats->torn;
       bad.push_back(node);

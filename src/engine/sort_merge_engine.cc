@@ -5,12 +5,14 @@
 
 #include "src/common/logging.h"
 #include "src/engine/sorted_merge.h"
-#include "src/storage/block_format.h"
 
 namespace onepass {
 
 SortMergeEngine::SortMergeEngine(const EngineContext& ctx)
     : GroupByEngine(ctx),
+      codec_(ctx.config->block_codec, BlockEncoding::kPrefix,
+             ctx.config->codec_block_bytes, &ctx.config->costs,
+             RunCodec::Family::kReduceSpill),
       scheduler_(ctx.config->merge_factor),
       use_combiner_(ctx.inc != nullptr && ctx.values_are_states) {}
 
@@ -21,167 +23,88 @@ Status SortMergeEngine::Consume(const KvBuffer& segment, bool sorted) {
   }
   if (segment.empty()) return Status::OK();
   buffered_bytes_ += segment.bytes();
-  KvBuffer copy;
-  copy.AppendAll(segment);
-  buffered_.push_back(std::move(copy));
-  if (buffered_bytes_ > ctx_.config->reduce_memory_bytes) SpillBuffered();
+  buffered_.push_back(segment);
+  if (buffered_bytes_ > ctx_.config->reduce_memory_bytes) {
+    return SpillBuffered();
+  }
   return Status::OK();
 }
 
-bool SortMergeEngine::coded() const {
-  return ctx_.config->block_codec != BlockCodecKind::kNone;
-}
-
-SortMergeEngine::Run SortMergeEngine::StoreRun(KvBuffer run, OpTag tag) {
-  Run r;
-  r.raw_bytes = run.bytes();
-  if (coded()) {
-    CodecStats stats;
-    r.enc = EncodeKvStream(run, BlockEncoding::kPrefix,
-                           ctx_.config->block_codec,
-                           ctx_.config->codec_block_bytes, &stats);
-    r.disk_bytes = r.enc.size();
-    ctx_.trace->Cpu(ctx_.config->costs.compress_byte_s *
-                        static_cast<double>(r.raw_bytes),
-                    tag);
-    ctx_.metrics->codec_reduce_spill_raw_bytes += r.raw_bytes;
-    ctx_.metrics->codec_reduce_spill_encoded_bytes += r.enc.size();
-    ctx_.metrics->compress_ns += stats.compress_ns;
-  } else {
-    r.raw = std::move(run);
-    r.disk_bytes = r.raw_bytes;
-  }
-  return r;
-}
-
-KvBuffer SortMergeEngine::DecodeRun(const Run& run, OpTag tag) {
-  CodecStats stats;
-  Result<KvBuffer> dec = DecodeKvStream(run.enc, &stats);
-  CHECK(dec.ok()) << dec.status().ToString();
-  ctx_.trace->Cpu(ctx_.config->costs.decompress_byte_s *
-                      static_cast<double>(run.raw_bytes),
-                  tag);
-  ctx_.metrics->decompress_ns += stats.decompress_ns;
-  return std::move(dec).value();
-}
-
-std::string SortMergeEngine::CombineGroup(
-    std::string_view key, const std::vector<std::string_view>& values,
-    uint64_t* combines) {
-  std::string state(values[0]);
-  for (size_t i = 1; i < values.size(); ++i) {
-    ctx_.inc->Combine(key, &state, values[i]);
-    ++*combines;
-  }
-  return state;
-}
-
-void SortMergeEngine::SpillBuffered() {
-  if (buffered_.empty()) return;
-  std::vector<const KvBuffer*> inputs;
-  inputs.reserve(buffered_.size());
-  for (const auto& b : buffered_) inputs.push_back(&b);
+StoredRun SortMergeEngine::MergeToRun(std::vector<const KvBuffer*> inputs,
+                                      OpTag tag) {
+  const CostModel& costs = ctx_.config->costs;
   SortedKvMerger merger(std::move(inputs));
-
-  KvBuffer run;
-  uint64_t combines = 0;
-  if (use_combiner_) {
-    // Hadoop applies the combine function to each key group while writing
-    // the spill; this is the reduce-side combine of Fig. 7(b)'s
-    // step-function progress.
-    std::string_view key;
-    std::vector<std::string_view> values;
-    while (merger.NextGroup(&key, &values)) {
-      if (values.size() == 1) {
-        run.Append(key, values[0]);
-        continue;
-      }
-      const std::string state = CombineGroup(key, values, &combines);
-      run.Append(key, state);
-    }
-    ctx_.metrics->combine_invocations += combines;
-  } else {
-    std::string_view key, value;
-    while (merger.Next(&key, &value)) run.Append(key, value);
-  }
-  const uint64_t merged_records = merger.records_merged();
-  ctx_.trace->Cpu(ctx_.config->costs.MergeCost(merged_records) +
-                      ctx_.config->costs.combine_record_s *
-                          static_cast<double>(combines),
+  KvBuffer merged;
+  const uint64_t combines =
+      merger.MergeInto(&merged, use_combiner_ ? ctx_.inc : nullptr);
+  ctx_.metrics->combine_invocations += combines;
+  ctx_.trace->Cpu(costs.MergeCost(merger.records_merged()) +
+                      costs.combine_record_s * static_cast<double>(combines),
                   OpTag::kReduceMerge);
   if (combines > 0) {
     // Combine work is user-visible progress even though it happens inside
     // a spill (Definition 1 counts "% of combine function ... completed").
     ctx_.trace->Cpu(0.0, OpTag::kCombine, /*d_reduce_work=*/combines);
   }
+  StoredRun run(codec_);
+  CodecStats stats;
+  const uint64_t disk_bytes = run.Append(merged, &stats);
+  codec_.ChargeEncode(stats, tag, ctx_.trace, ctx_.metrics);
+  ctx_.trace->DiskWrite(disk_bytes, tag);
+  ctx_.metrics->reduce_spill_write_bytes += disk_bytes;
+  return run;
+}
 
+Status SortMergeEngine::ReadRuns(const std::vector<int>& ids, OpTag tag,
+                                 bool keep, std::vector<KvBuffer>* loaded,
+                                 std::vector<const KvBuffer*>* inputs) {
+  loaded->reserve(ids.size());
+  for (int id : ids) {
+    StoredRun& run = runs_[id];
+    if (run.disk_bytes() == 0) continue;
+    ctx_.trace->DiskRead(run.disk_bytes(), tag);
+    ctx_.metrics->reduce_spill_read_bytes += run.disk_bytes();
+    CodecStats stats;
+    Result<KvBuffer> records = keep ? run.Load(&stats) : run.Take(&stats);
+    if (!records.ok()) return records.status();
+    codec_.ChargeDecode(stats, tag, ctx_.trace, ctx_.metrics);
+    loaded->push_back(std::move(records).value());
+    inputs->push_back(&loaded->back());
+  }
+  return Status::OK();
+}
+
+Status SortMergeEngine::SpillBuffered() {
+  if (buffered_.empty()) return Status::OK();
+  std::vector<const KvBuffer*> inputs;
+  for (const auto& b : buffered_) inputs.push_back(&b);
+  // Hadoop applies the combine function to each key group while writing
+  // the spill; this is the reduce-side combine of Fig. 7(b)'s
+  // step-function progress.
+  StoredRun run = MergeToRun(std::move(inputs), OpTag::kReduceSpill);
   buffered_.clear();
   buffered_bytes_ = 0;
-
-  // Write the run to disk (encoded under a codec).
-  Run stored = StoreRun(std::move(run), OpTag::kReduceSpill);
-  const uint64_t policy_bytes = stored.raw_bytes;
-  ctx_.trace->DiskWrite(stored.disk_bytes, OpTag::kReduceSpill);
-  ctx_.metrics->reduce_spill_write_bytes += stored.disk_bytes;
+  const uint64_t policy_bytes = run.raw_bytes();
   // runs_ indices stay aligned with MergeScheduler file ids: one run is
   // pushed before each AddRun, and the merged output (if any) is pushed
   // right after with id == runs_.size().
-  runs_.push_back(std::move(stored));
+  runs_.push_back(std::move(run));
 
   // Background multi-pass merge per the 2F-1 policy. The scheduler is fed
   // raw payload bytes, not bytes-on-disk, so the merge tree — and with it
   // the combine order and the final output — is identical whether or not
-  // a codec is active.
+  // a codec is active. Reading an input consumes it.
   MergeScheduler::MergeEvent ev =
       scheduler_.AddRun(static_cast<double>(policy_bytes));
-  if (ev.merged) {
-    std::vector<const KvBuffer*> merge_inputs;
-    std::vector<KvBuffer> decoded;
-    decoded.reserve(ev.inputs.size());
-    for (int id : ev.inputs) {
-      const Run& input = runs_[id];
-      ctx_.trace->DiskRead(input.disk_bytes, OpTag::kReduceMerge);
-      ctx_.metrics->reduce_spill_read_bytes += input.disk_bytes;
-      if (coded()) {
-        decoded.push_back(DecodeRun(input, OpTag::kReduceMerge));
-        merge_inputs.push_back(&decoded.back());
-      } else {
-        merge_inputs.push_back(&input.raw);
-      }
-    }
-    SortedKvMerger merger2(std::move(merge_inputs));
-    KvBuffer merged;
-    uint64_t combines2 = 0;
-    if (use_combiner_) {
-      std::string_view key;
-      std::vector<std::string_view> values;
-      while (merger2.NextGroup(&key, &values)) {
-        if (values.size() == 1) {
-          merged.Append(key, values[0]);
-        } else {
-          merged.Append(key, CombineGroup(key, values, &combines2));
-        }
-      }
-      ctx_.metrics->combine_invocations += combines2;
-    } else {
-      std::string_view key, value;
-      while (merger2.Next(&key, &value)) merged.Append(key, value);
-    }
-    ctx_.trace->Cpu(ctx_.config->costs.MergeCost(merger2.records_merged()) +
-                        ctx_.config->costs.combine_record_s *
-                            static_cast<double>(combines2),
-                    OpTag::kReduceMerge);
-    if (combines2 > 0) {
-      ctx_.trace->Cpu(0.0, OpTag::kCombine, combines2);
-    }
-    Run merged_run = StoreRun(std::move(merged), OpTag::kReduceMerge);
-    ctx_.trace->DiskWrite(merged_run.disk_bytes, OpTag::kReduceMerge);
-    ctx_.metrics->reduce_spill_write_bytes += merged_run.disk_bytes;
-    for (int id : ev.inputs) runs_[id] = Run();  // consumed
-    CHECK_EQ(ev.output_id, static_cast<int>(runs_.size()));
-    runs_.push_back(std::move(merged_run));
-  }
-  return;
+  if (!ev.merged) return Status::OK();
+  std::vector<KvBuffer> loaded;
+  std::vector<const KvBuffer*> merge_inputs;
+  RETURN_IF_ERROR(ReadRuns(ev.inputs, OpTag::kReduceMerge, /*keep=*/false,
+                           &loaded, &merge_inputs));
+  StoredRun merged = MergeToRun(std::move(merge_inputs), OpTag::kReduceMerge);
+  CHECK_EQ(ev.output_id, static_cast<int>(runs_.size()));
+  runs_.push_back(std::move(merged));
+  return Status::OK();
 }
 
 Status SortMergeEngine::SaveCheckpoint(CheckpointWriter* w) const {
@@ -194,13 +117,7 @@ Status SortMergeEngine::SaveCheckpoint(CheckpointWriter* w) const {
   }
   w->PutU64("sm.runs", runs_.size());
   for (size_t i = 0; i < runs_.size(); ++i) {
-    const Run& run = runs_[i];
-    const std::string tag = std::to_string(i);
-    w->PutU64("sm.run_raw_bytes." + tag, run.raw_bytes);
-    w->PutU64("sm.run_disk_bytes." + tag, run.disk_bytes);
-    w->PutU64("sm.run_n." + tag, run.raw.count());
-    w->PutBytes("sm.run." + tag, run.raw.data());
-    w->PutBytes("sm.run_enc." + tag, run.enc);
+    runs_[i].SaveTo(w, "sm.run", std::to_string(i));
   }
   const std::vector<double>& sizes = scheduler_.file_sizes();
   const std::vector<int>& live = scheduler_.live_ids();
@@ -233,17 +150,8 @@ Status SortMergeEngine::RestoreCheckpoint(CheckpointReader* r) {
   RETURN_IF_ERROR(r->GetU64("sm.runs", &num_runs));
   runs_.clear();
   for (uint64_t i = 0; i < num_runs; ++i) {
-    const std::string tag = std::to_string(i);
-    Run run;
-    RETURN_IF_ERROR(r->GetU64("sm.run_raw_bytes." + tag, &run.raw_bytes));
-    RETURN_IF_ERROR(r->GetU64("sm.run_disk_bytes." + tag, &run.disk_bytes));
-    uint64_t n = 0;
-    std::string_view bytes;
-    RETURN_IF_ERROR(r->GetU64("sm.run_n." + tag, &n));
-    RETURN_IF_ERROR(r->GetBytes("sm.run." + tag, &bytes));
-    run.raw = KvBuffer::FromData(std::string(bytes), n);
-    RETURN_IF_ERROR(r->GetBytes("sm.run_enc." + tag, &bytes));
-    run.enc.assign(bytes);
+    StoredRun run(codec_);
+    RETURN_IF_ERROR(run.RestoreFrom(r, "sm.run", std::to_string(i)));
     runs_.push_back(std::move(run));
   }
   uint64_t sched_files = 0;
@@ -272,26 +180,12 @@ Status SortMergeEngine::RestoreCheckpoint(CheckpointReader* r) {
 Status SortMergeEngine::Snapshot() {
   // Re-read and re-merge everything received so far, apply the reduce
   // function, and write the snapshot answer. Nothing is kept: the next
-  // snapshot (and the final answer) repeats the work — the §3.3(4)
-  // overhead.
+  // snapshot (and the final answer) re-reads, and so re-decodes, the runs
+  // and repeats the work — the §3.3(4) overhead.
+  std::vector<KvBuffer> loaded;
   std::vector<const KvBuffer*> inputs;
-  std::vector<KvBuffer> decoded;
-  decoded.reserve(runs_.size());
-  for (int id : scheduler_.FinalInputs()) {
-    const Run& run = runs_[id];
-    if (run.disk_bytes > 0) {
-      ctx_.trace->DiskRead(run.disk_bytes, OpTag::kReduceMerge);
-      ctx_.metrics->reduce_spill_read_bytes += run.disk_bytes;
-      if (coded()) {
-        // A snapshot re-reads (and so re-decodes) the runs every time it
-        // fires; keeping nothing is the §3.3(4) overhead.
-        decoded.push_back(DecodeRun(run, OpTag::kReduceMerge));
-        inputs.push_back(&decoded.back());
-      } else {
-        inputs.push_back(&run.raw);
-      }
-    }
-  }
+  RETURN_IF_ERROR(ReadRuns(scheduler_.FinalInputs(), OpTag::kReduceMerge,
+                           /*keep=*/true, &loaded, &inputs));
   for (const auto& b : buffered_) inputs.push_back(&b);
   SortedKvMerger merger(std::move(inputs));
   const CostModel& costs = ctx_.config->costs;
@@ -302,11 +196,8 @@ Status SortMergeEngine::Snapshot() {
   uint64_t combines = 0;
   while (merger.NextGroup(&key, &values)) {
     if (use_combiner_) {
-      uint64_t c = 0;
-      std::string state = values.size() == 1
-                              ? std::string(values[0])
-                              : CombineGroup(key, values, &c);
-      combines += c;
+      const std::string state =
+          CombineValues(ctx_.inc, key, values, &combines);
       out_bytes += key.size() + state.size();
     } else {
       out_bytes += key.size();
@@ -328,25 +219,13 @@ Status SortMergeEngine::Snapshot() {
 Status SortMergeEngine::Finish() {
   // Final merge: remaining on-disk runs (at most 2F-1 by the policy
   // invariant) plus whatever is still in the shuffle buffer stream into
-  // the reduce function in key order.
+  // the reduce function in key order. Reading the runs back is part of
+  // "reduce (including the final merge)" in the paper's Fig. 2(a)
+  // taxonomy.
+  std::vector<KvBuffer> loaded;
   std::vector<const KvBuffer*> inputs;
-  std::vector<KvBuffer> decoded;
-  decoded.reserve(runs_.size());
-  for (int id : scheduler_.FinalInputs()) {
-    const Run& run = runs_[id];
-    if (run.disk_bytes > 0) {
-      // Reading the runs back is part of "reduce (including the final
-      // merge)" in the paper's Fig. 2(a) taxonomy.
-      ctx_.trace->DiskRead(run.disk_bytes, OpTag::kReduceFn);
-      ctx_.metrics->reduce_spill_read_bytes += run.disk_bytes;
-      if (coded()) {
-        decoded.push_back(DecodeRun(run, OpTag::kReduceFn));
-        inputs.push_back(&decoded.back());
-      } else {
-        inputs.push_back(&run.raw);
-      }
-    }
-  }
+  RETURN_IF_ERROR(ReadRuns(scheduler_.FinalInputs(), OpTag::kReduceFn,
+                           /*keep=*/false, &loaded, &inputs));
   for (const auto& b : buffered_) inputs.push_back(&b);
 
   SortedKvMerger merger(std::move(inputs));
@@ -360,9 +239,8 @@ Status SortMergeEngine::Finish() {
     for (auto v : values) group_bytes += v.size();
     if (use_combiner_) {
       uint64_t combines = 0;
-      std::string state = values.size() == 1
-                              ? std::string(values[0])
-                              : CombineGroup(key, values, &combines);
+      const std::string state =
+          CombineValues(ctx_.inc, key, values, &combines);
       ctx_.metrics->combine_invocations += combines;
       ctx_.inc->Finalize(key, state, ctx_.out);
       ctx_.trace->Cpu(costs.MergeCost(values.size()) +

@@ -5,7 +5,10 @@
 // spilled to disk (applying the combine function first when the workload
 // has one, as Hadoop does). A background multi-pass merge combines the
 // smallest F on-disk runs whenever 2F-1 files exist (the paper's Fig. 3
-// policy, shared with the analytical model via MergeScheduler).
+// policy, shared with the analytical model via MergeScheduler). Each
+// on-disk run is a StoredRun (src/storage/stored_run.h), which applies
+// the job's block codec; the engine charges the sizes a run reports and
+// never branches on the codec.
 //
 // Only at Finish() — after ALL input has arrived and the multi-pass merge
 // has produced at most 2F-1 runs — does the final merge stream records in
@@ -16,13 +19,12 @@
 #ifndef ONEPASS_ENGINE_SORT_MERGE_ENGINE_H_
 #define ONEPASS_ENGINE_SORT_MERGE_ENGINE_H_
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "src/engine/group_by_engine.h"
 #include "src/model/merge_tree.h"
 #include "src/mr/cost_trace.h"
+#include "src/storage/stored_run.h"
 #include "src/util/kv_buffer.h"
 
 namespace onepass {
@@ -37,46 +39,35 @@ class SortMergeEngine : public GroupByEngine {
   // writing a snapshot answer (charged as I/O + CPU, discarded from the
   // data plane). Does not modify the engine's state.
   Status Snapshot() override;
-  // Buffered segments, the on-disk run manifest (raw or encoded, with
-  // dead entries kept positionally so MergeScheduler file ids stay
-  // aligned), and the scheduler's schedule state.
+  // Buffered segments, the on-disk run manifest (dead entries kept
+  // positionally so MergeScheduler file ids stay aligned), and the
+  // scheduler's schedule state.
   Status SaveCheckpoint(CheckpointWriter* w) const override;
   Status RestoreCheckpoint(CheckpointReader* r) override;
 
  private:
-  // One on-disk sorted run. Under JobConfig::block_codec == kNone the
-  // payload lives in `raw` and `disk_bytes == raw_bytes`; under a codec
-  // the run is stored as a prefix-coded block stream in `enc` (that is
-  // what disk carries — `raw` stays empty) and readers decode on access.
-  struct Run {
-    KvBuffer raw;
-    std::string enc;
-    uint64_t raw_bytes = 0;
-    uint64_t disk_bytes = 0;
-  };
-
   // Merges the buffered segments into one sorted run (combining if
   // enabled) and spills it to disk; may trigger a background merge.
-  void SpillBuffered();
-  // Collapses a group's values into one combined state (combiner path).
-  std::string CombineGroup(std::string_view key,
-                           const std::vector<std::string_view>& values,
-                           uint64_t* combines);
-  bool coded() const;
-  // Packages a merged payload as a Run, encoding it (and charging the
-  // compress CPU against `tag`) when a codec is active. The caller charges
-  // the disk write of the returned disk_bytes.
-  Run StoreRun(KvBuffer run, OpTag tag);
-  // Decodes a codec run's block stream back to its payload, charging the
-  // decompress CPU against `tag`. Codec runs only.
-  KvBuffer DecodeRun(const Run& run, OpTag tag);
+  Status SpillBuffered();
+  // Merges `inputs` (combining key groups if enabled), charging the merge
+  // at kReduceMerge, and stores the result as a run, charging its encode
+  // and disk write at `tag`.
+  StoredRun MergeToRun(std::vector<const KvBuffer*> inputs, OpTag tag);
+  // Reads runs `ids` back from disk into *loaded, listing them in
+  // *inputs, and charges each read and decode at `tag`. Unless `keep`,
+  // the runs are consumed.
+  Status ReadRuns(const std::vector<int>& ids, OpTag tag, bool keep,
+                  std::vector<KvBuffer>* loaded,
+                  std::vector<const KvBuffer*>* inputs);
 
   // In-memory sorted segments awaiting merge.
   std::vector<KvBuffer> buffered_;
   uint64_t buffered_bytes_ = 0;
+  // Prefix-coded block streams under a codec (DESIGN.md §5.5).
+  RunCodec codec_;
   // On-disk sorted runs, indexed by MergeScheduler file id. Entries
-  // consumed by background merges are cleared.
-  std::vector<Run> runs_;
+  // consumed by background merges are left empty.
+  std::vector<StoredRun> runs_;
   MergeScheduler scheduler_;
   bool use_combiner_;
 };

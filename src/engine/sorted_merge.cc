@@ -56,4 +56,34 @@ bool SortedKvMerger::NextGroup(std::string_view* key,
   return true;
 }
 
+uint64_t SortedKvMerger::MergeInto(KvBuffer* out, IncrementalReducer* inc) {
+  if (inc == nullptr) {
+    std::string_view key, value;
+    while (Next(&key, &value)) out->Append(key, value);
+    return 0;
+  }
+  uint64_t combines = 0;
+  std::string_view key;
+  std::vector<std::string_view> values;
+  while (NextGroup(&key, &values)) {
+    if (values.size() == 1) {
+      out->Append(key, values[0]);
+    } else {
+      out->Append(key, CombineValues(inc, key, values, &combines));
+    }
+  }
+  return combines;
+}
+
+std::string CombineValues(IncrementalReducer* inc, std::string_view key,
+                          const std::vector<std::string_view>& values,
+                          uint64_t* combines) {
+  std::string state(values[0]);
+  for (size_t i = 1; i < values.size(); ++i) {
+    inc->Combine(key, &state, values[i]);
+    ++*combines;
+  }
+  return state;
+}
+
 }  // namespace onepass

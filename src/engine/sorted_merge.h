@@ -1,16 +1,20 @@
 // Streaming k-way merge over sorted KvBuffers, with group iteration.
 //
-// Used by the sort-merge engine's spill merges and final merge. Inputs must
-// each be sorted by key (byte-lexicographic); the merger yields records in
-// global key order, stable by input index for equal keys.
+// Used by the sort-merge engine's spill merges and final merge, the map
+// side's external sort and the node combine tier's sorted feeds. Inputs
+// must each be sorted by key (byte-lexicographic); the merger yields
+// records in global key order, stable by input index for equal keys.
 
 #ifndef ONEPASS_ENGINE_SORTED_MERGE_H_
 #define ONEPASS_ENGINE_SORTED_MERGE_H_
 
+#include <cstdint>
 #include <queue>
+#include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/mr/api.h"
 #include "src/util/kv_buffer.h"
 
 namespace onepass {
@@ -26,6 +30,11 @@ class SortedKvMerger {
   // Groups consecutive equal keys: fills `values` with every value of the
   // next key. Returns false at end.
   bool NextGroup(std::string_view* key, std::vector<std::string_view>* values);
+
+  // Drains the merge into *out. With `inc`, each key group collapses to
+  // one record, its values folded by CombineValues (a lone value is copied
+  // as is); without, every record is copied. Returns the Combine calls.
+  uint64_t MergeInto(KvBuffer* out, IncrementalReducer* inc = nullptr);
 
   uint64_t records_merged() const { return records_merged_; }
 
@@ -51,6 +60,12 @@ class SortedKvMerger {
   std::string_view pending_key_;
   std::string_view pending_value_;
 };
+
+// Folds a key group's values into one state, in order, with inc->Combine;
+// adds the calls made to *combines.
+std::string CombineValues(IncrementalReducer* inc, std::string_view key,
+                          const std::vector<std::string_view>& values,
+                          uint64_t* combines);
 
 }  // namespace onepass
 

@@ -7,7 +7,7 @@
 #include "src/engine/sorted_merge.h"
 #include "src/model/merge_tree.h"
 #include "src/storage/block_format.h"
-#include "src/storage/framed_io.h"
+#include "src/storage/stored_run.h"
 #include "src/util/arena.h"
 #include "src/util/batch_hash.h"
 #include "src/util/crc32c.h"
@@ -227,7 +227,61 @@ uint32_t WriteRequests(uint64_t bytes) {
   return std::max<uint32_t>(1, static_cast<uint32_t>(bytes >> 20));
 }
 
+// Under an active block codec, encodes push->partitions into
+// per-partition block streams (prefix-coded when `sorted`, run-length
+// key-grouped otherwise), charges the codec CPU to `trace` at `tag`,
+// updates the codec shuffle counters, releases the raw partitions, and
+// rewrites push->bytes to the encoded total; no-op under kNone.
+void EncodePushSegment(const JobConfig& config, PushSegment* push,
+                       bool sorted, OpTag tag, TraceRecorder* trace,
+                       JobMetrics* metrics) {
+  if (config.block_codec == BlockCodecKind::kNone) return;
+  const uint64_t raw_bytes = push->bytes;
+  const BlockEncoding encoding =
+      sorted ? BlockEncoding::kPrefix : BlockEncoding::kGrouped;
+  CodecStats stats;
+  push->encoded.reserve(push->partitions.size());
+  for (KvBuffer& part : push->partitions) {
+    push->encoded.push_back(
+        part.empty() ? std::string()
+                     : EncodeKvStream(part, encoding, config.block_codec,
+                                      config.codec_block_bytes, &stats));
+    part = KvBuffer();  // the encoded image supersedes the raw partition
+  }
+  trace->Cpu(config.costs.compress_byte_s * static_cast<double>(raw_bytes),
+             tag);
+  metrics->codec_shuffle_raw_bytes += raw_bytes;
+  metrics->codec_shuffle_encoded_bytes += stats.encoded_bytes;
+  metrics->compress_ns += stats.compress_ns;
+  push->bytes = stats.encoded_bytes;
+}
+
 }  // namespace
+
+PushSegment PublishPushSegment(const JobConfig& config,
+                               std::vector<KvBuffer> parts, uint64_t bytes,
+                               uint64_t records, bool sorted, OpTag tag,
+                               TraceRecorder* trace, JobMetrics* metrics) {
+  PushSegment push;
+  push.partitions = std::move(parts);
+  push.bytes = bytes;
+  EncodePushSegment(config, &push, sorted, tag, trace, metrics);
+  trace->DiskWrite(push.bytes, tag, WriteRequests(push.bytes));
+  metrics->map_output_bytes += push.bytes;
+  metrics->map_output_records += records;
+  push.gate_op = static_cast<uint32_t>(trace->trace()->ops.size() - 1);
+  if (config.integrity.checksums) {
+    // The CRCs cover the bytes the push carries: the encoded streams under
+    // a codec (DESIGN.md §5.5), the raw partitions otherwise.
+    push.crcs.reserve(push.partitions.size());
+    for (size_t p = 0; p < push.partitions.size(); ++p) {
+      push.crcs.push_back(push.encoded.empty()
+                              ? Crc32c(push.partitions[p].data())
+                              : Crc32c(push.encoded[p]));
+    }
+  }
+  return push;
+}
 
 MapOutputMode SelectMapOutputMode(const JobConfig& config, bool has_inc) {
   const bool combine = config.map_side_combine && has_inc;
@@ -260,51 +314,6 @@ MapRunner::MapRunner(const JobConfig& config, MapOutputMode mode,
   if (ModeProducesStates(mode)) CHECK(inc != nullptr);
 }
 
-void StampPushSegmentCrcs(const JobConfig& config, PushSegment* push) {
-  if (!config.integrity.checksums) return;
-  if (!push->encoded.empty()) {
-    // Codec path: the wire/disk image is the encoded block stream, so the
-    // CRC covers post-compression bytes (DESIGN.md §5.5).
-    push->crcs.reserve(push->encoded.size());
-    for (const std::string& enc : push->encoded) {
-      push->crcs.push_back(Crc32c(enc));
-    }
-    return;
-  }
-  push->crcs.reserve(push->partitions.size());
-  for (const KvBuffer& part : push->partitions) {
-    push->crcs.push_back(Crc32c(part.data()));
-  }
-}
-
-void EncodePushSegment(const JobConfig& config, PushSegment* push,
-                       bool sorted, OpTag tag, TraceRecorder* trace,
-                       JobMetrics* metrics) {
-  if (config.block_codec == BlockCodecKind::kNone) return;
-  const uint64_t raw_bytes = push->bytes;
-  const BlockEncoding encoding =
-      sorted ? BlockEncoding::kPrefix : BlockEncoding::kGrouped;
-  CodecStats stats;
-  push->encoded.reserve(push->partitions.size());
-  uint64_t encoded_total = 0;
-  for (KvBuffer& part : push->partitions) {
-    std::string enc;
-    if (!part.empty()) {
-      enc = EncodeKvStream(part, encoding, config.block_codec,
-                           config.codec_block_bytes, &stats);
-    }
-    encoded_total += enc.size();
-    push->encoded.push_back(std::move(enc));
-    part = KvBuffer();  // the encoded image supersedes the raw partition
-  }
-  trace->Cpu(config.costs.compress_byte_s * static_cast<double>(raw_bytes),
-             tag);
-  metrics->codec_shuffle_raw_bytes += raw_bytes;
-  metrics->codec_shuffle_encoded_bytes += encoded_total;
-  metrics->compress_ns += stats.compress_ns;
-  push->bytes = encoded_total;
-}
-
 void MapRunner::PublishOrFeed(std::vector<KvBuffer> parts, uint64_t bytes,
                               uint64_t records, bool sorted,
                               TraceRecorder* trace, MapTaskOutput* out) const {
@@ -319,17 +328,10 @@ void MapRunner::PublishOrFeed(std::vector<KvBuffer> parts, uint64_t bytes,
     out->metrics.node_combine_input_bytes += bytes;
     return;
   }
-  PushSegment push;
-  push.partitions = std::move(parts);
-  push.bytes = bytes;
-  EncodePushSegment(config_, &push, sorted, OpTag::kMapOutput, trace,
-                    &out->metrics);
-  trace->DiskWrite(push.bytes, OpTag::kMapOutput, WriteRequests(push.bytes));
-  out->metrics.map_output_bytes += push.bytes;
-  out->metrics.map_output_records += records;
-  push.gate_op = static_cast<uint32_t>(out->trace.ops.size() - 1);
-  StampPushSegmentCrcs(config_, &push);
-  out->pushes.push_back(std::move(push));
+  out->pushes.push_back(PublishPushSegment(config_, std::move(parts), bytes,
+                                           records, sorted,
+                                           OpTag::kMapOutput, trace,
+                                           &out->metrics));
 }
 
 Result<MapTaskOutput> MapRunner::Run(const KvBuffer& chunk,
@@ -454,18 +456,15 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
                               TraceRecorder* trace, MapTaskOutput* out) const {
   const CostModel& costs = config_.costs;
   const bool combine = mode_ == MapOutputMode::kSortCombine;
-  const bool coded = config_.block_codec != BlockCodecKind::kNone;
   CollectingEmitter emitter(&partitioner_, total_partitions_);
-  // Sorted runs; each run holds per-partition sorted buffers, with the
-  // CRC32C recorded at spill time for verification at merge read-back.
-  // Under a block codec the runs live on "disk" as per-partition
-  // prefix-coded block streams (enc_runs); the raw buffers are dropped at
-  // spill time and rebuilt by decoding at merge time, so both the byte
-  // charges and the resident memory track the encoded size.
-  std::vector<std::vector<KvBuffer>> runs;
-  std::vector<std::vector<std::string>> enc_runs;
-  std::vector<uint64_t> run_bytes;  // bytes on disk (encoded if coded)
-  std::vector<uint32_t> run_crcs;
+  // Spilled runs, one StoredRun per partition: prefix-coded block streams
+  // under a codec, so both the byte charges and the resident memory track
+  // the encoded size.
+  const RunCodec codec(config_.block_codec, BlockEncoding::kPrefix,
+                       config_.codec_block_bytes, &costs,
+                       RunCodec::Family::kMapSpill);
+  std::vector<std::vector<StoredRun>> runs;
+  uint64_t total_run_bytes = 0;  // bytes on disk over all runs
 
   // Sorts the buffered entries (combining key groups if enabled) and emits
   // them either as an on-disk run, a pipelined push, or the final output.
@@ -484,7 +483,7 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
              entries[j].key == entries[i].key) {
         ++j;
       }
-      if (combine && j > i + 1) {
+      if (combine) {
         std::string state = inc_->Init(entries[i].key, entries[i].value);
         for (size_t k = i + 1; k < j; ++k) {
           const std::string s2 = inc_->Init(entries[k].key,
@@ -492,11 +491,6 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
           inc_->Combine(entries[i].key, &state, s2);
           ++combines;
         }
-        parts[entries[i].part].Append(entries[i].key, state);
-        bytes += RecordBytes(entries[i].key, state);
-      } else if (combine) {
-        const std::string state = inc_->Init(entries[i].key,
-                                             entries[i].value);
         parts[entries[i].part].Append(entries[i].key, state);
         bytes += RecordBytes(entries[i].key, state);
       } else {
@@ -518,45 +512,20 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
     if (publish) {
       PublishOrFeed(std::move(parts), bytes, records, /*sorted=*/true, trace,
                     out);
-    } else {
-      uint64_t disk_bytes = bytes;
-      if (coded) {
-        CodecStats cstats;
-        std::vector<std::string> enc(total_partitions_);
-        uint64_t enc_bytes = 0;
-        for (int p = 0; p < total_partitions_; ++p) {
-          if (parts[p].empty()) continue;
-          enc[p] =
-              EncodeKvStream(parts[p], BlockEncoding::kPrefix,
-                             config_.block_codec, config_.codec_block_bytes,
-                             &cstats);
-          enc_bytes += enc[p].size();
-        }
-        trace->Cpu(costs.compress_byte_s * static_cast<double>(bytes),
-                   OpTag::kMapSpill);
-        out->metrics.codec_map_spill_raw_bytes += bytes;
-        out->metrics.codec_map_spill_encoded_bytes += enc_bytes;
-        out->metrics.compress_ns += cstats.compress_ns;
-        if (config_.integrity.checksums) {
-          uint32_t crc = 0;
-          for (const std::string& e : enc) crc = Crc32cExtend(crc, e);
-          run_crcs.push_back(crc);
-        }
-        enc_runs.push_back(std::move(enc));
-        disk_bytes = enc_bytes;
-      } else {
-        if (config_.integrity.checksums) {
-          uint32_t crc = 0;
-          for (const KvBuffer& p : parts) crc = Crc32cExtend(crc, p.data());
-          run_crcs.push_back(crc);
-        }
-        runs.push_back(std::move(parts));
-      }
-      trace->DiskWrite(disk_bytes, OpTag::kMapSpill,
-                       WriteRequests(disk_bytes));
-      out->metrics.map_spill_write_bytes += disk_bytes;
-      run_bytes.push_back(disk_bytes);
+      return;
     }
+    // One encode charge and one write per spilled run.
+    CodecStats stats;
+    std::vector<StoredRun> run(total_partitions_, StoredRun(codec));
+    uint64_t disk_bytes = 0;
+    for (int p = 0; p < total_partitions_; ++p) {
+      disk_bytes += run[p].Append(parts[p], &stats);
+    }
+    codec.ChargeEncode(stats, OpTag::kMapSpill, trace, &out->metrics);
+    trace->DiskWrite(disk_bytes, OpTag::kMapSpill, WriteRequests(disk_bytes));
+    out->metrics.map_spill_write_bytes += disk_bytes;
+    total_run_bytes += disk_bytes;
+    runs.push_back(std::move(run));
   };
 
   const double fn_per_record =
@@ -584,16 +553,11 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
   }
   out->sorted = true;
 
-  if (config_.pipelining) {
+  if (config_.pipelining || runs.empty()) {
     // Pipelining: every cut (including the remainder) was already pushed.
-    sort_and_cut(CutKind::kFinalOutput);
-    return Status::OK();
-  }
-
-  if (run_bytes.empty()) {
-    // Nothing spilled (run_bytes has one entry per run, raw or encoded):
-    // the whole chunk's output fit in the map buffer, so the sorted buffer
-    // is the map output (the paper's recommended operating point for C).
+    // Nothing spilled: the whole chunk's output fit in the map buffer, so
+    // the sorted buffer is the map output (the paper's recommended
+    // operating point for C).
     sort_and_cut(CutKind::kFinalOutput);
     return Status::OK();
   }
@@ -602,138 +566,47 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
   // into the final map output. Physically a single k-way merge; extra
   // passes beyond the merge factor are accounted via the exact merge tree.
   sort_and_cut(CutKind::kSpill);
-  const int n_runs = static_cast<int>(run_bytes.size());
-  uint64_t total_run_bytes = 0;
-  for (uint64_t b : run_bytes) total_run_bytes += b;
+  const int n_runs = static_cast<int>(runs.size());
 
+  // Verified read of each run's on-disk image (its partitions' images,
+  // concatenated): a corrupt generation the fault plan draws is rebuilt —
+  // re-sorted from the resident input and rewritten, charged as an extra
+  // write + read of the run — until the recovery budget runs out.
   if (config_.integrity.checksums) {
-    // Verified read-back of the spilled runs: recompute each run's CRC
-    // against the value recorded at spill time, then play out the fault
-    // plan's corruption chain for its on-disk image. A corrupt generation
-    // is rebuilt — re-sorted from the resident input and rewritten,
-    // charged as an extra write + read of the run — until the recovery
-    // budget runs out. Under a block codec both the CRC and the damaged
-    // image are the *encoded* stream: checksums cover post-compression
-    // bytes, exactly what the disk would hold (DESIGN.md §5.5).
     for (int r = 0; r < n_runs; ++r) {
-      uint32_t crc = 0;
-      if (coded) {
-        for (const std::string& e : enc_runs[r]) crc = Crc32cExtend(crc, e);
-      } else {
-        for (const KvBuffer& p : runs[r]) crc = Crc32cExtend(crc, p.data());
-      }
-      CHECK_EQ(crc, run_crcs[r]) << "map spill run mutated in memory";
-      out->metrics.verify_bytes += run_bytes[r];
-      out->metrics.checksum_overhead_bytes +=
-          FramedOverheadBytes(run_bytes[r], config_.integrity.block_bytes);
-      const int chain =
-          faults_ == nullptr
-              ? 0
-              : faults_->CorruptionChain(sim::StreamKind::kMapSpillRun,
-                                         static_cast<uint64_t>(task_index_),
-                                         static_cast<uint64_t>(r));
-      for (int gen = 0; gen < chain; ++gen) {
-        std::string image;
-        image.reserve(run_bytes[r]);
-        if (coded) {
-          for (const std::string& e : enc_runs[r]) image.append(e);
-        } else {
-          for (const KvBuffer& p : runs[r]) image.append(p.data());
-        }
-        std::string framed =
-            FrameBytes(image, config_.integrity.block_bytes);
-        const sim::CorruptionEvent ev = faults_->CorruptionDamage(
-            sim::StreamKind::kMapSpillRun,
-            static_cast<uint64_t>(task_index_), static_cast<uint64_t>(r),
-            gen, framed.size());
-        CHECK(ev.fires());
-        if (ev.torn) {
-          TornTruncate(&framed, static_cast<uint64_t>(ev.bit) / 8);
-        } else {
-          FlipBit(&framed, static_cast<uint64_t>(ev.bit));
-        }
-        CHECK(!VerifyFramed(framed, static_cast<int64_t>(image.size())).ok())
-            << "undetected injected corruption";
-        ++out->metrics.corruptions_detected;
-        if (ev.torn) ++out->metrics.torn_writes_detected;
-        const sim::RetryPolicy& retry = faults_->config().corruption_retry;
-        if (gen >= retry.max_retries) {
-          return Status::Corruption(
-              "map task " + std::to_string(task_index_) + " spill run " +
-              std::to_string(r) + ": corrupt beyond " +
-              std::to_string(retry.max_retries) + " rebuilds");
-        }
-        trace->Stall(
-            retry.BackoffFor(gen, (static_cast<uint64_t>(task_index_) << 20) ^
-                                      static_cast<uint64_t>(r)),
-            OpTag::kMapSpill);
-        trace->DiskWrite(run_bytes[r], OpTag::kMapSpill);
-        trace->DiskRead(run_bytes[r], OpTag::kMapSpill);
-        out->metrics.corruption_recovery_bytes += 2 * run_bytes[r];
-        ++out->metrics.corruptions_recovered;
-      }
+      std::string image;
+      for (const StoredRun& part : runs[r]) image.append(part.image());
+      RETURN_IF_ERROR(VerifiedRead(
+          image,
+          {sim::StreamKind::kMapSpillRun, static_cast<uint64_t>(task_index_),
+           static_cast<uint64_t>(r), OpTag::kMapSpill},
+          &config_.integrity, faults_, trace, &out->metrics));
     }
   }
 
-  if (coded) {
-    // Read the encoded runs back: decode each partition's block stream
-    // into the raw sorted buffers the merge consumes, charging the decode
-    // CPU for the raw bytes reproduced.
-    CodecStats dstats;
-    uint64_t decoded_raw = 0;
-    runs.resize(n_runs);
-    for (int r = 0; r < n_runs; ++r) {
-      runs[r].resize(total_partitions_);
-      for (int p = 0; p < total_partitions_; ++p) {
-        const std::string& enc = enc_runs[r][p];
-        if (enc.empty()) continue;
-        Result<KvBuffer> dec = DecodeKvStream(enc, &dstats);
-        CHECK(dec.ok()) << dec.status().ToString();
-        runs[r][p] = std::move(dec).value();
-        decoded_raw += runs[r][p].bytes();
-      }
-      enc_runs[r].clear();
-    }
-    trace->Cpu(costs.decompress_byte_s * static_cast<double>(decoded_raw),
-               OpTag::kMapMerge);
-    out->metrics.decompress_ns += dstats.decompress_ns;
-  }
-
+  // Merge partition by partition, reading each run's partition back (and
+  // decoding it under a codec) just before its merge.
   std::vector<KvBuffer> final_parts(total_partitions_);
+  CodecStats decode_stats;
   uint64_t out_bytes = 0, out_records = 0, total_records = 0, combines = 0;
   for (int p = 0; p < total_partitions_; ++p) {
+    std::vector<KvBuffer> loaded;
+    loaded.reserve(n_runs);
     std::vector<const KvBuffer*> inputs;
     uint64_t in_bytes = 0;
-    for (auto& run : runs) {
-      if (!run[p].empty()) {
-        inputs.push_back(&run[p]);
-        in_bytes += run[p].bytes();
-      }
+    for (std::vector<StoredRun>& run : runs) {
+      ASSIGN_OR_RETURN(KvBuffer records, run[p].Take(&decode_stats));
+      if (records.empty()) continue;
+      in_bytes += records.bytes();
+      loaded.push_back(std::move(records));
+      inputs.push_back(&loaded.back());
     }
     if (inputs.empty()) continue;
     // The merged partition is at most the sum of its runs (combining can
     // only shrink it); one reservation avoids growth reallocations.
     final_parts[p].Reserve(in_bytes);
     SortedKvMerger merger(std::move(inputs));
-    if (combine) {
-      std::string_view key;
-      std::vector<std::string_view> values;
-      while (merger.NextGroup(&key, &values)) {
-        if (values.size() == 1) {
-          final_parts[p].Append(key, values[0]);
-        } else {
-          std::string state(values[0]);
-          for (size_t i2 = 1; i2 < values.size(); ++i2) {
-            inc_->Combine(key, &state, values[i2]);
-            ++combines;
-          }
-          final_parts[p].Append(key, state);
-        }
-      }
-    } else {
-      std::string_view key, value;
-      while (merger.Next(&key, &value)) final_parts[p].Append(key, value);
-    }
+    combines += merger.MergeInto(&final_parts[p], combine ? inc_ : nullptr);
     total_records += merger.records_merged();
     out_records += final_parts[p].count();
     out_bytes += final_parts[p].bytes();
@@ -741,6 +614,7 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
     // slack so resident map output tracks what will actually ship.
     final_parts[p].ShrinkToFit();
   }
+  codec.ChargeDecode(decode_stats, OpTag::kMapMerge, trace, &out->metrics);
 
   trace->DiskRead(total_run_bytes, OpTag::kMapMerge,
                   std::max<uint32_t>(1, n_runs));

@@ -6,7 +6,10 @@
 //    are sorted by (partition, key) and spilled as sorted runs; runs are
 //    merged (multi-pass with factor F) into the final map output file. The
 //    sort is the map-side CPU cost the hash engines eliminate. With a
-//    combiner, key groups are collapsed at every sort/merge point.
+//    combiner, key groups are collapsed at every sort/merge point. Each
+//    run's partitions are StoredRuns (src/storage/stored_run.h), which
+//    apply the block codec, and the merge reads each run back through
+//    VerifiedRead, the rebuild loop spill runs share with bucket files.
 //
 //  * Hash path (our platform): no sort. Without a combiner, records are
 //    grouped by partition id in one scan; with one, an in-memory hash
@@ -75,20 +78,15 @@ struct PushSegment {
   std::vector<uint32_t> crcs;
 };
 
-// Shared push-finishing steps, used by MapRunner and the node combine tier
-// (DESIGN.md §5.10). EncodePushSegment: under an active block codec,
-// encodes push->partitions into per-partition block streams (prefix-coded
-// when `sorted`, run-length key-grouped otherwise), charges the codec CPU
-// to `trace` at `tag`, updates the codec shuffle counters, releases the
-// raw partitions, and rewrites push->bytes to the encoded total; no-op
-// under kNone. Call before charging the push's disk write.
-// StampPushSegmentCrcs fills push->crcs from the bytes the push actually
-// carries (encoded streams under a codec, raw partitions otherwise) when
-// integrity checksums are on.
-void EncodePushSegment(const JobConfig& config, PushSegment* push,
-                       bool sorted, OpTag tag, TraceRecorder* trace,
-                       JobMetrics* metrics);
-void StampPushSegmentCrcs(const JobConfig& config, PushSegment* push);
+// The publish tail MapRunner shares with the node combine tier (DESIGN.md
+// §5.10): encodes `parts` under an active block codec (prefix-coded when
+// `sorted`, key-grouped otherwise), charges the push's codec CPU and disk
+// write at `tag`, counts it as map output (`bytes` raw bytes, `records`
+// records), gates the push on that write and stamps its CRCs.
+PushSegment PublishPushSegment(const JobConfig& config,
+                               std::vector<KvBuffer> parts, uint64_t bytes,
+                               uint64_t records, bool sorted, OpTag tag,
+                               TraceRecorder* trace, JobMetrics* metrics);
 
 struct MapTaskOutput {
   CostTrace trace;

@@ -14,14 +14,6 @@
 
 namespace onepass {
 
-namespace {
-
-uint32_t WriteRequests(uint64_t bytes) {
-  return std::max<uint32_t>(1, static_cast<uint32_t>(bytes >> 20));
-}
-
-}  // namespace
-
 NodeCombiner::NodeCombiner(const JobConfig& config,
                            const UniversalHash& partitioner,
                            int total_partitions, IncrementalReducer* inc)
@@ -69,20 +61,7 @@ NodeCombineOutput NodeCombiner::Run(
       }
       if (inputs.empty()) continue;
       SortedKvMerger merger(std::move(inputs));
-      std::string_view key;
-      std::vector<std::string_view> values;
-      while (merger.NextGroup(&key, &values)) {
-        if (values.size() == 1) {
-          dst.Append(key, values[0]);
-        } else {
-          std::string state(values[0]);
-          for (size_t i = 1; i < values.size(); ++i) {
-            inc_->Combine(key, &state, values[i]);
-            ++combines;
-          }
-          dst.Append(key, state);
-        }
-      }
+      combines += merger.MergeInto(&dst, inc_);
       in_records += merger.records_merged();
       out_records += dst.count();
       out_bytes += dst.bytes();
@@ -183,17 +162,9 @@ NodeCombineOutput NodeCombiner::Run(
                   static_cast<double>(in_records),
               OpTag::kNodeCombine);
   }
-  PushSegment push;
-  push.partitions = std::move(combined);
-  push.bytes = out_bytes;
-  EncodePushSegment(config_, &push, sorted, OpTag::kNodeCombine, &trace,
-                    &out.metrics);
-  trace.DiskWrite(push.bytes, OpTag::kNodeCombine, WriteRequests(push.bytes));
-  out.metrics.map_output_bytes += push.bytes;
-  out.metrics.map_output_records += out_records;
-  push.gate_op = static_cast<uint32_t>(out.trace.ops.size() - 1);
-  StampPushSegmentCrcs(config_, &push);
-  out.push = std::move(push);
+  out.push = PublishPushSegment(config_, std::move(combined), out_bytes,
+                                out_records, sorted, OpTag::kNodeCombine,
+                                &trace, &out.metrics);
 
   out.metrics.node_combine_output_records += out_records;
   out.metrics.node_combine_output_bytes += out_bytes;

@@ -1,7 +1,6 @@
 #include "src/storage/bucket_manager.h"
 
 #include <string>
-#include <utility>
 
 #include "src/common/logging.h"
 
@@ -18,18 +17,11 @@ BucketFileManager::BucketFileManager(
       integrity_(integrity),
       plan_(plan),
       owner_(owner),
-      costs_(costs),
-      codec_(codec),
-      codec_block_bytes_(codec_block_bytes) {
+      codec_(codec, BlockEncoding::kGrouped, codec_block_bytes, costs,
+             RunCodec::Family::kBucket) {
   CHECK_GE(num_buckets, 1);
   pages_.resize(num_buckets);
-  files_.resize(num_buckets);
-  if (coded()) {
-    CHECK(costs_ != nullptr) << "codec needs the cost model's CPU constants";
-    enc_files_.resize(num_buckets);
-    raw_file_bytes_.resize(num_buckets, 0);
-    raw_file_records_.resize(num_buckets, 0);
-  }
+  files_.resize(num_buckets, StoredRun(codec_));
 }
 
 void BucketFileManager::Add(int bucket, std::string_view key,
@@ -50,186 +42,52 @@ void BucketFileManager::FlushAll() {
 
 void BucketFileManager::FlushPage(int bucket) {
   KvBuffer& page = pages_[bucket];
-  const uint64_t bytes = page.bytes();
-  buffered_bytes_ -= bytes;
-  if (coded()) {
-    // Encode the page as a grouped block stream; disk carries the encoded
-    // bytes, and the codec CPU is charged against the spill.
-    CodecStats stats;
-    const std::string enc = EncodeKvStream(page, BlockEncoding::kGrouped,
-                                           codec_, codec_block_bytes_, &stats);
-    trace_->Cpu(costs_->compress_byte_s * static_cast<double>(bytes),
-                OpTag::kReduceSpill);
-    trace_->DiskWrite(enc.size(), OpTag::kReduceSpill);
-    metrics_->reduce_spill_write_bytes += enc.size();
-    metrics_->codec_bucket_raw_bytes += bytes;
-    metrics_->codec_bucket_encoded_bytes += enc.size();
-    metrics_->compress_ns += stats.compress_ns;
-    spilled_bytes_ += enc.size();
-    enc_files_[bucket].append(enc);
-    raw_file_bytes_[bucket] += bytes;
-    raw_file_records_[bucket] += page.count();
-  } else {
-    trace_->DiskWrite(bytes, OpTag::kReduceSpill);
-    metrics_->reduce_spill_write_bytes += bytes;
-    spilled_bytes_ += bytes;
-    files_[bucket].AppendAll(page);
-  }
+  buffered_bytes_ -= page.bytes();
+  CodecStats stats;
+  const uint64_t disk_bytes = files_[bucket].Append(page, &stats);
+  codec_.ChargeEncode(stats, OpTag::kReduceSpill, trace_, metrics_);
+  trace_->DiskWrite(disk_bytes, OpTag::kReduceSpill);
+  metrics_->reduce_spill_write_bytes += disk_bytes;
+  spilled_bytes_ += disk_bytes;
   page.Clear();
 }
 
 Result<KvBuffer> BucketFileManager::TakeBucket(int bucket) {
   CHECK(pages_[bucket].empty()) << "FlushAll must run before TakeBucket";
-  if (coded()) return TakeBucketCoded(bucket);
-  KvBuffer result = std::move(files_[bucket]);
-  files_[bucket] = KvBuffer();
-  if (result.bytes() == 0) return result;
-  trace_->DiskRead(result.bytes(), OpTag::kReduceSpill);
-  metrics_->reduce_spill_read_bytes += result.bytes();
-  if (integrity_ == nullptr || !integrity_->checksums) return result;
-
-  // Verified read: the "disk" holds the framed image of the recorded
-  // page flushes; read it back through the checksum layer.
-  const std::string framed =
-      FrameBytes(result.data(), integrity_->block_bytes);
-  metrics_->checksum_overhead_bytes += framed.size() - result.bytes();
-  const int64_t expect = static_cast<int64_t>(result.bytes());
-  const int chain =
-      plan_ == nullptr
-          ? 0
-          : plan_->CorruptionChain(sim::StreamKind::kBucketFile, owner_,
-                                   static_cast<uint64_t>(bucket));
-  for (int gen = 0; gen < chain; ++gen) {
-    // Generation `gen` of this file is corrupt: damage a copy, prove the
-    // verifier catches it, then rebuild from the recorded inputs —
-    // re-flushing the pages and re-reading the file, charged for real.
-    metrics_->verify_bytes += result.bytes();
-    sim::CorruptionEvent ev = plan_->CorruptionDamage(
-        sim::StreamKind::kBucketFile, owner_,
-        static_cast<uint64_t>(bucket), gen, framed.size());
-    CHECK(ev.fires());
-    std::string damaged = framed;
-    if (ev.torn) {
-      TornTruncate(&damaged, static_cast<uint64_t>(ev.bit) / 8);
-    } else {
-      FlipBit(&damaged, static_cast<uint64_t>(ev.bit));
-    }
-    const Status verdict = VerifyFramed(damaged, expect);
-    CHECK(!verdict.ok()) << "undetected injected corruption";
-    ++metrics_->corruptions_detected;
-    if (ev.torn) ++metrics_->torn_writes_detected;
-    const sim::RetryPolicy& retry = plan_->config().corruption_retry;
-    if (gen >= retry.max_retries) {
-      return Status::Corruption(
-          "bucket " + std::to_string(bucket) + " of spill manager " +
-          std::to_string(owner_) + ": corrupt beyond " +
-          std::to_string(retry.max_retries) +
-          " rebuilds: " + std::string(verdict.message()));
-    }
-    trace_->Stall(retry.BackoffFor(gen, (owner_ << 20) ^
-                                            static_cast<uint64_t>(bucket)),
-                  OpTag::kReduceSpill);
-    trace_->DiskWrite(result.bytes(), OpTag::kReduceSpill);
-    trace_->DiskRead(result.bytes(), OpTag::kReduceSpill);
-    metrics_->corruption_recovery_bytes += 2 * result.bytes();
-    ++metrics_->corruptions_recovered;
-  }
-  Result<std::string> payload = ReadAllFramed(framed, expect);
-  CHECK(payload.ok()) << payload.status().ToString();
-  metrics_->verify_bytes += result.bytes();
-  CHECK(payload.value() == result.data());
-  return KvBuffer::FromData(std::move(payload).value(), result.count());
-}
-
-Result<KvBuffer> BucketFileManager::TakeBucketCoded(int bucket) {
-  // Mirrors TakeBucket's verified read, except the disk image is the
-  // encoded block stream: the read charge, the framing, the injected
-  // corruption, and the rebuild accounting all cover encoded bytes, and
-  // the stream is decoded only after verification passes.
-  const std::string enc = std::move(enc_files_[bucket]);
-  enc_files_[bucket].clear();
-  const uint64_t raw_bytes = raw_file_bytes_[bucket];
-  const uint64_t raw_records = raw_file_records_[bucket];
-  raw_file_bytes_[bucket] = 0;
-  raw_file_records_[bucket] = 0;
-  if (enc.empty()) return KvBuffer();
-  trace_->DiskRead(enc.size(), OpTag::kReduceSpill);
-  metrics_->reduce_spill_read_bytes += enc.size();
-  if (integrity_ != nullptr && integrity_->checksums) {
-    const std::string framed = FrameBytes(enc, integrity_->block_bytes);
-    metrics_->checksum_overhead_bytes += framed.size() - enc.size();
-    const int64_t expect = static_cast<int64_t>(enc.size());
-    const int chain =
-        plan_ == nullptr
-            ? 0
-            : plan_->CorruptionChain(sim::StreamKind::kBucketFile, owner_,
-                                     static_cast<uint64_t>(bucket));
-    for (int gen = 0; gen < chain; ++gen) {
-      metrics_->verify_bytes += enc.size();
-      sim::CorruptionEvent ev = plan_->CorruptionDamage(
-          sim::StreamKind::kBucketFile, owner_,
-          static_cast<uint64_t>(bucket), gen, framed.size());
-      CHECK(ev.fires());
-      std::string damaged = framed;
-      if (ev.torn) {
-        TornTruncate(&damaged, static_cast<uint64_t>(ev.bit) / 8);
-      } else {
-        FlipBit(&damaged, static_cast<uint64_t>(ev.bit));
-      }
-      const Status verdict = VerifyFramed(damaged, expect);
-      CHECK(!verdict.ok()) << "undetected injected corruption";
-      ++metrics_->corruptions_detected;
-      if (ev.torn) ++metrics_->torn_writes_detected;
-      const sim::RetryPolicy& retry = plan_->config().corruption_retry;
-      if (gen >= retry.max_retries) {
-        return Status::Corruption(
-            "bucket " + std::to_string(bucket) + " of spill manager " +
-            std::to_string(owner_) + ": corrupt beyond " +
-            std::to_string(retry.max_retries) +
-            " rebuilds: " + std::string(verdict.message()));
-      }
-      trace_->Stall(retry.BackoffFor(gen, (owner_ << 20) ^
-                                              static_cast<uint64_t>(bucket)),
-                    OpTag::kReduceSpill);
-      trace_->DiskWrite(enc.size(), OpTag::kReduceSpill);
-      trace_->DiskRead(enc.size(), OpTag::kReduceSpill);
-      metrics_->corruption_recovery_bytes += 2 * enc.size();
-      ++metrics_->corruptions_recovered;
-    }
-    Result<std::string> payload = ReadAllFramed(framed, expect);
-    CHECK(payload.ok()) << payload.status().ToString();
-    metrics_->verify_bytes += enc.size();
-    CHECK(payload.value() == enc);
-  }
-  CodecStats dstats;
-  Result<KvBuffer> dec = DecodeKvStream(enc, &dstats);
-  if (!dec.ok()) return dec.status();
-  trace_->Cpu(costs_->decompress_byte_s * static_cast<double>(raw_bytes),
-              OpTag::kReduceSpill);
-  metrics_->decompress_ns += dstats.decompress_ns;
-  KvBuffer out = std::move(dec).value();
-  CHECK_EQ(out.bytes(), raw_bytes);
-  CHECK_EQ(out.count(), raw_records);
-  return out;
+  StoredRun& file = files_[bucket];
+  if (file.disk_bytes() == 0) return KvBuffer();
+  trace_->DiskRead(file.disk_bytes(), OpTag::kReduceSpill);
+  metrics_->reduce_spill_read_bytes += file.disk_bytes();
+  // A corrupt copy is rebuilt by replaying the recorded page flushes.
+  RETURN_IF_ERROR(VerifiedRead(
+      file.image(),
+      {sim::StreamKind::kBucketFile, owner_, static_cast<uint64_t>(bucket),
+       OpTag::kReduceSpill},
+      integrity_, plan_, trace_, metrics_));
+  CodecStats stats;
+  Result<KvBuffer> records = file.Take(&stats);
+  codec_.ChargeDecode(stats, OpTag::kReduceSpill, trace_, metrics_);
+  return records;
 }
 
 void BucketFileManager::SaveTo(CheckpointWriter* w) const {
   w->PutU64("bkt.buckets", static_cast<uint64_t>(num_buckets()));
-  w->PutU64("bkt.coded", coded() ? 1 : 0);
+  w->PutU64("bkt.coded", codec_.coded() ? 1 : 0);
   w->PutU64("bkt.buffered_bytes", buffered_bytes_);
   w->PutU64("bkt.spilled_bytes", spilled_bytes_);
   w->PutU64("bkt.spilled_records", spilled_records_);
   for (int b = 0; b < num_buckets(); ++b) {
     const std::string tag = std::to_string(b);
+    const StoredRun& file = files_[b];
     w->PutU64("bkt.page_n." + tag, pages_[b].count());
     w->PutBytes("bkt.page." + tag, pages_[b].data());
-    if (coded()) {
-      w->PutBytes("bkt.enc." + tag, enc_files_[b]);
-      w->PutU64("bkt.raw_bytes." + tag, raw_file_bytes_[b]);
-      w->PutU64("bkt.raw_records." + tag, raw_file_records_[b]);
+    if (codec_.coded()) {
+      w->PutBytes("bkt.enc." + tag, file.image());
+      w->PutU64("bkt.raw_bytes." + tag, file.raw_bytes());
+      w->PutU64("bkt.raw_records." + tag, file.records());
     } else {
-      w->PutU64("bkt.file_n." + tag, files_[b].count());
-      w->PutBytes("bkt.file." + tag, files_[b].data());
+      w->PutU64("bkt.file_n." + tag, file.records());
+      w->PutBytes("bkt.file." + tag, file.image());
     }
   }
 }
@@ -239,7 +97,7 @@ Status BucketFileManager::RestoreFrom(CheckpointReader* r) {
   RETURN_IF_ERROR(r->GetU64("bkt.buckets", &buckets));
   RETURN_IF_ERROR(r->GetU64("bkt.coded", &was_coded));
   if (buckets != static_cast<uint64_t>(num_buckets()) ||
-      was_coded != (coded() ? 1u : 0u)) {
+      was_coded != (codec_.coded() ? 1u : 0u)) {
     return Status::Corruption(
         "checkpointed bucket manager shape does not match this config");
   }
@@ -248,23 +106,21 @@ Status BucketFileManager::RestoreFrom(CheckpointReader* r) {
   RETURN_IF_ERROR(r->GetU64("bkt.spilled_records", &spilled_records_));
   for (int b = 0; b < num_buckets(); ++b) {
     const std::string tag = std::to_string(b);
-    uint64_t n = 0;
+    uint64_t n = 0, raw_bytes = 0;
     std::string_view bytes;
     RETURN_IF_ERROR(r->GetU64("bkt.page_n." + tag, &n));
     RETURN_IF_ERROR(r->GetBytes("bkt.page." + tag, &bytes));
     pages_[b] = KvBuffer::FromData(std::string(bytes), n);
-    if (coded()) {
+    if (codec_.coded()) {
       RETURN_IF_ERROR(r->GetBytes("bkt.enc." + tag, &bytes));
-      enc_files_[b].assign(bytes);
-      RETURN_IF_ERROR(
-          r->GetU64("bkt.raw_bytes." + tag, &raw_file_bytes_[b]));
-      RETURN_IF_ERROR(
-          r->GetU64("bkt.raw_records." + tag, &raw_file_records_[b]));
+      RETURN_IF_ERROR(r->GetU64("bkt.raw_bytes." + tag, &raw_bytes));
+      RETURN_IF_ERROR(r->GetU64("bkt.raw_records." + tag, &n));
     } else {
       RETURN_IF_ERROR(r->GetU64("bkt.file_n." + tag, &n));
       RETURN_IF_ERROR(r->GetBytes("bkt.file." + tag, &bytes));
-      files_[b] = KvBuffer::FromData(std::string(bytes), n);
+      raw_bytes = bytes.size();
     }
+    files_[b].Restore(bytes, raw_bytes, n);
   }
   return Status::OK();
 }

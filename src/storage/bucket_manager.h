@@ -12,13 +12,12 @@
 // task-local: each reduce task's engine owns its own instance(s), wired to
 // that task's trace and metrics, so concurrent reduce tasks never share
 // one (DESIGN.md §5.3). Corruption draws are keyed by the stable `owner`
-// id, not by when the task happens to run. When the job runs with
-// integrity checksums (DESIGN.md §5.2), TakeBucket frames the file in
-// CRC32C blocks, applies the FaultPlan's seeded corruption to the framed
-// image, and verifies it; a corrupt copy is rebuilt from the recorded
-// inputs (the page flushes are replayed, charging the extra I/O) until the
-// per-stream recovery budget runs out, at which point TakeBucket returns
-// Status::Corruption.
+// id, not by when the task happens to run. Each bucket file is a StoredRun
+// (stored_run.h), which applies the codec; TakeBucket reads it back
+// through VerifiedRead, the rebuild loop bucket files share with map spill
+// runs (DESIGN.md §5.2): a corrupt copy is rebuilt from the recorded page
+// flushes, charging the extra I/O, until the per-stream recovery budget
+// runs out, and then TakeBucket returns Status::Corruption.
 
 #ifndef ONEPASS_STORAGE_BUCKET_MANAGER_H_
 #define ONEPASS_STORAGE_BUCKET_MANAGER_H_
@@ -35,6 +34,7 @@
 #include "src/storage/block_format.h"
 #include "src/storage/checkpoint.h"
 #include "src/storage/framed_io.h"
+#include "src/storage/stored_run.h"
 #include "src/util/kv_buffer.h"
 
 namespace onepass {
@@ -48,10 +48,8 @@ class BucketFileManager {
   // recursive sub-partition managers (must be stable across runs for
   // determinism).
   // When `codec` is not kNone, each page flush is encoded as a run-length
-  // key-grouped block stream (DESIGN.md §5.5) before it hits disk: the
-  // bucket file is the concatenation of the flushes' encoded streams, disk
-  // charges and integrity checksums cover the encoded bytes, and
-  // TakeBucket decodes the stream back after verification. `costs`
+  // key-grouped block stream (DESIGN.md §5.5) before it hits disk, so disk
+  // charges and integrity checksums cover the encoded bytes. `costs`
   // supplies the codec CPU constants and must be non-null when a codec is
   // active.
   BucketFileManager(int num_buckets, uint64_t page_bytes,
@@ -77,22 +75,12 @@ class BucketFileManager {
   Result<KvBuffer> TakeBucket(int bucket);
 
   int num_buckets() const { return static_cast<int>(files_.size()); }
-  // Raw (pre-codec) payload bytes of the bucket's file, the size the
-  // decoded KvBuffer will have — callers size recursion decisions on data
-  // volume, not on how well it compressed.
-  uint64_t bucket_file_bytes(int bucket) const {
-    return coded() ? raw_file_bytes_[bucket] : files_[bucket].bytes();
-  }
-  uint64_t bucket_file_records(int bucket) const {
-    return coded() ? raw_file_records_[bucket] : files_[bucket].count();
-  }
   // Memory held by unflushed write-buffer pages.
   uint64_t buffered_bytes() const { return buffered_bytes_; }
   // Total bytes spilled to disk through this manager (encoded bytes when a
   // codec is active — this is what the simulated disk carried).
   uint64_t spilled_bytes() const { return spilled_bytes_; }
   uint64_t spilled_records() const { return spilled_records_; }
-  uint64_t owner() const { return owner_; }
 
   // Checkpointing (DESIGN.md §5.6): serializes the complete mid-stream
   // state — unflushed pages, bucket files (raw or encoded), and the spill
@@ -105,8 +93,6 @@ class BucketFileManager {
 
  private:
   void FlushPage(int bucket);
-  Result<KvBuffer> TakeBucketCoded(int bucket);
-  bool coded() const { return codec_ != BlockCodecKind::kNone; }
 
   uint64_t page_bytes_;
   TraceRecorder* trace_;
@@ -114,19 +100,9 @@ class BucketFileManager {
   const IntegrityConfig* integrity_;
   const sim::FaultPlan* plan_;
   uint64_t owner_;
-  const CostModel* costs_;
-  BlockCodecKind codec_;
-  uint64_t codec_block_bytes_;
+  RunCodec codec_;
   std::vector<KvBuffer> pages_;
-  // Raw path: `files_` holds the flushed payloads. Codec path: `files_`
-  // stays empty and `enc_files_` holds the concatenated encoded block
-  // streams (blocks are self-delimiting, so concatenation of per-flush
-  // streams is itself a valid stream); `raw_file_bytes_`/`_records_`
-  // remember the decoded sizes.
-  std::vector<KvBuffer> files_;
-  std::vector<std::string> enc_files_;
-  std::vector<uint64_t> raw_file_bytes_;
-  std::vector<uint64_t> raw_file_records_;
+  std::vector<StoredRun> files_;
   uint64_t buffered_bytes_ = 0;
   uint64_t spilled_bytes_ = 0;
   uint64_t spilled_records_ = 0;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/storage/stored_run.h"
 #include "src/util/coding.h"
 
 namespace onepass {
@@ -128,8 +129,8 @@ Result<KvBuffer> DecodeCheckpoint(const EncodedCheckpoint& image,
 Result<KvBuffer> CheckpointStore::Restore(RestoreStats* stats) const {
   // Ladder: newest instance first; within an instance, replica slots in
   // order. Every candidate charges its read; a corrupt one is rejected by
-  // the CRC/length verifier and the ladder moves on — mirroring the
-  // BucketFileManager damage-verify-prove loop.
+  // the CRC/length verifier and the ladder moves on — the damage-and-prove
+  // step stored runs use (stored_run.h).
   for (size_t i = instances_.size(); i-- > 0;) {
     const EncodedCheckpoint& image = instances_[i];
     const uint32_t ordinal = static_cast<uint32_t>(i);
@@ -139,23 +140,14 @@ Result<KvBuffer> CheckpointStore::Restore(RestoreStats* stats) const {
           plan_ ? plan_->CheckpointCorruptions(reduce_task_, ordinal, slot)
                 : 0;
       if (chain > 0) {
-        std::string damaged = image.framed;
-        const sim::CorruptionEvent ev = plan_->CorruptionDamage(
-            sim::StreamKind::kCheckpoint,
-            static_cast<uint64_t>(reduce_task_),
-            (static_cast<uint64_t>(ordinal) << 8) |
-                static_cast<uint64_t>(slot),
-            /*gen=*/0, damaged.size());
-        CHECK(ev.fires());
-        if (ev.torn) {
-          TornTruncate(&damaged, static_cast<uint64_t>(ev.bit) / 8);
-        } else {
-          FlipBit(&damaged, static_cast<uint64_t>(ev.bit));
-        }
-        const Status verify = VerifyFramed(
-            damaged, static_cast<int64_t>(image.payload_bytes));
-        CHECK(!verify.ok())
-            << "injected checkpoint damage escaped verification";
+        ProveDamageDetected(
+            image.framed,
+            plan_->CorruptionDamage(sim::StreamKind::kCheckpoint,
+                                    static_cast<uint64_t>(reduce_task_),
+                                    (static_cast<uint64_t>(ordinal) << 8) |
+                                        static_cast<uint64_t>(slot),
+                                    /*gen=*/0, image.framed.size()),
+            static_cast<int64_t>(image.payload_bytes));
         ++stats->corrupt_replicas;
         continue;
       }

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
+#include "src/sim/fault_injector.h"
 #include "src/workloads/count_workloads.h"
 
 namespace onepass {
@@ -250,6 +252,89 @@ TEST(MapRunnerTest, TraceStartsWithStartupAndInputRead) {
   EXPECT_EQ(out->trace.ops[0].tag, OpTag::kStartup);
   EXPECT_EQ(out->trace.ops[1].tag, OpTag::kMapInput);
   EXPECT_TRUE(out->trace.ops[1].is_read);
+}
+
+// --- Verified spill-run reads, on both codecs ---
+
+constexpr BlockCodecKind kCodecs[] = {BlockCodecKind::kNone,
+                                      BlockCodecKind::kLz};
+
+// A sort-path map that spills many runs (2 KB buffer, 2,000 64-byte
+// records) under `codec`, with `faults` (may be null) corrupting them.
+Result<MapTaskOutput> RunSpillingMap(BlockCodecKind codec,
+                                     const sim::FaultPlan* faults) {
+  JobConfig cfg = BaseConfig(EngineKind::kSortMerge);
+  cfg.map_buffer_bytes = 2 << 10;
+  cfg.block_codec = codec;
+  IdentityMapper mapper;
+  UniversalHashFamily family(1);
+  MapRunner runner(cfg, MapOutputMode::kSortRaw, family.At(0), 4, &mapper,
+                   nullptr, faults, /*task_index=*/3);
+  return runner.Run(MakeChunk(2000, 100, 64));
+}
+
+uint64_t TracedSpillBytes(const MapTaskOutput& out) {
+  uint64_t bytes = 0;
+  for (const TraceOp& op : out.trace.ops) {
+    if (op.resource == OpResource::kDisk && op.tag == OpTag::kMapSpill) {
+      bytes += op.bytes;
+    }
+  }
+  return bytes;
+}
+
+TEST(MapRunnerTest, CorruptSpillRunsAreRebuiltOnBothCodecs) {
+  for (const BlockCodecKind codec : kCodecs) {
+    SCOPED_TRACE(std::string(BlockCodecName(codec)));
+    auto clean = RunSpillingMap(codec, nullptr);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    ASSERT_GT(clean->metrics.map_spill_write_bytes, 0u);
+
+    sim::FaultConfig fc;
+    fc.corruption_rate = 0.999999;  // every run draws the capped chain, 3
+    fc.torn_writes = true;
+    ASSERT_GE(fc.corruption_retry.max_retries, 3);
+    const sim::FaultPlan plan(fc, /*seed=*/5);
+    auto faulted = RunSpillingMap(codec, &plan);
+    ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
+
+    // The rebuilds recover every run: the map output is the clean run's.
+    ASSERT_EQ(faulted->pushes.size(), 1u);
+    ASSERT_EQ(clean->pushes.size(), 1u);
+    const PushSegment& got = faulted->pushes[0];
+    const PushSegment& want = clean->pushes[0];
+    ASSERT_EQ(got.partitions.size(), want.partitions.size());
+    for (size_t p = 0; p < want.partitions.size(); ++p) {
+      EXPECT_EQ(got.partitions[p].data(), want.partitions[p].data());
+    }
+    EXPECT_EQ(got.encoded, want.encoded);
+    EXPECT_EQ(codec == BlockCodecKind::kLz, !got.encoded.empty());
+
+    EXPECT_GT(faulted->metrics.corruptions_detected, 0u);
+    EXPECT_EQ(faulted->metrics.corruptions_recovered,
+              faulted->metrics.corruptions_detected);
+    // Each run is read three times damaged and once clean, and every
+    // verified read counts.
+    EXPECT_EQ(faulted->metrics.verify_bytes,
+              4 * clean->metrics.verify_bytes);
+    // Each rebuild rewrites and re-reads its run on the time plane.
+    EXPECT_EQ(TracedSpillBytes(*faulted),
+              TracedSpillBytes(*clean) +
+                  faulted->metrics.corruption_recovery_bytes);
+  }
+}
+
+TEST(MapRunnerTest, SpillRunCorruptBeyondBudgetIsCorruption) {
+  for (const BlockCodecKind codec : kCodecs) {
+    SCOPED_TRACE(std::string(BlockCodecName(codec)));
+    sim::FaultConfig fc;
+    fc.corruption_rate = 0.999999;
+    fc.corruption_retry.max_retries = 0;  // no rebuilds allowed
+    const sim::FaultPlan plan(fc, /*seed=*/5);
+    auto out = RunSpillingMap(codec, &plan);
+    ASSERT_FALSE(out.ok());
+    EXPECT_TRUE(out.status().IsCorruption()) << out.status().ToString();
+  }
 }
 
 }  // namespace
