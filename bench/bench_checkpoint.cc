@@ -8,7 +8,8 @@
 // re-fetched (and already-consumed reduce work is redone). With a
 // checkpoint every 4 deliveries, replicated 2x, a restart restores the
 // newest surviving image and re-fetches only post-watermark segments —
-// the later the crash, the bigger the win.
+// the later the crash, the bigger the win. Running times print with 3
+// decimals so CI can gate them at reduced scale.
 //
 // Usage: bench_checkpoint [--scale=S] [--codec=none|lz] [--threads=N]
 
@@ -93,7 +94,7 @@ void CrashScenario(const ChunkStore& input,
                     MatchesReference(*ckpt, expected) &&
                     MatchesReference(*clean, expected);
     std::printf(
-        "%-9s %8.1f | %8.1f %9s %6llu | %8.1f %9s %6llu %5llu %5llu |"
+        "%-9s %8.3f | %8.3f %9s %6llu | %8.3f %9s %6llu %5llu %5llu |"
         " %7.1fx %4s\n",
         std::string(EngineKindName(kind)).c_str(), clean->running_time,
         plain->running_time, bench::Mb(mp.shuffle_refetched_bytes).c_str(),
@@ -122,7 +123,7 @@ void CleanOverheadScenario(const ChunkStore& input,
     auto ckpt = bench::MustRun(ClickCountJob(), cfg, input);
     if (!ckpt.ok()) continue;
     const JobMetrics& m = ckpt->metrics;
-    std::printf("%-9s %9.1f %9.1f %8.1f%% %6llu %9s %9s %4s\n",
+    std::printf("%-9s %9.3f %9.3f %8.1f%% %6llu %9s %9s %4s\n",
                 std::string(EngineKindName(kind)).c_str(),
                 plain->running_time, ckpt->running_time,
                 100.0 * (ckpt->running_time / plain->running_time - 1.0),

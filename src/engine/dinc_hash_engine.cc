@@ -141,7 +141,7 @@ Status DincHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
   return Status::OK();
 }
 
-Status DincHashEngine::SaveCheckpoint(CheckpointWriter* w) const {
+Status DincHashEngine::SaveState(CheckpointWriter* w) const {
   w->PutU64("dinc.covered", covered_keys_);
   sketch_->SaveTo(w);
   for (size_t slot = 0; slot < capacity_entries_; ++slot) {
@@ -152,7 +152,7 @@ Status DincHashEngine::SaveCheckpoint(CheckpointWriter* w) const {
   return Status::OK();
 }
 
-Status DincHashEngine::RestoreCheckpoint(CheckpointReader* r) {
+Status DincHashEngine::RestoreState(CheckpointReader* r) {
   RETURN_IF_ERROR(r->GetU64("dinc.covered", &covered_keys_));
   RETURN_IF_ERROR(sketch_->RestoreFrom(r));
   for (size_t slot = 0; slot < capacity_entries_; ++slot) {

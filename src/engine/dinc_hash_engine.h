@@ -54,8 +54,8 @@ class DincHashEngine : public GroupByEngine {
   Status Finish() override;
   // Sketch slots (with their Misra–Gries counters and retained digests),
   // the monitored states by slot, and the spill buckets.
-  Status SaveCheckpoint(CheckpointWriter* w) const override;
-  Status RestoreCheckpoint(CheckpointReader* r) override;
+  Status SaveState(CheckpointWriter* w) const override;
+  Status RestoreState(CheckpointReader* r) override;
 
   uint64_t monitored_keys() const { return sketch_->size(); }
   // Keys finalized from memory in approximate mode.

@@ -76,25 +76,48 @@ class GroupByEngine {
   // the default is a no-op.
   virtual Status Snapshot() { return Status::OK(); }
 
-  // Checkpointed recovery (DESIGN.md §5.6). SaveCheckpoint serializes the
-  // engine's complete mid-stream state into named fields, non-destructively
-  // — Consume can continue right after, and a run that checkpoints emits
-  // byte-identical output to one that does not. RestoreCheckpoint loads a
-  // saved image into a freshly constructed engine under the same config;
-  // consuming the remaining deliveries then yields exactly the output the
-  // saved engine would have produced. Neither charges trace or metrics:
-  // the cluster prices checkpoint I/O in the time plane.
-  virtual Status SaveCheckpoint(CheckpointWriter* w) const {
+  // Checkpointed recovery (DESIGN.md §5.6). SaveCheckpoint writes the
+  // next image of this engine's checkpoint chain: it walks the complete
+  // mid-stream state (SaveState) and passes it through the chain, which
+  // keeps the full stream when the chain starts or compacts and otherwise
+  // writes only what changed since the previous save. The chain lives here
+  // so that every caller replaying the same saves gets the same images.
+  // Saving is non-destructive — Consume can continue right after, and a
+  // run that checkpoints emits byte-identical output to one that does not.
+  // RestoreCheckpoint loads a full stream (ResolveCheckpointChain of a
+  // chain, or SaveState's) into a freshly constructed engine under the
+  // same config and starts a new chain; consuming the remaining deliveries
+  // then yields exactly the output the saved engine would have produced.
+  // Neither charges trace or metrics: the cluster prices checkpoint I/O in
+  // the time plane.
+  Status SaveCheckpoint(CheckpointWriter* w) {
+    CheckpointWriter state;
+    RETURN_IF_ERROR(SaveState(&state));
+    *w = CheckpointWriter(chain_.Next(state.Take()));
+    return Status::OK();
+  }
+  Status RestoreCheckpoint(CheckpointReader* r) {
+    chain_ = CheckpointChain();
+    return RestoreState(r);
+  }
+  // Images in the chain ending at the last SaveCheckpoint (1: a full one).
+  uint32_t checkpoint_links() const { return chain_.links(); }
+
+  // The engine's complete state as one full field stream, and its inverse.
+  virtual Status SaveState(CheckpointWriter* w) const {
     (void)w;
     return Status::Unimplemented("engine does not support checkpointing");
   }
-  virtual Status RestoreCheckpoint(CheckpointReader* r) {
+  virtual Status RestoreState(CheckpointReader* r) {
     (void)r;
     return Status::Unimplemented("engine does not support checkpointing");
   }
 
  protected:
   EngineContext ctx_;
+
+ private:
+  CheckpointChain chain_;
 };
 
 // Creates the engine implementing `kind`. The context must carry a Reducer

@@ -141,7 +141,7 @@ Status IncHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
   return Status::OK();
 }
 
-Status IncHashEngine::SaveCheckpoint(CheckpointWriter* w) const {
+Status IncHashEngine::SaveState(CheckpointWriter* w) const {
   w->PutU64("inc.resident_bytes", resident_bytes_);
   w->PutU64("inc.entries", table_.size());
   for (uint32_t i = 0; i < table_.size(); ++i) {
@@ -153,7 +153,7 @@ Status IncHashEngine::SaveCheckpoint(CheckpointWriter* w) const {
   return Status::OK();
 }
 
-Status IncHashEngine::RestoreCheckpoint(CheckpointReader* r) {
+Status IncHashEngine::RestoreState(CheckpointReader* r) {
   RETURN_IF_ERROR(r->GetU64("inc.resident_bytes", &resident_bytes_));
   uint64_t entries = 0;
   RETURN_IF_ERROR(r->GetU64("inc.entries", &entries));

@@ -47,8 +47,8 @@ class IncHashEngine : public GroupByEngine {
   // State table entries in insertion order (FlatTable iteration is
   // deterministic, so the restored table reproduces it exactly), plus the
   // spill buckets.
-  Status SaveCheckpoint(CheckpointWriter* w) const override;
-  Status RestoreCheckpoint(CheckpointReader* r) override;
+  Status SaveState(CheckpointWriter* w) const override;
+  Status RestoreState(CheckpointReader* r) override;
 
   // Number of disk buckets so a bucket's distinct keys fit in memory, given
   // `expected_keys` distinct keys and a per-entry budget.

@@ -115,7 +115,7 @@ Status MRHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
   return Status::OK();
 }
 
-Status MRHashEngine::SaveCheckpoint(CheckpointWriter* w) const {
+Status MRHashEngine::SaveState(CheckpointWriter* w) const {
   w->PutU64("mr.demoted", d1_demoted_ ? 1 : 0);
   w->PutU64("mr.d1_n", d1_.count());
   w->PutBytes("mr.d1", d1_.data());
@@ -124,7 +124,7 @@ Status MRHashEngine::SaveCheckpoint(CheckpointWriter* w) const {
   return Status::OK();
 }
 
-Status MRHashEngine::RestoreCheckpoint(CheckpointReader* r) {
+Status MRHashEngine::RestoreState(CheckpointReader* r) {
   uint64_t demoted = 0, d1_n = 0, disk_buckets = 0;
   std::string_view d1_bytes;
   RETURN_IF_ERROR(r->GetU64("mr.demoted", &demoted));

@@ -40,8 +40,8 @@ class MRHashEngine : public GroupByEngine {
   // The resident D1 bucket, its demotion flag, and the disk-bucket file
   // manifest. The Finish-time grouping structures (group_table_, nodes_)
   // are scratch and carry no mid-stream state.
-  Status SaveCheckpoint(CheckpointWriter* w) const override;
-  Status RestoreCheckpoint(CheckpointReader* r) override;
+  Status SaveState(CheckpointWriter* w) const override;
+  Status RestoreState(CheckpointReader* r) override;
 
   // Chooses the number of on-disk buckets so that, per the hybrid-hash
   // analysis, each bucket of an `expected_bytes` input fits in a memory of

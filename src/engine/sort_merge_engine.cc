@@ -107,7 +107,7 @@ Status SortMergeEngine::SpillBuffered() {
   return Status::OK();
 }
 
-Status SortMergeEngine::SaveCheckpoint(CheckpointWriter* w) const {
+Status SortMergeEngine::SaveState(CheckpointWriter* w) const {
   w->PutU64("sm.buffered_bytes", buffered_bytes_);
   w->PutU64("sm.buffered", buffered_.size());
   for (size_t i = 0; i < buffered_.size(); ++i) {
@@ -133,7 +133,7 @@ Status SortMergeEngine::SaveCheckpoint(CheckpointWriter* w) const {
   return Status::OK();
 }
 
-Status SortMergeEngine::RestoreCheckpoint(CheckpointReader* r) {
+Status SortMergeEngine::RestoreState(CheckpointReader* r) {
   RETURN_IF_ERROR(r->GetU64("sm.buffered_bytes", &buffered_bytes_));
   uint64_t buffered = 0;
   RETURN_IF_ERROR(r->GetU64("sm.buffered", &buffered));

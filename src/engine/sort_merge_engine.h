@@ -42,8 +42,8 @@ class SortMergeEngine : public GroupByEngine {
   // Buffered segments, the on-disk run manifest (dead entries kept
   // positionally so MergeScheduler file ids stay aligned), and the
   // scheduler's schedule state.
-  Status SaveCheckpoint(CheckpointWriter* w) const override;
-  Status RestoreCheckpoint(CheckpointReader* r) override;
+  Status SaveState(CheckpointWriter* w) const override;
+  Status RestoreState(CheckpointReader* r) override;
 
  private:
   // Merges the buffered segments into one sorted run (combining if

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/common/logging.h"
+
 namespace onepass {
 
 CheckpointLadder::CheckpointLadder(
@@ -14,8 +16,14 @@ CheckpointLadder::CheckpointLadder(
       durable_(marks_.size()),
       dead_(static_cast<size_t>(config.cluster.nodes), 0) {
   for (size_t r = 0; r < marks_.size(); ++r) {
+    durable_[r].resize(marks_[r].size());
     for (uint32_t c = 0; c < static_cast<uint32_t>(marks_[r].size()); ++c) {
-      gates_[r][marks_[r][c].gate_op] = c;
+      const CheckpointMark& mark = marks_[r][c];
+      CHECK(mark.links == 1 ||
+            (c > 0 && mark.links == marks_[r][c - 1].links + 1))
+          << "reduce " << r << " checkpoint " << c << " claims "
+          << mark.links << " chain links";
+      gates_[r][mark.gate_op] = c;
     }
   }
 }
@@ -23,12 +31,9 @@ CheckpointLadder::CheckpointLadder(
 void CheckpointLadder::OpDone(int r, uint32_t op, int node) {
   const auto gate = gates_[static_cast<size_t>(r)].find(op);
   if (gate == gates_[static_cast<size_t>(r)].end()) return;
-  std::vector<Durable>& durable = durable_[static_cast<size_t>(r)];
-  for (const Durable& d : durable) {
-    if (d.ordinal == gate->second) return;
-  }
-  Durable d;
-  d.ordinal = gate->second;
+  Durable& d = durable_[static_cast<size_t>(r)][gate->second];
+  if (d.placed) return;
+  d.placed = true;
   int slot = 0;
   d.replicas.emplace_back(slot++, node);
   const int nodes = config_.cluster.nodes;
@@ -37,7 +42,6 @@ void CheckpointLadder::OpDone(int r, uint32_t op, int node) {
     const int n = (node + off) % nodes;
     if (!dead_[static_cast<size_t>(n)]) d.replicas.emplace_back(slot++, n);
   }
-  durable.push_back(std::move(d));
 }
 
 void CheckpointLadder::NodeDied(int n) {
@@ -55,26 +59,50 @@ void CheckpointLadder::NodeDied(int n) {
 
 CheckpointLadder::Choice CheckpointLadder::Choose(int r) const {
   Choice choice;
+  const std::vector<CheckpointMark>& marks = marks_[static_cast<size_t>(r)];
   const std::vector<Durable>& durable = durable_[static_cast<size_t>(r)];
-  for (auto it = durable.rbegin(); it != durable.rend(); ++it) {
-    choice.had_durable = true;
-    const CheckpointMark& mark = marks_[static_cast<size_t>(r)][it->ordinal];
-    for (const auto& [slot, node] : it->replicas) {
-      if (plan_.CheckpointCorruptions(r, it->ordinal, slot) > 0) {
-        choice.tried.push_back({slot, node, mark.bytes});
-        continue;
+  // holder[k]: the node of link k's first verifiable replica, kLost when
+  // it has none; each link's slots are walked (and its rejected replicas
+  // tried) at most once.
+  constexpr int kUnwalked = -2, kLost = -1;
+  std::vector<int> holder(marks.size(), kUnwalked);
+  auto usable = [&](size_t k) {
+    if (holder[k] == kUnwalked) {
+      holder[k] = kLost;
+      for (const auto& [slot, node] : durable[k].replicas) {
+        if (plan_.CheckpointCorruptions(r, static_cast<uint32_t>(k), slot) >
+            0) {
+          choice.tried.push_back({slot, node, marks[k].bytes});
+          continue;
+        }
+        holder[k] = node;
+        break;
       }
-      choice.ordinal = static_cast<int>(it->ordinal);
-      choice.watermark = mark.watermark;
-      choice.node = node;
-      return choice;
     }
+    return holder[k] != kLost;
+  };
+  for (size_t i = marks.size(); i-- > 0;) {
+    if (!durable[i].placed) continue;
+    choice.had_durable = true;
+    // A link with no verifiable replica rules out every instance of its
+    // chain from there on, so the next candidate is the one just below it.
+    const size_t base = i + 1 - marks[i].links;
+    size_t k = base;
+    while (k <= i && usable(k)) ++k;
+    if (k <= i) {
+      i = k;
+      continue;
+    }
+    choice.ordinal = static_cast<int>(i);
+    choice.watermark = marks[i].watermark;
+    choice.node = holder[i];
+    for (k = base; k < i; ++k) choice.base_nodes.push_back(holder[k]);
+    return choice;
   }
   return choice;
 }
 
 uint32_t CheckpointLadder::Watermark(int r) const {
-  if (durable_[static_cast<size_t>(r)].empty()) return 0;
   return Choose(r).watermark;
 }
 
@@ -82,29 +110,43 @@ CostTrace CheckpointLadder::RestoreChain(int r, const Choice& choice,
                                          int node) const {
   CostTrace chain;
   TraceRecorder trace(&chain);
-  int try_i = 0;
   auto read_replica = [&](int holder, uint64_t bytes) {
-    if (try_i > 0) {
-      const uint64_t key = (static_cast<uint64_t>(r) << 40) ^
-                           (static_cast<uint64_t>(choice.ordinal) << 16) ^
-                           static_cast<uint64_t>(try_i);
-      trace.Stall(config_.faults.fetch_retry.BackoffFor(try_i - 1, key),
-                  OpTag::kCheckpoint);
-    }
-    ++try_i;
     if (holder == node) {
       trace.DiskRead(bytes, OpTag::kCheckpoint);
     } else {
       trace.Net(bytes, OpTag::kCheckpoint);
     }
   };
-  for (const TriedReplica& t : choice.tried) read_replica(t.node, t.bytes);
-  const CheckpointMark& mark =
-      marks_[static_cast<size_t>(r)][static_cast<size_t>(choice.ordinal)];
-  read_replica(choice.node, mark.bytes);
+  // The read after a rejected replica waits out the retry backoff first.
+  int rejected = 0;
+  auto back_off = [&] {
+    if (rejected == 0) return;
+    const uint64_t key = (static_cast<uint64_t>(r) << 40) ^
+                         (static_cast<uint64_t>(choice.ordinal) << 16) ^
+                         static_cast<uint64_t>(rejected);
+    trace.Stall(config_.faults.fetch_retry.BackoffFor(rejected - 1, key),
+                OpTag::kCheckpoint);
+  };
+  for (const TriedReplica& t : choice.tried) {
+    back_off();
+    read_replica(t.node, t.bytes);
+    ++rejected;
+  }
+  back_off();
+  const std::vector<CheckpointMark>& marks = marks_[static_cast<size_t>(r)];
+  const size_t last = static_cast<size_t>(choice.ordinal);
+  const size_t base = last + 1 - marks[last].links;
+  CHECK_EQ(choice.base_nodes.size(), last - base)
+      << "restore choice does not name every link of its chain";
+  uint64_t raw_bytes = 0;
+  for (size_t k = base; k <= last; ++k) {
+    read_replica(k < last ? choice.base_nodes[k - base] : choice.node,
+                 marks[k].bytes);
+    raw_bytes += marks[k].raw_bytes;
+  }
   if (config_.block_codec != BlockCodecKind::kNone) {
     trace.Cpu(config_.costs.decompress_byte_s *
-                  static_cast<double>(mark.raw_bytes),
+                  static_cast<double>(raw_bytes),
               OpTag::kCheckpoint);
   }
   return chain;

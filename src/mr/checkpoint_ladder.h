@@ -7,10 +7,14 @@
 // checkpoint_replication - 1 alive nodes round-robin, each in a numbered
 // slot. A crash drops the replicas its node held; the survivors keep their
 // slot numbers, so the FaultPlan's per-(reduce, ordinal, slot) corruption
-// draws do not shift with the crash schedule. A restarted reduce attempt
-// walks the ladder newest instance first, slots in order: corrupt replicas
-// are read and rejected, the first verifiable one is restored, and with
-// none left the attempt falls back to replaying the whole shuffle.
+// draws do not shift with the crash schedule. An instance may be a delta
+// image that ends a chain of `links` instances (CheckpointChain); it is
+// usable only when every link of its chain has a verifiable replica. A
+// restarted reduce attempt walks the ladder newest instance first, the
+// links of its chain oldest first, slots in order: corrupt replicas are
+// read and rejected, the first verifiable replica of each link is read,
+// and with no usable instance left the attempt falls back to replaying
+// the whole shuffle.
 //
 // Like TaskTracker, the ladder is pure bookkeeping: the Replayer reports
 // completed ops and crashes, asks where a restarted attempt resumes, and
@@ -33,12 +37,15 @@ namespace onepass {
 // One checkpoint the reduce data plane recorded: after consuming
 // `watermark` deliveries the engine image measured `bytes` framed bytes
 // (raw_bytes before codec/framing). `gate_op` is the trace op whose
-// completion makes the instance durable in the time-plane replay.
+// completion makes the instance durable in the time-plane replay. `links`
+// is the number of images in the chain ending here (1: a full image; n: a
+// delta on top of the previous n - 1 marks).
 struct CheckpointMark {
   uint32_t watermark = 0;
   uint64_t bytes = 0;
   uint64_t raw_bytes = 0;
   uint32_t gate_op = 0;
+  uint32_t links = 1;
 };
 
 class CheckpointLadder {
@@ -50,13 +57,15 @@ class CheckpointLadder {
     uint64_t bytes = 0;
   };
   // Where a restarted attempt resumes. node >= 0: a verifiable replica of
-  // instance `ordinal` lives there and the attempt resumes from
-  // `watermark`. Otherwise it replays everything — a fallback when
-  // `had_durable` (every replica of every instance was corrupt or lost).
+  // instance `ordinal` lives there, base_nodes hold one of each older link
+  // of its chain (oldest first), and the attempt resumes from `watermark`.
+  // Otherwise it replays everything — a fallback when `had_durable` (no
+  // instance had a verifiable replica of every link).
   struct Choice {
     int ordinal = -1;
     uint32_t watermark = 0;
     int node = -1;
+    std::vector<int> base_nodes;
     std::vector<TriedReplica> tried;
     bool had_durable = false;
   };
@@ -75,8 +84,9 @@ class CheckpointLadder {
   // there from now on.
   void NodeDied(int n);
 
-  // The newest instance with a verifiable replica, slots in order. Pure
-  // given the durable replicas and the plan.
+  // The newest instance whose every chain link has a verifiable replica;
+  // each link's slots are walked once, in order. Pure given the durable
+  // replicas and the plan.
   Choice Choose(int r) const;
 
   // Deliveries below this watermark are never re-fetched by a restarted
@@ -86,14 +96,15 @@ class CheckpointLadder {
   // The ops a restarted attempt on `node` runs before its fetch and
   // consume streams start: every tried replica is read in full (a local
   // disk read when `node` holds it, a network pull otherwise), each read
-  // after the first waits out the shared fetch_retry backoff as a Stall
-  // op, then the chosen replica is read and, under a block codec, decoded.
-  // Requires choice.node >= 0.
+  // that follows a rejected one waits out the shared fetch_retry backoff
+  // as a Stall op, then each link of the chosen chain is read once, oldest
+  // first, with no wait between links, and under a block codec the
+  // chain's summed raw bytes are decoded. Requires choice.node >= 0.
   CostTrace RestoreChain(int r, const Choice& choice, int node) const;
 
  private:
   struct Durable {
-    uint32_t ordinal = 0;
+    bool placed = false;
     std::vector<std::pair<int, int>> replicas;  // (slot, holder node)
   };
 
@@ -101,7 +112,7 @@ class CheckpointLadder {
   const sim::FaultPlan& plan_;
   std::vector<std::vector<CheckpointMark>> marks_;
   std::vector<std::map<uint32_t, uint32_t>> gates_;  // gate op -> ordinal
-  std::vector<std::vector<Durable>> durable_;        // oldest first
+  std::vector<std::vector<Durable>> durable_;        // by ordinal
   std::vector<char> dead_;
 };
 

@@ -351,13 +351,16 @@ Status RunReduceTask(const DataPlane& dp, const DeliveryOrder& order, int r,
       RETURN_IF_ERROR(engine->Snapshot());
     }
     // Reduce-state checkpoint (DESIGN.md §5.6) every ckpt_interval
-    // deliveries: serialize the engine and run the image through the
-    // codec + CRC-framing path, charging the compress CPU, the durable
-    // write, and the replication transfer. The data plane discards the
-    // bytes — restore correctness is proven by the checkpoint unit tests;
-    // the time plane replays durability, placement, and recovery from the
-    // recorded marks. A checkpoint after the final delivery is useless
-    // (Finish follows at once) and skipped.
+    // deliveries: the engine writes the next image of its checkpoint
+    // chain — a delta against its previous image unless the chain starts
+    // or compacts — and the image runs through the codec + CRC-framing
+    // path, charging the compress CPU, the durable write, and the
+    // replication transfer of that image alone. The data plane discards
+    // the bytes — restore correctness is proven by the checkpoint unit
+    // tests; the time plane replays durability, placement, and recovery
+    // (reading every link of the chain) from the recorded marks. A
+    // checkpoint after the final delivery is useless (Finish follows at
+    // once) and skipped.
     if (ckpt_interval > 0 && delivery_index % ckpt_interval == 0 &&
         delivery_index < order.size()) {
       CheckpointWriter w;
@@ -386,6 +389,7 @@ Status RunReduceTask(const DataPlane& dp, const DeliveryOrder& order, int r,
       mark.bytes = image.framed.size();
       mark.raw_bytes = image.raw_bytes;
       mark.gate_op = static_cast<uint32_t>(out->trace.ops.size()) - 1;
+      mark.links = engine->checkpoint_links();
       out->checkpoints.push_back(mark);
     }
   }
@@ -395,12 +399,13 @@ Status RunReduceTask(const DataPlane& dp, const DeliveryOrder& order, int r,
     // section instead (fully replayed, no first-op rule).
     trace.Cpu(adopt_cpu_s, OpTag::kCheckpoint);
   }
-  // State carry-over capture: serialize the pre-Finish engine image for
+  // State carry-over capture: serialize the pre-Finish engine state for
   // the next iteration (Finish drains the spill buckets, so it must run
-  // after the save; SaveCheckpoint is non-destructive).
+  // after the save; SaveState is non-destructive). The carry is always
+  // the full stream, never a checkpoint chain's delta.
   if (save_state) {
     CheckpointWriter w;
-    RETURN_IF_ERROR(engine->SaveCheckpoint(&w));
+    RETURN_IF_ERROR(engine->SaveState(&w));
     out->saved_raw_bytes = w.fields().bytes();
     out->saved_state = w.Take();
     trace.Cpu(config.costs.resident_publish_byte_s *

@@ -84,9 +84,9 @@ struct PartitionPlacement {
 };
 
 // A finished job's per-reducer engine state, held in memory between chain
-// iterations. states[r] is reducer r's checkpoint field stream (the same
-// serialization SaveCheckpoint produces); raw_bytes[r] its size, which is
-// what the time plane charges for the save and the adopt.
+// iterations. states[r] is reducer r's full checkpoint field stream (the
+// serialization GroupByEngine::SaveState produces); raw_bytes[r] its
+// size, which is what the time plane charges for the save and the adopt.
 struct ResidentStateHandle {
   std::vector<KvBuffer> states;
   std::vector<uint64_t> raw_bytes;

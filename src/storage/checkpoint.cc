@@ -1,6 +1,8 @@
 #include "src/storage/checkpoint.h"
 
+#include <algorithm>
 #include <cstring>
+#include <unordered_map>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -16,6 +18,179 @@ namespace {
 constexpr char kTagU64 = 'u';
 constexpr char kTagF64 = 'f';
 constexpr char kTagBytes = 'b';
+
+// Delta images (CheckpointChain). The header record's name holds a NUL, so
+// no engine field name can collide with it; each op record's value starts
+// with its op byte.
+constexpr std::string_view kDeltaHeader("\0ckpt.delta", 11);
+constexpr char kOpCopy = 'c';
+constexpr char kOpAppend = 'a';
+constexpr char kOpLiteral = 'l';
+
+struct Field {
+  std::string_view name;
+  std::string_view payload;
+};
+
+// Splits a field stream into its records; false when the bytes do not
+// parse as whole records.
+bool SplitFields(const KvBuffer& stream, std::vector<Field>* fields) {
+  fields->clear();
+  // Every record takes at least two bytes, whatever count it claims.
+  fields->reserve(std::min<uint64_t>(stream.count(), stream.bytes() / 2));
+  KvBufferReader reader(stream);
+  Field f;
+  while (reader.Next(&f.name, &f.payload)) fields->push_back(f);
+  return reader.AtEnd();
+}
+
+// The delta that turns `base` into `next`, as link `link` of its chain.
+KvBuffer DiffFields(const KvBuffer& base, const KvBuffer& next,
+                    uint32_t link) {
+  std::vector<Field> old;
+  SplitFields(base, &old);
+  KvBuffer delta;
+  std::string op;
+  PutVarint64(&op, link);
+  PutVarint64(&op, old.size());
+  delta.Append(kDeltaHeader, op);
+
+  // Fields usually keep their relative order, so the base field after the
+  // last match is tried first and the name index is built only on a miss.
+  std::unordered_map<std::string_view, uint32_t> by_name;
+  bool indexed = false;
+  size_t cursor = 0;
+  uint64_t run_first = 0, run_count = 0;
+  auto flush_run = [&] {
+    if (run_count == 0) return;
+    op.assign(1, kOpCopy);
+    PutVarint64(&op, run_first);
+    PutVarint64(&op, run_count);
+    delta.Append({}, op);
+    run_count = 0;
+  };
+  KvBufferReader reader(next);
+  std::string_view name, payload;
+  while (reader.Next(&name, &payload)) {
+    size_t j = old.size();
+    if (cursor < old.size() && old[cursor].name == name) {
+      j = cursor;
+    } else {
+      if (!indexed) {
+        by_name.reserve(old.size());
+        for (uint32_t i = 0; i < old.size(); ++i) {
+          by_name.emplace(old[i].name, i);
+        }
+        indexed = true;
+      }
+      const auto it = by_name.find(name);
+      if (it != by_name.end()) j = it->second;
+    }
+    if (j == old.size()) {
+      flush_run();
+      op.assign(1, kOpLiteral);
+      op.append(payload);
+      delta.Append(name, op);
+      continue;
+    }
+    cursor = j + 1;
+    const std::string_view was = old[j].payload;
+    if (payload == was) {
+      if (run_count > 0 && run_first + run_count == j) {
+        ++run_count;
+      } else {
+        flush_run();
+        run_first = j;
+        run_count = 1;
+      }
+      continue;
+    }
+    flush_run();
+    if (payload.size() > was.size() &&
+        payload.compare(0, was.size(), was) == 0) {
+      op.assign(1, kOpAppend);
+      PutVarint64(&op, j);
+      op.append(payload.substr(was.size()));
+      delta.Append({}, op);
+    } else {
+      op.assign(1, kOpLiteral);
+      op.append(payload);
+      delta.Append(name, op);
+    }
+  }
+  flush_run();
+  return delta;
+}
+
+// Applies delta link `link` to `base`.
+Result<KvBuffer> ApplyDelta(const KvBuffer& base, const KvBuffer& delta,
+                            uint32_t link) {
+  const std::string where = "checkpoint delta link " + std::to_string(link);
+  std::vector<Field> old;
+  if (!SplitFields(base, &old)) {
+    return Status::Corruption(where + ": base stream is not whole records");
+  }
+  KvBufferReader reader(delta);
+  std::string_view name, value;
+  if (!reader.Next(&name, &value) || name != kDeltaHeader) {
+    return Status::Corruption(where + ": not a delta image");
+  }
+  uint64_t stored_link = 0, base_fields = 0;
+  if (!GetVarint64(&value, &stored_link) ||
+      !GetVarint64(&value, &base_fields) || !value.empty()) {
+    return Status::Corruption(where + ": malformed header");
+  }
+  if (stored_link != link) {
+    return Status::Corruption(where + ": out of sequence (header names " +
+                              std::to_string(stored_link) + ")");
+  }
+  if (base_fields != old.size()) {
+    return Status::Corruption(where + ": header names " +
+                              std::to_string(base_fields) +
+                              " base fields, the base has " +
+                              std::to_string(old.size()));
+  }
+  KvBuffer out;
+  out.Reserve(base.bytes() + delta.bytes());
+  std::string grown;
+  while (reader.Next(&name, &value)) {
+    if (value.empty()) return Status::Corruption(where + ": truncated op");
+    const char kind = value[0];
+    value.remove_prefix(1);
+    if (kind == kOpLiteral) {
+      out.Append(name, value);
+      continue;
+    }
+    if (kind != kOpCopy && kind != kOpAppend) {
+      return Status::Corruption(where + ": unknown op");
+    }
+    uint64_t first = 0;
+    if (!GetVarint64(&value, &first)) {
+      return Status::Corruption(where + ": truncated op");
+    }
+    if (kind == kOpAppend) {
+      if (first >= old.size()) {
+        return Status::Corruption(where + ": append to a missing field");
+      }
+      grown.assign(old[first].payload);
+      grown.append(value);
+      out.Append(old[first].name, grown);
+      continue;
+    }
+    uint64_t count = 0;
+    if (!GetVarint64(&value, &count) || !value.empty()) {
+      return Status::Corruption(where + ": truncated op");
+    }
+    if (first > old.size() || count > old.size() - first) {
+      return Status::Corruption(where + ": copy range past the base");
+    }
+    for (uint64_t i = first; i < first + count; ++i) {
+      out.Append(old[i].name, old[i].payload);
+    }
+  }
+  if (!reader.AtEnd()) return Status::Corruption(where + ": truncated op");
+  return out;
+}
 
 }  // namespace
 
@@ -126,14 +301,63 @@ Result<KvBuffer> DecodeCheckpoint(const EncodedCheckpoint& image,
   return KvBuffer::FromData(std::move(payload), image.raw_count);
 }
 
+KvBuffer CheckpointChain::Next(KvBuffer full) {
+  KvBuffer image;
+  bool delta = false;
+  if (links_ > 0) {
+    image = DiffFields(base_, full, links_);
+    delta = delta_bytes_ + image.bytes() <= full_bytes_;
+  }
+  if (delta) {
+    delta_bytes_ += image.bytes();
+    ++links_;
+  } else {
+    image = full;
+    full_bytes_ = full.bytes();
+    delta_bytes_ = 0;
+    links_ = 1;
+  }
+  base_ = std::move(full);
+  return image;
+}
+
+Result<KvBuffer> ResolveCheckpointChain(std::vector<KvBuffer> links) {
+  if (links.empty()) return Status::Corruption("empty checkpoint chain");
+  KvBufferReader head(links[0]);
+  std::string_view name, value;
+  if (head.Next(&name, &value) && name == kDeltaHeader) {
+    return Status::Corruption("checkpoint chain starts with a delta image");
+  }
+  KvBuffer stream = std::move(links[0]);
+  for (size_t i = 1; i < links.size(); ++i) {
+    ASSIGN_OR_RETURN(stream, ApplyDelta(stream, links[i],
+                                        static_cast<uint32_t>(i)));
+  }
+  return stream;
+}
+
+void CheckpointStore::Put(EncodedCheckpoint image, uint32_t links) {
+  CHECK(links == 1 || (!links_.empty() && links == links_.back() + 1))
+      << "checkpoint instance " << instances_.size() << " claims " << links
+      << " chain links";
+  instances_.push_back(std::move(image));
+  links_.push_back(links);
+}
+
 Result<KvBuffer> CheckpointStore::Restore(RestoreStats* stats) const {
-  // Ladder: newest instance first; within an instance, replica slots in
-  // order. Every candidate charges its read; a corrupt one is rejected by
-  // the CRC/length verifier and the ladder moves on — the damage-and-prove
-  // step stored runs use (stored_run.h).
-  for (size_t i = instances_.size(); i-- > 0;) {
-    const EncodedCheckpoint& image = instances_[i];
-    const uint32_t ordinal = static_cast<uint32_t>(i);
+  // Ladder: newest instance first; for each, the links of its chain oldest
+  // first, and within a link replica slots in order. Every candidate
+  // charges its read; a corrupt one is rejected by the CRC/length verifier
+  // and the ladder moves on — the damage-and-prove step stored runs use
+  // (stored_run.h). Each link is walked once, however many candidates
+  // share it.
+  enum Walk : char { kUnwalked, kLost, kVerified };
+  std::vector<Walk> walked(instances_.size(), kUnwalked);
+  auto walk = [&](size_t k) {
+    if (walked[k] != kUnwalked) return walked[k] == kVerified;
+    walked[k] = kLost;
+    const EncodedCheckpoint& image = instances_[k];
+    const uint32_t ordinal = static_cast<uint32_t>(k);
     for (int slot = 0; slot < replication_; ++slot) {
       stats->bytes_read += image.framed.size();
       const int chain =
@@ -151,12 +375,29 @@ Result<KvBuffer> CheckpointStore::Restore(RestoreStats* stats) const {
         ++stats->corrupt_replicas;
         continue;
       }
-      Result<KvBuffer> fields = DecodeCheckpoint(image, image.framed);
-      CHECK(fields.ok()) << "clean checkpoint replica failed to decode: "
-                         << fields.status().ToString();
-      stats->ordinal = ordinal;
-      return fields;
+      walked[k] = kVerified;
+      return true;
     }
+    return false;
+  };
+  // A link with no verifiable replica rules out every instance of its
+  // chain from there on, so the next candidate is the one just below it.
+  for (size_t i = instances_.size(); i-- > 0;) {
+    const size_t base = i + 1 - links_[i];
+    size_t k = base;
+    while (k <= i && walk(k)) ++k;
+    if (k <= i) {
+      i = k;
+      continue;
+    }
+    std::vector<KvBuffer> chain;
+    for (k = base; k <= i; ++k) {
+      ASSIGN_OR_RETURN(KvBuffer fields,
+                       DecodeCheckpoint(instances_[k], instances_[k].framed));
+      chain.push_back(std::move(fields));
+    }
+    stats->ordinal = static_cast<uint32_t>(i);
+    return ResolveCheckpointChain(std::move(chain));
   }
   return Status::NotFound(
       "no verifiable checkpoint replica: full replay required");

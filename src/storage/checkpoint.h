@@ -7,18 +7,25 @@
 // so a damaged or mismatched image surfaces as Status::Corruption instead
 // of silently mis-seeding an engine.
 //
-// The field stream is a KvBuffer (name -> payload records), so it rides
-// the platform's existing byte paths: EncodeCheckpoint runs it through the
+// A reducer's images form chains. The first image of a chain is the full
+// field stream; each later one is a delta image (CheckpointChain) that
+// carries only the fields that changed since the previous image, and
+// ResolveCheckpointChain rebuilds the full stream from a chain's links.
+//
+// Every image is a KvBuffer (name -> payload records), so it rides the
+// platform's existing byte paths: EncodeCheckpoint runs it through the
 // block codec (DESIGN.md §5.5) when one is active and frames the result in
 // CRC32C blocks (DESIGN.md §5.2), which makes a stored checkpoint replica
 // torn-write-detectable exactly like a spill run or a DFS chunk.
 //
 // CheckpointStore holds the replicated instances for one reduce task and
-// implements the restore ladder: newest instance first, replica slots in
-// order, each candidate damaged per the FaultPlan's seeded draw and then
-// CRC-verified — a corrupt replica is rejected and the next one tried;
-// when every replica of every instance is bad the restore returns
-// NotFound and the caller falls back to full replay.
+// implements the restore ladder: newest instance first, and for each
+// instance the links of its chain, replica slots in order, each candidate
+// damaged per the FaultPlan's seeded draw and then CRC-verified — a
+// corrupt replica is rejected and the next one tried; an instance whose
+// chain has a link with no verifiable replica is skipped; when no
+// instance is left the restore returns NotFound and the caller falls
+// back to full replay.
 
 #ifndef ONEPASS_STORAGE_CHECKPOINT_H_
 #define ONEPASS_STORAGE_CHECKPOINT_H_
@@ -26,6 +33,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -39,6 +47,10 @@ namespace onepass {
 // Serializes named, typed fields into a KvBuffer in call order.
 class CheckpointWriter {
  public:
+  CheckpointWriter() = default;
+  // Continues (or holds) an already-built field stream.
+  explicit CheckpointWriter(KvBuffer fields) : fields_(std::move(fields)) {}
+
   void PutU64(std::string_view name, uint64_t v);
   // Stored as the IEEE-754 bit pattern, so save/restore round trips are
   // bit-exact (MergeScheduler sizes are doubles).
@@ -94,6 +106,41 @@ EncodedCheckpoint EncodeCheckpoint(const KvBuffer& fields,
 Result<KvBuffer> DecodeCheckpoint(const EncodedCheckpoint& image,
                                   std::string_view framed);
 
+// The save side of a reducer's image chain. Next() takes the engine's
+// full field stream and returns the image to store:
+//  - the full stream itself on the chain's first save, and whenever the
+//    chain's delta bytes since its full image would exceed that image's
+//    bytes (the compaction rule; it compares raw field-stream bytes, so
+//    no codec ratio enters it);
+//  - otherwise a delta image against the previous save's stream.
+// A delta is a KvBuffer of ops in the new stream's order: a header record
+// naming its link number (1 for the first delta after a full image) and
+// the base's field count, then ops that copy a run of unchanged base
+// fields, append a suffix to a base field that only grew, or carry a new
+// or changed field literally. The diff matches fields by name, so it
+// relies on field names being unique within a stream.
+class CheckpointChain {
+ public:
+  KvBuffer Next(KvBuffer full);
+
+  // Images in the chain ending at the last one Next() returned (1: a full
+  // image; 0: nothing saved yet).
+  uint32_t links() const { return links_; }
+
+ private:
+  KvBuffer base_;             // the previous save's full stream
+  uint64_t full_bytes_ = 0;   // raw bytes of the chain's full image
+  uint64_t delta_bytes_ = 0;  // raw delta bytes written since it
+  uint32_t links_ = 0;
+};
+
+// Rebuilds a full field stream from one chain: links[0] is a full image,
+// links[i] the i-th delta after it. A delta that does not apply to the
+// stream before it — a missing or out-of-sequence header, a base field
+// count that differs, a copy range past the base, an append to a missing
+// field, an unknown or truncated op — is Status::Corruption.
+Result<KvBuffer> ResolveCheckpointChain(std::vector<KvBuffer> links);
+
 // Replicated checkpoint instances for one reduce task.
 class CheckpointStore {
  public:
@@ -104,10 +151,10 @@ class CheckpointStore {
       : reduce_task_(reduce_task), replication_(replication), plan_(plan) {}
 
   // Stores the next checkpoint instance (its ordinal is the number of
-  // instances stored before it).
-  void Put(EncodedCheckpoint image) {
-    instances_.push_back(std::move(image));
-  }
+  // instances stored before it). `links` is the length of the chain it
+  // ends (CheckpointChain::links()): 1 for a full image, else one more
+  // than the instance before it.
+  void Put(EncodedCheckpoint image, uint32_t links = 1);
 
   struct RestoreStats {
     uint32_t ordinal = 0;        // instance the restore succeeded from
@@ -115,10 +162,13 @@ class CheckpointStore {
     uint64_t bytes_read = 0;     // framed bytes read across all candidates
   };
 
-  // Runs the restore ladder and returns the decoded field stream of the
-  // newest instance with a verifiable replica, or Status::NotFound when
-  // every replica of every instance is corrupt (caller falls back to full
-  // replay). Non-destructive; pure given (instances, plan).
+  // Runs the restore ladder and returns the resolved full field stream of
+  // the newest instance whose every chain link has a verifiable replica,
+  // or Status::NotFound when there is none (caller falls back to full
+  // replay). Each link's replicas are read at most once, even when several
+  // candidate instances share it. Bytes that verify but do not decode or
+  // resolve return Status::Corruption. Non-destructive; pure given
+  // (instances, plan).
   Result<KvBuffer> Restore(RestoreStats* stats) const;
 
   size_t instances() const { return instances_.size(); }
@@ -129,6 +179,7 @@ class CheckpointStore {
   int replication_;
   const sim::FaultPlan* plan_;
   std::vector<EncodedCheckpoint> instances_;
+  std::vector<uint32_t> links_;  // chain length ending at each instance
 };
 
 }  // namespace onepass

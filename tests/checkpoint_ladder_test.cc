@@ -1,11 +1,14 @@
 // CheckpointLadder (DESIGN.md §5.6): durable-instance registration,
-// replica placement, crash pruning, the newest-first restore choice and
-// the restore op chain, driven directly without a replay.
+// replica placement, crash pruning, the newest-first restore choice over
+// chains of delta images, and the restore op chain, driven directly
+// without a replay.
 
 #include "src/mr/checkpoint_ladder.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <initializer_list>
 #include <vector>
 
 #include "src/sim/fault_injector.h"
@@ -230,6 +233,214 @@ TEST(CheckpointLadderTest, ZeroBackoffRestoreChainHasNoStall) {
   for (const TraceOp& op : chain.ops) {
     EXPECT_NE(op.resource, OpResource::kStall);
   }
+}
+
+// ---- chains of delta images ----
+
+// One reduce task's marks with the given chain lengths: checkpoint c has
+// watermark 4(c + 1) and gate op 10(c + 1); a full image measures 1000 + c
+// framed bytes, a delta 100 + c, and either has twice that raw.
+std::vector<CheckpointMark> ChainMarks(std::initializer_list<uint32_t> links) {
+  std::vector<CheckpointMark> marks;
+  for (const uint32_t l : links) {
+    const uint32_t c = static_cast<uint32_t>(marks.size());
+    CheckpointMark mark = Mark(4 * (c + 1), (l == 1 ? 1000 : 100) + c,
+                               10 * (c + 1));
+    mark.links = l;
+    marks.push_back(mark);
+  }
+  return marks;
+}
+
+// The first task in [0, 20000) whose per-ordinal corruption draws match
+// `want` (ordinal -> whether every one of its 3 slots is corrupt).
+int FindTask(const sim::FaultPlan& plan,
+             const std::vector<std::pair<uint32_t, bool>>& want) {
+  for (int r = 0; r < 20000; ++r) {
+    bool match = true;
+    for (const auto& [ordinal, all_corrupt] : want) {
+      bool every = true;
+      for (int slot = 0; slot < 3; ++slot) {
+        every = every && plan.CheckpointCorruptions(r, ordinal, slot) > 0;
+      }
+      match = match && every == all_corrupt;
+    }
+    if (match) return r;
+  }
+  return -1;
+}
+
+// The replicas a walk of `ordinal`'s slots rejects before its first
+// verifiable one, with the replicas on writer, writer + 1, writer + 2.
+std::vector<CheckpointLadder::TriedReplica> Rejected(
+    const sim::FaultPlan& plan, int r, uint32_t ordinal, int writer,
+    uint64_t bytes) {
+  std::vector<CheckpointLadder::TriedReplica> tried;
+  for (int slot = 0; slot < 3; ++slot) {
+    if (plan.CheckpointCorruptions(r, ordinal, slot) == 0) break;
+    tried.push_back({slot, (writer + slot) % 4, bytes});
+  }
+  return tried;
+}
+
+void ExpectTried(const std::vector<CheckpointLadder::TriedReplica>& got,
+                 const std::vector<CheckpointLadder::TriedReplica>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].slot, want[i].slot) << i;
+    EXPECT_EQ(got[i].node, want[i].node) << i;
+    EXPECT_EQ(got[i].bytes, want[i].bytes) << i;
+  }
+}
+
+TEST(CheckpointLadderTest, CorruptMiddleLinkFallsBackToAWholeChain) {
+  const JobConfig cfg = LadderConfig(0.5);
+  const sim::FaultPlan plan(cfg.faults, cfg.seed);
+  // Two chains: full 0, deltas 1-2; full 3, deltas 4-5.
+  const std::vector<CheckpointMark> marks = ChainMarks({1, 2, 3, 1, 2, 3});
+  auto ladder_for = [&](int r) {
+    auto ladder = std::make_unique<CheckpointLadder>(
+        cfg, plan,
+        std::vector<std::vector<CheckpointMark>>(static_cast<size_t>(r + 1),
+                                                 marks));
+    for (const CheckpointMark& m : marks) ladder->OpDone(r, m.gate_op, r % 4);
+    return ladder;
+  };
+
+  // Link 4 is corrupt everywhere: instances 4 and 5 are unusable, and the
+  // newest whole chain is the full image 3. Link 3 is walked once, though
+  // both candidates include it; instance 5's own replicas are never read.
+  int r = FindTask(plan, {{3, false}, {4, true}});
+  ASSERT_GE(r, 0);
+  CheckpointLadder::Choice choice = ladder_for(r)->Choose(r);
+  EXPECT_TRUE(choice.had_durable);
+  EXPECT_EQ(choice.ordinal, 3);
+  EXPECT_EQ(choice.watermark, 16u);
+  EXPECT_TRUE(choice.base_nodes.empty());
+  std::vector<CheckpointLadder::TriedReplica> want =
+      Rejected(plan, r, 3, r % 4, 1003);
+  for (int slot = 0; slot < 3; ++slot) {
+    want.push_back({slot, (r % 4 + slot) % 4, 104});
+  }
+  ExpectTried(choice.tried, want);
+
+  // The second chain's full image is corrupt everywhere: the ladder falls
+  // back to the first chain's newest instance and reads all its links.
+  r = FindTask(plan, {{0, false}, {1, false}, {2, false}, {3, true}});
+  ASSERT_GE(r, 0);
+  choice = ladder_for(r)->Choose(r);
+  EXPECT_EQ(choice.ordinal, 2);
+  EXPECT_EQ(choice.watermark, 12u);
+  ASSERT_EQ(choice.base_nodes.size(), 2u);
+  want.clear();
+  for (int slot = 0; slot < 3; ++slot) {
+    want.push_back({slot, (r % 4 + slot) % 4, 1003});
+  }
+  const uint64_t bytes[] = {1000, 101, 102};
+  for (uint32_t k = 0; k < 3; ++k) {
+    const auto rejected = Rejected(plan, r, k, r % 4, bytes[k]);
+    want.insert(want.end(), rejected.begin(), rejected.end());
+    const int holder = (r % 4 + static_cast<int>(rejected.size())) % 4;
+    EXPECT_EQ(k < 2 ? choice.base_nodes[k] : choice.node, holder) << k;
+  }
+  ExpectTried(choice.tried, want);
+
+  // Both full images corrupt everywhere: nothing is usable.
+  r = FindTask(plan, {{0, true}, {3, true}});
+  ASSERT_GE(r, 0);
+  const auto lost = ladder_for(r);
+  choice = lost->Choose(r);
+  EXPECT_TRUE(choice.had_durable);
+  EXPECT_LT(choice.node, 0);
+  EXPECT_EQ(choice.tried.size(), 6u);
+  EXPECT_EQ(lost->Watermark(r), 0u);
+}
+
+TEST(CheckpointLadderTest, LostMiddleLinkMakesNewerInstancesUnusable) {
+  JobConfig cfg = LadderConfig(0);
+  cfg.checkpoint_replication = 1;
+  const sim::FaultPlan plan(cfg.faults, cfg.seed);
+  CheckpointLadder ladder(cfg, plan, {ChainMarks({1, 2, 3})});
+  ladder.OpDone(0, 10, 0);
+  ladder.OpDone(0, 20, 1);
+  ladder.OpDone(0, 30, 2);
+  CheckpointLadder::Choice choice = ladder.Choose(0);
+  EXPECT_EQ(choice.ordinal, 2);
+  EXPECT_EQ(choice.node, 2);
+  EXPECT_EQ(choice.base_nodes, (std::vector<int>{0, 1}));
+
+  ladder.NodeDied(1);  // takes link 1, the only replica
+  choice = ladder.Choose(0);
+  EXPECT_EQ(choice.ordinal, 0);
+  EXPECT_EQ(choice.node, 0);
+  EXPECT_TRUE(choice.base_nodes.empty());
+  EXPECT_TRUE(choice.tried.empty());
+  EXPECT_EQ(ladder.Watermark(0), 4u);
+
+  ladder.NodeDied(0);  // and the full image: full replay
+  choice = ladder.Choose(0);
+  EXPECT_TRUE(choice.had_durable);
+  EXPECT_LT(choice.node, 0);
+  EXPECT_EQ(ladder.Watermark(0), 0u);
+}
+
+TEST(CheckpointLadderTest, RestoreChainReadsEachLinkOnce) {
+  JobConfig cfg = LadderConfig(0);
+  cfg.block_codec = BlockCodecKind::kLz;
+  const sim::FaultPlan plan(cfg.faults, cfg.seed);
+  const CheckpointLadder ladder(cfg, plan, {ChainMarks({1, 2, 3})});
+  CheckpointLadder::Choice choice;
+  choice.ordinal = 2;
+  choice.watermark = 12;
+  choice.node = 3;
+  choice.base_nodes = {1, 0};
+
+  // Attempt on node 1, which holds the full image: a local read, then one
+  // pull per delta, no wait between links, and one decode of the chain's
+  // summed raw bytes.
+  const CostTrace chain = ladder.RestoreChain(0, choice, 1);
+  ASSERT_EQ(chain.ops.size(), 4u);
+  EXPECT_EQ(chain.ops[0].resource, OpResource::kDisk);
+  EXPECT_TRUE(chain.ops[0].is_read);
+  EXPECT_EQ(chain.ops[0].bytes, 1000u);
+  EXPECT_EQ(chain.ops[1].resource, OpResource::kNet);
+  EXPECT_EQ(chain.ops[1].bytes, 101u);
+  EXPECT_EQ(chain.ops[2].resource, OpResource::kNet);
+  EXPECT_EQ(chain.ops[2].bytes, 102u);
+  EXPECT_EQ(chain.ops[3].resource, OpResource::kCpu);
+  EXPECT_DOUBLE_EQ(chain.ops[3].cpu_s,
+                   cfg.costs.decompress_byte_s * (2000 + 202 + 204));
+  for (const TraceOp& op : chain.ops) EXPECT_EQ(op.tag, OpTag::kCheckpoint);
+}
+
+TEST(CheckpointLadderTest, RestoreChainBacksOffOnlyAfterRejectedReplicas) {
+  const JobConfig cfg = LadderConfig(0);
+  const sim::FaultPlan plan(cfg.faults, cfg.seed);
+  const CheckpointLadder ladder(cfg, plan, {ChainMarks({1, 2, 3})});
+  CheckpointLadder::Choice choice;
+  choice.ordinal = 2;
+  choice.watermark = 12;
+  choice.node = 2;
+  choice.base_nodes = {0, 1};
+  choice.tried = {{0, 3, 1000}, {1, 0, 101}};
+
+  const CostTrace chain = ladder.RestoreChain(0, choice, 2);
+  // Two rejected reads, each followed by a backoff; then the three links
+  // back to back; no decode under kNone.
+  const std::vector<OpResource> want = {
+      OpResource::kNet,   OpResource::kStall, OpResource::kNet,
+      OpResource::kStall, OpResource::kNet,   OpResource::kNet,
+      OpResource::kDisk};
+  ASSERT_EQ(chain.ops.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(chain.ops[i].resource, want[i]) << "op " << i;
+  }
+  EXPECT_GT(chain.ops[3].cpu_s, chain.ops[1].cpu_s);  // exponential
+  EXPECT_EQ(chain.ops[0].bytes, 1000u);
+  EXPECT_EQ(chain.ops[2].bytes, 101u);
+  EXPECT_EQ(chain.ops[4].bytes, 1000u);
+  EXPECT_EQ(chain.ops[5].bytes, 101u);
+  EXPECT_EQ(chain.ops[6].bytes, 102u);
 }
 
 }  // namespace

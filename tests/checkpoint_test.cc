@@ -1,22 +1,26 @@
 // Checkpoint unit behaviour (DESIGN.md §5.6): typed field streams that
 // fail loudly on schema drift, encoded images whose damage is caught by
-// the CRC framing, a restore ladder consistent with the FaultPlan's pure
-// draws, and — the core property — a mid-stream SaveCheckpoint /
-// RestoreCheckpoint round trip on every engine that leaves the final
-// output byte-identical to an uninterrupted run.
+// the CRC framing, delta images whose forged or mutated op streams are
+// rejected as Corruption, a restore ladder consistent with the FaultPlan's
+// pure draws, and — the core property — SaveCheckpoint / RestoreCheckpoint
+// round trips through whole image chains on every engine that leave the
+// final output byte-identical to an uninterrupted run.
 
 #include "src/storage/checkpoint.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "src/sim/fault_injector.h"
 #include "src/storage/framed_io.h"
+#include "src/util/coding.h"
 #include "src/util/random.h"
 #include "tests/engine_test_util.h"
 
@@ -153,6 +157,195 @@ TEST(CheckpointImageTest, TornWriteIsCaught) {
   }
 }
 
+// ---- delta images ----
+
+// The delta layout checkpoint.h documents, for forging images by hand: a
+// header record (link, base field count), then one record per op whose
+// value starts with the op byte.
+constexpr std::string_view kDeltaHeader("\0ckpt.delta", 11);
+
+std::string Varints(std::initializer_list<uint64_t> values) {
+  std::string out;
+  for (const uint64_t v : values) PutVarint64(&out, v);
+  return out;
+}
+
+KvBuffer ForgedDelta(
+    uint64_t link, uint64_t base_fields,
+    const std::vector<std::pair<std::string, std::string>>& ops) {
+  KvBuffer delta;
+  delta.Append(kDeltaHeader, Varints({link, base_fields}));
+  for (const auto& [name, op] : ops) delta.Append(name, op);
+  return delta;
+}
+
+// SampleFields after one more delivery: one value grew, one entry is new,
+// two counters changed.
+KvBuffer GrownFields() {
+  CheckpointWriter w;
+  w.PutU64("entries", 4);
+  for (int i = 0; i < 4; ++i) {
+    const std::string tag = std::to_string(i);
+    w.PutBytes("k." + tag, "key" + tag);
+    w.PutBytes("v." + tag,
+               std::string(i == 1 ? 260 : 200, static_cast<char>('a' + i)));
+  }
+  w.PutF64("watermark", 0.75);
+  return w.Take();
+}
+
+// A chain's second image: a delta of GrownFields against SampleFields.
+KvBuffer SampleDelta() {
+  CheckpointChain chain;
+  chain.Next(SampleFields());
+  KvBuffer delta = chain.Next(GrownFields());
+  EXPECT_EQ(chain.links(), 2u);
+  return delta;
+}
+
+TEST(CheckpointDeltaTest, DeltaCarriesOnlyChangesAndResolves) {
+  const KvBuffer delta = SampleDelta();
+  // Copy runs for the unchanged fields, one append for v.1, literals for
+  // the rest: far smaller than the stream it rebuilds.
+  std::map<char, int> ops;
+  KvBufferReader reader(delta);
+  std::string_view name, value;
+  ASSERT_TRUE(reader.Next(&name, &value));
+  EXPECT_EQ(name, kDeltaHeader);
+  EXPECT_EQ(value, Varints({1, SampleFields().count()}));
+  while (reader.Next(&name, &value)) ++ops[value[0]];
+  EXPECT_GT(ops['c'], 0);
+  EXPECT_EQ(ops['a'], 1);
+  EXPECT_GT(ops['l'], 0);
+  EXPECT_LT(delta.bytes(), GrownFields().bytes() / 2);
+
+  auto resolved = ResolveCheckpointChain({SampleFields(), delta});
+  ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+  ExpectSameFields(resolved.value(), GrownFields());
+}
+
+TEST(CheckpointDeltaTest, CompactsWhenDeltasOutgrowTheFullImage) {
+  // Every save after the first rewrites one 400-byte field of a
+  // 2,035-byte stream, so each delta is a little over a fifth of the full
+  // image: four deltas fit, the fifth would push the chain's delta bytes
+  // past the full image's and is written as a new full image instead.
+  CheckpointChain chain;
+  std::vector<char> fill(5, 'a');
+  std::vector<uint32_t> links;
+  for (int save = 0; save < 12; ++save) {
+    if (save > 0) {
+      fill[static_cast<size_t>(save % 5)] = static_cast<char>('a' + save);
+    }
+    CheckpointWriter w;
+    for (size_t f = 0; f < fill.size(); ++f) {
+      w.PutBytes("f." + std::to_string(f), std::string(400, fill[f]));
+    }
+    chain.Next(w.Take());
+    links.push_back(chain.links());
+  }
+  EXPECT_EQ(links,
+            (std::vector<uint32_t>{1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 1, 2}));
+}
+
+TEST(CheckpointDeltaTest, ForgedDeltasAreCorruption) {
+  const uint64_t n = SampleFields().count();
+  struct Forged {
+    const char* reason;  // what the Corruption message must name
+    KvBuffer delta;
+  };
+  const Forged forged[] = {
+      {"copy range past the base",
+       ForgedDelta(1, n, {{"", "c" + Varints({n - 2, 3})}})},
+      {"copy range past the base",
+       ForgedDelta(1, n, {{"", "c" + Varints({1, UINT64_MAX})}})},
+      {"append to a missing field",
+       ForgedDelta(1, n, {{"", "a" + Varints({n}) + "tail"}})},
+      {"base fields", ForgedDelta(1, n + 1, {{"", "c" + Varints({0, n})}})},
+      {"out of sequence", ForgedDelta(2, n, {{"", "c" + Varints({0, n})}})},
+      {"truncated op", ForgedDelta(1, n, {{"", "c" + Varints({0})}})},
+      {"truncated op", ForgedDelta(1, n, {{"", "a"}})},
+      {"truncated op", ForgedDelta(1, n, {{"k.9", ""}})},
+      {"unknown op", ForgedDelta(1, n, {{"", "z"}})},
+      {"not a delta image",
+       KvBuffer::FromData(SampleFields().data(), SampleFields().count())},
+  };
+  for (const Forged& f : forged) {
+    auto resolved = ResolveCheckpointChain({SampleFields(), f.delta});
+    EXPECT_TRUE(resolved.status().IsCorruption()) << f.reason;
+    EXPECT_NE(resolved.status().ToString().find(f.reason), std::string::npos)
+        << resolved.status().ToString();
+  }
+  // A delta whose record bytes stop mid-op.
+  std::string cut = SampleDelta().data();
+  cut.resize(cut.size() - 3);
+  auto truncated = ResolveCheckpointChain(
+      {SampleFields(), KvBuffer::FromData(cut, SampleDelta().count())});
+  EXPECT_TRUE(truncated.status().IsCorruption());
+  // A valid delta in the wrong place: as a chain's first link, and as its
+  // second delta.
+  EXPECT_TRUE(ResolveCheckpointChain({SampleDelta()}).status().IsCorruption());
+  EXPECT_TRUE(ResolveCheckpointChain({SampleFields(), SampleDelta(),
+                                      SampleDelta()})
+                  .status()
+                  .IsCorruption());
+}
+
+TEST(CheckpointDeltaTest, StoreReturnsCorruptionForABadLink) {
+  // The link verifies (its CRCs are sound) but does not apply: Restore
+  // returns the resolver's status instead of aborting.
+  CheckpointStore store(/*reduce_task=*/0, /*replication=*/2,
+                        /*plan=*/nullptr);
+  store.Put(EncodeCheckpoint(SampleFields(), BlockCodecKind::kLz, 256, 128));
+  const uint64_t n = SampleFields().count();
+  store.Put(EncodeCheckpoint(
+                ForgedDelta(1, n, {{"", "c" + Varints({n, 1})}}),
+                BlockCodecKind::kLz, 256, 128),
+            /*links=*/2);
+  CheckpointStore::RestoreStats stats;
+  auto fields = store.Restore(&stats);
+  EXPECT_TRUE(fields.status().IsCorruption()) << fields.status().ToString();
+}
+
+TEST(CheckpointDeltaTest, MutatedOpStreamsNeverAbort) {
+  // Seeded mutations of a valid delta's op stream (not its framed bytes,
+  // which the CRCs cover): every outcome is a stream or a Corruption.
+  const KvBuffer base = SampleFields();
+  const KvBuffer delta = SampleDelta();
+  Xoshiro256StarStar rng(0xDE17A);
+  int rejected = 0, resolved = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string bytes = delta.data();
+    const int edits = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int e = 0; e < edits && !bytes.empty(); ++e) {
+      const size_t at = rng.NextBounded(bytes.size());
+      switch (rng.NextBounded(4)) {
+        case 0:  // flip one bit
+          bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.NextBounded(8)));
+          break;
+        case 1:  // overwrite one byte
+          bytes[at] = static_cast<char>(rng.NextBounded(256));
+          break;
+        case 2:  // truncate
+          bytes.resize(at);
+          break;
+        default:  // duplicate a slice
+          bytes.insert(at, bytes.substr(at, rng.NextBounded(16)));
+          break;
+      }
+    }
+    auto out = ResolveCheckpointChain(
+        {base, KvBuffer::FromData(std::move(bytes), delta.count())});
+    if (out.ok()) {
+      ++resolved;
+    } else {
+      ASSERT_TRUE(out.status().IsCorruption()) << out.status().ToString();
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 1000);
+  EXPECT_GT(resolved, 0);  // e.g. a flipped bit inside a literal's bytes
+}
+
 // ---- the restore ladder vs the plan's pure draws ----
 
 TEST(CheckpointStoreTest, CleanStoreRestoresNewestInstance) {
@@ -284,11 +477,13 @@ class SumListReducer : public Reducer {
   }
 };
 
-std::vector<KvBuffer> CheckpointWorkload(bool sorted) {
+std::vector<KvBuffer> CheckpointWorkload(bool sorted, size_t deliveries = 10,
+                                         int records = 4000) {
   Xoshiro256StarStar rng = PerTaskRng(0xC4E0, 7);
   ZipfGenerator zipf(400, 0.9);
-  std::vector<std::vector<std::pair<std::string, std::string>>> pairs(10);
-  for (int i = 0; i < 4000; ++i) {
+  std::vector<std::vector<std::pair<std::string, std::string>>> pairs(
+      deliveries);
+  for (int i = 0; i < records; ++i) {
     std::string key = "k" + std::to_string(zipf.Next(&rng));
     std::string value = std::to_string(1 + rng.NextBounded(5));
     value += ':';
@@ -395,6 +590,119 @@ TEST(CheckpointEngineTest, MidStreamRestoreIsByteIdenticalOnAllEngines) {
             RunWithMidStreamRestore(kind, codec, segs, sorted, cut);
         ExpectSameRecords(straight, resumed,
                           label + " cut=" + std::to_string(cut));
+      }
+    }
+  }
+}
+
+// ---- chains of delta images on every engine ----
+
+// One engine run that saves a checkpoint after every `every`-th delivery
+// and keeps each image, as the cluster would, in a CheckpointStore.
+struct SavedRun {
+  std::vector<EncodedCheckpoint> images;
+  std::vector<uint32_t> links;       // chain length ending at each image
+  std::vector<size_t> watermarks;    // deliveries consumed before it
+  std::vector<Record> outputs;
+};
+
+SavedRun RunSavingEvery(EngineKind kind, BlockCodecKind codec,
+                        const std::vector<KvBuffer>& segs, bool sorted,
+                        size_t every) {
+  SavedRun run;
+  EngineHarness h = MakeCheckpointHarness(kind, codec);
+  for (size_t i = 0; i < segs.size(); ++i) {
+    EXPECT_TRUE(h.Consume(segs[i], sorted).ok());
+    if ((i + 1) % every != 0) continue;
+    CheckpointWriter w;
+    EXPECT_TRUE(h.engine->SaveCheckpoint(&w).ok());
+    run.images.push_back(EncodeCheckpoint(w.fields(), codec,
+                                          h.config.codec_block_bytes,
+                                          h.config.integrity.block_bytes));
+    run.links.push_back(h.engine->checkpoint_links());
+    run.watermarks.push_back(i + 1);
+  }
+  EXPECT_TRUE(h.Finish().ok());
+  run.outputs = std::move(h.outputs);
+  return run;
+}
+
+// Restores a fresh engine from the store holding `run`'s images up to and
+// including `last` (so the ladder's newest instance is `last`), then
+// consumes the rest of the deliveries and finishes.
+std::vector<Record> ResumeFrom(EngineKind kind, BlockCodecKind codec,
+                               const std::vector<KvBuffer>& segs,
+                               bool sorted, const SavedRun& run,
+                               size_t last) {
+  CheckpointStore store(/*reduce_task=*/0, /*replication=*/1,
+                        /*plan=*/nullptr);
+  for (size_t k = 0; k <= last; ++k) store.Put(run.images[k], run.links[k]);
+  CheckpointStore::RestoreStats stats;
+  auto fields = store.Restore(&stats);
+  EXPECT_TRUE(fields.ok()) << fields.status().ToString();
+  if (!fields.ok()) return {};
+  EXPECT_EQ(stats.ordinal, last);
+  // Every link of the chain is read once.
+  uint64_t chain_bytes = 0;
+  for (size_t k = last + 1 - run.links[last]; k <= last; ++k) {
+    chain_bytes += run.images[k].framed.size();
+  }
+  EXPECT_EQ(stats.bytes_read, chain_bytes);
+
+  EngineHarness h = MakeCheckpointHarness(kind, codec);
+  CheckpointReader r(fields.value());
+  EXPECT_TRUE(h.engine->RestoreCheckpoint(&r).ok());
+  for (size_t i = run.watermarks[last]; i < segs.size(); ++i) {
+    EXPECT_TRUE(h.Consume(segs[i], sorted).ok());
+  }
+  EXPECT_TRUE(h.Finish().ok());
+  return std::move(h.outputs);
+}
+
+TEST(CheckpointEngineTest, ChainRestoresAreByteIdenticalOnAllEngines) {
+  constexpr EngineKind kKinds[] = {EngineKind::kSortMerge,
+                                   EngineKind::kMRHash, EngineKind::kIncHash,
+                                   EngineKind::kDincHash};
+  for (const EngineKind kind : kKinds) {
+    const bool sorted = kind == EngineKind::kSortMerge;
+    const std::vector<KvBuffer> segs =
+        CheckpointWorkload(sorted, /*deliveries=*/20, /*records=*/3000);
+    for (const BlockCodecKind codec :
+         {BlockCodecKind::kNone, BlockCodecKind::kLz}) {
+      const std::vector<Record> straight =
+          RunStraightThrough(kind, codec, segs, sorted);
+      ASSERT_FALSE(straight.empty());
+      for (const size_t every : {size_t{1}, size_t{3}}) {
+        const std::string label =
+            std::string(EngineKindName(kind)) +
+            (codec == BlockCodecKind::kLz ? "+lz" : "+raw") +
+            " every=" + std::to_string(every);
+        const SavedRun run = RunSavingEvery(kind, codec, segs, sorted, every);
+        // Saving never changes the answer.
+        ExpectSameRecords(straight, run.outputs, label + " saving run");
+
+        // The sequence holds deltas and at least one compaction (a full
+        // image after the first) that a delta follows.
+        size_t compaction = 0, mid_delta = 0;
+        for (size_t k = 1; k + 1 < run.links.size(); ++k) {
+          if (compaction == 0 && run.links[k] == 1 && run.links[k + 1] == 2) {
+            compaction = k;
+          }
+          if (mid_delta == 0 && run.links[k] > 1 &&
+              run.links[k + 1] == run.links[k] + 1) {
+            mid_delta = k;
+          }
+        }
+        ASSERT_GT(compaction, 0u) << label << ": no compaction";
+        ASSERT_GT(mid_delta, 0u) << label << ": no mid-chain delta";
+
+        for (const size_t last : {size_t{0}, mid_delta, compaction + 1,
+                                  run.links.size() - 1}) {
+          ExpectSameRecords(
+              straight, ResumeFrom(kind, codec, segs, sorted, run, last),
+              label + " from image " + std::to_string(last) + " (links " +
+                  std::to_string(run.links[last]) + ")");
+        }
       }
     }
   }

@@ -46,6 +46,15 @@ GrowingLog MakeLog(int iterations) {
                              /*chunk_bytes=*/64 << 10, /*nodes=*/4);
 }
 
+// "INC-hash" -> "INC_hash": gtest names allow no '-'.
+std::string EngineTestName(const ::testing::TestParamInfo<EngineKind>& info) {
+  std::string name(EngineKindName(info.param));
+  for (char& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name;
+}
+
 class JobChainExactness : public ::testing::TestWithParam<EngineKind> {};
 
 TEST_P(JobChainExactness, GrowingLogChainEqualsColdJobOverUnion) {
@@ -108,13 +117,45 @@ INSTANTIATE_TEST_SUITE_P(
     Engines, JobChainExactness,
     ::testing::Values(EngineKind::kSortMerge, EngineKind::kMRHash,
                       EngineKind::kIncHash, EngineKind::kDincHash),
-    [](const ::testing::TestParamInfo<EngineKind>& info) {
-      std::string name(EngineKindName(info.param));
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+    EngineTestName);
+
+// Checkpoint chains and the resident state carry in one job: the engine
+// writes delta images every 4 deliveries, and the state the next stage
+// adopts must still be the full stream — a delta would not restore, and
+// the adopting stage would fail or diverge from the cold job.
+class JobChainCheckpointed : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(JobChainCheckpointed, AdoptedStateIsFullUnderCheckpointChains) {
+  const GrowingLog log = MakeLog(2);
+  JobConfig cfg = ChainConfig(GetParam());
+  cfg.checkpoint_interval_segments = 4;
+  auto chain = JobManager::RunChain({{ClickCountJob(), cfg,
+                                      log.deltas[0].get()},
+                                     {ClickCountJob(), cfg,
+                                      log.deltas[1].get()}});
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  ASSERT_EQ(chain->iterations.size(), 2u);
+  const JobMetrics& first = chain->iterations[0].metrics;
+  // Several images per reducer, so each chain reaches its deltas.
+  EXPECT_GT(first.checkpoints_written,
+            2u * static_cast<uint64_t>(cfg.cluster.nodes *
+                                       cfg.reducers_per_node));
+  EXPECT_GT(first.resident_state_saved_bytes, 0u);
+  EXPECT_GT(chain->iterations[1].metrics.resident_state_restores, 0u);
+
+  JobConfig cold_cfg = cfg;
+  cold_cfg.shuffle_mode = ShuffleMode::kDisk;
+  cold_cfg.checkpoint_interval_segments = 0;
+  auto cold = LocalCluster::RunJob(ClickCountJob(), cold_cfg,
+                                   *log.fulls.back());
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(SortedOutputs(chain->iterations.back()), SortedOutputs(*cold));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, JobChainCheckpointed,
+    ::testing::Values(EngineKind::kIncHash, EngineKind::kDincHash),
+    EngineTestName);
 
 TEST(JobChainTest, RepeatedSameInputChainIsExactAndCachesInput) {
   // Idempotent aggregate (min label) re-run over the same store: every
