@@ -53,9 +53,10 @@ struct Flags {
   // the detected tier.
   uint64_t batch_size = 0;
   std::string simd = "auto";
-  // Resident shuffle engine (DESIGN.md §5.9). --iterations=N sets
-  // JobConfig::iterations (chain length for iterative benches);
-  // --shuffle_mode=disk|resident sets JobConfig::shuffle_mode.
+  // Resident shuffle engine (DESIGN.md §5.9). --iterations=N is
+  // bench_iterative's chain length (stages per RunJobChain; not a
+  // JobConfig field); --shuffle_mode=disk|resident sets
+  // JobConfig::shuffle_mode.
   int iterations = 1;
   std::string shuffle_mode = "disk";
   // Node combine tier (DESIGN.md §5.10). --combine_scope=task|node sets
@@ -153,14 +154,13 @@ inline ShuffleMode ShuffleModeFromFlag(const std::string& name) {
 }
 
 // Applies the data-plane flags (--threads/--codec/--batch_size/
-// --iterations/--shuffle_mode/--combine_scope/--node_combine_budget) to a
-// job config. Every bench routes its config through here so the whole
-// suite exposes the same knobs.
+// --shuffle_mode/--combine_scope/--node_combine_budget) to a job config.
+// Every bench routes its config through here so the whole suite exposes
+// the same knobs.
 inline void ApplyDataPlaneFlags(const Flags& flags, JobConfig* cfg) {
   cfg->data_plane_threads = flags.threads;
   cfg->block_codec = CodecFromFlag(flags.codec);
   cfg->batch_records = flags.batch_size;
-  cfg->iterations = flags.iterations < 1 ? 1 : flags.iterations;
   cfg->shuffle_mode = ShuffleModeFromFlag(flags.shuffle_mode);
   cfg->combine_scope = CombineScopeFromFlag(flags.combine_scope);
   cfg->node_combine_budget_bytes = flags.node_combine_budget;

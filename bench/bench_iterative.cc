@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/mr/job_manager.h"
+#include "src/mr/job_chain.h"
 #include "src/workloads/iterative.h"
 #include "src/workloads/jobs.h"
 
@@ -47,7 +47,7 @@ double HitRatio(const onepass::JobResult& r) {
 
 onepass::Result<onepass::ChainResult> MustChain(
     const std::vector<onepass::ChainStage>& stages) {
-  auto r = onepass::JobManager::RunChain(stages);
+  auto r = onepass::RunJobChain(stages);
   if (!r.ok()) {
     std::fprintf(stderr, "chain failed: %s\n",
                  r.status().ToString().c_str());
@@ -154,7 +154,6 @@ int main(int argc, char** argv) {
     warm_cfg.shuffle_mode = ShuffleMode::kResident;
     warm_cfg.map_side_combine = true;
     warm_cfg.collect_outputs = true;
-    warm_cfg.iterations = iters;
     JobConfig cold_cfg = warm_cfg;
     cold_cfg.shuffle_mode = ShuffleMode::kDisk;
 

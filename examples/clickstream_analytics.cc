@@ -39,6 +39,7 @@ int main() {
   std::printf("%-12s %10s %12s %14s %22s\n", "engine", "time(s)",
               "spill(MB)", "early out(%)", "reduce%@maps-done");
 
+  bool all_ok = true;
   for (EngineKind kind :
        {EngineKind::kSortMerge, EngineKind::kMRHash, EngineKind::kIncHash,
         EngineKind::kDincHash}) {
@@ -61,6 +62,7 @@ int main() {
       std::fprintf(stderr, "%s failed: %s\n",
                    std::string(EngineKindName(kind)).c_str(),
                    r.status().ToString().c_str());
+      all_ok = false;
       continue;
     }
     const double early =
@@ -80,5 +82,5 @@ int main() {
       "results for memory-resident users; DINC-hash\nadditionally evicts "
       "expired sessions instead of spilling them, so nearly all output\n"
       "is produced while the data is still arriving.\n");
-  return 0;
+  return all_ok ? 0 : 1;
 }

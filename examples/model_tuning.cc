@@ -68,11 +68,17 @@ int main() {
     ChunkStore input(cfg.chunk_bytes, cfg.cluster.nodes);
     GenerateClickStream(clicks, &input);
     auto r = LocalCluster::RunJob(SessionizationJob(), cfg, input);
-    return r.ok() ? r->running_time : -1.0;
+    if (!r.ok()) {
+      std::fprintf(stderr, "job (C=%.0f KB, F=%.0f) failed: %s\n", c / 1024,
+                   f, r.status().ToString().c_str());
+      return -1.0;
+    }
+    return r->running_time;
   };
 
   const double good = run(best.settings.c, best.settings.f);
   const double bad = run(32 << 10, 3);
+  if (good < 0 || bad < 0) return 1;
   std::printf("measured: recommended setting %.2f s, bad setting "
               "(C=32KB, F=3) %.2f s  -> %.0f%% slower\n",
               good, bad, 100.0 * (bad - good) / good);

@@ -1,3 +1,5 @@
+#include <string>
+
 #include "src/engine/dinc_hash_engine.h"
 #include "src/engine/group_by_engine.h"
 #include "src/engine/inc_hash_engine.h"
@@ -6,33 +8,41 @@
 
 namespace onepass {
 
-Result<std::unique_ptr<GroupByEngine>> CreateGroupByEngine(
-    EngineKind kind, const EngineContext& ctx) {
+Status CheckReduceContract(EngineKind kind, bool has_reducer, bool has_inc,
+                           bool values_are_states) {
   switch (kind) {
     case EngineKind::kSortMerge:
-      if (ctx.reducer == nullptr &&
-          !(ctx.inc != nullptr && ctx.values_are_states)) {
-        return Status::InvalidArgument(
-            "sort-merge needs a Reducer (or an IncrementalReducer with "
-            "map-side init)");
-      }
+      if (has_reducer || (has_inc && values_are_states)) return Status::OK();
+      return Status::InvalidArgument(
+          "sort-merge needs a Reducer, or an IncrementalReducer whose "
+          "states the map side builds (map_side_combine)");
+    case EngineKind::kMRHash:
+      if (has_reducer) return Status::OK();
+      return Status::InvalidArgument(
+          "MR-hash needs a Reducer (the values-list reduce API)");
+    case EngineKind::kIncHash:
+    case EngineKind::kDincHash:
+      if (has_inc) return Status::OK();
+      return Status::InvalidArgument(std::string(EngineKindName(kind)) +
+                                     " needs an IncrementalReducer "
+                                     "(init/cb/fn)");
+  }
+  return Status::InvalidArgument("unknown engine kind");
+}
+
+Result<std::unique_ptr<GroupByEngine>> CreateGroupByEngine(
+    EngineKind kind, const EngineContext& ctx) {
+  RETURN_IF_ERROR(CheckReduceContract(kind, ctx.reducer != nullptr,
+                                      ctx.inc != nullptr,
+                                      ctx.values_are_states));
+  switch (kind) {
+    case EngineKind::kSortMerge:
       return std::unique_ptr<GroupByEngine>(new SortMergeEngine(ctx));
     case EngineKind::kMRHash:
-      if (ctx.reducer == nullptr) {
-        return Status::InvalidArgument("MR-hash needs a Reducer");
-      }
       return std::unique_ptr<GroupByEngine>(new MRHashEngine(ctx));
     case EngineKind::kIncHash:
-      if (ctx.inc == nullptr) {
-        return Status::InvalidArgument(
-            "INC-hash needs an IncrementalReducer");
-      }
       return std::unique_ptr<GroupByEngine>(new IncHashEngine(ctx));
     case EngineKind::kDincHash:
-      if (ctx.inc == nullptr) {
-        return Status::InvalidArgument(
-            "DINC-hash needs an IncrementalReducer");
-      }
       return std::unique_ptr<GroupByEngine>(new DincHashEngine(ctx));
   }
   return Status::InvalidArgument("unknown engine kind");

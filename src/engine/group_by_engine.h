@@ -120,10 +120,16 @@ class GroupByEngine {
   CheckpointChain chain_;
 };
 
-// Creates the engine implementing `kind`. The context must carry a Reducer
-// for kSortMerge/kMRHash and an IncrementalReducer for kIncHash/kDincHash
-// (kSortMerge may additionally carry an IncrementalReducer to act as the
-// reduce-side combiner).
+// The reduce contract (§4), written once: sort-merge needs a Reducer, or an
+// IncrementalReducer when its reducers receive states (`values_are_states`;
+// it then also acts as the reduce-side combiner); MR-hash needs a Reducer;
+// INC/DINC need an IncrementalReducer. ValidateJob and CreateGroupByEngine
+// both judge a job by it.
+Status CheckReduceContract(EngineKind kind, bool has_reducer, bool has_inc,
+                           bool values_are_states);
+
+// Creates the engine implementing `kind` from a context that meets the
+// reduce contract.
 Result<std::unique_ptr<GroupByEngine>> CreateGroupByEngine(
     EngineKind kind, const EngineContext& ctx);
 

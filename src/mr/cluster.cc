@@ -568,33 +568,6 @@ void Package(DataPlane& dp, const std::vector<int>* pins) {
   scan(pj.reduce_traces, &pj.result.reduce_cpu_s);
 }
 
-// Rejects an invalid config, or a spec its configured engines cannot run.
-Status CheckJob(const JobSpec& spec, const JobConfig& config) {
-  RETURN_IF_ERROR(config.Validate());
-  if (!spec.mapper) {
-    return Status::InvalidArgument("job needs a mapper factory");
-  }
-  const bool has_inc = static_cast<bool>(spec.inc);
-  if ((config.engine == EngineKind::kIncHash ||
-       config.engine == EngineKind::kDincHash) &&
-      !has_inc) {
-    return Status::InvalidArgument(
-        "incremental engines need an IncrementalReducer factory");
-  }
-  if ((config.engine == EngineKind::kSortMerge ||
-       config.engine == EngineKind::kMRHash) &&
-      !spec.reducer && !(has_inc && config.map_side_combine)) {
-    return Status::InvalidArgument(
-        "sort-merge / MR-hash need a Reducer factory");
-  }
-  if (config.combine_scope == CombineScope::kNode && !has_inc) {
-    return Status::InvalidArgument(
-        "combine_scope=kNode needs an IncrementalReducer factory (the node "
-        "tier folds co-located map outputs with its combine function)");
-  }
-  return Status::OK();
-}
-
 // A resident chain stage's inputs (DESIGN.md §5.9), resolved once so that
 // no stage re-derives tier presence; each is null or false when off.
 struct ChainInputs {
@@ -650,11 +623,28 @@ Result<ChainInputs> ResolveChain(const JobConfig& config,
 
 }  // namespace
 
+Status ValidateJob(const JobSpec& spec, const JobConfig& config) {
+  RETURN_IF_ERROR(config.Validate());
+  if (!spec.mapper) {
+    return Status::InvalidArgument("job needs a mapper factory");
+  }
+  const bool has_inc = static_cast<bool>(spec.inc);
+  RETURN_IF_ERROR(CheckReduceContract(
+      config.engine, static_cast<bool>(spec.reducer), has_inc,
+      ModeProducesStates(SelectMapOutputMode(config, has_inc))));
+  if (config.combine_scope == CombineScope::kNode && !has_inc) {
+    return Status::InvalidArgument(
+        "combine_scope=kNode needs an IncrementalReducer factory (the node "
+        "tier folds co-located map outputs with its combine function)");
+  }
+  return Status::OK();
+}
+
 Result<PreparedJob> LocalCluster::PrepareJob(const JobSpec& spec,
                                              const JobConfig& config,
                                              const ChunkStore& input,
                                              const ResidentContext* resident) {
-  RETURN_IF_ERROR(CheckJob(spec, config));
+  RETURN_IF_ERROR(ValidateJob(spec, config));
   ASSIGN_OR_RETURN(const ChainInputs chain,
                    ResolveChain(config, input, resident));
   const int reducers = config.cluster.nodes * config.reducers_per_node;

@@ -118,6 +118,16 @@ struct JobResult {
   std::vector<Record> outputs;
 };
 
+// The one judge of whether `spec` can run under `config`: OK exactly when
+// RunJob would not reject it. It is config.Validate() plus the spec's
+// rules: a mapper factory, the reduce contract of the engine
+// (CheckReduceContract, src/engine/group_by_engine.h), and an
+// IncrementalReducer under combine_scope == kNode. PrepareJob (so RunJob),
+// RunJobChain (every stage, before stage 0) and JobManager::Run (every
+// submission, before the first arrives) call it, so a job that cannot run
+// runs no task. Use it to check a job without running it.
+Status ValidateJob(const JobSpec& spec, const JobConfig& config);
+
 // Everything the time plane needs to replay a job whose data plane already
 // ran: the traces, delivery/checkpoint marks, fault plan, and the partial
 // JobResult (data-plane metrics, outputs, CPU attribution, wall times).

@@ -59,6 +59,25 @@ Status JobConfig::Validate() const {
     return Status::InvalidArgument(
         "dinc_coverage_threshold outside (0, 1]");
   }
+  if (dinc_coverage_threshold > 0 && engine != EngineKind::kDincHash) {
+    return Status::InvalidArgument(
+        "dinc_coverage_threshold (coverage-based early answers) is a "
+        "DINC-hash feature");
+  }
+  if (pipelining && engine != EngineKind::kSortMerge) {
+    return Status::InvalidArgument(
+        "pipelining is a sort-merge feature: the hash engines are already "
+        "incremental");
+  }
+  if (snapshots < 0) {
+    return Status::InvalidArgument("snapshots must be >= 0, got " +
+                                   std::to_string(snapshots));
+  }
+  if (snapshots > 0 && engine != EngineKind::kSortMerge) {
+    return Status::InvalidArgument(
+        "snapshots are a sort-merge feature: the hash engines emit "
+        "continuously and take no snapshots");
+  }
   if (replication < 1 || replication > cluster.nodes) {
     return Status::InvalidArgument(
         "replication must be in [1, nodes], got " +
@@ -94,10 +113,6 @@ Status JobConfig::Validate() const {
         "resident_cache_bytes must be 0 (unbounded) or >= 4096: a budget "
         "below one segment would spill everything, got " +
         std::to_string(resident_cache_bytes));
-  }
-  if (iterations < 1 || iterations > 64) {
-    return Status::InvalidArgument(
-        "iterations must be in [1, 64], got " + std::to_string(iterations));
   }
   if (combine_scope == CombineScope::kNode) {
     if (pipelining) {

@@ -73,7 +73,7 @@ struct JobConfig {
 
   // MapReduce Online-style pipelining (§2.2/§3.3): mappers push output
   // eagerly at spill granularity instead of publishing once at task end.
-  // Only meaningful for the sort-merge engine.
+  // Sort-merge only (Validate() rejects it on the hash engines).
   bool pipelining = false;
   // Pipelining transmission granularity ("controlled by a parameter" in
   // HOP): the map cuts and pushes a sorted run every this many output
@@ -83,7 +83,8 @@ struct JobConfig {
   // sort-merge reducer produces a snapshot answer after receiving each
   // 1/(N+1) fraction of its deliveries (e.g. N=3 -> at 25/50/75%) by
   // re-running the merge over everything so far — the costly,
-  // non-incremental alternative to INC-hash's continuous output.
+  // non-incremental alternative to INC-hash's continuous output. Sort-merge
+  // only.
   int snapshots = 0;
 
   // Hadoop parameters (Table 2, part 1).
@@ -175,10 +176,6 @@ struct JobConfig {
   // node spill to disk until the node is back under budget. Ignored under
   // kDisk.
   uint64_t resident_cache_bytes = 0;
-  // Iteration count for JobBuilder::Iterate / RunChain: how many times the
-  // job is run as a chained sequence with partition-stable placement and
-  // (for INC/DINC) reduce-state carry-over. 1 = an ordinary single job.
-  int iterations = 1;
 
   // Block codec for every spill/shuffle/bucket stream (DESIGN.md §5.5).
   // kNone keeps the raw varint record format on disk and on the wire —
@@ -216,9 +213,12 @@ struct JobConfig {
 
   // Rejects configurations no job could run under: empty/negative cluster
   // shapes, merge_factor < 2, zero chunk or buffer sizes, coverage
-  // thresholds outside (0, 1], replication > nodes, and malformed fault
-  // plans (negative times, out-of-range nodes or rates). Called at the top
-  // of LocalCluster::RunJob.
+  // thresholds outside [0, 1], replication > nodes, malformed fault plans
+  // (negative times, out-of-range nodes or rates), and engine-only
+  // features on another engine: pipelining and snapshots > 0 need
+  // sort-merge (the hash engines emit incrementally; their Snapshot is a
+  // no-op), dinc_coverage_threshold > 0 needs DINC-hash, and snapshots
+  // must be >= 0. ValidateJob (src/mr/cluster.h) calls it first.
   Status Validate() const;
 };
 

@@ -31,7 +31,10 @@ Result<ChainResult> RunJobChain(const std::vector<ChainStage>& stages) {
       return Status::InvalidArgument("chain stage " + std::to_string(i) +
                                      " has no input store");
     }
-    RETURN_IF_ERROR(st.config.Validate());
+    if (const Status s = ValidateJob(st.spec, st.config); !s.ok()) {
+      return Status(s.code(), "chain stage " + std::to_string(i) + ": " +
+                                  std::string(s.message()));
+    }
     if (i > 0 && st.config.shuffle_mode == ShuffleMode::kResident) {
       const JobConfig& prev = stages[i - 1].config;
       if (st.config.engine != prev.engine || st.config.seed != prev.seed ||

@@ -47,8 +47,10 @@ struct ChainResult {
 };
 
 // Runs the stages in order, threading placement and (when applicable)
-// reduce state between them. Fails fast on an invalid or incompatible
-// stage; a stage's job failure fails the chain with that stage's status.
+// reduce state between them. Every stage passes ValidateJob, and
+// consecutive resident stages must agree, before stage 0 runs: an invalid
+// or incompatible stage fails the chain (naming the stage) with no task
+// run. A stage's job failure fails the chain with that stage's status.
 Result<ChainResult> RunJobChain(const std::vector<ChainStage>& stages);
 
 }  // namespace onepass

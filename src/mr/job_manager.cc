@@ -145,6 +145,9 @@ Status ManagerRun::ValidateBatch() const {
       return Status::InvalidArgument(
           tag + "JobConfig::cluster does not match the manager's cluster");
     }
+    if (const Status s = ValidateJob(sub.spec, sub.config); !s.ok()) {
+      return Status(s.code(), tag + std::string(s.message()));
+    }
   }
   return Status::OK();
 }
@@ -412,11 +415,6 @@ Result<ManagerResult> JobManager::Run(const ManagerConfig& config,
                                       const std::vector<JobSubmission>& jobs) {
   ManagerRun run(config, jobs);
   return run.Run();
-}
-
-Result<ChainResult> JobManager::RunChain(
-    const std::vector<ChainStage>& stages) {
-  return RunJobChain(stages);
 }
 
 }  // namespace onepass

@@ -22,6 +22,13 @@
 //     its fault plan) re-runs up to max_job_retries times, backing off
 //     per the shared sim::RetryPolicy; each retry is a fresh run of the
 //     job under a derived seed, dispatched ahead of the waiting queue.
+//   * Up-front validation — Run() passes every submission through
+//     ValidateJob before the first one arrives, so a job that cannot run
+//     fails the batch with InvalidArgument instead of burning its retries.
+//
+// Iterative chains are solo by construction (each stage's placement must
+// be honored exactly, which a shared pool cannot promise): run them with
+// RunJobChain (src/mr/job_chain.h), not here.
 //
 // Everything is deterministic: submissions replay on one sim::Engine,
 // job j's events carry stream tag j + 1 (see src/sim/event_queue.h), and
@@ -38,7 +45,6 @@
 #include "src/common/status.h"
 #include "src/dfs/chunk_store.h"
 #include "src/mr/cluster.h"
-#include "src/mr/job_chain.h"
 #include "src/mr/slot_pool.h"
 #include "src/sim/retry_policy.h"
 #include "src/sim/timeline.h"
@@ -158,19 +164,12 @@ struct ManagerResult {
 class JobManager {
  public:
   // Replays the whole submission batch to completion. Fails fast
-  // (InvalidArgument) on malformed configs — mismatched cluster shapes,
-  // unknown tenants, negative times; per-job failures land in the
-  // outcomes, not in the returned Status.
+  // (InvalidArgument), before any job arrives, on a malformed batch —
+  // mismatched cluster shapes, unknown tenants, negative times — or on a
+  // submission ValidateJob rejects; the status names the job. Per-job
+  // failures at run time land in the outcomes, not in the returned Status.
   static Result<ManagerResult> Run(const ManagerConfig& config,
                                    const std::vector<JobSubmission>& jobs);
-
-  // Runs an iterative job sequence with M3R-style reuse between stages
-  // (DESIGN.md §5.9). Chains are solo by construction — each stage's
-  // placement must be honored exactly, which a multi-tenant pool cannot
-  // promise — so this delegates to RunJobChain rather than the shared
-  // SlotPool. See JobBuilder::Iterate for the common same-job-n-times
-  // form.
-  static Result<ChainResult> RunChain(const std::vector<ChainStage>& stages);
 };
 
 }  // namespace onepass

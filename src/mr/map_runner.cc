@@ -292,7 +292,6 @@ MapOutputMode SelectMapOutputMode(const JobConfig& config, bool has_inc) {
       return combine ? MapOutputMode::kHashCombine : MapOutputMode::kHashRaw;
     case EngineKind::kIncHash:
     case EngineKind::kDincHash:
-      CHECK(has_inc) << "incremental engines need an IncrementalReducer";
       return combine ? MapOutputMode::kHashCombine : MapOutputMode::kHashInit;
   }
   return MapOutputMode::kSortRaw;

@@ -49,7 +49,8 @@ enum class MapOutputMode : uint8_t {
   kHashCombine,  // in-memory hash table of states (map-side combine)
 };
 
-// Returns the mode a job's configuration implies.
+// Returns the mode a job's configuration implies, for any config (so
+// ValidateJob can ask it before the job is known to be runnable).
 MapOutputMode SelectMapOutputMode(const JobConfig& config, bool has_inc);
 
 // True when the mode produces state-valued output.

@@ -188,16 +188,45 @@ TEST(ConfigValidateTest, ResidentShuffleKnobs) {
   EXPECT_TRUE(cfg.Validate().ok());
   cfg.resident_cache_bytes = 0;
   EXPECT_TRUE(cfg.Validate().ok());
+}
 
-  cfg = JobConfig();
-  cfg.iterations = 0;
+// Engine-only features: pipelining and snapshots belong to the sort-merge
+// baseline (§3.3), the coverage threshold to DINC-hash (§4.3). Each one
+// validates on its own engine and is InvalidArgument on every other.
+TEST(ConfigValidateTest, EngineOnlyFeatures) {
+  struct Feature {
+    const char* name;
+    EngineKind own;
+    void (*set)(JobConfig*);
+  };
+  const Feature features[] = {
+      {"pipelining", EngineKind::kSortMerge,
+       [](JobConfig* c) { c->pipelining = true; }},
+      {"snapshots=3", EngineKind::kSortMerge,
+       [](JobConfig* c) { c->snapshots = 3; }},
+      {"phi=0.5", EngineKind::kDincHash,
+       [](JobConfig* c) { c->dinc_coverage_threshold = 0.5; }},
+  };
+  for (const Feature& f : features) {
+    for (const EngineKind e : {EngineKind::kSortMerge, EngineKind::kMRHash,
+                               EngineKind::kIncHash, EngineKind::kDincHash}) {
+      JobConfig cfg;
+      cfg.engine = e;
+      f.set(&cfg);
+      const Status s = cfg.Validate();
+      if (e == f.own) {
+        EXPECT_TRUE(s.ok()) << f.name << " on " << EngineKindName(e) << ": "
+                            << s.ToString();
+      } else {
+        EXPECT_TRUE(s.IsInvalidArgument())
+            << f.name << " on " << EngineKindName(e);
+      }
+    }
+  }
+  // A negative snapshot count is wrong on every engine, sort-merge too.
+  JobConfig cfg;
+  cfg.snapshots = -1;
   EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
-  cfg.iterations = 65;  // chain length cap
-  EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
-  cfg.iterations = 64;
-  EXPECT_TRUE(cfg.Validate().ok());
-  cfg.iterations = 1;
-  EXPECT_TRUE(cfg.Validate().ok());
 }
 
 TEST(ConfigTest, CombineScopeValidation) {

@@ -9,9 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "src/mr/job_builder.h"
 #include "src/mr/job_chain.h"
-#include "src/mr/job_manager.h"
 #include "src/workloads/clickstream.h"
 #include "src/workloads/iterative.h"
 #include "src/workloads/jobs.h"
@@ -67,7 +65,7 @@ TEST_P(JobChainExactness, GrowingLogChainEqualsColdJobOverUnion) {
     stages[static_cast<size_t>(i)] = {ClickCountJob(), cfg,
                                       log.deltas[static_cast<size_t>(i)].get()};
   }
-  auto chain = JobManager::RunChain(stages);
+  auto chain = RunJobChain(stages);
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
   ASSERT_EQ(chain->iterations.size(), static_cast<size_t>(kIters));
 
@@ -129,10 +127,8 @@ TEST_P(JobChainCheckpointed, AdoptedStateIsFullUnderCheckpointChains) {
   const GrowingLog log = MakeLog(2);
   JobConfig cfg = ChainConfig(GetParam());
   cfg.checkpoint_interval_segments = 4;
-  auto chain = JobManager::RunChain({{ClickCountJob(), cfg,
-                                      log.deltas[0].get()},
-                                     {ClickCountJob(), cfg,
-                                      log.deltas[1].get()}});
+  auto chain = RunJobChain({{ClickCountJob(), cfg, log.deltas[0].get()},
+                            {ClickCountJob(), cfg, log.deltas[1].get()}});
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
   ASSERT_EQ(chain->iterations.size(), 2u);
   const JobMetrics& first = chain->iterations[0].metrics;
@@ -169,18 +165,8 @@ TEST(JobChainTest, RepeatedSameInputChainIsExactAndCachesInput) {
   GenerateClickStream(clicks, &input);
 
   const JobConfig cfg = ChainConfig(EngineKind::kIncHash);
-  auto chain = JobBuilder("min label chain")
-                   .WithMapper(LabelPropagationJob().mapper)
-                   .WithIncrementalReducer(LabelPropagationJob().inc)
-                   .Engine(EngineKind::kIncHash)
-                   .Cluster(4, 2, 2, 2)
-                   .ReducersPerNode(2)
-                   .ChunkBytes(64 << 10)
-                   .MapSideCombine(true)
-                   .CollectOutputs(true)
-                   .ShuffleMode(ShuffleMode::kResident)
-                   .Iterate(3)
-                   .RunChain(input);
+  const ChainStage stage{LabelPropagationJob(), cfg, &input};
+  auto chain = RunJobChain({stage, stage, stage});
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
   ASSERT_EQ(chain->iterations.size(), 3u);
 
