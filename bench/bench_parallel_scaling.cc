@@ -4,9 +4,11 @@
 // The simulated *cluster* has always modeled N nodes x C cores; this bench
 // measures how fast the *host* executes the data plane that feeds the
 // simulation. It runs one map-heavy job (trigram counting: the map-side
-// sort dominates) and one reduce-heavy job (user click counting into the
-// hash engines) at data_plane_threads = 1, 2, 4, ... up to the hardware,
-// reporting each phase's wall-clock seconds and speedup over threads=1 —
+// sort dominates), one reduce-heavy job (user click counting into the
+// hash engines) and one answer-heavy job (sessionization: one output
+// record per click) at data_plane_threads = 1, 2, 4, ... up to the
+// hardware, reporting each phase's wall-clock seconds and speedup over
+// threads=1, plus serial_s, the job's wall time outside both phases —
 // and verifies the determinism contract on every row: outputs, metrics,
 // and the simulated running time must be byte-identical to the sequential
 // run ("same?" prints NO otherwise, which CI greps for).
@@ -15,6 +17,7 @@
 //   --threads=T caps the sweep (default: one per hardware thread).
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -37,8 +40,8 @@ struct Baseline {
 void Sweep(const char* name, const JobSpec& spec, const JobConfig& base,
            const ChunkStore& input, int max_threads) {
   std::printf("\n--- %s ---\n", name);
-  std::printf("%-8s %10s %8s %10s %8s %5s\n", "threads", "map_s",
-              "map_spd", "reduce_s", "red_spd", "same?");
+  std::printf("%-8s %10s %8s %10s %8s %10s %5s\n", "threads", "map_s",
+              "map_spd", "reduce_s", "red_spd", "serial_s", "same?");
 
   Baseline ref;
   double map_base = 0, reduce_base = 0;
@@ -46,7 +49,11 @@ void Sweep(const char* name, const JobSpec& spec, const JobConfig& base,
        threads = threads < 2 ? 2 : threads * 2) {
     JobConfig cfg = base;
     cfg.data_plane_threads = threads;
+    const auto start = std::chrono::steady_clock::now();
     auto r = bench::MustRun(spec, cfg, input);
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
     if (!r.ok()) return;
     bool same = true;
     if (threads == 1) {
@@ -60,13 +67,14 @@ void Sweep(const char* name, const JobSpec& spec, const JobConfig& base,
              r->outputs == ref.outputs &&
              r->running_time == ref.running_time;
     }
-    std::printf("%-8d %10.3f %7.2fx %10.3f %7.2fx %5s\n", threads,
+    std::printf("%-8d %10.3f %7.2fx %10.3f %7.2fx %10.3f %5s\n", threads,
                 r->map_plane_wall_s,
                 r->map_plane_wall_s > 0 ? map_base / r->map_plane_wall_s : 0,
                 r->reduce_plane_wall_s,
                 r->reduce_plane_wall_s > 0
                     ? reduce_base / r->reduce_plane_wall_s
                     : 0,
+                wall_s - r->map_plane_wall_s - r->reduce_plane_wall_s,
                 same ? "yes" : "NO");
   }
 }
@@ -91,18 +99,32 @@ int Run(int argc, char** argv) {
           input, max_threads);
   }
 
+  ChunkStore clicks(256 << 10, 10);
+  GenerateClickStream(bench::ScaledClicks(flags.scale), &clicks);
+
   // Reduce-heavy: click counting with tight reduce memory on INC-hash —
   // reduce-side spills and rehashing dominate.
   {
-    ChunkStore input(256 << 10, 10);
-    GenerateClickStream(bench::ScaledClicks(flags.scale), &input);
     JobConfig cfg = bench::ScaledJobConfig(EngineKind::kIncHash);
     cfg.map_side_combine = true;
     cfg.reduce_memory_bytes = 256 << 10;
     cfg.expected_keys_per_reducer = 1200;
     cfg.collect_outputs = true;
     Sweep("reduce-heavy: click count, INC-hash", ClickCountJob(), cfg,
-          input, max_threads);
+          clicks, max_threads);
+  }
+
+  // Answer-heavy: uncombined sessionization on INC-hash (Table 3's job) —
+  // one output record per click, so the answer is as large as the input
+  // and collecting it is a visible share of the job.
+  {
+    JobConfig cfg = bench::ScaledJobConfig(EngineKind::kIncHash);
+    cfg.merge_factor = 32;
+    cfg.expected_keys_per_reducer = 1200;
+    cfg.expected_bytes_per_reducer = 5 << 20;
+    cfg.collect_outputs = true;
+    Sweep("answer-heavy: sessionization, INC-hash", SessionizationJob(),
+          cfg, clicks, max_threads);
   }
   return 0;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,24 +32,6 @@ double WallSeconds() {
       .count();
 }
 
-// Runs body(t) for every task t in [0, n) — on `pool` when given, else
-// sequentially — and returns the lowest-index non-OK status. Each body
-// writes only to state slotted by its own index, so the thread count and
-// execution order never show in the results; the sequential path stops at
-// the first failure, the parallel path runs everything but reports the
-// same (lowest-index) status.
-Status RunDataPlaneTasks(ThreadPool* pool, size_t n,
-                         const std::function<Status(size_t)>& body) {
-  if (pool == nullptr) {
-    for (size_t t = 0; t < n; ++t) RETURN_IF_ERROR(body(t));
-    return Status::OK();
-  }
-  std::vector<Status> statuses(n, Status::OK());
-  pool->ParallelFor(n, [&](size_t t) { statuses[t] = body(t); });
-  for (const Status& s : statuses) RETURN_IF_ERROR(s);
-  return Status::OK();
-}
-
 // Map task m's push p, one per shuffle delivery, in the order every
 // reducer consumes them.
 using DeliveryOrder = std::vector<std::pair<int, uint32_t>>;
@@ -61,7 +42,7 @@ struct ReduceTaskOut {
   JobMetrics metrics;
   std::vector<DeliveryRef> deliveries;
   std::vector<CheckpointMark> checkpoints;
-  std::vector<Record> outputs;  // concatenated in task order
+  std::vector<Record> outputs;  // drained into the answer in task order
   KvBuffer saved_state;         // pre-Finish engine image, when saving
   uint64_t saved_raw_bytes = 0;
 };
@@ -421,28 +402,40 @@ Status RunReduceTask(const DataPlane& dp, const DeliveryOrder& order, int r,
 // Step 3, the reduce plane: with the delivery order fixed, every reduce
 // task's engine run is independent — it reads the (now immutable) map
 // output segments for its own partition and writes only task-local state
-// — so the tasks run concurrently on the pool. `adopt` (may be null) is a
-// resident chain's prior reduce state to start from; `save` (may be null)
-// receives each task's pre-Finish state for the next stage to adopt.
+// — so the tasks run concurrently on the pool. Meanwhile the calling
+// thread drains finished tasks in task-id order: it merges each task's
+// metrics and copies its records into the answer, then frees the task's
+// copy. `adopt` (may be null) is a resident chain's prior reduce state to
+// start from; `save` (may be null) receives each task's pre-Finish state
+// for the next stage to adopt.
 Status ReducePlane(DataPlane& dp, const DeliveryOrder& order,
                    const ResidentStateHandle* adopt,
                    ResidentStateHandle* save) {
   PreparedJob& pj = dp.pj;
+  std::vector<Record>& answer = pj.result.outputs;
   dp.reduce_outs.resize(static_cast<size_t>(dp.reducers));
+  // The reducers consume map_output_records records in all; a job that
+  // emits one record per consumed record fits exactly, and one that emits
+  // more grows the vector as usual. The records are copied, not moved, so
+  // the answer is allocated by the thread that owns the JobResult rather
+  // than left in the workers' malloc arenas (DESIGN.md §5.3).
+  if (dp.config.collect_outputs) {
+    answer.reserve(pj.result.metrics.map_output_records);
+  }
   const double start = WallSeconds();
   RETURN_IF_ERROR(RunDataPlaneTasks(
-      dp.pool, dp.reduce_outs.size(), [&](size_t r) {
+      dp.pool, dp.reduce_outs.size(),
+      [&](size_t r) {
         return RunReduceTask(dp, order, static_cast<int>(r), adopt,
                              save != nullptr, &dp.reduce_outs[r]);
+      },
+      [&](size_t r) {
+        ReduceTaskOut& out = dp.reduce_outs[r];
+        pj.result.metrics.Merge(out.metrics);
+        answer.insert(answer.end(), out.outputs.begin(), out.outputs.end());
+        std::vector<Record>().swap(out.outputs);
       }));
   pj.result.reduce_plane_wall_s = WallSeconds() - start;
-  for (const ReduceTaskOut& out : dp.reduce_outs) {
-    pj.result.metrics.Merge(out.metrics);
-    if (dp.config.collect_outputs) {
-      pj.result.outputs.insert(pj.result.outputs.end(), out.outputs.begin(),
-                               out.outputs.end());
-    }
-  }
   if (save != nullptr) {
     save->states.clear();
     save->raw_bytes.clear();
@@ -653,10 +646,12 @@ Result<PreparedJob> LocalCluster::PrepareJob(const JobSpec& spec,
   // The data plane may run on a work-stealing pool (DESIGN.md §5.3): all
   // map tasks execute concurrently, and each reduce task's engine runs
   // concurrently once the provisional replay has fixed its delivery
-  // order. Every task writes only to its own slot; metrics merge and
-  // output concatenation happen in task-id order after the join, so
-  // threads=1 and threads=N produce byte-identical JobResults. The time
-  // plane (the Replayer) stays single-threaded and authoritative.
+  // order. Every task writes only to its own slot, and results merge in
+  // task-id order — map metrics after the map plane's join, reduce
+  // metrics and outputs in the reduce plane's drain as each task
+  // finishes — so threads=1 and threads=N produce byte-identical
+  // JobResults. The time plane (the Replayer) stays single-threaded and
+  // authoritative.
   const int threads = std::min<int>(
       ThreadPool::ResolveThreads(config.data_plane_threads),
       static_cast<int>(std::max<size_t>(

@@ -105,12 +105,14 @@ struct JobResult {
   double map_cpu_s = 0;
   double reduce_cpu_s = 0;
 
-  // Host wall-clock seconds the two data-plane phases took (map tasks;
-  // reduce-engine runs). These measure the *real* machine, not the
-  // simulation — they vary run to run and with data_plane_threads, and are
-  // excluded from the determinism contract (everything else in a JobResult
-  // is byte-identical across thread counts). bench_parallel_scaling
-  // reports speedup from them.
+  // Host wall-clock seconds the two data-plane phases took: the map plane
+  // (map tasks, plus node combine) up to its join, and the reduce plane
+  // (reduce-engine runs and the in-order drain that merges their metrics
+  // and copies their outputs into `outputs`). These measure the *real*
+  // machine, not the simulation — they vary run to run and with
+  // data_plane_threads, and are excluded from the determinism contract
+  // (everything else in a JobResult is byte-identical across thread
+  // counts). bench_parallel_scaling reports speedup from them.
   double map_plane_wall_s = 0;
   double reduce_plane_wall_s = 0;
 

@@ -206,7 +206,9 @@ struct JobConfig {
   // Simulation.
   CostModel costs;
   uint64_t seed = 42;
-  // Collect full job output into JobResult::outputs (tests only; large).
+  // Collect full job output into JobResult::outputs: the tests, the
+  // examples and benches that check or print an answer, and perfbench.
+  // Off, the output is still counted and costed, just not kept.
   bool collect_outputs = false;
   // Timeline sampling bin for utilization/iowait series, seconds.
   double timeline_bin_s = 30.0;

@@ -81,33 +81,70 @@ void ThreadPool::WorkerLoop(size_t self) {
 }
 
 void ThreadPool::ParallelFor(size_t n,
-                             const std::function<void(size_t)>& body) {
+                             const std::function<void(size_t)>& body,
+                             const std::function<void(size_t)>& drain) {
   if (n == 0) return;
   if (workers_.size() == 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) body(i);
+    for (size_t i = 0; i < n; ++i) {
+      body(i);
+      if (drain) drain(i);
+    }
     return;
   }
+  // The caller waits for the indices in order; a worker wakes it only when
+  // the index it is waiting on finishes.
   struct Join {
     std::mutex mu;
     std::condition_variable cv;
-    size_t done = 0;
+    std::vector<bool> finished;  // guarded by mu
+    size_t awaited = 0;          // guarded by mu
   };
   auto join = std::make_shared<Join>();
+  join->finished.assign(n, false);
   for (size_t i = 0; i < n; ++i) {
-    Submit([join, &body, i, n]() {
+    Submit([join, &body, i]() {
       body(i);
       std::lock_guard<std::mutex> lock(join->mu);
-      if (++join->done == n) join->cv.notify_one();
+      join->finished[i] = true;
+      if (i == join->awaited) join->cv.notify_one();
     });
   }
-  std::unique_lock<std::mutex> lock(join->mu);
-  join->cv.wait(lock, [&join, n]() { return join->done == n; });
+  for (size_t i = 0; i < n; ++i) {
+    {
+      std::unique_lock<std::mutex> lock(join->mu);
+      join->awaited = i;
+      join->cv.wait(lock, [&join, i]() { return join->finished[i]; });
+    }
+    if (drain) drain(i);
+  }
 }
 
 int ThreadPool::ResolveThreads(int requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+Status RunDataPlaneTasks(ThreadPool* pool, size_t n,
+                         const std::function<Status(size_t)>& body,
+                         const std::function<void(size_t)>& drain) {
+  if (pool == nullptr) {
+    for (size_t t = 0; t < n; ++t) {
+      RETURN_IF_ERROR(body(t));
+      if (drain) drain(t);
+    }
+    return Status::OK();
+  }
+  std::vector<Status> statuses(n);
+  Status first_failure;
+  pool->ParallelFor(
+      n, [&](size_t t) { statuses[t] = body(t); },
+      [&](size_t t) {
+        if (!first_failure.ok()) return;
+        first_failure = statuses[t];
+        if (first_failure.ok() && drain) drain(t);
+      });
+  return first_failure;
 }
 
 }  // namespace onepass
