@@ -104,6 +104,9 @@ class IncrementalReducer {
   virtual std::string Init(std::string_view key, std::string_view value) = 0;
 
   // cb(): folds `other` (another state for the same key) into `state`.
+  // `other` never aliases `*state`: every caller passes a separately held
+  // state, so an implementation may edit `*state` in place while it reads
+  // `other`.
   virtual void Combine(std::string_view key, std::string* state,
                        std::string_view other) = 0;
 

@@ -25,6 +25,22 @@ inline void PutFixed64(std::string* dst, uint64_t v) {
   dst->append(buf, 8);
 }
 
+// Appends v in decimal, left-padded with '0' to at least `min_digits`
+// digits: the bytes snprintf's "%0*llu" writes, never truncated. Hot
+// key formatters call this per record instead of snprintf.
+inline void PutDecimal(std::string* dst, uint64_t v, size_t min_digits) {
+  char buf[20];  // UINT64_MAX has 20 digits
+  char* const end = buf + sizeof(buf);
+  char* p = end;
+  do {
+    *--p = static_cast<char>('0' + v % 10);
+    v /= 10;
+  } while (v != 0);
+  const size_t digits = static_cast<size_t>(end - p);
+  if (digits < min_digits) dst->append(min_digits - digits, '0');
+  dst->append(p, digits);
+}
+
 inline uint32_t DecodeFixed32(const char* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);

@@ -1,7 +1,6 @@
 #include "src/workloads/clickstream.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "src/common/logging.h"
 #include "src/util/coding.h"
@@ -27,16 +26,15 @@ bool DecodeClick(std::string_view data, Click* click) {
 }
 
 std::string UserKey(uint64_t user) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "u%09llu",
-                static_cast<unsigned long long>(user));
-  return buf;
+  std::string key(1, 'u');
+  PutDecimal(&key, user, 9);
+  return key;
 }
 
 std::string UrlKey(uint32_t url) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "p%08u", url);
-  return buf;
+  std::string key(1, 'p');
+  PutDecimal(&key, url, 8);
+  return key;
 }
 
 void GenerateClickStream(const ClickStreamConfig& config, ChunkStore* out) {

@@ -36,8 +36,10 @@ std::string EncodeClick(const Click& click, size_t record_bytes);
 // Parses the fixed prefix; returns false if `data` is too short.
 bool DecodeClick(std::string_view data, Click* click);
 
-// Zero-padded decimal user key ("u00001234") — fixed width so that
-// byte-lexicographic order equals numeric order.
+// Zero-padded decimal user key ("u000001234", 9 digits) and url key
+// ("p00001234", 8 digits): fixed width, so byte-lexicographic order equals
+// numeric order below 10^9 users and 10^8 urls. Larger ids keep every
+// digit, so distinct ids always get distinct keys.
 std::string UserKey(uint64_t user);
 std::string UrlKey(uint32_t url);
 

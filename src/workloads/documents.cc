@@ -1,9 +1,9 @@
 #include "src/workloads/documents.h"
 
-#include <cstdio>
 #include <string>
 
 #include "src/common/logging.h"
+#include "src/util/coding.h"
 #include "src/util/random.h"
 
 namespace onepass {
@@ -13,14 +13,12 @@ void GenerateDocuments(const DocumentCorpusConfig& config, ChunkStore* out) {
   Xoshiro256StarStar rng(config.seed);
   ZipfGenerator words(config.vocabulary, config.word_skew);
   std::string line;
-  char buf[16];
   for (uint64_t r = 0; r < config.num_records; ++r) {
     line.clear();
     for (int w = 0; w < config.words_per_record; ++w) {
       if (w > 0) line.push_back(' ');
-      std::snprintf(buf, sizeof(buf), "w%06llu",
-                    static_cast<unsigned long long>(words.Next(&rng)));
-      line += buf;
+      line.push_back('w');
+      PutDecimal(&line, words.Next(&rng), 6);
     }
     out->Append("", line);
   }

@@ -1,6 +1,7 @@
 #include "src/workloads/sessionization.h"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -21,58 +22,61 @@ uint32_t StateCount(std::string_view state) {
   return state.size() >= 4 ? DecodeFixed32(state.data()) : 0;
 }
 
-Entry StateEntry(std::string_view state, size_t payload_bytes, uint32_t i) {
+uint64_t StateTs(std::string_view state, size_t payload_bytes, size_t i) {
+  return DecodeFixed64(state.data() + 4 + i * payload_bytes);
+}
+
+Entry StateEntry(std::string_view state, size_t payload_bytes, size_t i) {
   const char* p = state.data() + 4 + i * payload_bytes;
   return Entry{DecodeFixed64(p), DecodeFixed32(p + 8)};
 }
 
-void AppendStateEntry(std::string* state, size_t payload_bytes,
-                      const Entry& e) {
-  if (state->empty()) PutFixed32(state, 0);
-  const size_t pos = state->size();
-  PutFixed64(state, e.ts);
-  PutFixed32(state, e.url);
-  if (state->size() - pos < payload_bytes) {
-    state->resize(pos + payload_bytes, 'x');
-  }
-  const uint32_t count = DecodeFixed32(state->data()) + 1;
-  std::string hdr;
-  PutFixed32(&hdr, count);
-  state->replace(0, 4, hdr);
+void SetStateCount(std::string* state, uint32_t count) {
+  std::memcpy(state->data(), &count, 4);
 }
 
-std::vector<Entry> StateEntries(std::string_view state,
-                                size_t payload_bytes) {
-  const uint32_t n = StateCount(state);
-  std::vector<Entry> out;
-  out.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    out.push_back(StateEntry(state, payload_bytes, i));
-  }
-  return out;
+// Overwrites the 12 data bytes of the entry at `p`; its padding stays.
+void WriteEntry(char* p, const Entry& e) {
+  std::memcpy(p, &e.ts, 8);
+  std::memcpy(p + 8, &e.url, 4);
 }
 
-void RebuildState(std::string* state, size_t payload_bytes,
-                  const std::vector<Entry>& entries) {
-  state->clear();
-  for (const Entry& e : entries) AppendStateEntry(state, payload_bytes, e);
-  if (state->empty()) PutFixed32(state, 0);
+// The encoders behind EncodeClickPayload/EncodeSessionOutput. They
+// overwrite *dst, so a caller that reuses one string encodes without
+// allocating once its capacity has grown to payload_bytes.
+void EncodeClickPayloadTo(uint64_t ts, uint32_t url, size_t payload_bytes,
+                          std::string* dst) {
+  dst->clear();
+  PutFixed64(dst, ts);
+  PutFixed32(dst, url);
+  if (dst->size() < payload_bytes) dst->resize(payload_bytes, 'x');
 }
 
-// Emits entries [begin, end) as sessions split at >5 min gaps. Entries
-// must be ts-sorted. Returns the session id (first ts) of the last session
-// emitted, for continuity bookkeeping by callers that need it.
-void EmitSessions(std::string_view key, const std::vector<Entry>& entries,
-                  size_t begin, size_t end, size_t payload_bytes,
-                  Emitter* out) {
-  if (begin >= end) return;
-  uint64_t session = entries[begin].ts;
-  uint64_t prev = entries[begin].ts;
-  for (size_t i = begin; i < end; ++i) {
-    if (entries[i].ts > prev + kSessionGapSeconds) session = entries[i].ts;
-    out->Emit(key, EncodeSessionOutput(session, entries[i].ts,
-                                       entries[i].url, payload_bytes));
-    prev = entries[i].ts;
+void EncodeSessionOutputTo(uint64_t session, uint64_t ts, uint32_t url,
+                           size_t payload_bytes, std::string* dst) {
+  dst->clear();
+  PutFixed64(dst, session);
+  PutFixed64(dst, ts);
+  PutFixed32(dst, url);
+  if (dst->size() < payload_bytes) dst->resize(payload_bytes, 'x');
+}
+
+// Emits entries [0, n) of a ts-sorted run as sessions split at >5 min
+// gaps: each click is tagged with the ts of its session's first click
+// (the run's first click opens a session). `entry(i)` returns entry i;
+// each value is encoded into *buf.
+template <typename EntryFn>
+void EmitSessions(std::string_view key, size_t n, const EntryFn& entry,
+                  size_t payload_bytes, std::string* buf, Emitter* out) {
+  if (n == 0) return;
+  uint64_t session = entry(0).ts;
+  uint64_t prev = session;
+  for (size_t i = 0; i < n; ++i) {
+    const Entry e = entry(i);
+    if (e.ts > prev + kSessionGapSeconds) session = e.ts;
+    EncodeSessionOutputTo(session, e.ts, e.url, payload_bytes, buf);
+    out->Emit(key, *buf);
+    prev = e.ts;
   }
 }
 
@@ -82,9 +86,7 @@ std::string EncodeClickPayload(uint64_t ts, uint32_t url,
                                size_t payload_bytes) {
   std::string out;
   out.reserve(payload_bytes);
-  PutFixed64(&out, ts);
-  PutFixed32(&out, url);
-  if (out.size() < payload_bytes) out.resize(payload_bytes, 'x');
+  EncodeClickPayloadTo(ts, url, payload_bytes, &out);
   return out;
 }
 
@@ -99,10 +101,7 @@ std::string EncodeSessionOutput(uint64_t session, uint64_t ts, uint32_t url,
                                 size_t payload_bytes) {
   std::string out;
   out.reserve(payload_bytes);
-  PutFixed64(&out, session);
-  PutFixed64(&out, ts);
-  PutFixed32(&out, url);
-  if (out.size() < payload_bytes) out.resize(payload_bytes, 'x');
+  EncodeSessionOutputTo(session, ts, url, payload_bytes, &out);
   return out;
 }
 
@@ -119,7 +118,8 @@ void SessionizationMapper::Map(std::string_view /*key*/,
                                std::string_view value, Emitter* out) {
   Click c;
   if (!DecodeClick(value, &c)) return;
-  out->Emit(UserKey(c.user), EncodeClickPayload(c.ts, c.url, payload_bytes_));
+  EncodeClickPayloadTo(c.ts, c.url, payload_bytes_, &payload_);
+  out->Emit(UserKey(c.user), payload_);
 }
 
 void SessionizationReducer::Reduce(std::string_view key,
@@ -132,7 +132,9 @@ void SessionizationReducer::Reduce(std::string_view key,
   }
   std::stable_sort(entries.begin(), entries.end(),
                    [](const Entry& a, const Entry& b) { return a.ts < b.ts; });
-  EmitSessions(key, entries, 0, entries.size(), payload_bytes_, out);
+  EmitSessions(
+      key, entries.size(), [&](size_t i) { return entries[i]; },
+      payload_bytes_, &value_, out);
 }
 
 SessionizationIncReducer::SessionizationIncReducer(uint64_t state_bytes,
@@ -148,82 +150,82 @@ std::string SessionizationIncReducer::Init(std::string_view /*key*/,
   Entry e{0, 0};
   CHECK(DecodeClickPayload(value, &e.ts, &e.url));
   watermark_ = std::max(watermark_, e.ts);
-  std::string state;
-  AppendStateEntry(&state, payload_bytes_, e);
+  std::string state(4 + payload_bytes_, 'x');
+  SetStateCount(&state, 1);
+  WriteEntry(state.data() + 4, e);
   return state;
 }
 
 void SessionizationIncReducer::Combine(std::string_view /*key*/,
                                        std::string* state,
                                        std::string_view other) {
-  // Merge the (usually single-click) other state into ours, keeping the
-  // buffer ts-sorted. Shuffle order is approximately temporal, so the
-  // common case is an append.
-  std::vector<Entry> mine = StateEntries(*state, payload_bytes_);
-  const std::vector<Entry> theirs = StateEntries(other, payload_bytes_);
-  for (const Entry& e : theirs) {
+  // Merge the (usually single-click) other state into ours in place,
+  // keeping the buffer ts-sorted: each click goes after every buffered
+  // click with ts <= its own (upper bound), so equal timestamps keep
+  // arrival order. Shuffle order is approximately temporal, so the scan
+  // back from the end usually stops at once and the insert is an append.
+  if (state->size() < 4) state->assign(4, '\0');
+  uint32_t count = StateCount(*state);
+  const uint32_t theirs = StateCount(other);
+  for (uint32_t j = 0; j < theirs; ++j) {
+    const Entry e = StateEntry(other, payload_bytes_, j);
     watermark_ = std::max(watermark_, e.ts);
-    auto it = std::upper_bound(
-        mine.begin(), mine.end(), e,
-        [](const Entry& a, const Entry& b) { return a.ts < b.ts; });
-    mine.insert(it, e);
+    size_t pos = count;
+    while (pos > 0 && StateTs(*state, payload_bytes_, pos - 1) > e.ts) --pos;
+    const size_t offset = 4 + pos * payload_bytes_;
+    state->insert(offset, payload_bytes_, 'x');
+    WriteEntry(state->data() + offset, e);
+    ++count;
   }
-  RebuildState(state, payload_bytes_, mine);
+  SetStateCount(state, count);
 }
 
-void SessionizationIncReducer::EmitClosedSessions(std::string_view key,
-                                                  std::string* state,
-                                                  Emitter* out,
-                                                  bool emit_all) {
-  std::vector<Entry> entries = StateEntries(*state, payload_bytes_);
-  if (entries.empty()) return;
-  if (emit_all) {
-    EmitSessions(key, entries, 0, entries.size(), payload_bytes_, out);
-    RebuildState(state, payload_bytes_, {});
-    return;
-  }
-  // Find the start of the trailing open session: the last index i with
-  // entries[i].ts > entries[i-1].ts + gap.
-  size_t open_start = 0;
-  for (size_t i = 1; i < entries.size(); ++i) {
-    if (entries[i].ts > entries[i - 1].ts + kSessionGapSeconds) {
-      open_start = i;
-    }
-  }
-  size_t emit_upto = open_start;
-  // Bounded buffer: if the open session alone overflows the buffer,
-  // force-emit its oldest clicks too (they keep their session tag).
-  const size_t keep_limit = capacity_clicks_;
-  if (entries.size() - emit_upto > keep_limit) {
-    emit_upto = entries.size() - keep_limit;
-  }
-  if (emit_upto == 0) return;
-  EmitSessions(key, entries, 0, emit_upto, payload_bytes_, out);
-  entries.erase(entries.begin(),
-                entries.begin() + static_cast<ptrdiff_t>(emit_upto));
-  RebuildState(state, payload_bytes_, entries);
+void SessionizationIncReducer::EmitBuffered(std::string_view key,
+                                            std::string_view state, size_t n,
+                                            Emitter* out) {
+  EmitSessions(
+      key, n, [&](size_t i) { return StateEntry(state, payload_bytes_, i); },
+      payload_bytes_, &value_, out);
 }
 
 void SessionizationIncReducer::OnUpdate(std::string_view key,
                                         std::string* state, Emitter* out) {
-  EmitClosedSessions(key, state, out, /*emit_all=*/false);
+  const size_t n = StateCount(*state);
+  if (n == 0) return;
+  // The trailing open session starts at the last index i with
+  // ts[i] > ts[i-1] + gap (index 0 if there is none).
+  size_t open_start = n - 1;
+  while (open_start > 0 &&
+         StateTs(*state, payload_bytes_, open_start) <=
+             StateTs(*state, payload_bytes_, open_start - 1) +
+                 kSessionGapSeconds) {
+    --open_start;
+  }
+  size_t emit_upto = open_start;
+  // Bounded buffer: if the open session alone overflows the buffer,
+  // force-emit its oldest clicks too (they keep their session tag).
+  if (n - emit_upto > capacity_clicks_) emit_upto = n - capacity_clicks_;
+  if (emit_upto == 0) return;
+  EmitBuffered(key, *state, emit_upto, out);
+  state->erase(4, emit_upto * payload_bytes_);
+  SetStateCount(state, static_cast<uint32_t>(n - emit_upto));
 }
 
 void SessionizationIncReducer::Finalize(std::string_view key,
                                         std::string_view state,
                                         Emitter* out) {
-  std::string copy(state);
-  EmitClosedSessions(key, &copy, out, /*emit_all=*/true);
+  EmitBuffered(key, state, StateCount(state), out);
 }
 
 bool SessionizationIncReducer::TryDiscard(std::string_view key,
                                           std::string* state, Emitter* out) {
-  const std::vector<Entry> entries = StateEntries(*state, payload_bytes_);
-  if (entries.empty()) return true;
+  const size_t n = StateCount(*state);
+  if (n == 0) return true;
   // All sessions expired relative to the stream watermark? Then no future
   // click can join them: emit and discard instead of spilling (§6.2).
-  if (entries.back().ts + kSessionGapSeconds < watermark_) {
-    EmitSessions(key, entries, 0, entries.size(), payload_bytes_, out);
+  if (StateTs(*state, payload_bytes_, n - 1) + kSessionGapSeconds <
+      watermark_) {
+    EmitBuffered(key, *state, n, out);
     state->clear();
     return true;
   }

@@ -55,6 +55,8 @@ class SessionizationMapper : public Mapper {
 
  private:
   size_t payload_bytes_;
+  // Reused for every click's payload: each task has its own instance.
+  std::string payload_;
 };
 
 // Values-list reduce: needs all of a user's clicks before it can emit.
@@ -68,13 +70,23 @@ class SessionizationReducer : public Reducer {
 
  private:
   size_t payload_bytes_;
+  // Reused for every output value: each task has its own instance.
+  std::string value_;
 };
 
 // Incremental reduce with a fixed-size click buffer as the state.
 //
 // State layout: [count: fixed32] then `count` entries of
-// [ts: fixed64][url: fixed32] + padding (each entry is payload_bytes, so
-// carrying a click through the state costs what the click costs).
+// [ts: fixed64][url: fixed32] + 'x' padding (each entry is payload_bytes,
+// so carrying a click through the state costs what the click costs),
+// sorted by ts with equal timestamps in arrival order. An empty string
+// is a state with no clicks.
+//
+// Every call works on the state bytes in place, never decoding them into
+// a temporary or rebuilding them (DESIGN.md §5.4): Combine inserts each
+// click of `other` at its upper-bound position, found by scanning back
+// from the end (the usual case is an append); OnUpdate erases the
+// emitted prefix; Finalize and TryDiscard emit straight from the bytes.
 class SessionizationIncReducer : public IncrementalReducer {
  public:
   // state_bytes: the fixed buffer size (the paper evaluates 0.5/1/2 KB).
@@ -97,11 +109,9 @@ class SessionizationIncReducer : public IncrementalReducer {
   uint64_t watermark() const { return watermark_; }
 
  private:
-  // Emits every complete (closed) session in the buffer and keeps only the
-  // trailing open session; if the buffer is still over capacity, the
-  // oldest clicks are force-emitted (bounded-buffer approximation).
-  void EmitClosedSessions(std::string_view key, std::string* state,
-                          Emitter* out, bool emit_all);
+  // Emits the first `n` clicks of `state` tagged with their session ids.
+  void EmitBuffered(std::string_view key, std::string_view state, size_t n,
+                    Emitter* out);
 
   uint64_t state_bytes_;
   size_t payload_bytes_;
@@ -109,6 +119,8 @@ class SessionizationIncReducer : public IncrementalReducer {
   // Highest timestamp seen by this reduce task; used as the expiry
   // watermark for TryDiscard.
   uint64_t watermark_ = 0;
+  // Reused for every output value: each task has its own instance.
+  std::string value_;
 };
 
 }  // namespace onepass

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "src/util/random.h"
 
 namespace onepass {
@@ -108,6 +113,42 @@ TEST(CodingTest, LengthPrefixedRejectsShortBuffer) {
   std::string_view in(s.data(), s.size() - 1);
   std::string_view out;
   EXPECT_FALSE(GetLengthPrefixed(&in, &out));
+}
+
+std::string Snprintf(uint64_t v, size_t min_digits) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%0*llu", static_cast<int>(min_digits),
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// PutDecimal appends: the prefix must survive.
+std::string Decimal(uint64_t v, size_t min_digits) {
+  std::string s = "w";
+  PutDecimal(&s, v, min_digits);
+  EXPECT_EQ(s[0], 'w');
+  return s.substr(1);
+}
+
+TEST(CodingTest, PutDecimalMatchesSnprintfUpToAMillion) {
+  for (uint64_t v = 0; v <= 1'000'000; ++v) {
+    ASSERT_EQ(Decimal(v, 6), Snprintf(v, 6)) << v;
+  }
+}
+
+TEST(CodingTest, PutDecimalMatchesSnprintfAtBoundaries) {
+  std::vector<uint64_t> values = {0, 1, std::numeric_limits<uint64_t>::max(),
+                                  std::numeric_limits<uint64_t>::max() - 1,
+                                  std::numeric_limits<uint32_t>::max()};
+  for (uint64_t p = 10;; p *= 10) {  // every power of ten up to 10^19
+    values.insert(values.end(), {p - 1, p, p + 1});
+    if (p > std::numeric_limits<uint64_t>::max() / 10) break;
+  }
+  for (uint64_t v : values) {
+    for (size_t width : {0, 1, 6, 8, 9, 19, 20, 21, 32}) {
+      EXPECT_EQ(Decimal(v, width), Snprintf(v, width)) << v << " " << width;
+    }
+  }
 }
 
 }  // namespace

@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <initializer_list>
+#include <limits>
 #include <map>
 #include <set>
 #include <vector>
 
+#include "src/util/coding.h"
+#include "src/util/random.h"
 #include "src/workloads/clickstream.h"
 #include "src/workloads/count_workloads.h"
 #include "src/workloads/documents.h"
@@ -38,6 +44,24 @@ TEST(ClickEncodingTest, UserKeyOrderMatchesNumericOrder) {
   EXPECT_LT(UserKey(5), UserKey(40));
   EXPECT_LT(UserKey(99), UserKey(100));
   EXPECT_LT(UserKey(999'999), UserKey(1'000'000));
+}
+
+TEST(ClickEncodingTest, KeysNeverTruncate) {
+  char buf[64];
+  for (uint64_t user : std::initializer_list<uint64_t>{
+           0, 1, 999'999'999, 1'000'000'000, 99'999'999'999'999,
+           100'000'000'000'000, std::numeric_limits<uint64_t>::max()}) {
+    std::snprintf(buf, sizeof(buf), "u%09llu",
+                  static_cast<unsigned long long>(user));
+    EXPECT_EQ(UserKey(user), buf);
+  }
+  for (uint32_t url : std::initializer_list<uint32_t>{
+           0, 99'999'999, 100'000'000, std::numeric_limits<uint32_t>::max()}) {
+    std::snprintf(buf, sizeof(buf), "p%08u", url);
+    EXPECT_EQ(UrlKey(url), buf);
+  }
+  // A 16-byte snprintf buffer once cut 15-digit ids to 14 digits.
+  EXPECT_NE(UserKey(100'000'000'000'000), UserKey(100'000'000'000'001));
 }
 
 TEST(SessionPayloadTest, RoundTrips) {
@@ -303,6 +327,188 @@ TEST(SessionizationIncReducerTest, TryDiscardOnlyWhenExpired) {
   EXPECT_TRUE(red.TryDiscard("u", &state, &out));
   ASSERT_EQ(out.records.size(), 1u);  // emitted, not spilled
   (void)other;
+}
+
+// SessionizationIncReducer's documented behaviour over a ts-sorted vector,
+// sharing none of its code. A state is its clicks, or no bytes at all (a
+// state TryDiscard emptied, or one never built).
+class SessionOracle {
+ public:
+  struct Click {
+    uint64_t ts;
+    uint32_t url;
+  };
+  struct State {
+    bool no_bytes = true;
+    std::vector<Click> clicks;
+  };
+
+  SessionOracle(uint64_t state_bytes, size_t payload_bytes)
+      : payload_bytes_(payload_bytes),
+        capacity_(std::max<size_t>(2, (state_bytes - 4) / payload_bytes)) {}
+
+  uint64_t watermark() const { return watermark_; }
+
+  State Init(uint64_t ts, uint32_t url) {
+    watermark_ = std::max(watermark_, ts);
+    return State{false, {{ts, url}}};
+  }
+
+  // Upper-bound insert: a click goes after every click with ts <= its own.
+  void Combine(State* state, const State& other) {
+    state->no_bytes = false;
+    for (const Click& c : other.clicks) {
+      watermark_ = std::max(watermark_, c.ts);
+      auto at = std::upper_bound(
+          state->clicks.begin(), state->clicks.end(), c.ts,
+          [](uint64_t ts, const Click& x) { return ts < x.ts; });
+      state->clicks.insert(at, c);
+    }
+  }
+
+  // Emits every session closed by a gap of more than kSessionGapSeconds,
+  // plus the oldest clicks of the open one beyond the buffer's capacity.
+  void OnUpdate(State* state, std::vector<Record>* out) const {
+    const std::vector<Click>& c = state->clicks;
+    size_t open_start = 0;
+    for (size_t i = 1; i < c.size(); ++i) {
+      if (c[i].ts > c[i - 1].ts + kSessionGapSeconds) open_start = i;
+    }
+    size_t emit = open_start;
+    if (c.size() - emit > capacity_) emit = c.size() - capacity_;
+    EmitPrefix(state, emit, out);
+  }
+
+  void Finalize(const State& state, std::vector<Record>* out) const {
+    State copy = state;
+    EmitPrefix(&copy, copy.clicks.size(), out);
+  }
+
+  bool TryDiscard(State* state, std::vector<Record>* out) const {
+    if (state->clicks.empty()) return true;
+    if (state->clicks.back().ts + kSessionGapSeconds >= watermark_) {
+      return false;
+    }
+    EmitPrefix(state, state->clicks.size(), out);
+    state->no_bytes = true;
+    return true;
+  }
+
+  // [count: fixed32] then per click [ts: fixed64][url: fixed32] + 'x'
+  // padding to payload_bytes.
+  std::string Bytes(const State& state) const {
+    std::string b;
+    if (state.no_bytes) return b;
+    PutFixed32(&b, static_cast<uint32_t>(state.clicks.size()));
+    for (const Click& c : state.clicks) {
+      PutFixed64(&b, c.ts);
+      PutFixed32(&b, c.url);
+      b.append(payload_bytes_ - 12, 'x');
+    }
+    return b;
+  }
+
+ private:
+  // Emits and drops the first n clicks; a session id is the ts of the
+  // session's first click, and the first emitted click opens a session.
+  void EmitPrefix(State* state, size_t n, std::vector<Record>* out) const {
+    uint64_t session = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const Click& c = state->clicks[i];
+      if (i == 0 || c.ts > state->clicks[i - 1].ts + kSessionGapSeconds) {
+        session = c.ts;
+      }
+      std::string v;
+      PutFixed64(&v, session);
+      PutFixed64(&v, c.ts);
+      PutFixed32(&v, c.url);
+      if (v.size() < payload_bytes_) v.resize(payload_bytes_, 'x');
+      out->push_back(Record{"u", v});
+    }
+    state->clicks.erase(state->clicks.begin(),
+                        state->clicks.begin() + static_cast<ptrdiff_t>(n));
+  }
+
+  size_t payload_bytes_;
+  size_t capacity_;
+  uint64_t watermark_ = 0;
+};
+
+TEST(SessionizationIncReducerTest, InPlaceMatchesSpecOracle) {
+  Xoshiro256StarStar rng(2011);
+  for (size_t payload : {12, 64, 100}) {
+    for (uint64_t state_bytes : {uint64_t{4 + 2 * payload}, uint64_t{512},
+                                 uint64_t{1} << 20}) {
+      SCOPED_TRACE("payload " + std::to_string(payload) + ", buffer " +
+                   std::to_string(state_bytes));
+      SessionizationIncReducer red(state_bytes, payload);
+      SessionOracle oracle(state_bytes, payload);
+      VectorEmitter out;
+      std::vector<Record> want;
+      // A few states (engine slots) with their own clocks; each starts as
+      // an empty string.
+      constexpr int kSlots = 4;
+      std::vector<std::string> states(kSlots);
+      std::vector<SessionOracle::State> model(kSlots);
+      std::vector<uint64_t> clock(kSlots, 10'000);
+      uint32_t url = 0;
+      // The next click of slot k: equal timestamps, small steps, gaps of
+      // exactly kSessionGapSeconds and one second more, long gaps (which
+      // expire a slot against the others' watermark) and late clicks.
+      auto next_ts = [&](int k) {
+        const uint64_t r = rng.NextBounded(10);
+        if (r < 2) return clock[k];
+        if (r < 5) return clock[k] += 1 + rng.NextBounded(60);
+        if (r < 6) return clock[k] += kSessionGapSeconds;
+        if (r < 7) return clock[k] += kSessionGapSeconds + 1;
+        if (r < 8) return clock[k] += 5'000;
+        return clock[k] - rng.NextBounded(2 * kSessionGapSeconds);
+      };
+      auto init = [&](int k, std::string* state,
+                      SessionOracle::State* m) {
+        const uint64_t ts = next_ts(k);
+        *state = red.Init("u", EncodeClickPayload(ts, ++url, payload));
+        *m = oracle.Init(ts, url);
+      };
+      for (int step = 0; step < 3'000; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        const int k = static_cast<int>(rng.NextBounded(kSlots));
+        const uint64_t op = rng.NextBounded(20);
+        if (op < 2) {
+          init(k, &states[k], &model[k]);
+        } else if (op < 9) {  // the common case: one fresh click
+          std::string click;
+          SessionOracle::State m;
+          init(k, &click, &m);
+          red.Combine("u", &states[k], click);
+          oracle.Combine(&model[k], m);
+        } else if (op < 11) {  // a multi-click (or empty) other state
+          const int j =
+              (k + 1 + static_cast<int>(rng.NextBounded(kSlots - 1))) %
+              kSlots;
+          red.Combine("u", &states[k], states[j]);
+          oracle.Combine(&model[k], model[j]);
+        } else if (op < 16) {
+          red.OnUpdate("u", &states[k], &out);
+          oracle.OnUpdate(&model[k], &want);
+        } else if (op < 17) {
+          red.Finalize("u", states[k], &out);
+          oracle.Finalize(model[k], &want);
+        } else if (op < 19) {
+          ASSERT_EQ(red.TryDiscard("u", &states[k], &out),
+                    oracle.TryDiscard(&model[k], &want));
+        } else {
+          states[k].clear();
+          model[k] = SessionOracle::State{};
+        }
+        ASSERT_EQ(states[k], oracle.Bytes(model[k]));
+        ASSERT_EQ(red.watermark(), oracle.watermark());
+        ASSERT_EQ(out.records, want);
+        out.records.clear();
+        want.clear();
+      }
+    }
+  }
 }
 
 TEST(SessionizationListReducerTest, MatchesIncrementalSemantics) {
