@@ -32,58 +32,61 @@ inline std::string SortedOutputs(const JobResult& r) {
   return out;
 }
 
+// `digits` is the %g precision for doubles: 17 renders them exactly; the
+// replay goldens use 9, as JobMetrics::Serialize does, so one golden
+// holds across optimization levels.
 inline void AppendSeries(std::string* fp, const char* name,
-                         const sim::StepSeries& s) {
+                         const sim::StepSeries& s, int digits = 17) {
   char buf[64];
   *fp += name;
   for (size_t i = 0; i < s.times.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), " (%.17g,%.17g)", s.times[i],
-                  s.values[i]);
+    std::snprintf(buf, sizeof(buf), " (%.*g,%.*g)", digits, s.times[i],
+                  digits, s.values[i]);
     *fp += buf;
   }
   *fp += '\n';
 }
 
 inline void AppendBinned(std::string* fp, const char* name,
-                         const sim::BinnedSeries& s) {
+                         const sim::BinnedSeries& s, int digits = 17) {
   char buf[48];
   *fp += name;
-  std::snprintf(buf, sizeof(buf), " bin=%.17g", s.bin_seconds);
+  std::snprintf(buf, sizeof(buf), " bin=%.*g", digits, s.bin_seconds);
   *fp += buf;
   for (double v : s.values) {
-    std::snprintf(buf, sizeof(buf), " %.17g", v);
+    std::snprintf(buf, sizeof(buf), " %.*g", digits, v);
     *fp += buf;
   }
   *fp += '\n';
 }
 
-// Every deterministic field of a JobResult, rendered exactly, outputs in
-// emitted order. Excludes only map_plane_wall_s / reduce_plane_wall_s,
-// which measure the host.
-inline std::string Fingerprint(const JobResult& r) {
+// Every deterministic field of a JobResult, rendered exactly (at the
+// default `digits`), outputs in emitted order. Excludes only
+// map_plane_wall_s / reduce_plane_wall_s, which measure the host.
+inline std::string Fingerprint(const JobResult& r, int digits = 17) {
   std::string fp = r.metrics.Serialize();
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "running_time=%.17g\nmap_finish_time=%.17g\n"
+                "running_time=%.*g\nmap_finish_time=%.*g\n"
                 "map_tasks=%d\nreduce_tasks=%d\n"
                 "shuffle_from_disk_bytes=%llu\n"
-                "map_cpu_s=%.17g\nreduce_cpu_s=%.17g\n",
-                r.running_time, r.map_finish_time, r.map_tasks,
-                r.reduce_tasks,
+                "map_cpu_s=%.*g\nreduce_cpu_s=%.*g\n",
+                digits, r.running_time, digits, r.map_finish_time,
+                r.map_tasks, r.reduce_tasks,
                 static_cast<unsigned long long>(r.shuffle_from_disk_bytes),
-                r.map_cpu_s, r.reduce_cpu_s);
+                digits, r.map_cpu_s, digits, r.reduce_cpu_s);
   fp += buf;
-  AppendSeries(&fp, "map_progress", r.map_progress);
-  AppendSeries(&fp, "reduce_progress", r.reduce_progress);
-  AppendSeries(&fp, "shuffle_progress", r.shuffle_progress);
-  AppendSeries(&fp, "reduce_work_progress", r.reduce_work_progress);
-  AppendSeries(&fp, "output_progress", r.output_progress);
-  AppendSeries(&fp, "active_map", r.active_map);
-  AppendSeries(&fp, "active_shuffle", r.active_shuffle);
-  AppendSeries(&fp, "active_merge", r.active_merge);
-  AppendSeries(&fp, "active_reduce", r.active_reduce);
-  AppendBinned(&fp, "cpu_util", r.cpu_util);
-  AppendBinned(&fp, "iowait", r.iowait);
+  AppendSeries(&fp, "map_progress", r.map_progress, digits);
+  AppendSeries(&fp, "reduce_progress", r.reduce_progress, digits);
+  AppendSeries(&fp, "shuffle_progress", r.shuffle_progress, digits);
+  AppendSeries(&fp, "reduce_work_progress", r.reduce_work_progress, digits);
+  AppendSeries(&fp, "output_progress", r.output_progress, digits);
+  AppendSeries(&fp, "active_map", r.active_map, digits);
+  AppendSeries(&fp, "active_shuffle", r.active_shuffle, digits);
+  AppendSeries(&fp, "active_merge", r.active_merge, digits);
+  AppendSeries(&fp, "active_reduce", r.active_reduce, digits);
+  AppendBinned(&fp, "cpu_util", r.cpu_util, digits);
+  AppendBinned(&fp, "iowait", r.iowait, digits);
   for (const Record& rec : r.outputs) {
     fp += rec.key;
     fp += '=';
