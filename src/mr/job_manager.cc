@@ -194,7 +194,6 @@ void ManagerRun::Dispatch(int j) {
   opts.job_id = j;
   opts.tenant = sub.tenant;
   opts.stream = StreamOf(j);
-  opts.max_preemptions_per_task = mc_.max_preemptions_per_task;
   st.replayer = std::make_unique<Replayer>(
       &engine_, &pool_, st.prepared->config, st.prepared->plan,
       st.prepared->map_ins, st.prepared->reduce_ins, st.prepared->totals,

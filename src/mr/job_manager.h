@@ -71,7 +71,6 @@ struct ManagerConfig {
 
   SchedulePolicy policy = SchedulePolicy::kFairShare;
   bool preemption = true;
-  int max_preemptions_per_task = 3;
 
   // Admission bounds: jobs replaying concurrently / waiting for a slot.
   // max_queued_jobs = 0 rejects whenever all run slots are taken.

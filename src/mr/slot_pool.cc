@@ -171,13 +171,13 @@ void SlotPool::PumpNode(int n) {
     --nd.pending_maps;
     const JobInfo info = jobs_.at(job);
     info.client->QueueEntryPopped(/*is_map=*/true, p);
-    if (!info.client->MapEntryRunnable(p)) continue;
+    if (!info.client->EntryRunnable(/*is_map=*/true, p)) continue;
     --nd.free_map_slots;
     ++nd.running_maps[job];
     TenantState& t = Tenant(info.tenant);
     ++t.running;
     ++t.running_maps;
-    info.client->PoolStartMap(p.task, n, p.speculative);
+    info.client->StartMapAttempt(p.task, n, p.speculative);
   }
   while (nd.free_reduce_slots > 0) {
     const int job = PickJob(nd, n, /*is_map=*/false);
@@ -189,10 +189,10 @@ void SlotPool::PumpNode(int n) {
     --nd.pending_reduces;
     const JobInfo info = jobs_.at(job);
     info.client->QueueEntryPopped(/*is_map=*/false, p);
-    if (!info.client->ReduceEntryRunnable(p)) continue;
+    if (!info.client->EntryRunnable(/*is_map=*/false, p)) continue;
     --nd.free_reduce_slots;
     ++Tenant(info.tenant).running;
-    info.client->PoolStartReduce(p.task, n, p.speculative);
+    info.client->StartReduceAttempt(p.task, n, p.speculative);
   }
 }
 

@@ -24,7 +24,7 @@
 //   * preemption — when a tenant in deficit enqueues a map task onto a
 //     full node, the pool may evict a running map attempt of the most
 //     over-share tenant (the victim requeues; its attempt budget is not
-//     charged — see TaskTracker::Preempted).
+//     charged — see Replayer::PreemptMapOn).
 //
 // Determinism: the pool never consults wall clock or RNG. Queues pop in
 // insertion order per job, jobs are picked by (share, job id), and every

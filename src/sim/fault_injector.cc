@@ -81,17 +81,6 @@ Status FaultConfig::Validate(int nodes) const {
   if (max_attempts < 1) {
     return Status::InvalidArgument("max_attempts must be >= 1");
   }
-  if (speculation_slowness < 1.0) {
-    return Status::InvalidArgument("speculation_slowness must be >= 1");
-  }
-  if (speculation_min_done_fraction < 0 ||
-      speculation_min_done_fraction > 1.0) {
-    return Status::InvalidArgument(
-        "speculation_min_done_fraction outside [0, 1]");
-  }
-  if (speculation_check_s <= 0) {
-    return Status::InvalidArgument("speculation_check_s must be > 0");
-  }
   if (corruption_rate < 0 || corruption_rate >= 1.0) {
     return Status::InvalidArgument("corruption_rate must be in [0, 1)");
   }
