@@ -11,11 +11,17 @@
 #ifndef ONEPASS_BENCH_BENCH_COMMON_H_
 #define ONEPASS_BENCH_BENCH_COMMON_H_
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
+#include "src/common/status.h"
 #include "src/mr/cluster.h"
 #include "src/mr/config.h"
 #include "src/util/simd_dispatch.h"
@@ -75,82 +81,132 @@ inline Flags& DataPlaneDefaults() {
   static Flags defaults;
   return defaults;
 }
+
+// Parses all of `text` as a T: false when it is empty, has trailing
+// bytes, carries a sign an unsigned T cannot take, or overflows.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+inline bool OneOf(const std::string& value,
+                  std::initializer_list<const char*> names) {
+  for (const char* n : names) {
+    if (value == n) return true;
+  }
+  return false;
+}
 }  // namespace detail
 
-inline Flags ParseFlags(int argc, char** argv) {
-  Flags flags;
+inline constexpr const char* kFlagsUsage =
+    "[--scale=F] [--threads=N] [--codec=none|lz] [--batch_size=N] "
+    "[--simd=auto|scalar] [--iterations=N] [--shuffle_mode=disk|resident] "
+    "[--combine_scope=task|node] [--node_combine_budget=N] [--ssd] [--hop] "
+    "[--util] [--plot NAME]";
+
+// Parses the shared bench flags into `flags`, which keeps its defaults
+// for flags not given. Rejects an unknown flag, a number that does not
+// parse completely, --scale <= 0 (or not finite), a negative --threads,
+// and an unknown --codec, --simd, --shuffle_mode or --combine_scope
+// value.
+inline Status ParseFlagsInto(int argc, const char* const* argv,
+                             Flags* flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) {
-      flags.scale = std::stod(arg.substr(8));
-    } else if (arg == "--ssd") {
-      flags.ssd = true;
+    const size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const std::string value =
+        eq == std::string::npos ? "" : arg.substr(eq + 1);
+    bool number_ok = true;
+    if (arg == "--ssd") {
+      flags->ssd = true;
     } else if (arg == "--hop") {
-      flags.hop = true;
+      flags->hop = true;
     } else if (arg == "--util") {
-      flags.util = true;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      flags.threads = std::stoi(arg.substr(10));
-    } else if (arg.rfind("--codec=", 0) == 0) {
-      flags.codec = arg.substr(8);
-    } else if (arg.rfind("--batch_size=", 0) == 0) {
-      flags.batch_size = std::stoull(arg.substr(13));
-    } else if (arg.rfind("--simd=", 0) == 0) {
-      flags.simd = arg.substr(7);
-    } else if (arg.rfind("--iterations=", 0) == 0) {
-      flags.iterations = std::stoi(arg.substr(13));
-    } else if (arg.rfind("--shuffle_mode=", 0) == 0) {
-      flags.shuffle_mode = arg.substr(15);
-    } else if (arg.rfind("--combine_scope=", 0) == 0) {
-      flags.combine_scope = arg.substr(16);
-    } else if (arg.rfind("--node_combine_budget=", 0) == 0) {
-      flags.node_combine_budget = std::stoull(arg.substr(22));
-    } else if (arg == "--plot" && i + 1 < argc) {
-      flags.plot = argv[++i];
-    } else if (arg.rfind("--plot=", 0) == 0) {
-      flags.plot = arg.substr(7);
+      flags->util = true;
+    } else if (arg == "--plot") {
+      if (i + 1 >= argc) return Status::InvalidArgument("--plot needs a name");
+      flags->plot = argv[++i];
+    } else if (eq == std::string::npos) {
+      return Status::InvalidArgument("unknown flag " + arg);
+    } else if (name == "--plot") {
+      flags->plot = value;
+    } else if (name == "--scale") {
+      number_ok = detail::ParseNumber(value, &flags->scale);
+    } else if (name == "--threads") {
+      number_ok = detail::ParseNumber(value, &flags->threads);
+    } else if (name == "--batch_size") {
+      number_ok = detail::ParseNumber(value, &flags->batch_size);
+    } else if (name == "--iterations") {
+      number_ok = detail::ParseNumber(value, &flags->iterations);
+    } else if (name == "--node_combine_budget") {
+      number_ok = detail::ParseNumber(value, &flags->node_combine_budget);
+    } else if (name == "--codec") {
+      flags->codec = value;
+    } else if (name == "--simd") {
+      flags->simd = value;
+    } else if (name == "--shuffle_mode") {
+      flags->shuffle_mode = value;
+    } else if (name == "--combine_scope") {
+      flags->combine_scope = value;
+    } else {
+      return Status::InvalidArgument("unknown flag " + arg);
     }
+    if (!number_ok) return Status::InvalidArgument("not a number: " + arg);
   }
-  if (flags.simd == "scalar") {
-    SetSimdTier(SimdTier::kScalar);
-  } else if (flags.simd != "auto" && !flags.simd.empty()) {
-    std::fprintf(stderr, "unknown --simd=%s, using auto\n",
-                 flags.simd.c_str());
+  if (!std::isfinite(flags->scale) || flags->scale <= 0) {
+    return Status::InvalidArgument("--scale must be > 0");
   }
+  if (flags->threads < 0) {
+    return Status::InvalidArgument("--threads must be >= 0");
+  }
+  if (!detail::OneOf(flags->codec, {"none", "lz"})) {
+    return Status::InvalidArgument("unknown --codec=" + flags->codec);
+  }
+  if (!detail::OneOf(flags->simd, {"auto", "scalar"})) {
+    return Status::InvalidArgument("unknown --simd=" + flags->simd);
+  }
+  if (!detail::OneOf(flags->shuffle_mode, {"disk", "resident"})) {
+    return Status::InvalidArgument("unknown --shuffle_mode=" +
+                                   flags->shuffle_mode);
+  }
+  if (!detail::OneOf(flags->combine_scope, {"task", "node"})) {
+    return Status::InvalidArgument("unknown --combine_scope=" +
+                                   flags->combine_scope);
+  }
+  return Status::OK();
+}
+
+// Parses the flags for a bench's main: on a bad command line prints the
+// error and a usage line to stderr and exits 2. Applies --simd and
+// records the data-plane defaults.
+inline Flags ParseFlags(int argc, char** argv) {
+  Flags flags;
+  const Status s = ParseFlagsInto(argc, argv, &flags);
+  if (!s.ok()) {
+    std::fprintf(stderr, "%s\nusage: %s %s\n", s.ToString().c_str(),
+                 argv[0], kFlagsUsage);
+    std::exit(2);
+  }
+  if (flags.simd == "scalar") SetSimdTier(SimdTier::kScalar);
   detail::DataPlaneDefaults() = flags;
   return flags;
 }
 
-// Resolves a --codec= flag value ("none"/"lz") to the config enum;
-// unknown names fall back to kNone with a warning.
+// Resolve the validated --codec/--combine_scope/--shuffle_mode names to
+// their config enums.
 inline BlockCodecKind CodecFromFlag(const std::string& name) {
-  if (name == "lz") return BlockCodecKind::kLz;
-  if (name != "none" && !name.empty()) {
-    std::fprintf(stderr, "unknown --codec=%s, using none\n", name.c_str());
-  }
-  return BlockCodecKind::kNone;
+  return name == "lz" ? BlockCodecKind::kLz : BlockCodecKind::kNone;
 }
 
-// Resolves a --combine_scope= flag value ("task"/"node") to the config
-// enum; unknown names fall back to kTask with a warning.
 inline CombineScope CombineScopeFromFlag(const std::string& name) {
-  if (name == "node") return CombineScope::kNode;
-  if (name != "task" && !name.empty()) {
-    std::fprintf(stderr, "unknown --combine_scope=%s, using task\n",
-                 name.c_str());
-  }
-  return CombineScope::kTask;
+  return name == "node" ? CombineScope::kNode : CombineScope::kTask;
 }
 
-// Resolves a --shuffle_mode= flag value ("disk"/"resident") to the
-// config enum; unknown names fall back to kDisk with a warning.
 inline ShuffleMode ShuffleModeFromFlag(const std::string& name) {
-  if (name == "resident") return ShuffleMode::kResident;
-  if (name != "disk" && !name.empty()) {
-    std::fprintf(stderr, "unknown --shuffle_mode=%s, using disk\n",
-                 name.c_str());
-  }
-  return ShuffleMode::kDisk;
+  return name == "resident" ? ShuffleMode::kResident : ShuffleMode::kDisk;
 }
 
 // Applies the data-plane flags (--threads/--codec/--batch_size/
