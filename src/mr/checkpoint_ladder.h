@@ -16,9 +16,9 @@
 // and with no usable instance left the attempt falls back to replaying
 // the whole shuffle.
 //
-// Like TaskTracker, the ladder is pure bookkeeping: the Replayer reports
-// completed ops and crashes, asks where a restarted attempt resumes, and
-// runs the restore chain the ladder builds like any other trace.
+// The ladder is pure bookkeeping: the Replayer reports completed ops and
+// crashes, asks where a restarted attempt resumes, and runs the restore
+// chain the ladder builds like any other trace.
 
 #ifndef ONEPASS_MR_CHECKPOINT_LADDER_H_
 #define ONEPASS_MR_CHECKPOINT_LADDER_H_

@@ -35,7 +35,7 @@ struct JobMetrics {
   uint64_t snapshot_bytes = 0;        // HOP-style snapshot output volume
   uint64_t snapshot_count = 0;
 
-  // --- Fault tolerance / recovery (time-plane, from the TaskTracker) ---
+  // --- Fault tolerance / recovery (time plane, from the Replayer) ---
   uint64_t map_task_attempts = 0;     // attempts started (>= map tasks)
   uint64_t reduce_task_attempts = 0;  // attempts started (>= reduce tasks)
   uint64_t killed_attempts = 0;       // crash kills + speculation losers
