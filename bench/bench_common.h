@@ -51,13 +51,10 @@ struct Flags {
   // Block codec for spill/shuffle/bucket streams: "none" (default) or
   // "lz" (JobConfig::block_codec = kLz).
   std::string codec = "none";
-  // Batch data plane (DESIGN.md §5.8). --batch_size=N pins
-  // JobConfig::batch_records (0 = derive from codec_block_bytes);
-  // --batch_size=1 is the scalar-equivalent walk. --simd=scalar pins the
+  // Batch data plane (DESIGN.md §5.8). --simd=scalar pins the
   // process-wide SIMD tier to kScalar (SetSimdTier), so the hash and
   // CRC32C kernels skip the hardware paths; --simd=auto (default) uses
   // the detected tier.
-  uint64_t batch_size = 0;
   std::string simd = "auto";
   // Resident shuffle engine (DESIGN.md §5.9). --iterations=N is
   // bench_iterative's chain length (stages per RunJobChain; not a
@@ -75,8 +72,8 @@ struct Flags {
 
 namespace detail {
 // Data-plane defaults recorded by ParseFlags (write-once in main) so
-// every bench's ScaledJobConfig picks up --threads/--codec/--batch_size
-// without each helper threading a Flags parameter through.
+// every bench's ScaledJobConfig picks up --threads/--codec and the other
+// data-plane flags without each helper threading a Flags parameter through.
 inline Flags& DataPlaneDefaults() {
   static Flags defaults;
   return defaults;
@@ -101,8 +98,8 @@ inline bool OneOf(const std::string& value,
 }  // namespace detail
 
 inline constexpr const char* kFlagsUsage =
-    "[--scale=F] [--threads=N] [--codec=none|lz] [--batch_size=N] "
-    "[--simd=auto|scalar] [--iterations=N] [--shuffle_mode=disk|resident] "
+    "[--scale=F] [--threads=N] [--codec=none|lz] [--simd=auto|scalar] "
+    "[--iterations=N] [--shuffle_mode=disk|resident] "
     "[--combine_scope=task|node] [--node_combine_budget=N] [--ssd] [--hop] "
     "[--util] [--plot NAME]";
 
@@ -137,8 +134,6 @@ inline Status ParseFlagsInto(int argc, const char* const* argv,
       number_ok = detail::ParseNumber(value, &flags->scale);
     } else if (name == "--threads") {
       number_ok = detail::ParseNumber(value, &flags->threads);
-    } else if (name == "--batch_size") {
-      number_ok = detail::ParseNumber(value, &flags->batch_size);
     } else if (name == "--iterations") {
       number_ok = detail::ParseNumber(value, &flags->iterations);
     } else if (name == "--node_combine_budget") {
@@ -209,14 +204,13 @@ inline ShuffleMode ShuffleModeFromFlag(const std::string& name) {
   return name == "resident" ? ShuffleMode::kResident : ShuffleMode::kDisk;
 }
 
-// Applies the data-plane flags (--threads/--codec/--batch_size/
-// --shuffle_mode/--combine_scope/--node_combine_budget) to a job config.
+// Applies the data-plane flags (--threads/--codec/--shuffle_mode/
+// --combine_scope/--node_combine_budget) to a job config.
 // Every bench routes its config through here so the whole suite exposes
 // the same knobs.
 inline void ApplyDataPlaneFlags(const Flags& flags, JobConfig* cfg) {
   cfg->data_plane_threads = flags.threads;
   cfg->block_codec = CodecFromFlag(flags.codec);
-  cfg->batch_records = flags.batch_size;
   cfg->shuffle_mode = ShuffleModeFromFlag(flags.shuffle_mode);
   cfg->combine_scope = CombineScopeFromFlag(flags.combine_scope);
   cfg->node_combine_budget_bytes = flags.node_combine_budget;
@@ -287,7 +281,7 @@ inline JobConfig ScaledJobConfig(EngineKind engine) {
 }
 
 // Scaled config with the data-plane flags applied — the form every bench
-// should prefer so --threads/--codec/--batch_size reach every run.
+// should prefer so --threads/--codec and the rest reach every run.
 inline JobConfig ScaledJobConfig(EngineKind engine, const Flags& flags) {
   JobConfig cfg = ScaledJobConfig(engine);
   ApplyDataPlaneFlags(flags, &cfg);

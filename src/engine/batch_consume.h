@@ -4,9 +4,10 @@
 // RecordBatch worth of views, compute the whole batch's UniversalHash
 // digests into a scratch array, then run the per-record body with the
 // table probe for record i+kProbePrefetchDistance already prefetched.
-// The body runs once per record in exactly KvBufferReader order, so the
-// loop is byte-identical to the scalar per-record walk at every batch
-// size — batching only changes memory-level parallelism, never semantics.
+// Batches hold kBatchRecords records. The body runs once per record in
+// exactly KvBufferReader order, so the loop is byte-identical to the
+// scalar per-record walk — batching only changes memory-level
+// parallelism, never semantics.
 
 #ifndef ONEPASS_ENGINE_BATCH_CONSUME_H_
 #define ONEPASS_ENGINE_BATCH_CONSUME_H_
@@ -16,7 +17,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/mr/metrics.h"
 #include "src/util/batch_hash.h"
 #include "src/util/hash.h"
 #include "src/util/kv_buffer.h"
@@ -40,14 +40,12 @@ struct NoProbePrefetch {
 // `digests` is caller-owned scratch so an engine's repeated Consume calls
 // reuse one allocation.
 template <typename ProbeTarget, typename Body>
-void ConsumeBatched(const KvBuffer& segment, size_t batch_records,
-                    const UniversalHash& h, JobMetrics* metrics,
-                    std::vector<uint64_t>* digests,
-                    const ProbeTarget& probe, Body&& body) {
+void ConsumeBatched(const KvBuffer& segment, const UniversalHash& h,
+                    std::vector<uint64_t>* digests, const ProbeTarget& probe,
+                    Body&& body) {
   constexpr size_t kD = kProbePrefetchDistance;
-  if (batch_records == 0) batch_records = 1;
-  KvBatchReader reader(segment, batch_records);
-  if (digests->size() < batch_records) digests->resize(batch_records);
+  KvBatchReader reader(segment, kBatchRecords);
+  if (digests->size() < kBatchRecords) digests->resize(kBatchRecords);
   for (;;) {
     const size_t n = reader.Fill();
     if (n == 0) break;
@@ -73,8 +71,6 @@ void ConsumeBatched(const KvBuffer& segment, size_t batch_records,
       if (i + kD < n) probe.PrefetchKey(d[i + kD]);
       body(keys[i], values[i], d[i]);
     }
-    metrics->record_batches += 1;
-    metrics->batched_records += n;
   }
 }
 

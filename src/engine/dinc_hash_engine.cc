@@ -21,7 +21,7 @@ DincHashEngine::DincHashEngine(const EngineContext& ctx)
   CHECK(ctx.inc != nullptr) << "DINC-hash requires an IncrementalReducer";
   const JobConfig& cfg = *ctx.config;
   const uint64_t entry_cost = ctx.inc->StateBytesHint() + 16 /*avg key*/ +
-                              cfg.resident_entry_overhead;
+                              kResidentEntryOverhead;
   // Pick h so each bucket's distinct keys fit in memory when read back
   // (the paper: "setting h as small as possible increases s").
   num_buckets_ =
@@ -60,23 +60,15 @@ Status DincHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
   IncrementalReducer* inc = ctx_.inc;
   ctx_.out->set_streaming(true);
   uint64_t n = 0, combines = 0;
-  std::string tmp_state;
-  // Batched walk (§5.8): one h3 digest per tuple, computed a RecordBatch
-  // at a time and shared between the monitor-index probe and the
-  // spill-bucket route, with the sketch index's control word prefetched
-  // kProbePrefetchDistance tuples ahead.
+  // Tuples arrive as key-state pairs (init ran map-side). Batched walk
+  // (§5.8): one h3 digest per tuple, computed a RecordBatch at a time and
+  // shared between the monitor-index probe and the spill-bucket route,
+  // with the sketch index's control word prefetched kProbePrefetchDistance
+  // tuples ahead.
   ConsumeBatched(
-      segment, EffectiveBatchRecords(*ctx_.config), h3_, ctx_.metrics,
-      &digest_scratch_, *sketch_,
-      [&](std::string_view key, std::string_view value, uint64_t digest) {
+      segment, h3_, &digest_scratch_, *sketch_,
+      [&](std::string_view key, std::string_view state, uint64_t digest) {
     ++n;
-    // Tuples arrive as key-state pairs (init ran map-side); otherwise
-    // initialize here.
-    std::string_view state = value;
-    if (!ctx_.values_are_states) {
-      tmp_state = inc->Init(key, value);
-      state = tmp_state;
-    }
     const int found = sketch_->Find(key, digest);
     if (found >= 0) {
       // Monitored: combine in memory.

@@ -22,10 +22,16 @@ Status CheckReduceContract(EngineKind kind, bool has_reducer, bool has_inc,
           "MR-hash needs a Reducer (the values-list reduce API)");
     case EngineKind::kIncHash:
     case EngineKind::kDincHash:
-      if (has_inc) return Status::OK();
-      return Status::InvalidArgument(std::string(EngineKindName(kind)) +
-                                     " needs an IncrementalReducer "
-                                     "(init/cb/fn)");
+      if (!has_inc) {
+        return Status::InvalidArgument(std::string(EngineKindName(kind)) +
+                                       " needs an IncrementalReducer "
+                                       "(init/cb/fn)");
+      }
+      if (values_are_states) return Status::OK();
+      return Status::InvalidArgument(
+          std::string(EngineKindName(kind)) +
+          " consumes states: init() runs map-side, so its input values "
+          "must already be states");
   }
   return Status::InvalidArgument("unknown engine kind");
 }

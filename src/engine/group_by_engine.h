@@ -14,6 +14,7 @@
 #ifndef ONEPASS_ENGINE_GROUP_BY_ENGINE_H_
 #define ONEPASS_ENGINE_GROUP_BY_ENGINE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -24,11 +25,17 @@
 #include "src/mr/cost_trace.h"
 #include "src/mr/metrics.h"
 #include "src/mr/output.h"
+#include "src/sim/fault_injector.h"
 #include "src/storage/checkpoint.h"
 #include "src/util/hash.h"
 #include "src/util/kv_buffer.h"
 
 namespace onepass {
+
+// Bookkeeping bytes charged against reduce memory per resident key (its
+// hash-table slot, counter and pointers) by INC-hash, DINC-hash and the
+// bucket pass.
+inline constexpr uint64_t kResidentEntryOverhead = 32;
 
 struct EngineContext {
   TraceRecorder* trace = nullptr;
@@ -42,7 +49,9 @@ struct EngineContext {
   Reducer* reducer = nullptr;
   IncrementalReducer* inc = nullptr;
   // True when the map side already applied the initialize function, so the
-  // incoming "values" are states that Combine() can fold directly.
+  // incoming "values" are states that Combine() can fold directly. INC and
+  // DINC always receive states (CheckReduceContract); sort-merge with an
+  // IncrementalReducer only under map_side_combine.
   bool values_are_states = false;
   // Data integrity (DESIGN.md §5.2): the job's fault plan, consulted by
   // the engine's spill-bucket layer for seeded corruption, and a stable
@@ -123,8 +132,9 @@ class GroupByEngine {
 // The reduce contract (§4), written once: sort-merge needs a Reducer, or an
 // IncrementalReducer when its reducers receive states (`values_are_states`;
 // it then also acts as the reduce-side combiner); MR-hash needs a Reducer;
-// INC/DINC need an IncrementalReducer. ValidateJob and CreateGroupByEngine
-// both judge a job by it.
+// INC/DINC need an IncrementalReducer and receive states, because init()
+// runs map-side right after the map function (§4.2, §5). ValidateJob and
+// CreateGroupByEngine both judge a job by it.
 Status CheckReduceContract(EngineKind kind, bool has_reducer, bool has_inc,
                            bool values_are_states);
 

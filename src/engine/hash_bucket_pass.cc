@@ -42,8 +42,7 @@ bool BucketPassProcessor::ReduceInMemory(const KvBuffer& data,
   // overflow the remaining records are skipped exactly as the scalar
   // walk's break skipped them (they are re-read by the repartition pass).
   ConsumeBatched(
-      data, EffectiveBatchRecords(cfg), h, ctx_->metrics, &digest_scratch_,
-      table_,
+      data, h, &digest_scratch_, table_,
       [&](std::string_view key, std::string_view state, uint64_t digest) {
     if (overflow) return;
     const uint32_t found = table_.Find(key, digest);
@@ -55,8 +54,8 @@ bool BucketPassProcessor::ReduceInMemory(const KvBuffer& data,
       ++combines;
       return;
     }
-    const uint64_t entry = key.size() + inc->StateBytesHint() +
-                           cfg.resident_entry_overhead;
+    const uint64_t entry =
+        key.size() + inc->StateBytesHint() + kResidentEntryOverhead;
     if (!force && bytes_used + entry > capacity_bytes_ && !table_.empty()) {
       overflow = true;
       return;
@@ -103,8 +102,7 @@ Status BucketPassProcessor::Repartition(KvBuffer data, uint64_t level,
   // Batched route: FastRangeBucket(digest, sub) == h.Bucket(key, sub) by
   // the hash.h identity, so sub-bucket assignment is unchanged.
   ConsumeBatched(
-      data, EffectiveBatchRecords(cfg), h, ctx_->metrics, &digest_scratch_,
-      NoProbePrefetch{},
+      data, h, &digest_scratch_, NoProbePrefetch{},
       [&](std::string_view key, std::string_view state, uint64_t digest) {
         subs.Add(static_cast<int>(FastRangeBucket(
                      digest, static_cast<uint64_t>(sub))),

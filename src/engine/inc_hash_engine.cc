@@ -48,7 +48,7 @@ IncHashEngine::IncHashEngine(const EngineContext& ctx)
   CHECK(ctx.inc != nullptr) << "INC-hash requires an IncrementalReducer";
   const JobConfig& cfg = *ctx.config;
   const uint64_t entry_cost = ctx.inc->StateBytesHint() + 16 /*avg key*/ +
-                              cfg.resident_entry_overhead;
+                              kResidentEntryOverhead;
   num_buckets_ =
       cfg.expected_keys_per_reducer > 0
           ? ChooseNumBuckets(cfg.expected_keys_per_reducer,
@@ -75,26 +75,21 @@ Status IncHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
   const uint64_t hint = inc->StateBytesHint();
   ctx_.out->set_streaming(true);
   uint64_t n = 0, combines = 0;
-  // Batched walk: one h3 digest per tuple, computed a whole RecordBatch at
-  // a time, probing the state table with the control word for tuple i+D
-  // already prefetched; on overflow the digest routes the spill to the
-  // same bucket h3_.Bucket would pick.
+  // Tuples arrive as key-state pairs (init ran map-side). Batched walk: one
+  // h3 digest per tuple, computed a whole RecordBatch at a time, probing
+  // the state table with the control word for tuple i+D already
+  // prefetched; on overflow the digest routes the spill to the same bucket
+  // h3_.Bucket would pick.
   ConsumeBatched(
-      segment, EffectiveBatchRecords(*ctx_.config), h3_, ctx_.metrics,
-      &digest_scratch_, table_,
-      [&](std::string_view key, std::string_view value, uint64_t digest) {
+      segment, h3_, &digest_scratch_, table_,
+      [&](std::string_view key, std::string_view state, uint64_t digest) {
     ++n;
     const uint32_t found = table_.Find(key, digest);
     if (found != FlatTable::kNoEntry) {
       const std::string_view cur = table_.value_at(found);
       scratch_state_.assign(cur.data(), cur.size());
       const uint64_t before = scratch_state_.size();
-      if (ctx_.values_are_states) {
-        inc->Combine(key, &scratch_state_, value);
-      } else {
-        const std::string state = inc->Init(key, value);
-        inc->Combine(key, &scratch_state_, state);
-      }
+      inc->Combine(key, &scratch_state_, state);
       inc->OnUpdate(key, &scratch_state_, ctx_.out);
       table_.set_value(found, scratch_state_);
       // States are budgeted at their hint size; growth beyond the hint is
@@ -107,11 +102,9 @@ Status IncHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
       ctx_.trace->Cpu(costs.combine_record_s, OpTag::kCombine,
                       /*d_reduce_work=*/1);
     } else {
-      const uint64_t entry = key.size() + hint +
-                             ctx_.config->resident_entry_overhead;
+      const uint64_t entry = key.size() + hint + kResidentEntryOverhead;
       if (resident_bytes_ + entry <= capacity_bytes_) {
-        scratch_state_ = ctx_.values_are_states ? std::string(value)
-                                                : inc->Init(key, value);
+        scratch_state_.assign(state.data(), state.size());
         inc->OnUpdate(key, &scratch_state_, ctx_.out);
         bool inserted = false;
         const uint32_t idx = table_.FindOrInsert(key, digest, &inserted);
@@ -124,12 +117,7 @@ Status IncHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
         // Overflow tuple: stage to the appropriate disk bucket.
         const int b = static_cast<int>(
             FastRangeBucket(digest, static_cast<uint64_t>(num_buckets_)));
-        if (ctx_.values_are_states) {
-          buckets_->Add(b, key, value);
-        } else {
-          const std::string state = inc->Init(key, value);
-          buckets_->Add(b, key, state);
-        }
+        buckets_->Add(b, key, state);
       }
     }
   });

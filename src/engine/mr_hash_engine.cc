@@ -71,8 +71,7 @@ Status MRHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
   // FastRangeBucket identity (hash.h) makes FastRangeBucket(h2(key), h+1)
   // == h2_.Bucket(key, h+1) exactly, so routing is unchanged.
   ConsumeBatched(
-      segment, EffectiveBatchRecords(*ctx_.config), h2_, ctx_.metrics,
-      &digest_scratch_,
+      segment, h2_, &digest_scratch_,
       NoProbePrefetch{},  // no table to warm: records route to buffers
       [&](std::string_view key, std::string_view value, uint64_t digest) {
     ++n;
@@ -154,8 +153,7 @@ void MRHashEngine::ProcessInMemory(const KvBuffer& data, uint64_t level) {
   // Batched walk (§5.8): the level hash for a whole RecordBatch at a time,
   // group-table control words prefetched kProbePrefetchDistance ahead.
   ConsumeBatched(
-      data, EffectiveBatchRecords(*ctx_.config), h, ctx_.metrics,
-      &digest_scratch_, group_table_,
+      data, h, &digest_scratch_, group_table_,
       [&](std::string_view key, std::string_view value, uint64_t digest) {
     bool inserted = false;
     const uint32_t idx = group_table_.FindOrInsert(key, digest, &inserted);

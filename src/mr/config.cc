@@ -91,12 +91,6 @@ Status JobConfig::Validate() const {
         "codec_block_bytes must be in (0, 16 MB], got " +
         std::to_string(codec_block_bytes));
   }
-  if (batch_records > (1u << 20)) {
-    return Status::InvalidArgument(
-        "batch_records must be <= 1M (0 = derive from codec_block_bytes), "
-        "got " +
-        std::to_string(batch_records));
-  }
   if (data_plane_threads < 0 || data_plane_threads > 1024) {
     return Status::InvalidArgument(
         "data_plane_threads must be in [0, 1024] (0 = one per hardware "

@@ -139,18 +139,6 @@ struct JobConfig {
   // skipping the disk-resident buckets (approximate early answers, §4.3).
   double dinc_coverage_threshold = 0;
 
-  // Per-entry bookkeeping overhead charged against reduce memory for each
-  // resident key (hash-table slot, counter, pointers).
-  uint64_t resident_entry_overhead = 32;
-
-  // Batch data plane (DESIGN.md §5.8). Records per RecordBatch handed
-  // through MapBatch and the engines' consume loops. 0 derives the batch
-  // from codec_block_bytes (the ~48 KB block is the natural unit; see
-  // EffectiveBatchRecords). Any value — including 1, the degenerate
-  // scalar-equivalent plane — produces byte-identical outputs, schedules,
-  // and serialized metrics; the batch_equivalence test enforces this.
-  uint64_t batch_records = 0;
-
   // Fault injection & recovery (simulated time plane; see
   // src/sim/fault_injector.h). Default: no faults.
   sim::FaultConfig faults;
@@ -223,17 +211,6 @@ struct JobConfig {
   // must be >= 0. ValidateJob (src/mr/cluster.h) calls it first.
   Status Validate() const;
 };
-
-// Records per RecordBatch for this config: batch_records if set, else
-// derived from the codec block target (~48 KB / a nominal 64-byte record),
-// clamped to a sane range. Pure performance knob — see batch_records.
-inline uint64_t EffectiveBatchRecords(const JobConfig& cfg) {
-  if (cfg.batch_records > 0) return cfg.batch_records;
-  const uint64_t derived = cfg.codec_block_bytes / 64;
-  if (derived < 64) return 64;
-  if (derived > 4096) return 4096;
-  return derived;
-}
 
 }  // namespace onepass
 

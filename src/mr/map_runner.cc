@@ -387,17 +387,15 @@ Result<MapTaskOutput> MapRunner::Run(const KvBuffer& chunk,
           &partitioner_, &parts,
           mode_ == MapOutputMode::kHashInit ? inc_ : nullptr);
       // Batch plane (§5.8): hand the mapper whole RecordBatches. These
-      // paths have no mid-stream thresholds, so any batch size yields the
-      // same emit sequence — MapBatch overrides included (they must
-      // preserve per-record order, and the default loops Map).
-      KvBatchReader reader(chunk, EffectiveBatchRecords(config_));
+      // paths have no mid-stream thresholds, so batches yield the same
+      // emit sequence as a per-record walk — MapBatch overrides included
+      // (they must preserve per-record order, and the default loops Map).
+      KvBatchReader reader(chunk, kBatchRecords);
       for (;;) {
         const size_t bn = reader.Fill();
         if (bn == 0) break;
         const RecordBatch rb{reader.keys(), reader.values(), bn};
         mapper_->MapBatch(rb, &emitter);
-        out.metrics.record_batches += 1;
-        out.metrics.batched_records += bn;
       }
       trace.Cpu(map_fn_cost, OpTag::kMapFn);
       const double per_record =
@@ -421,7 +419,7 @@ Result<MapTaskOutput> MapRunner::Run(const KvBuffer& chunk,
       // view staging, and the emitter's pending ring buys probe prefetch
       // within each record's emits. Drain before each check so
       // table_bytes() reflects every emit so far, exactly as per-record.
-      KvBatchReader reader(chunk, EffectiveBatchRecords(config_));
+      KvBatchReader reader(chunk, kBatchRecords);
       for (;;) {
         const size_t bn = reader.Fill();
         if (bn == 0) break;
@@ -432,8 +430,6 @@ Result<MapTaskOutput> MapRunner::Run(const KvBuffer& chunk,
             emitter.FlushTo(&parts, &out_bytes, &out_records);
           }
         }
-        out.metrics.record_batches += 1;
-        out.metrics.batched_records += bn;
       }
       emitter.FlushTo(&parts, &out_bytes, &out_records);
       emitter.FlushStatsTo(&out.metrics);
@@ -536,7 +532,7 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
   }
   // The spill cut is checked after every input record, so the sort path
   // keeps per-record Map calls; batching covers the decode (§5.8).
-  KvBatchReader reader(chunk, EffectiveBatchRecords(config_));
+  KvBatchReader reader(chunk, kBatchRecords);
   for (;;) {
     const size_t bn = reader.Fill();
     if (bn == 0) break;
@@ -547,8 +543,6 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
         sort_and_cut(CutKind::kSpill);
       }
     }
-    out->metrics.record_batches += 1;
-    out->metrics.batched_records += bn;
   }
   out->sorted = true;
 

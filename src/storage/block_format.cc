@@ -130,9 +130,9 @@ std::string EncodeKvStream(const KvBuffer& records, BlockEncoding encoding,
                            BlockCodecKind codec, uint64_t block_bytes,
                            CodecStats* stats) {
   BlockBuilder builder(encoding, codec, block_bytes, stats);
-  // Batched decode (§5.8): stage a block's worth of views per Fill; the
+  // Batched decode (§5.8): stage a RecordBatch of views per Fill; the
   // builder consumes them in order, so the stream is unchanged.
-  KvBatchReader reader(records, block_bytes >= 64 ? block_bytes / 64 : 64);
+  KvBatchReader reader(records, kBatchRecords);
   for (;;) {
     const size_t n = reader.Fill();
     if (n == 0) break;

@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/common/logging.h"
-#include "src/storage/stored_run.h"
 #include "src/util/coding.h"
 
 namespace onepass {
@@ -334,73 +332,6 @@ Result<KvBuffer> ResolveCheckpointChain(std::vector<KvBuffer> links) {
                                         static_cast<uint32_t>(i)));
   }
   return stream;
-}
-
-void CheckpointStore::Put(EncodedCheckpoint image, uint32_t links) {
-  CHECK(links == 1 || (!links_.empty() && links == links_.back() + 1))
-      << "checkpoint instance " << instances_.size() << " claims " << links
-      << " chain links";
-  instances_.push_back(std::move(image));
-  links_.push_back(links);
-}
-
-Result<KvBuffer> CheckpointStore::Restore(RestoreStats* stats) const {
-  // Ladder: newest instance first; for each, the links of its chain oldest
-  // first, and within a link replica slots in order. Every candidate
-  // charges its read; a corrupt one is rejected by the CRC/length verifier
-  // and the ladder moves on — the damage-and-prove step stored runs use
-  // (stored_run.h). Each link is walked once, however many candidates
-  // share it.
-  enum Walk : char { kUnwalked, kLost, kVerified };
-  std::vector<Walk> walked(instances_.size(), kUnwalked);
-  auto walk = [&](size_t k) {
-    if (walked[k] != kUnwalked) return walked[k] == kVerified;
-    walked[k] = kLost;
-    const EncodedCheckpoint& image = instances_[k];
-    const uint32_t ordinal = static_cast<uint32_t>(k);
-    for (int slot = 0; slot < replication_; ++slot) {
-      stats->bytes_read += image.framed.size();
-      const int chain =
-          plan_ ? plan_->CheckpointCorruptions(reduce_task_, ordinal, slot)
-                : 0;
-      if (chain > 0) {
-        ProveDamageDetected(
-            image.framed,
-            plan_->CorruptionDamage(sim::StreamKind::kCheckpoint,
-                                    static_cast<uint64_t>(reduce_task_),
-                                    (static_cast<uint64_t>(ordinal) << 8) |
-                                        static_cast<uint64_t>(slot),
-                                    /*gen=*/0, image.framed.size()),
-            static_cast<int64_t>(image.payload_bytes));
-        ++stats->corrupt_replicas;
-        continue;
-      }
-      walked[k] = kVerified;
-      return true;
-    }
-    return false;
-  };
-  // A link with no verifiable replica rules out every instance of its
-  // chain from there on, so the next candidate is the one just below it.
-  for (size_t i = instances_.size(); i-- > 0;) {
-    const size_t base = i + 1 - links_[i];
-    size_t k = base;
-    while (k <= i && walk(k)) ++k;
-    if (k <= i) {
-      i = k;
-      continue;
-    }
-    std::vector<KvBuffer> chain;
-    for (k = base; k <= i; ++k) {
-      ASSIGN_OR_RETURN(KvBuffer fields,
-                       DecodeCheckpoint(instances_[k], instances_[k].framed));
-      chain.push_back(std::move(fields));
-    }
-    stats->ordinal = static_cast<uint32_t>(i);
-    return ResolveCheckpointChain(std::move(chain));
-  }
-  return Status::NotFound(
-      "no verifiable checkpoint replica: full replay required");
 }
 
 }  // namespace onepass

@@ -18,14 +18,11 @@
 // CRC32C blocks (DESIGN.md §5.2), which makes a stored checkpoint replica
 // torn-write-detectable exactly like a spill run or a DFS chunk.
 //
-// CheckpointStore holds the replicated instances for one reduce task and
-// implements the restore ladder: newest instance first, and for each
-// instance the links of its chain, replica slots in order, each candidate
-// damaged per the FaultPlan's seeded draw and then CRC-verified — a
-// corrupt replica is rejected and the next one tried; an instance whose
-// chain has a link with no verifiable replica is skipped; when no
-// instance is left the restore returns NotFound and the caller falls
-// back to full replay.
+// Which replicas a restore reads, and which image it resumes from, is
+// decided in one place: the time plane's CheckpointLadder
+// (src/mr/checkpoint_ladder.h). The data plane prices each image and
+// discards it; DecodeCheckpoint and ResolveCheckpointChain are the
+// format's inverse, which the checkpoint tests run.
 
 #ifndef ONEPASS_STORAGE_CHECKPOINT_H_
 #define ONEPASS_STORAGE_CHECKPOINT_H_
@@ -37,7 +34,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/sim/fault_injector.h"
 #include "src/storage/block_format.h"
 #include "src/storage/framed_io.h"
 #include "src/util/kv_buffer.h"
@@ -140,47 +136,6 @@ class CheckpointChain {
 // count that differs, a copy range past the base, an append to a missing
 // field, an unknown or truncated op — is Status::Corruption.
 Result<KvBuffer> ResolveCheckpointChain(std::vector<KvBuffer> links);
-
-// Replicated checkpoint instances for one reduce task.
-class CheckpointStore {
- public:
-  // `plan` may be null (no injection). `reduce_task` keys the corruption
-  // draws; `replication` copies of each instance are stored.
-  CheckpointStore(int reduce_task, int replication,
-                  const sim::FaultPlan* plan)
-      : reduce_task_(reduce_task), replication_(replication), plan_(plan) {}
-
-  // Stores the next checkpoint instance (its ordinal is the number of
-  // instances stored before it). `links` is the length of the chain it
-  // ends (CheckpointChain::links()): 1 for a full image, else one more
-  // than the instance before it.
-  void Put(EncodedCheckpoint image, uint32_t links = 1);
-
-  struct RestoreStats {
-    uint32_t ordinal = 0;        // instance the restore succeeded from
-    int corrupt_replicas = 0;    // candidates rejected by verification
-    uint64_t bytes_read = 0;     // framed bytes read across all candidates
-  };
-
-  // Runs the restore ladder and returns the resolved full field stream of
-  // the newest instance whose every chain link has a verifiable replica,
-  // or Status::NotFound when there is none (caller falls back to full
-  // replay). Each link's replicas are read at most once, even when several
-  // candidate instances share it. Bytes that verify but do not decode or
-  // resolve return Status::Corruption. Non-destructive; pure given
-  // (instances, plan).
-  Result<KvBuffer> Restore(RestoreStats* stats) const;
-
-  size_t instances() const { return instances_.size(); }
-  const EncodedCheckpoint& instance(size_t i) const { return instances_[i]; }
-
- private:
-  int reduce_task_;
-  int replication_;
-  const sim::FaultPlan* plan_;
-  std::vector<EncodedCheckpoint> instances_;
-  std::vector<uint32_t> links_;  // chain length ending at each instance
-};
 
 }  // namespace onepass
 

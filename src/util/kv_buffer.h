@@ -9,6 +9,7 @@
 #ifndef ONEPASS_UTIL_KV_BUFFER_H_
 #define ONEPASS_UTIL_KV_BUFFER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -118,6 +119,12 @@ class KvBufferReader {
  private:
   std::string_view rest_;
 };
+
+// Records per RecordBatch in the data plane's batched loops (DESIGN.md
+// §5.8): the ~48 KB codec block over a nominal 64-byte record. Batch size
+// only changes wall-clock, never what a consumer sees, so it is a constant
+// rather than a knob.
+inline constexpr size_t kBatchRecords = 768;
 
 // Batch-at-a-time reader: decodes up to `capacity` records per Fill() into
 // parallel key/value view arrays (the RecordBatch layout, DESIGN.md §5.8).

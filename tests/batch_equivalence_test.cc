@@ -3,20 +3,17 @@
 // never a semantics change. For every engine, a Zipf-skewed, padded-value
 // clickstream under starved reduce memory must produce byte-identical
 // results — outputs, every serialized metric, the simulated clock, and
-// every progress curve — across
-//   batch size   {1, 7, 64, 0 (block-derived)}   x
-//   threads      {1, 8}                          x
-//   codec        {kNone, kLz}                    x
-//   SIMD tier    {kScalar, detected}
+// every progress curve — across the plane's execution shapes
+//   SIMD tier    {every supported hardware tier: SSE4.2, AVX2, AVX-512
+//                 on x86-64; the CRC32 extension on ARMv8}   x
+//   threads      {1, 8}                                      x
+//   codec        {kNone, kLz}
 // and under a faulted schedule (crash + straggler + corruption). The
-// baseline is the scalar-equivalent walk: batch_records=1, one thread,
-// the process-wide SIMD tier pinned to kScalar. Anything the batch plane
-// changes beyond wall-clock shows up here as a fingerprint diff.
-//
-// The serialized metrics are also required to stay free of the batch
-// counters themselves (record_batches / batched_records are host-side
-// instrumentation, like compress_ns), so metrics goldens cannot move
-// with the batch size.
+// baseline is one thread with the process-wide SIMD tier pinned to
+// kScalar. Pinning each tier in turn runs its hash-mix and CRC32C kernels
+// in whole jobs, including tiers the host would not auto-select. Anything
+// the batch plane changes beyond wall-clock shows up here as a
+// fingerprint diff.
 
 #include <gtest/gtest.h>
 
@@ -66,48 +63,44 @@ JobConfig BaseConfig(EngineKind engine) {
   return cfg;
 }
 
-struct Variant {
-  uint64_t batch;
-  int threads;
-};
-
-// batch=0 derives the size from codec_block_bytes (the ~48 KB natural
-// unit); 7 is a deliberately awkward stride that never divides a segment
-// evenly; 64 is the common mid-size.
-constexpr Variant kVariants[] = {
-    {1, 1}, {7, 1}, {64, 1}, {0, 1}, {7, 8}, {64, 8}, {0, 8},
-};
+// The hardware tiers this host can run, each compared with the scalar
+// baseline.
+std::vector<SimdTier> HardwareTiers() {
+  std::vector<SimdTier> tiers;
+  for (const SimdTier tier : {SimdTier::kSse42, SimdTier::kAvx2,
+                              SimdTier::kAvx512, SimdTier::kArmCrc}) {
+    if (SimdTierSupported(tier)) tiers.push_back(tier);
+  }
+  return tiers;
+}
 
 void ExpectBatchInvariant(const JobConfig& base, const ChunkStore& input) {
+  // Leaves the detected tier installed however the loop exits.
+  struct RestoreDetectedTier {
+    ~RestoreDetectedTier() { SetSimdTier(DetectSimdTier()); }
+  } restore;
   for (const BlockCodecKind codec :
        {BlockCodecKind::kNone, BlockCodecKind::kLz}) {
     JobConfig cfg = base;
     cfg.block_codec = codec;
-    // Scalar-equivalent baseline: one record per batch, one thread, SIMD
-    // kernels pinned off (then restored for the variants).
-    cfg.batch_records = 1;
+    // Baseline: one thread, SIMD kernels pinned off.
     cfg.data_plane_threads = 1;
     SetSimdTier(SimdTier::kScalar);
     auto baseline = LocalCluster::RunJob(ClickCountJob(), cfg, input);
-    SetSimdTier(DetectSimdTier());
     ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
     const std::string want = Fingerprint(*baseline);
-    ASSERT_EQ(want.find("record_batches"), std::string::npos)
-        << "batch counters are host-side instrumentation and must not be "
-           "serialized";
-    for (const Variant& v : kVariants) {
-      cfg.batch_records = v.batch;
-      cfg.data_plane_threads = v.threads;
-      auto run = LocalCluster::RunJob(ClickCountJob(), cfg, input);
-      ASSERT_TRUE(run.ok()) << "batch=" << v.batch
-                            << " threads=" << v.threads << ": "
-                            << run.status().ToString();
-      EXPECT_GT(run->metrics.batched_records, 0u)
-          << "the batched consume loop never ran";
-      EXPECT_EQ(Fingerprint(*run), want)
-          << "batch=" << v.batch << " threads=" << v.threads
-          << " codec=" << static_cast<int>(codec)
-          << " diverged from the scalar baseline";
+    for (const SimdTier tier : HardwareTiers()) {
+      for (const int threads : {1, 8}) {
+        ASSERT_EQ(SetSimdTier(tier), tier);
+        cfg.data_plane_threads = threads;
+        auto run = LocalCluster::RunJob(ClickCountJob(), cfg, input);
+        ASSERT_TRUE(run.ok()) << SimdTierName(tier) << " threads=" << threads
+                              << ": " << run.status().ToString();
+        EXPECT_EQ(Fingerprint(*run), want)
+            << SimdTierName(tier) << " threads=" << threads
+            << " codec=" << static_cast<int>(codec)
+            << " diverged from the scalar baseline";
+      }
     }
   }
 }
@@ -123,7 +116,8 @@ TEST_P(BatchEquivalence, FaultedRunByteIdenticalAcrossBatchShapes) {
   const ChunkStore input = MakeInputStore(/*replication=*/2);
   JobConfig cfg = BaseConfig(GetParam());
   // Crash, straggler, transient errors, and silent corruption at once:
-  // recovery replays must land on the same bytes at every batch size.
+  // recovery replays must land on the same bytes at every tier and thread
+  // count.
   cfg.replication = 2;
   cfg.faults.crashes.push_back({.node = 2, .at_map_fraction = 0.5});
   cfg.faults.stragglers.push_back(

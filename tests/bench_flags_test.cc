@@ -38,8 +38,8 @@ TEST(BenchFlagsTest, NoFlagsKeepsDefaults) {
 TEST(BenchFlagsTest, EveryKnownFlagParses) {
   Flags flags;
   const Status s =
-      Parse({"--scale=0.25", "--threads=4", "--codec=lz", "--batch_size=64",
-             "--simd=scalar", "--iterations=3", "--shuffle_mode=resident",
+      Parse({"--scale=0.25", "--threads=4", "--codec=lz", "--simd=scalar",
+             "--iterations=3", "--shuffle_mode=resident",
              "--combine_scope=node", "--node_combine_budget=8192", "--ssd",
              "--hop", "--util", "--plot", "a"},
             &flags);
@@ -47,7 +47,6 @@ TEST(BenchFlagsTest, EveryKnownFlagParses) {
   EXPECT_EQ(flags.scale, 0.25);
   EXPECT_EQ(flags.threads, 4);
   EXPECT_EQ(flags.codec, "lz");
-  EXPECT_EQ(flags.batch_size, 64u);
   EXPECT_EQ(flags.simd, "scalar");
   EXPECT_EQ(flags.iterations, 3);
   EXPECT_EQ(flags.shuffle_mode, "resident");
@@ -67,12 +66,13 @@ TEST(BenchFlagsTest, RejectsUnknownFlags) {
   EXPECT_EQ(Parse({"--ssd=1"}).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(Parse({"scale=1"}).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(Parse({"--plot"}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Parse({"--batch_size=64"}).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(BenchFlagsTest, RejectsNumbersThatDoNotParseCompletely) {
   for (const char* arg :
        {"--scale=abc", "--scale=", "--scale=0.5x", "--scale=1 ",
-        "--threads=4x", "--threads=2.5", "--batch_size=-5",
+        "--threads=4x", "--threads=2.5", "--node_combine_budget=-5",
         "--iterations=", "--node_combine_budget=1e3",
         "--threads=99999999999"}) {
     EXPECT_EQ(Parse({arg}).code(), StatusCode::kInvalidArgument) << arg;

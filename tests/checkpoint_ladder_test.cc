@@ -1,14 +1,15 @@
 // CheckpointLadder (DESIGN.md §5.6): durable-instance registration,
 // replica placement, crash pruning, the newest-first restore choice over
-// chains of delta images, and the restore op chain, driven directly
-// without a replay.
+// chains of delta images, its agreement with the FaultPlan's pure draws,
+// and the restore op chain, driven directly without a replay.
 
 #include "src/mr/checkpoint_ladder.h"
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <initializer_list>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/sim/fault_injector.h"
@@ -441,6 +442,76 @@ TEST(CheckpointLadderTest, RestoreChainBacksOffOnlyAfterRejectedReplicas) {
   EXPECT_EQ(chain.ops[4].bytes, 1000u);
   EXPECT_EQ(chain.ops[5].bytes, 101u);
   EXPECT_EQ(chain.ops[6].bytes, 102u);
+}
+
+// ---- the ladder vs the plan's pure draws ----
+
+TEST(CheckpointLadderTest, LadderMatchesPlanDrawsExactly) {
+  JobConfig cfg = LadderConfig(0.5);
+  cfg.checkpoint_replication = 2;
+  const sim::FaultPlan plan(cfg.faults, 20110613);
+  constexpr int kTasks = 100;
+  const uint64_t bytes[] = {1000, 1100};  // TwoMarksEach's image sizes
+  CheckpointLadder ladder(cfg, plan, TwoMarksEach(kTasks));
+  int restored_newest = 0, restored_older = 0, full_replay = 0;
+  for (int r = 0; r < kTasks; ++r) {
+    const int writer = r % 4;
+    ladder.OpDone(r, kGate0, writer);
+    ladder.OpDone(r, kGate1, writer);
+    // Predict the outcome from the pure draws alone: newest instance
+    // first, replica slots in order (slot s on writer + s), a replica
+    // usable iff its corruption chain is empty.
+    std::vector<CheckpointLadder::TriedReplica> want_tried;
+    int want_ordinal = -1, want_node = -1;
+    uint64_t want_read = 0;
+    for (int ordinal = 1; ordinal >= 0 && want_ordinal < 0; --ordinal) {
+      for (int slot = 0; slot < 2; ++slot) {
+        const int node = (writer + slot) % 4;
+        want_read += bytes[ordinal];
+        if (plan.CheckpointCorruptions(r, static_cast<uint32_t>(ordinal),
+                                       slot) > 0) {
+          want_tried.push_back({slot, node, bytes[ordinal]});
+          continue;
+        }
+        want_ordinal = ordinal;
+        want_node = node;
+        break;
+      }
+    }
+
+    const CheckpointLadder::Choice choice = ladder.Choose(r);
+    SCOPED_TRACE("task " + std::to_string(r));
+    EXPECT_TRUE(choice.had_durable);
+    EXPECT_EQ(choice.ordinal, want_ordinal);
+    EXPECT_EQ(choice.node, want_node);
+    ExpectTried(choice.tried, want_tried);
+    EXPECT_EQ(ladder.Watermark(r),
+              want_ordinal < 0 ? 0u : 4u * static_cast<uint32_t>(
+                                               want_ordinal + 1));
+    if (want_ordinal < 0) {
+      ++full_replay;
+      continue;
+    }
+    // The restore reads every rejected replica and then the chosen one.
+    uint64_t read = 0;
+    for (const TraceOp& op : ladder.RestoreChain(r, choice, writer).ops) {
+      if (op.resource == OpResource::kNet ||
+          op.resource == OpResource::kDisk) {
+        read += op.bytes;
+      }
+    }
+    EXPECT_EQ(read, want_read);
+    if (want_ordinal == 1) {
+      ++restored_newest;
+    } else {
+      ++restored_older;
+    }
+  }
+  // At rate 0.5 with 2x2 candidates, all three outcomes must occur: clean
+  // newest, fallback to the older instance, and total loss (full replay).
+  EXPECT_GT(restored_newest, 0);
+  EXPECT_GT(restored_older, 0);
+  EXPECT_GT(full_replay, 0);
 }
 
 }  // namespace

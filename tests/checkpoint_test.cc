@@ -1,10 +1,11 @@
 // Checkpoint unit behaviour (DESIGN.md §5.6): typed field streams that
 // fail loudly on schema drift, encoded images whose damage is caught by
 // the CRC framing, delta images whose forged or mutated op streams are
-// rejected as Corruption, a restore ladder consistent with the FaultPlan's
-// pure draws, and — the core property — SaveCheckpoint / RestoreCheckpoint
-// round trips through whole image chains on every engine that leave the
-// final output byte-identical to an uninterrupted run.
+// rejected as Corruption, and — the core property — SaveCheckpoint /
+// RestoreCheckpoint round trips through whole image chains on every engine
+// that leave the final output byte-identical to an uninterrupted run. The
+// restore ladder, which picks the image to resume from, is
+// CheckpointLadder's (checkpoint_ladder_test).
 
 #include "src/storage/checkpoint.h"
 
@@ -18,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/sim/fault_injector.h"
 #include "src/storage/framed_io.h"
 #include "src/util/coding.h"
 #include "src/util/random.h"
@@ -291,18 +291,20 @@ TEST(CheckpointDeltaTest, ForgedDeltasAreCorruption) {
 }
 
 TEST(CheckpointDeltaTest, StoreReturnsCorruptionForABadLink) {
-  // The link verifies (its CRCs are sound) but does not apply: Restore
-  // returns the resolver's status instead of aborting.
-  CheckpointStore store(/*reduce_task=*/0, /*replication=*/2,
-                        /*plan=*/nullptr);
-  store.Put(EncodeCheckpoint(SampleFields(), BlockCodecKind::kLz, 256, 128));
+  // A stored chain whose delta link verifies (its CRCs are sound) but does
+  // not apply: resolving the decoded links returns Corruption instead of
+  // aborting.
   const uint64_t n = SampleFields().count();
-  store.Put(EncodeCheckpoint(
-                ForgedDelta(1, n, {{"", "c" + Varints({n, 1})}}),
-                BlockCodecKind::kLz, 256, 128),
-            /*links=*/2);
-  CheckpointStore::RestoreStats stats;
-  auto fields = store.Restore(&stats);
+  std::vector<KvBuffer> links;
+  for (const KvBuffer& image :
+       {SampleFields(), ForgedDelta(1, n, {{"", "c" + Varints({n, 1})}})}) {
+    const EncodedCheckpoint stored =
+        EncodeCheckpoint(image, BlockCodecKind::kLz, 256, 128);
+    auto decoded = DecodeCheckpoint(stored, stored.framed);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    links.push_back(std::move(decoded).value());
+  }
+  auto fields = ResolveCheckpointChain(std::move(links));
   EXPECT_TRUE(fields.status().IsCorruption()) << fields.status().ToString();
 }
 
@@ -344,96 +346,6 @@ TEST(CheckpointDeltaTest, MutatedOpStreamsNeverAbort) {
   }
   EXPECT_GT(rejected, 1000);
   EXPECT_GT(resolved, 0);  // e.g. a flipped bit inside a literal's bytes
-}
-
-// ---- the restore ladder vs the plan's pure draws ----
-
-TEST(CheckpointStoreTest, CleanStoreRestoresNewestInstance) {
-  CheckpointStore store(/*reduce_task=*/0, /*replication=*/2,
-                        /*plan=*/nullptr);
-  CheckpointWriter w0;
-  w0.PutU64("watermark", 4);
-  store.Put(EncodeCheckpoint(w0.fields(), BlockCodecKind::kNone, 256, 128));
-  CheckpointWriter w1;
-  w1.PutU64("watermark", 8);
-  store.Put(EncodeCheckpoint(w1.fields(), BlockCodecKind::kNone, 256, 128));
-
-  CheckpointStore::RestoreStats stats;
-  auto fields = store.Restore(&stats);
-  ASSERT_TRUE(fields.ok()) << fields.status().ToString();
-  EXPECT_EQ(stats.ordinal, 1u);
-  EXPECT_EQ(stats.corrupt_replicas, 0);
-  EXPECT_EQ(stats.bytes_read, store.instance(1).framed.size());
-  CheckpointReader r(fields.value());
-  uint64_t watermark = 0;
-  ASSERT_TRUE(r.GetU64("watermark", &watermark).ok());
-  EXPECT_EQ(watermark, 8u);
-}
-
-TEST(CheckpointStoreTest, LadderMatchesPlanDrawsExactly) {
-  sim::FaultConfig f;
-  f.corruption_rate = 0.5;
-  f.torn_writes = true;
-  const sim::FaultPlan plan(f, 20110613);
-  constexpr int kTasks = 100;
-  constexpr int kReplication = 2;
-  constexpr int kInstances = 2;
-  int restored_newest = 0, restored_older = 0, full_replay = 0;
-  for (int task = 0; task < kTasks; ++task) {
-    CheckpointStore store(task, kReplication, &plan);
-    for (int ordinal = 0; ordinal < kInstances; ++ordinal) {
-      CheckpointWriter w;
-      w.PutU64("watermark", static_cast<uint64_t>(4 * (ordinal + 1)));
-      w.PutBytes("state", std::string(300, 's'));
-      store.Put(
-          EncodeCheckpoint(w.fields(), BlockCodecKind::kNone, 256, 128));
-    }
-    // Predict the ladder outcome from the pure draws alone: newest
-    // instance first, replica slots in order, a candidate usable iff its
-    // corruption chain is empty.
-    int expect_ordinal = -1, expect_corrupt = 0;
-    uint64_t expect_bytes = 0;
-    for (int ordinal = kInstances - 1; ordinal >= 0 && expect_ordinal < 0;
-         --ordinal) {
-      for (int slot = 0; slot < kReplication; ++slot) {
-        expect_bytes +=
-            store.instance(static_cast<size_t>(ordinal)).framed.size();
-        if (plan.CheckpointCorruptions(
-                task, static_cast<uint32_t>(ordinal), slot) > 0) {
-          ++expect_corrupt;
-          continue;
-        }
-        expect_ordinal = ordinal;
-        break;
-      }
-    }
-
-    CheckpointStore::RestoreStats stats;
-    auto fields = store.Restore(&stats);
-    EXPECT_EQ(stats.corrupt_replicas, expect_corrupt) << "task " << task;
-    EXPECT_EQ(stats.bytes_read, expect_bytes) << "task " << task;
-    if (expect_ordinal < 0) {
-      EXPECT_TRUE(fields.status().IsNotFound()) << "task " << task;
-      ++full_replay;
-      continue;
-    }
-    ASSERT_TRUE(fields.ok()) << fields.status().ToString();
-    EXPECT_EQ(stats.ordinal, static_cast<uint32_t>(expect_ordinal));
-    CheckpointReader r(fields.value());
-    uint64_t watermark = 0;
-    ASSERT_TRUE(r.GetU64("watermark", &watermark).ok());
-    EXPECT_EQ(watermark, static_cast<uint64_t>(4 * (expect_ordinal + 1)));
-    if (expect_ordinal == kInstances - 1) {
-      ++restored_newest;
-    } else {
-      ++restored_older;
-    }
-  }
-  // At rate 0.5 with 2x2 candidates, all three outcomes must occur: clean
-  // newest, fallback to the older instance, and total loss (full replay).
-  EXPECT_GT(restored_newest, 0);
-  EXPECT_GT(restored_older, 0);
-  EXPECT_GT(full_replay, 0);
 }
 
 // ---- mid-stream save/restore equivalence on every engine ----
@@ -502,7 +414,8 @@ EngineHarness MakeCheckpointHarness(EngineKind kind, BlockCodecKind codec) {
   EngineHarness h;
   // Tight memory: every engine spills (SM runs, MR/INC/DINC disk
   // buckets), so the checkpoint must carry on-disk manifests, not just
-  // resident state.
+  // resident state. SumIncReducer's Init is the identity, so the raw
+  // values INC/DINC receive are already states.
   h.config.reduce_memory_bytes = 8 << 10;
   h.config.bucket_page_bytes = 1 << 10;
   h.config.merge_factor = 4;
@@ -515,7 +428,7 @@ EngineHarness MakeCheckpointHarness(EngineKind kind, BlockCodecKind codec) {
   } else {
     h.reducer = std::make_unique<SumListReducer>();
   }
-  EXPECT_TRUE(h.Init(kind, /*values_are_states=*/false).ok());
+  EXPECT_TRUE(h.Init(kind, /*values_are_states=*/incremental).ok());
   return h;
 }
 
@@ -598,7 +511,7 @@ TEST(CheckpointEngineTest, MidStreamRestoreIsByteIdenticalOnAllEngines) {
 // ---- chains of delta images on every engine ----
 
 // One engine run that saves a checkpoint after every `every`-th delivery
-// and keeps each image, as the cluster would, in a CheckpointStore.
+// and keeps each encoded image with the length of the chain it ends.
 struct SavedRun {
   std::vector<EncodedCheckpoint> images;
   std::vector<uint32_t> links;       // chain length ending at each image
@@ -627,27 +540,23 @@ SavedRun RunSavingEvery(EngineKind kind, BlockCodecKind codec,
   return run;
 }
 
-// Restores a fresh engine from the store holding `run`'s images up to and
-// including `last` (so the ladder's newest instance is `last`), then
-// consumes the rest of the deliveries and finishes.
+// Restores a fresh engine from image `last` — every stored link of the
+// chain it ends decoded, then resolved to a full stream — then consumes
+// the rest of the deliveries and finishes.
 std::vector<Record> ResumeFrom(EngineKind kind, BlockCodecKind codec,
                                const std::vector<KvBuffer>& segs,
                                bool sorted, const SavedRun& run,
                                size_t last) {
-  CheckpointStore store(/*reduce_task=*/0, /*replication=*/1,
-                        /*plan=*/nullptr);
-  for (size_t k = 0; k <= last; ++k) store.Put(run.images[k], run.links[k]);
-  CheckpointStore::RestoreStats stats;
-  auto fields = store.Restore(&stats);
+  std::vector<KvBuffer> links;
+  for (size_t k = last + 1 - run.links[last]; k <= last; ++k) {
+    auto link = DecodeCheckpoint(run.images[k], run.images[k].framed);
+    EXPECT_TRUE(link.ok()) << link.status().ToString();
+    if (!link.ok()) return {};
+    links.push_back(std::move(link).value());
+  }
+  auto fields = ResolveCheckpointChain(std::move(links));
   EXPECT_TRUE(fields.ok()) << fields.status().ToString();
   if (!fields.ok()) return {};
-  EXPECT_EQ(stats.ordinal, last);
-  // Every link of the chain is read once.
-  uint64_t chain_bytes = 0;
-  for (size_t k = last + 1 - run.links[last]; k <= last; ++k) {
-    chain_bytes += run.images[k].framed.size();
-  }
-  EXPECT_EQ(stats.bytes_read, chain_bytes);
 
   EngineHarness h = MakeCheckpointHarness(kind, codec);
   CheckpointReader r(fields.value());

@@ -169,8 +169,10 @@ TEST(DincHashEngineTest, RequiresIncrementalReducer) {
 TEST(DincHashEngineTest, SingleSlotDegeneratesGracefully) {
   EngineHarness h;
   h.inc = std::make_unique<CountingIncReducer>(0);
-  h.config.reduce_memory_bytes = 1 << 10;
-  h.config.resident_entry_overhead = 400;  // giant entries -> ~1 slot
+  // 600 bytes hold one 512-byte bucket page and one 64-byte entry (a
+  // 16-byte state hint, a 16-byte key estimate, kResidentEntryOverhead):
+  // one slot.
+  h.config.reduce_memory_bytes = 600;
   h.config.expected_keys_per_reducer = 50;
   ASSERT_TRUE(h.Init(EngineKind::kDincHash, true).ok());
   std::map<std::string, uint64_t> expected;

@@ -158,11 +158,12 @@ std::map<std::string, uint64_t> RunEngine(const GeneratedCase& c,
   const bool incremental =
       kind == EngineKind::kIncHash || kind == EngineKind::kDincHash;
   if (incremental) {
+    // Init is the identity, so the padded values are already states.
     h.inc = std::make_unique<PaddedSumIncReducer>();
   } else {
     h.reducer = std::make_unique<PaddedSumListReducer>();
   }
-  EXPECT_TRUE(h.Init(kind, /*values_are_states=*/false).ok());
+  EXPECT_TRUE(h.Init(kind, /*values_are_states=*/incremental).ok());
   const bool sorted = kind == EngineKind::kSortMerge;
   const std::vector<KvBuffer>& segments =
       sorted ? c.sorted_segments : c.segments;
