@@ -83,13 +83,13 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) void Mix64AffineAvx512(
 void Mix64AffineBatch(uint64_t* xs, size_t n, uint64_t a, uint64_t b,
                       SimdTier tier) {
 #if defined(ONEPASS_BATCH_HASH_X86)
-  if (TierHasVectorHashMix(tier) && SimdTierSupported(SimdTier::kAvx512)) {
+  // Each tier runs its own kernel, so an AVX2-only CPU mixes 4 lanes
+  // wide: its emulated multiply still beats the scalar imul chain
+  // (bench_micro_hash_table's BM_Mix64AffineBatch, EXPERIMENTS.md).
+  if (tier == SimdTier::kAvx512 && SimdTierSupported(SimdTier::kAvx512)) {
     Mix64AffineAvx512(xs, n, a, b);
     return;
   }
-  // The AVX2 emulated-multiply kernel is only dispatched when explicitly
-  // pinned to kAvx2 (auto-detection prefers kAvx512 or falls through to
-  // scalar — see TierHasVectorHashMix for why emulation loses to imul).
   if (tier == SimdTier::kAvx2 && SimdTierSupported(SimdTier::kAvx2)) {
     Mix64AffineAvx2(xs, n, a, b);
     return;

@@ -24,8 +24,8 @@ namespace onepass {
 inline constexpr size_t kProbePrefetchDistance = 8;
 
 // In place over `xs`: xs[i] = a * Mix64(xs[i]) + b. The finalize pass of
-// HashBatch — a scalar loop, or 4 lanes at a time under the AVX2 tier.
-// Results are bit-identical across tiers.
+// HashBatch — a scalar loop, 4 lanes at a time under the AVX2 tier, or 8
+// under AVX-512. Results are bit-identical across tiers.
 void Mix64AffineBatch(uint64_t* xs, size_t n, uint64_t a, uint64_t b,
                       SimdTier tier);
 

