@@ -1,16 +1,20 @@
 // Batch hashing kernels (DESIGN.md §5.8): UniversalHash::HashBatch must
 // equal the scalar operator() digest for every key at every SIMD tier —
 // the two share the FNV core, and the vectorized Mix64+affine finalize is
-// bit-exact 64-bit arithmetic — and KvBatchReader must decode exactly the
-// records KvBufferReader yields, in order, at every capacity.
+// bit-exact 64-bit arithmetic — KvBatchReader must decode exactly the
+// records KvBufferReader yields, in order, at every capacity, and
+// ConsumeBatched must hand its body every record once, in that order, with
+// its digest, across batch and prefetch-pipeline boundaries.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "src/engine/batch_consume.h"
 #include "src/util/batch_hash.h"
 #include "src/util/hash.h"
 #include "src/util/kv_buffer.h"
@@ -121,6 +125,66 @@ TEST(BatchHashTest, KvBatchReaderMatchesScalarReader) {
       }
     }
     EXPECT_EQ(seen, expect.size()) << "capacity=" << capacity;
+  }
+}
+
+// Probe target that checks every prefetch names the record exactly its
+// stage's distance ahead of the one the body sees next.
+struct AheadCheckingProbe {
+  const std::vector<uint64_t>* digests;  // h(key) per record, in order
+  const size_t* seen;                    // records the body has seen
+  mutable size_t calls = 0;
+
+  void Check(uint64_t digest, size_t ahead) const {
+    ++calls;
+    const size_t at = *seen + ahead;
+    ASSERT_LT(at, digests->size());
+    EXPECT_EQ(digest, (*digests)[at]) << "record " << at;
+  }
+  void PrefetchProbe(uint64_t d) const { Check(d, 3 * kProbePrefetchDistance); }
+  void PrefetchEntry(uint64_t d) const { Check(d, 2 * kProbePrefetchDistance); }
+  void PrefetchKey(uint64_t d) const { Check(d, kProbePrefetchDistance); }
+};
+
+TEST(BatchHashTest, ConsumeBatchedVisitsEveryRecordInOrder) {
+  constexpr size_t kD = kProbePrefetchDistance;
+  const UniversalHash h = UniversalHashFamily(0xba7c).At(2);
+  Xoshiro256StarStar rng(0xc0115);
+  std::vector<uint64_t> scratch;
+  // Empty and one-record segments, both sides of the steady-state
+  // threshold (3 * kD), of one batch, and of two batches plus a pipeline.
+  for (const size_t records :
+       {size_t{0}, size_t{1}, 3 * kD - 1, 3 * kD, 3 * kD + 1,
+        kBatchRecords - 1, kBatchRecords, kBatchRecords + 1,
+        2 * kBatchRecords + 3 * kD + 1}) {
+    KvBuffer segment;
+    for (size_t i = 0; i < records; ++i) {
+      segment.Append("k" + std::to_string(rng.NextBounded(100)),
+                     std::to_string(i));
+    }
+    std::vector<std::pair<std::string_view, std::string_view>> want;
+    std::vector<uint64_t> digests;
+    KvBufferReader reader(segment);
+    std::string_view k, v;
+    while (reader.Next(&k, &v)) {
+      want.emplace_back(k, v);
+      digests.push_back(h(k));
+    }
+    ASSERT_EQ(want.size(), records);
+
+    size_t seen = 0;
+    const AheadCheckingProbe probe{&digests, &seen};
+    ConsumeBatched(segment, h, &scratch, probe,
+                   [&](std::string_view key, std::string_view value,
+                       uint64_t digest) {
+                     ASSERT_LT(seen, want.size());
+                     EXPECT_EQ(key, want[seen].first);
+                     EXPECT_EQ(value, want[seen].second);
+                     EXPECT_EQ(digest, digests[seen]);
+                     ++seen;
+                   });
+    EXPECT_EQ(seen, records) << records << " records";
+    EXPECT_EQ(probe.calls > 0, records > kD) << records << " records";
   }
 }
 
