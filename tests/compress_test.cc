@@ -59,8 +59,8 @@ std::string RoundTrip(const std::string& input) {
 }
 
 TEST(CompressTest, RoundTripsEmptyAndTiny) {
-  for (const std::string input : {std::string(), std::string("a"),
-                                  std::string("ab"), std::string("abcd")}) {
+  for (const std::string& input : {std::string(), std::string("a"),
+                                   std::string("ab"), std::string("abcd")}) {
     EXPECT_EQ(RoundTrip(input), input) << "len=" << input.size();
   }
 }

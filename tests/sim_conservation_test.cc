@@ -76,7 +76,9 @@ TEST(ConservationTest, WorkConservingNoIdleWithQueue) {
   for (int i = 0; i < 20; ++i) cpu.Submit(1.0, [] {});
   engine.Run();
   for (const Server::Sample& s : cpu.samples()) {
-    if (s.queued > 0) EXPECT_EQ(s.busy, 2) << "idle server with queue";
+    if (s.queued > 0) {
+      EXPECT_EQ(s.busy, 2) << "idle server with queue";
+    }
   }
 }
 
