@@ -45,7 +45,7 @@ class ClickCountMapper : public Mapper {
   explicit ClickCountMapper(ClickKeyField field) : field_(field) {}
   void Map(std::string_view key, std::string_view value,
            Emitter* out) override;
-  // Batched map (DESIGN.md Â§5.8): stages the decoded keys for the whole
+  // Batched map (DESIGN.md §5.8): stages the decoded keys for the whole
   // batch, then hands them to the emitter as one RecordBatch. Emits the
   // same (key, value) sequence as per-record Map, so output is unchanged.
   void MapBatch(const RecordBatch& batch, Emitter* out) override;
