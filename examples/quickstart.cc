@@ -92,5 +92,7 @@ int main() {
     std::printf("%-16s %8s\n", r.key.c_str(), r.value.c_str());
   }
   std::printf("\nmetrics:\n%s\n", result->metrics.ToString().c_str());
+  std::printf("cpu:             map %.3f s, reduce %.3f s\n",
+              result->map_cpu_s, result->reduce_cpu_s);
   return 0;
 }

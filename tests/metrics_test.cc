@@ -24,8 +24,7 @@ TEST(MetricsTest, MergeAddsEveryField) {
   a.early_output_records = 15;
   a.snapshot_bytes = 16;
   a.snapshot_count = 17;
-  a.map_cpu_s = 1.5;
-  a.reduce_cpu_s = 2.5;
+  a.wasted_cpu_s = 1.5;
 
   b = a;
   b.Merge(a);
@@ -46,8 +45,7 @@ TEST(MetricsTest, MergeAddsEveryField) {
   EXPECT_EQ(b.early_output_records, 30u);
   EXPECT_EQ(b.snapshot_bytes, 32u);
   EXPECT_EQ(b.snapshot_count, 34u);
-  EXPECT_DOUBLE_EQ(b.map_cpu_s, 3.0);
-  EXPECT_DOUBLE_EQ(b.reduce_cpu_s, 5.0);
+  EXPECT_DOUBLE_EQ(b.wasted_cpu_s, 3.0);
 }
 
 TEST(MetricsTest, ToStringMentionsKeyNumbers) {
