@@ -91,7 +91,7 @@ ManagerConfig BaseManagerConfig() {
   mc.cluster = TenantJobConfig().cluster;
   mc.max_concurrent_jobs = 18;  // admission wide open for the comparison
   mc.max_queued_jobs = 18;
-  mc.tenants = {{"batch", 1.0, 0}, {"interactive", 4.0, 0}};
+  mc.tenants = {{"batch", 1.0}, {"interactive", 4.0}};
   mc.timeline_bin_s = 1.0;
   return mc;
 }
@@ -139,16 +139,14 @@ int RunBench(double scale) {
   }
   PrintTenantRows("fair", *fair);
 
-  std::printf("\n%-10s %9s %9s %10s %9s\n", "policy", "makespan", "avg_util",
-              "preempts", "throttles");
-  std::printf("%-10s %9.2f %8.1f%% %10llu %9llu\n", "fifo", fifo->makespan,
+  std::printf("\n%-10s %9s %9s %10s\n", "policy", "makespan", "avg_util",
+              "preempts");
+  std::printf("%-10s %9.2f %8.1f%% %10llu\n", "fifo", fifo->makespan,
               100.0 * fifo->avg_cpu_utilization,
-              static_cast<unsigned long long>(fifo->preemptions),
-              static_cast<unsigned long long>(fifo->throttle_skips));
-  std::printf("%-10s %9.2f %8.1f%% %10llu %9llu\n", "fair", fair->makespan,
+              static_cast<unsigned long long>(fifo->preemptions));
+  std::printf("%-10s %9.2f %8.1f%% %10llu\n", "fair", fair->makespan,
               100.0 * fair->avg_cpu_utilization,
-              static_cast<unsigned long long>(fair->preemptions),
-              static_cast<unsigned long long>(fair->throttle_skips));
+              static_cast<unsigned long long>(fair->preemptions));
 
   const double fifo_p99 =
       fifo->tenants[kInteractiveTenant].p99_latency_s;

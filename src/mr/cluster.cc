@@ -455,44 +455,20 @@ Status ReducePlane(DataPlane& dp, const DeliveryOrder& order,
 // deliveries in identical order and outputs are byte-identical by
 // construction. `cached_input`: this stage re-reads the store the
 // previous stage scanned, which the M3R input cache serves from memory.
-void ResidentTransform(DataPlane& dp, const DeliveryOrder& order,
-                       bool cached_input) {
+void ResidentTransform(DataPlane& dp, bool cached_input) {
   PreparedJob& pj = dp.pj;
   const JobConfig& config = dp.config;
   JobMetrics& metrics = pj.result.metrics;
+  // Every push's publish write becomes a memory-speed CPU op in place
+  // (same op index, so the replayer's gate bookkeeping and the progress
+  // deltas riding on the op are untouched).
   for (size_t m = 0; m < pj.map_ins.size(); ++m) {
     Replayer::MapTaskIn& in = pj.map_ins[m];
-    in.resident.assign(in.num_pushes, 1);
     in.push_bytes.assign(in.num_pushes, 0);
     for (uint32_t p = 0; p < in.num_pushes; ++p) {
       in.push_bytes[p] = dp.map_outs[m].pushes[p].bytes;
     }
-  }
-  // Admit segments in publish order against each producing node's byte
-  // budget; the oldest segments evicted under pressure lose residency.
-  // Eviction is write-through: a spilled push keeps its original gate
-  // disk write (the block-codec spill image), so the backstop reuses the
-  // existing spill path and correctness never depends on the working set
-  // fitting.
-  ResidentSegmentCache cache(config.cluster.nodes,
-                             config.resident_cache_bytes);
-  for (const auto& [m, p] : order) {
-    for (const auto& [em, ep] : cache.Admit(
-             pj.map_ins[m].node, m, p, pj.map_ins[m].push_bytes[p])) {
-      pj.map_ins[em].resident[ep] = 0;
-    }
-  }
-  // A resident push's publish write becomes a memory-speed CPU op in
-  // place (same op index, so the replayer's gate bookkeeping and the
-  // progress deltas riding on the op are untouched).
-  for (size_t m = 0; m < pj.map_ins.size(); ++m) {
-    const Replayer::MapTaskIn& in = pj.map_ins[m];
     for (const auto& [gate, p] : in.gates) {
-      if (!in.resident[p]) {
-        metrics.resident_spilled_segments += 1;
-        metrics.resident_spilled_bytes += in.push_bytes[p];
-        continue;
-      }
       TraceOp& op = pj.map_traces[m].ops[gate];
       op.resource = OpResource::kCpu;
       op.cpu_s =
@@ -676,7 +652,7 @@ Result<PreparedJob> LocalCluster::PrepareJob(const JobSpec& spec,
   ASSIGN_OR_RETURN(const DeliveryOrder order, OrderDeliveries(pj));
   RETURN_IF_ERROR(ReducePlane(dp, order, chain.adopt, chain.save));
   if (config.shuffle_mode == ShuffleMode::kResident) {
-    ResidentTransform(dp, order, chain.cached_input);
+    ResidentTransform(dp, chain.cached_input);
   }
   Package(dp, chain.reduce_pins);
   return pj;

@@ -102,12 +102,6 @@ Status JobConfig::Validate() const {
         "corruption injection requires integrity.checksums: silent "
         "corruption is undetectable without them");
   }
-  if (resident_cache_bytes != 0 && resident_cache_bytes < 4096) {
-    return Status::InvalidArgument(
-        "resident_cache_bytes must be 0 (unbounded) or >= 4096: a budget "
-        "below one segment would spill everything, got " +
-        std::to_string(resident_cache_bytes));
-  }
   if (combine_scope == CombineScope::kNode) {
     if (pipelining) {
       return Status::InvalidArgument(

@@ -27,12 +27,10 @@ std::string_view EngineKindName(EngineKind kind);
 // How map output reaches the reducers (DESIGN.md §5.9). kDisk is the
 // paper's path: every push segment is written to the mapper's local disk
 // and served from memory only within the retention window. kResident is
-// the M3R-style path for iterative/repeated jobs: push segments stay
-// pinned in a per-node ResidentSegmentCache and are served from memory for
-// the whole job; segments evicted under the cache's byte budget fall back
-// to the ordinary disk spill path, so correctness never depends on
-// fitting. Outputs are byte-identical between the two modes — only the
-// time plane's charges differ.
+// the M3R-style path for iterative/repeated jobs whose shuffle fits in
+// memory: every push segment stays in its producer's memory and is served
+// from there for the whole job. Outputs are byte-identical between the
+// two modes — only the time plane's charges differ.
 enum class ShuffleMode : uint8_t {
   kDisk,
   kResident,
@@ -159,11 +157,6 @@ struct JobConfig {
   // what the time plane charges for publishing and re-reading map output;
   // the data plane, delivery order, and outputs are identical to kDisk.
   ShuffleMode shuffle_mode = ShuffleMode::kDisk;
-  // Per-node byte budget for the resident segment cache. 0 = unbounded
-  // (every segment stays resident); otherwise the oldest segments on a
-  // node spill to disk until the node is back under budget. Ignored under
-  // kDisk.
-  uint64_t resident_cache_bytes = 0;
 
   // Block codec for every spill/shuffle/bucket stream (DESIGN.md §5.5).
   // kNone keeps the raw varint record format on disk and on the wire —

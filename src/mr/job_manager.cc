@@ -22,8 +22,6 @@ std::string_view JobOutcomeStateName(JobOutcomeState s) {
       return "rejected";
     case JobOutcomeState::kFailed:
       return "failed";
-    case JobOutcomeState::kDeadlineExceeded:
-      return "deadline_exceeded";
   }
   return "unknown";
 }
@@ -62,20 +60,17 @@ class ManagerRun {
   Result<ManagerResult> Run();
 
  private:
-  // Waiting = in the admission queue; Backoff = between a failed run and
-  // its retry dispatch; Done = terminal (outcome final).
-  enum class Phase : uint8_t { kPending, kWaiting, kRunning, kBackoff, kDone };
+  // Waiting = in the admission queue; Done = terminal (outcome final).
+  enum class Phase : uint8_t { kPending, kWaiting, kRunning, kDone };
 
   struct JobState {
     Phase phase = Phase::kPending;
     JobOutcome outcome;
+    // In-flight simulated ops of a failed job still hold callbacks into
+    // its Replayer (they early-return on arrival), so neither is
+    // destroyed until the batch drains.
     std::unique_ptr<PreparedJob> prepared;
     std::unique_ptr<Replayer> replayer;
-    // Earlier attempts' state. In-flight simulated ops of an aborted
-    // attempt still hold callbacks into its Replayer (they early-return
-    // on arrival), so nothing is destroyed until the batch drains.
-    std::vector<std::unique_ptr<PreparedJob>> retired_prepared;
-    std::vector<std::unique_ptr<Replayer>> retired_replayers;
   };
 
   int NumTenants() const {
@@ -88,7 +83,6 @@ class ManagerRun {
   void Dispatch(int j);
   void OnDone(int j, const Status& s);
   void FinishJob(int j, JobOutcomeState state, Status status);
-  void HitDeadline(int j);
   void TryDispatch();
   ManagerResult Collect();
 
@@ -108,21 +102,13 @@ Status ManagerRun::ValidateBatch() const {
   if (mc_.max_queued_jobs < 0) {
     return Status::InvalidArgument("negative max_queued_jobs");
   }
-  if (mc_.max_job_retries < 0) {
-    return Status::InvalidArgument("negative max_job_retries");
-  }
   if (mc_.timeline_bin_s <= 0) {
     return Status::InvalidArgument("timeline_bin_s must be positive");
   }
-  RETURN_IF_ERROR(mc_.job_retry.Validate());
   for (size_t t = 0; t < mc_.tenants.size(); ++t) {
     if (mc_.tenants[t].weight <= 0) {
       return Status::InvalidArgument("tenant " + std::to_string(t) +
                                      ": weight must be positive");
-    }
-    if (mc_.tenants[t].max_running_tasks < 0) {
-      return Status::InvalidArgument("tenant " + std::to_string(t) +
-                                     ": negative max_running_tasks");
     }
   }
   for (size_t j = 0; j < subs_.size(); ++j) {
@@ -137,9 +123,6 @@ Status ManagerRun::ValidateBatch() const {
     }
     if (sub.arrival_time < 0) {
       return Status::InvalidArgument(tag + "negative arrival_time");
-    }
-    if (sub.deadline_s < 0) {
-      return Status::InvalidArgument(tag + "negative deadline_s");
     }
     if (!SameCluster(sub.config.cluster, mc_.cluster)) {
       return Status::InvalidArgument(
@@ -174,16 +157,13 @@ void ManagerRun::Dispatch(int j) {
   JobState& st = jobs_[static_cast<size_t>(j)];
   const JobSubmission& sub = subs_[static_cast<size_t>(j)];
   st.phase = Phase::kRunning;
-  if (st.outcome.start_time < 0) st.outcome.start_time = engine_.now();
+  st.outcome.start_time = engine_.now();
   ++running_;
 
   // Lazy data plane: the job's real execution happens at dispatch, not at
-  // submission — a rejected or dequeued job never pays for it. A retry is
-  // a fresh run of the job under a derived seed (new fault draws).
-  JobConfig cfg = sub.config;
-  cfg.seed += 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(st.outcome.retries);
+  // submission — a rejected job never pays for it.
   Result<PreparedJob> prep =
-      LocalCluster::PrepareJob(sub.spec, cfg, *sub.input);
+      LocalCluster::PrepareJob(sub.spec, sub.config, *sub.input);
   if (!prep.ok()) {
     OnDone(j, prep.status());
     return;
@@ -212,29 +192,6 @@ void ManagerRun::OnDone(int j, const Status& s) {
     st.replayer->ExportResult(&r);
     st.outcome.result = std::move(r);
     FinishJob(j, JobOutcomeState::kCompleted, Status::OK());
-  } else if (s.IsDeadlineExceeded()) {
-    FinishJob(j, JobOutcomeState::kDeadlineExceeded, s);
-  } else if (st.outcome.retries < mc_.max_job_retries) {
-    ++st.outcome.retries;
-    st.phase = Phase::kBackoff;
-    if (st.replayer != nullptr) {
-      st.retired_replayers.push_back(std::move(st.replayer));
-      st.retired_prepared.push_back(std::move(st.prepared));
-    }
-    const double backoff = mc_.job_retry.BackoffFor(
-        st.outcome.retries - 1, static_cast<uint64_t>(j));
-    engine_.ScheduleAfterStream(backoff, StreamOf(j), [this, j]() {
-      JobState& s2 = jobs_[static_cast<size_t>(j)];
-      if (s2.phase != Phase::kBackoff) return;  // deadline won the race
-      // A retry queues ahead of fresh arrivals: the job has already
-      // waited out a full run plus the backoff.
-      if (running_ < mc_.max_concurrent_jobs) {
-        Dispatch(j);
-      } else {
-        s2.phase = Phase::kWaiting;
-        waiting_.push_front(j);
-      }
-    });
   } else {
     FinishJob(j, JobOutcomeState::kFailed, s);
   }
@@ -247,35 +204,6 @@ void ManagerRun::FinishJob(int j, JobOutcomeState state, Status status) {
   st.outcome.state = state;
   st.outcome.status = std::move(status);
   st.outcome.finish_time = engine_.now();
-}
-
-void ManagerRun::HitDeadline(int j) {
-  JobState& st = jobs_[static_cast<size_t>(j)];
-  Status expired = Status::DeadlineExceeded(
-      "job " + std::to_string(j) + " exceeded its deadline of " +
-      std::to_string(subs_[static_cast<size_t>(j)].deadline_s) + "s");
-  switch (st.phase) {
-    case Phase::kDone:
-      return;  // already terminal
-    case Phase::kWaiting: {
-      auto it = std::find(waiting_.begin(), waiting_.end(), j);
-      CHECK(it != waiting_.end());
-      waiting_.erase(it);
-      FinishJob(j, JobOutcomeState::kDeadlineExceeded, std::move(expired));
-      return;
-    }
-    case Phase::kBackoff:
-      // The pending retry timer sees kDone and becomes a no-op.
-      FinishJob(j, JobOutcomeState::kDeadlineExceeded, std::move(expired));
-      return;
-    case Phase::kRunning:
-      // Abort fails the replay, which fires OnDone with this status.
-      st.replayer->Abort(std::move(expired));
-      return;
-    case Phase::kPending:
-      CHECK(false);  // deadline events fire strictly after arrival
-      return;
-  }
 }
 
 void ManagerRun::TryDispatch() {
@@ -312,9 +240,6 @@ ManagerResult ManagerRun::Collect() {
       case JobOutcomeState::kFailed:
         ++ts.jobs_failed;
         break;
-      case JobOutcomeState::kDeadlineExceeded:
-        ++ts.jobs_deadline_exceeded;
-        break;
     }
     out.makespan = std::max(out.makespan, st.outcome.finish_time);
     out.jobs.push_back(std::move(st.outcome));
@@ -331,36 +256,6 @@ ManagerResult ManagerRun::Collect() {
     ts.p99_latency_s = NearestRank(lat, 0.99);
     ts.max_latency_s = lat.back();
   }
-  // Tenant-level Definition 1 progress: the mean of the tenant's completed
-  // jobs' reduce-progress curves, sampled on the union of their step
-  // times. Per-job curves are recorded in absolute cluster time and a
-  // StepSeries reads 0 before its first point and holds 100 after its
-  // last, so the mean is exactly "how far along is this tenant's finished
-  // work at instant t".
-  for (size_t t = 0; t < out.tenants.size(); ++t) {
-    std::vector<const sim::StepSeries*> curves;
-    for (const JobOutcome& jo : out.jobs) {
-      if (jo.tenant == static_cast<int>(t) &&
-          jo.state == JobOutcomeState::kCompleted) {
-        curves.push_back(&jo.result.reduce_progress);
-      }
-    }
-    if (curves.empty()) continue;
-    std::vector<double> times;
-    for (const sim::StepSeries* c : curves) {
-      times.insert(times.end(), c->times.begin(), c->times.end());
-    }
-    std::sort(times.begin(), times.end());
-    times.erase(std::unique(times.begin(), times.end()), times.end());
-    TenantStats& ts = out.tenants[t];
-    for (double at : times) {
-      double total = 0;
-      for (const sim::StepSeries* c : curves) total += c->ValueAt(at);
-      ts.progress.Add(at, total / static_cast<double>(curves.size()));
-    }
-    ts.mean_progress_at_makespan_half =
-        ts.progress.ValueAt(out.makespan / 2);
-  }
   sim::BinnedSeries iowait;
   pool_.ExportUtilization(mc_.timeline_bin_s,
                           std::max(out.makespan, mc_.timeline_bin_s),
@@ -372,15 +267,13 @@ ManagerResult ManagerRun::Collect() {
         sum / static_cast<double>(out.cpu_util.values.size());
   }
   out.preemptions = pool_.preemptions();
-  out.throttle_skips = pool_.throttle_skips();
   return out;
 }
 
 Result<ManagerResult> ManagerRun::Run() {
   RETURN_IF_ERROR(ValidateBatch());
   for (size_t t = 0; t < mc_.tenants.size(); ++t) {
-    pool_.RegisterTenant(static_cast<int>(t), mc_.tenants[t].weight,
-                         mc_.tenants[t].max_running_tasks);
+    pool_.RegisterTenant(static_cast<int>(t), mc_.tenants[t].weight);
   }
   jobs_.resize(subs_.size());
   for (size_t j = 0; j < subs_.size(); ++j) {
@@ -389,12 +282,6 @@ Result<ManagerResult> ManagerRun::Run() {
     const int id = static_cast<int>(j);
     engine_.ScheduleAtStream(subs_[j].arrival_time, StreamOf(id),
                              [this, id]() { Arrive(id); });
-    if (subs_[j].deadline_s > 0) {
-      engine_.ScheduleAtStream(subs_[j].arrival_time + subs_[j].deadline_s,
-                               StreamOf(id), [this, id]() {
-                                 HitDeadline(id);
-                               });
-    }
   }
   engine_.Run();
   for (size_t j = 0; j < jobs_.size(); ++j) {

@@ -72,6 +72,7 @@ Replayer::Replayer(sim::Engine* engine, SlotPool* pool,
       reduces_(std::move(reduces)),
       totals_(totals),
       opts_(options),
+      resident_(config.shuffle_mode == ShuffleMode::kResident),
       engine_(engine),
       pool_(pool),
       ladder_(config, plan, CheckpointMarksOf(reduces_)) {
@@ -165,11 +166,6 @@ Status Replayer::Run() {
   }
   end_time_ = completion_time_ >= 0 ? completion_time_ : horizon;
   return Status::OK();
-}
-
-void Replayer::Abort(Status s) {
-  if (failed_ || JobComplete()) return;
-  Fail(std::move(s));
 }
 
 void Replayer::NotifyDone(const Status& s) {
@@ -786,7 +782,7 @@ void Replayer::CrashNode(int n) {
         // A resident push that dies with its node is a cache invalidation:
         // the segment falls back to re-execution through the ordinary
         // lost-output recovery below.
-        if (!maps_[m].resident.empty() && maps_[m].resident[p]) {
+        if (resident_) {
           ++recovery_.resident_invalidated_segments;
           recovery_.resident_invalidated_bytes +=
               p < maps_[m].push_bytes.size() ? maps_[m].push_bytes[p] : 0;
@@ -1020,12 +1016,9 @@ void Replayer::StartFetch(int r, int a) {
   // Fetch penalty: an attempt that was not yet running when the map
   // output was published (a second-wave or restarted reducer) finds it
   // evicted from the holder's memory and re-reads it from disk. A
-  // resident push is exempt: the segment cache pins it in the holder's
-  // memory for the whole job, so there is no retention window to miss.
-  const bool resident_push =
-      !maps_[static_cast<size_t>(d.map_task)].resident.empty() &&
-      maps_[static_cast<size_t>(d.map_task)].resident[d.push];
-  if (d.bytes > 0 && !resident_push &&
+  // resident push is exempt: it stays in the holder's memory for the
+  // whole job, so there is no retention window to miss.
+  if (d.bytes > 0 && !resident_ &&
       at.start > ready + config_.costs.map_output_retention_s) {
     shuffle_from_disk_bytes_ += d.bytes;
     TraceOp read;
@@ -1141,10 +1134,7 @@ void Replayer::FetchOverNet(int r, int a, uint32_t s) {
         // later (restarted or speculative) attempt pulls is recovery
         // re-fetch traffic.
         if (a > 0) recovery_.shuffle_refetched_bytes += d.bytes;
-        if (!maps_[static_cast<size_t>(d.map_task)].resident.empty() &&
-            maps_[static_cast<size_t>(d.map_task)].resident[d.push]) {
-          recovery_.resident_hit_bytes += d.bytes;
-        }
+        if (resident_) recovery_.resident_hit_bytes += d.bytes;
         att.fetched[s] = true;
         ++att.fetch_section;
         StartFetch(r, a);

@@ -75,12 +75,10 @@ class Replayer {
     // gate op index -> push index, for push-ready bookkeeping.
     std::map<uint32_t, uint32_t> gates;
     uint32_t num_pushes = 0;
-    // Resident shuffle (DESIGN.md §5.9): per-push flags set by PrepareJob's
-    // resident transform. A resident push's retention-window re-read is
-    // skipped (it is served from the node's segment cache), and losing its
-    // node counts as a cache invalidation. Empty under kDisk.
-    std::vector<char> resident;
-    std::vector<uint64_t> push_bytes;  // total bytes per push (all parts)
+    // Total bytes per push (all parts), filled by PrepareJob's resident
+    // transform (DESIGN.md §5.9) to size cache invalidations. Empty under
+    // kDisk.
+    std::vector<uint64_t> push_bytes;
     // Node combine tier (DESIGN.md §5.10): a virtual combine task lists
     // the co-located map tasks whose node feeds it merges. It is not
     // queued in the initial wave (the pool drops popped non-runnable
@@ -131,12 +129,6 @@ class Replayer {
   // a drained engine with an incomplete job reports the stall as an
   // Internal error.
   Status Run();
-
-  // Fails the job (e.g. a deadline) and releases everything it holds:
-  // queued entries are purged, running attempts killed (freeing their
-  // slots to other jobs), and on_done fires with `s`. No-op once the job
-  // is complete or failed.
-  void Abort(Status s);
 
   // --- results ---
   double push_ready_time(int m, uint32_t p) const {
@@ -364,6 +356,10 @@ class Replayer {
   std::vector<ReduceTaskIn> reduces_;
   Totals totals_;
   Options opts_;
+  // Resident shuffle (DESIGN.md §5.9): every push stays in its producer's
+  // memory for the whole job, so a fetch never pays the retention-window
+  // re-read, and losing a push's node counts as a cache invalidation.
+  const bool resident_;
 
   sim::Engine* engine_;
   SlotPool* pool_;

@@ -1,15 +1,11 @@
 // Resident shuffle support (DESIGN.md §5.9): the M3R-style layer that
 // lets iterative and repeated jobs stop paying disk for the shuffle.
 //
-// Three pieces, all simulation-plane state:
-//
-//   ResidentSegmentCache — per-node, byte-budgeted admission of map push
-//     segments in publish order. A segment that stays admitted is
-//     "resident": its publish write and any retention-window re-read are
-//     charged at memory speed. When a node exceeds its budget the oldest
-//     segments are evicted to the ordinary block-codec spill path (their
-//     disk-mode charges are kept), so correctness never depends on the
-//     working set fitting.
+// Under shuffle_mode = kResident every map push segment stays in its
+// producer's memory for the whole job: its publish write is charged at
+// memory speed and a late fetch skips the retention-window disk re-read
+// (PrepareJob's resident transform and the Replayer). Two pieces of state
+// carry a chain from one stage to the next:
 //
 //   PartitionPlacement — the registry that pins partition→node assignment
 //     across a chain: which node finished each reduce partition and which
@@ -31,8 +27,6 @@
 #define ONEPASS_MR_RESIDENT_H_
 
 #include <cstdint>
-#include <deque>
-#include <utility>
 #include <vector>
 
 #include "src/mr/config.h"
@@ -41,36 +35,6 @@
 namespace onepass {
 
 class ChunkStore;
-
-// Simulates per-node admission of push segments under a byte budget.
-// Driven in publish order (the provisional replay's delivery order) by
-// PrepareJob's resident trace transform; has no data-plane role.
-class ResidentSegmentCache {
- public:
-  // `budget_bytes` caps each node's resident segment bytes; 0 = unbounded.
-  ResidentSegmentCache(int nodes, uint64_t budget_bytes)
-      : budget_(budget_bytes), segments_(nodes), bytes_(nodes, 0) {}
-
-  // Admits one segment published on `node` and returns the (map_task,
-  // partition) segments evicted — oldest first — to get the node back
-  // under budget. A segment larger than the whole budget is evicted
-  // immediately (it is its own first victim).
-  std::vector<std::pair<int, uint32_t>> Admit(int node, int map_task,
-                                              uint32_t partition,
-                                              uint64_t bytes);
-
-  uint64_t resident_bytes(int node) const { return bytes_[node]; }
-
- private:
-  struct Seg {
-    int map_task;
-    uint32_t partition;
-    uint64_t bytes;
-  };
-  uint64_t budget_;
-  std::vector<std::deque<Seg>> segments_;  // per node, oldest first
-  std::vector<uint64_t> bytes_;            // per node resident total
-};
 
 // Which node owns each partition after a job: reduce_node[r] is the node
 // whose attempt completed reduce partition r; map_node[m] is the node

@@ -35,13 +35,9 @@ SlotPool::TenantState& SlotPool::Tenant(int id) {
   return it->second;
 }
 
-void SlotPool::RegisterTenant(int tenant, double weight,
-                              int max_running_tasks) {
+void SlotPool::RegisterTenant(int tenant, double weight) {
   CHECK_GT(weight, 0.0);
-  CHECK_GE(max_running_tasks, 0);
-  TenantState& t = tenants_[tenant];
-  t.weight = weight;
-  t.max_running = max_running_tasks;
+  tenants_[tenant].weight = weight;
 }
 
 void SlotPool::RegisterJob(int job, int tenant, Replayer* client) {
@@ -116,23 +112,16 @@ void SlotPool::ReleaseSlot(int job, int node, bool is_map) {
     auto it = nd.running_maps.find(job);
     CHECK(it != nd.running_maps.end());
     if (--it->second == 0) nd.running_maps.erase(it);
-    --t.running_maps;
   } else {
     CHECK_LT(nd.free_reduce_slots, cluster_.reduce_slots);
     ++nd.free_reduce_slots;
   }
   --t.running;
   PumpNode(node);
-  // Crossing from at-cap to below-cap can unblock throttled maps queued
-  // on any node, not just the one whose slot freed.
-  if (is_map && t.max_running > 0 && t.running_maps == t.max_running - 1) {
-    for (int n = 0; n < num_nodes(); ++n) {
-      if (n != node) PumpNode(n);
-    }
-  }
 }
 
-int SlotPool::PickJob(const NodeState& node, int node_id, bool is_map) {
+int SlotPool::PickJob(const NodeState& node, int node_id,
+                      bool is_map) const {
   const auto& qmap = is_map ? node.map_q : node.reduce_q;
   int best = -1;
   double best_share = 0;
@@ -140,15 +129,8 @@ int SlotPool::PickJob(const NodeState& node, int node_id, bool is_map) {
     if (q.empty()) continue;
     const JobInfo& info = jobs_.at(job);
     if (!info.client->SchedulableOn(node_id)) continue;
-    const TenantState& t = tenants_.at(info.tenant);
-    // The throttle cap binds map starts only: a pipelined reduce parks
-    // in its slot until maps deliver, so counting it against the cap
-    // would deadlock the tenant against its own map work.
-    if (is_map && t.max_running > 0 && t.running_maps >= t.max_running) {
-      ++throttle_skips_;
-      continue;
-    }
     if (options_.policy == SchedulePolicy::kFifo) return job;
+    const TenantState& t = tenants_.at(info.tenant);
     const double share = static_cast<double>(t.running) / t.weight;
     // Ties go to the earlier job (ascending map order).
     if (best < 0 || share < best_share) {
@@ -174,9 +156,7 @@ void SlotPool::PumpNode(int n) {
     if (!info.client->EntryRunnable(/*is_map=*/true, p)) continue;
     --nd.free_map_slots;
     ++nd.running_maps[job];
-    TenantState& t = Tenant(info.tenant);
-    ++t.running;
-    ++t.running_maps;
+    ++Tenant(info.tenant).running;
     info.client->StartMapAttempt(p.task, n, p.speculative);
   }
   while (nd.free_reduce_slots > 0) {
@@ -226,7 +206,6 @@ bool SlotPool::MaybePreempt(int node, int job) {
   const JobInfo& binfo = jobs_.at(job);
   if (!binfo.client->SchedulableOn(node)) return false;
   const TenantState& bt = tenants_.at(binfo.tenant);
-  if (bt.max_running > 0 && bt.running_maps >= bt.max_running) return false;
   const double b_share_after =
       static_cast<double>(bt.running + 1) / bt.weight;
 

@@ -12,19 +12,13 @@
 //     single-job FIFO pump, byte-identical to the pre-pool replayer.
 //   * kFairShare — the job whose tenant has the lowest running-task share
 //     (running tasks / weight) goes first; within a tenant, earliest job
-//     first. Work-conserving: a heavy tenant is throttled only while a
-//     lighter one has runnable work (or by its explicit cap).
+//     first. Work-conserving: a heavy tenant waits only while a lighter
+//     one has runnable work.
 //
-// Two overload-degradation levers ride on top of fair share:
-//   * throttling — a tenant with max_running_tasks > 0 never occupies more
-//     than that many *map* slots cluster-wide (skips are counted). The cap
-//     deliberately exempts reduces: a pipelined reduce parks in its slot
-//     waiting for map deliveries, so capping reduces would deadlock the
-//     tenant against its own maps;
-//   * preemption — when a tenant in deficit enqueues a map task onto a
-//     full node, the pool may evict a running map attempt of the most
-//     over-share tenant (the victim requeues; its attempt budget is not
-//     charged — see Replayer::PreemptMapOn).
+// Preemption rides on top of fair share: when a tenant in deficit
+// enqueues a map task onto a full node, the pool may evict a running map
+// attempt of the most over-share tenant (the victim requeues; its attempt
+// budget is not charged — see Replayer::PreemptMapOn).
 //
 // Determinism: the pool never consults wall clock or RNG. Queues pop in
 // insertion order per job, jobs are picked by (share, job id), and every
@@ -75,11 +69,9 @@ class SlotPool {
   SlotPool(sim::Engine* engine, const ClusterConfig& cluster,
            Options options);
 
-  // Declares a tenant (weight > 0; max_running_tasks 0 = uncapped, else
-  // the tenant's cluster-wide running *map* attempts stay at or below
-  // it). Tenant 0 exists implicitly with weight 1 — solo replays never
-  // call this.
-  void RegisterTenant(int tenant, double weight, int max_running_tasks);
+  // Declares a tenant (weight > 0). Tenant 0 exists implicitly with
+  // weight 1 — solo replays never call this.
+  void RegisterTenant(int tenant, double weight);
 
   // Job lifecycle. Job ids must be unique among registered jobs; the
   // pool holds `client` until UnregisterJob. Unregistering requires the
@@ -132,7 +124,6 @@ class SlotPool {
                          sim::BinnedSeries* iowait) const;
 
   uint64_t preemptions() const { return preemptions_; }
-  uint64_t throttle_skips() const { return throttle_skips_; }
 
  private:
   struct NodeState {
@@ -157,13 +148,11 @@ class SlotPool {
   };
   struct TenantState {
     double weight = 1.0;
-    int max_running = 0;   // 0 = uncapped; bounds running_maps only
-    int running = 0;       // map + reduce attempts holding slots
-    int running_maps = 0;  // map attempts only (the throttled quantity)
+    int running = 0;  // map + reduce attempts holding slots
   };
 
   // Next job to grant a slot on `node` (-1 = none runnable now).
-  int PickJob(const NodeState& node, int node_id, bool is_map);
+  int PickJob(const NodeState& node, int node_id, bool is_map) const;
   // Tries to evict one running map attempt on `node` so the (deficit)
   // tenant of `job` can start its queued map task. True on eviction.
   bool MaybePreempt(int node, int job);
@@ -177,7 +166,6 @@ class SlotPool {
   std::map<int, JobInfo> jobs_;
   std::map<int, TenantState> tenants_;
   uint64_t preemptions_ = 0;
-  uint64_t throttle_skips_ = 0;
 };
 
 }  // namespace onepass

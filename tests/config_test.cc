@@ -178,16 +178,6 @@ TEST(ConfigValidateTest, ResidentShuffleKnobs) {
   JobConfig cfg;
   cfg.shuffle_mode = ShuffleMode::kResident;
   EXPECT_TRUE(cfg.Validate().ok());
-
-  // The cache budget is either unbounded (0) or a real budget (>= 4 KB) —
-  // a few-byte budget would evict every segment and silently degrade to
-  // disk mode.
-  cfg.resident_cache_bytes = 1000;
-  EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
-  cfg.resident_cache_bytes = 4096;
-  EXPECT_TRUE(cfg.Validate().ok());
-  cfg.resident_cache_bytes = 0;
-  EXPECT_TRUE(cfg.Validate().ok());
 }
 
 // Engine-only features: pipelining and snapshots belong to the sort-merge

@@ -1,7 +1,8 @@
 // Determinism regression for the multi-tenant JobManager: a whole
 // submission batch — mixed tenants, staggered arrivals, admission
-// rejections, deadlines, faults, preemption — must produce a
-// byte-identical ManagerResult at data_plane_threads = 1, 2, and 8.
+// rejections, faults, a job that fails while others run, preemption —
+// must produce a byte-identical ManagerResult at data_plane_threads = 1,
+// 2, and 8.
 // The host thread count only parallelizes each job's data plane; every
 // scheduling decision lives in the simulated time plane, whose event
 // order is fixed by (time, stream, seq).
@@ -28,10 +29,10 @@ std::string Fingerprint(const ManagerResult& r) {
   for (size_t j = 0; j < r.jobs.size(); ++j) {
     const JobOutcome& o = r.jobs[j];
     std::snprintf(buf, sizeof(buf),
-                  "job %zu %s retries=%d arrival=%.17g start=%.17g "
-                  "finish=%.17g status=%d\n",
+                  "job %zu %s arrival=%.17g start=%.17g finish=%.17g "
+                  "status=%d\n",
                   j, std::string(JobOutcomeStateName(o.state)).c_str(),
-                  o.retries, o.arrival_time, o.start_time, o.finish_time,
+                  o.arrival_time, o.start_time, o.finish_time,
                   static_cast<int>(o.status.code()));
     fp += buf;
     if (o.state == JobOutcomeState::kCompleted) {
@@ -52,20 +53,18 @@ std::string Fingerprint(const ManagerResult& r) {
   }
   for (const TenantStats& t : r.tenants) {
     std::snprintf(buf, sizeof(buf),
-                  "tenant %s sub=%d done=%d rej=%d fail=%d ddl=%d "
+                  "tenant %s sub=%d done=%d rej=%d fail=%d "
                   "mean=%.17g p50=%.17g p99=%.17g max=%.17g\n",
                   t.name.c_str(), t.jobs_submitted, t.jobs_completed,
-                  t.jobs_rejected, t.jobs_failed, t.jobs_deadline_exceeded,
+                  t.jobs_rejected, t.jobs_failed,
                   t.mean_latency_s, t.p50_latency_s, t.p99_latency_s,
                   t.max_latency_s);
     fp += buf;
   }
   std::snprintf(buf, sizeof(buf),
-                "makespan=%.17g avg_util=%.17g preempt=%llu throttle=%llu "
-                "rejected=%d\n",
+                "makespan=%.17g avg_util=%.17g preempt=%llu rejected=%d\n",
                 r.makespan, r.avg_cpu_utilization,
                 static_cast<unsigned long long>(r.preemptions),
-                static_cast<unsigned long long>(r.throttle_skips),
                 r.rejected_jobs);
   fp += buf;
   AppendBinned(&fp, "cpu_util", r.cpu_util);
@@ -110,13 +109,16 @@ JobConfig DetJobConfig(bool faulted) {
   return cfg;
 }
 
+// The faulted batch's job that runs out of attempts.
+constexpr size_t kFailingJob = 4;
+
 // A batch stressing every manager path at once: two tenants, staggered
-// arrivals, a queue that overflows (rejection), a deadline that fires,
-// fair share with preemption on.
+// arrivals, a queue that overflows (rejection), fair share with
+// preemption on and, when faulted, a job that fails while others run.
 std::vector<JobSubmission> DetBatch(const ChunkStore& input, bool faulted) {
   const JobConfig cfg = DetJobConfig(faulted);
   std::vector<JobSubmission> subs;
-  auto add = [&](int tenant, double arrival, double deadline) {
+  auto add = [&](int tenant, double arrival) {
     JobSubmission sub;
     sub.spec = ClickCountJob();
     sub.config = cfg;
@@ -124,18 +126,38 @@ std::vector<JobSubmission> DetBatch(const ChunkStore& input, bool faulted) {
     sub.input = &input;
     sub.tenant = tenant;
     sub.arrival_time = arrival;
-    sub.deadline_s = deadline;
     subs.push_back(std::move(sub));
   };
-  add(0, 0.0, 0);
-  add(0, 0.0, 0);
-  add(1, 0.05, 0);
-  add(1, 0.1, 0.3);  // tight deadline: expires mid-flight
-  add(0, 0.1, 0);
-  add(1, 0.1, 0);
-  add(0, 0.1, 0);    // overflows the 2-deep queue at burst peak
-  add(1, 1.5, 0);
+  add(0, 0.0);
+  add(0, 0.0);
+  add(1, 0.05);
+  add(1, 0.1);
+  add(0, 0.1);
+  add(1, 0.1);
+  add(0, 0.1);  // overflows the 2-deep queue at burst peak
+  add(1, 1.5);
+  if (faulted) {
+    // One attempt per task and a crash during the shuffle: the crash
+    // kills attempts the job cannot restart, so it fails mid-replay while
+    // other jobs run. (PrepareJob's provisional replay has no reduces, so
+    // a shuffle-fraction crash never fires there; a map-fraction one would
+    // fail the job at dispatch, before its Replayer exists.)
+    sim::CrashEvent crash;
+    crash.node = 2;
+    crash.at_reduce_fraction = 0.3;
+    subs[kFailingJob].config.faults.max_attempts = 1;
+    subs[kFailingJob].config.faults.crashes = {crash};
+  }
   return subs;
+}
+
+void ExpectFailingJobFailed(const ManagerResult& r) {
+  const JobOutcome& o = r.jobs[kFailingJob];
+  EXPECT_EQ(o.state, JobOutcomeState::kFailed) << o.status.ToString();
+  EXPECT_TRUE(o.status.IsResourceExhausted()) << o.status.ToString();
+  // It ran before it failed: its Replayer outlives the failure until the
+  // batch drains.
+  EXPECT_GT(o.finish_time, o.start_time);
 }
 
 TEST(MultiTenantDeterminismTest, IdenticalAcrossThreadCounts) {
@@ -148,8 +170,7 @@ TEST(MultiTenantDeterminismTest, IdenticalAcrossThreadCounts) {
     mc.preemption = true;
     mc.max_concurrent_jobs = 3;
     mc.max_queued_jobs = 2;
-    mc.max_job_retries = 1;
-    mc.tenants = {{"batch", 1.0, 0}, {"interactive", 3.0, 0}};
+    mc.tenants = {{"batch", 1.0}, {"interactive", 3.0}};
     mc.timeline_bin_s = 5.0;
 
     std::string fp1;
@@ -161,16 +182,11 @@ TEST(MultiTenantDeterminismTest, IdenticalAcrossThreadCounts) {
       auto mr = JobManager::Run(mc, subs);
       ASSERT_TRUE(mr.ok()) << mr.status().ToString();
       const std::string fp = Fingerprint(*mr);
+      // The batch actually exercises the interesting paths.
+      EXPECT_GT(mr->rejected_jobs, 0);
+      if (faulted) ExpectFailingJobFailed(*mr);
       if (threads == 1) {
         fp1 = fp;
-        // The batch actually exercises the interesting paths.
-        EXPECT_GT(mr->rejected_jobs, 0);
-        int deadline_hits = 0;
-        for (const JobOutcome& o : mr->jobs) {
-          deadline_hits +=
-              o.state == JobOutcomeState::kDeadlineExceeded ? 1 : 0;
-        }
-        EXPECT_GT(deadline_hits, 0);
       } else {
         EXPECT_EQ(fp, fp1) << "threads=" << threads;
       }
@@ -186,7 +202,7 @@ TEST(MultiTenantDeterminismTest, RepeatedRunsIdentical) {
   mc.cluster = DetJobConfig(true).cluster;
   mc.max_concurrent_jobs = 3;
   mc.max_queued_jobs = 2;
-  mc.tenants = {{"batch", 1.0, 2}, {"interactive", 3.0, 0}};
+  mc.tenants = {{"batch", 1.0}, {"interactive", 3.0}};
   mc.timeline_bin_s = 5.0;
 
   const std::vector<JobSubmission> subs = DetBatch(input, true);
@@ -194,6 +210,8 @@ TEST(MultiTenantDeterminismTest, RepeatedRunsIdentical) {
   auto b = JobManager::Run(mc, subs);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ExpectFailingJobFailed(*a);
+  ExpectFailingJobFailed(*b);
   EXPECT_EQ(Fingerprint(*a), Fingerprint(*b));
 }
 

@@ -240,10 +240,10 @@ std::string ManagerFingerprint(const ManagerResult& r) {
   for (size_t j = 0; j < r.jobs.size(); ++j) {
     const JobOutcome& o = r.jobs[j];
     std::snprintf(buf, sizeof(buf),
-                  "job %zu %s retries=%d arrival=%.9g start=%.9g "
-                  "finish=%.9g status=%d\n",
+                  "job %zu %s arrival=%.9g start=%.9g finish=%.9g "
+                  "status=%d\n",
                   j, std::string(JobOutcomeStateName(o.state)).c_str(),
-                  o.retries, o.arrival_time, o.start_time, o.finish_time,
+                  o.arrival_time, o.start_time, o.finish_time,
                   static_cast<int>(o.status.code()));
     fp += buf;
     if (o.state == JobOutcomeState::kCompleted) {
@@ -252,14 +252,12 @@ std::string ManagerFingerprint(const ManagerResult& r) {
   }
   for (const TenantStats& t : r.tenants) {
     std::snprintf(buf, sizeof(buf),
-                  "tenant %s sub=%d done=%d rej=%d fail=%d ddl=%d "
-                  "mean=%.9g p50=%.9g p99=%.9g max=%.9g half=%.9g\n",
+                  "tenant %s sub=%d done=%d rej=%d fail=%d "
+                  "mean=%.9g p50=%.9g p99=%.9g max=%.9g\n",
                   t.name.c_str(), t.jobs_submitted, t.jobs_completed,
-                  t.jobs_rejected, t.jobs_failed, t.jobs_deadline_exceeded,
-                  t.mean_latency_s, t.p50_latency_s, t.p99_latency_s,
-                  t.max_latency_s, t.mean_progress_at_makespan_half);
+                  t.jobs_rejected, t.jobs_failed, t.mean_latency_s,
+                  t.p50_latency_s, t.p99_latency_s, t.max_latency_s);
     fp += buf;
-    AppendSeries(&fp, "progress", t.progress, kDigits);
   }
   std::snprintf(buf, sizeof(buf), "makespan=%.9g avg_util=%.9g\n",
                 r.makespan, r.avg_cpu_utilization);
@@ -269,10 +267,10 @@ std::string ManagerFingerprint(const ManagerResult& r) {
 }
 
 // A two-tenant batch on a shared pool: fair share with preemption, a
-// throttled tenant, a deadline that fires mid-flight, a rejection at the
-// burst peak and, when faulted, a job that exhausts its attempt budget
-// and is retried. The clean batch runs every job at max_attempts = 1, so
-// an evicted map finishes only because preemptions are budget-exempt.
+// rejection at the burst peak and, when faulted, a job that exhausts its
+// attempt budget and fails. The clean batch runs every job at
+// max_attempts = 1, so an evicted map finishes only because preemptions
+// are budget-exempt.
 std::string ManagerRow(const std::string& name, const ChunkStore& input,
                        bool faulted) {
   JobConfig cfg = BaseConfig(EngineKind::kMRHash, 2);
@@ -290,12 +288,11 @@ std::string ManagerRow(const std::string& name, const ChunkStore& input,
   mc.preemption = true;
   mc.max_concurrent_jobs = 3;
   mc.max_queued_jobs = 2;
-  mc.max_job_retries = 1;
-  mc.tenants = {{"batch", 1.0, 3}, {"interactive", 3.0, 0}};
+  mc.tenants = {{"batch", 1.0}, {"interactive", 3.0}};
   mc.timeline_bin_s = 0.5;
 
   std::vector<JobSubmission> subs;
-  auto add = [&](int tenant, double arrival, double deadline) {
+  auto add = [&](int tenant, double arrival) {
     JobSubmission sub;
     sub.spec = ClickCountJob();
     sub.config = cfg;
@@ -303,40 +300,34 @@ std::string ManagerRow(const std::string& name, const ChunkStore& input,
     sub.input = &input;
     sub.tenant = tenant;
     sub.arrival_time = arrival;
-    sub.deadline_s = deadline;
     subs.push_back(std::move(sub));
   };
-  add(0, 0.0, 0);
-  add(0, 0.0, 0);
-  add(1, 0.05, 0);
-  add(1, 0.1, 0.3);  // expires mid-flight
-  add(0, 0.1, 0);
-  add(1, 0.1, 0);
-  add(0, 0.1, 0);  // overflows the 2-deep queue
-  add(1, 1.5, 0);
+  add(0, 0.0);
+  add(0, 0.0);
+  add(1, 0.05);
+  add(1, 0.1);
+  add(0, 0.1);
+  add(1, 0.1);
+  add(0, 0.1);  // overflows the 2-deep queue
+  add(1, 1.5);
   if (faulted) {
-    // Loses every attempt budget to a crash, fails, and is retried.
+    // Loses its attempt budget to a crash and fails.
     subs[4].config.faults.max_attempts = 1;
     subs[4].config.faults.crashes = {CrashAtMaps(2, 0.3)};
   }
   auto mr = JobManager::Run(mc, subs);
   if (!mr.ok()) return StatusRow(name, mr.status());
-  int done = 0, failed = 0, deadline = 0, retries = 0;
+  int done = 0, failed = 0;
   for (const JobOutcome& o : mr->jobs) {
     done += o.state == JobOutcomeState::kCompleted ? 1 : 0;
     failed += o.state == JobOutcomeState::kFailed ? 1 : 0;
-    deadline += o.state == JobOutcomeState::kDeadlineExceeded ? 1 : 0;
-    retries += o.retries;
   }
   char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "%s makespan=%.9g done=%d rejected=%d failed=%d deadline=%d "
-                "retries=%d preemptions=%llu throttle_skips=%llu "
-                "hash=%016llx",
+                "%s makespan=%.9g done=%d rejected=%d failed=%d "
+                "preemptions=%llu hash=%016llx",
                 name.c_str(), mr->makespan, done, mr->rejected_jobs, failed,
-                deadline, retries,
                 static_cast<unsigned long long>(mr->preemptions),
-                static_cast<unsigned long long>(mr->throttle_skips),
                 static_cast<unsigned long long>(
                     Fnv1a(ManagerFingerprint(*mr))));
   return buf;

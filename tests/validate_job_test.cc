@@ -248,7 +248,6 @@ TEST(ValidateJobTest, ManagerRejectsAnUnrunnableJobBeforeItArrives) {
   sub.input = &input;
   ManagerConfig mc;
   mc.cluster = sub.config.cluster;
-  mc.max_job_retries = 2;
 
   auto mr = JobManager::Run(mc, {sub});
   ASSERT_FALSE(mr.ok());
