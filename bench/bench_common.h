@@ -58,9 +58,9 @@ struct Flags {
   std::string simd = "auto";
   // Resident shuffle engine (DESIGN.md §5.9). --iterations=N is
   // bench_iterative's chain length (stages per RunJobChain; not a
-  // JobConfig field); --shuffle_mode=disk|resident sets
-  // JobConfig::shuffle_mode.
-  int iterations = 1;
+  // JobConfig field), at least 2 so the chain has a warm iteration;
+  // --shuffle_mode=disk|resident sets JobConfig::shuffle_mode.
+  int iterations = 5;
   std::string shuffle_mode = "disk";
   // Node combine tier (DESIGN.md §5.10). --combine_scope=task|node sets
   // JobConfig::combine_scope; --node_combine_budget=N bytes bounds one
@@ -106,8 +106,8 @@ inline constexpr const char* kFlagsUsage =
 // Parses the shared bench flags into `flags`, which keeps its defaults
 // for flags not given. Rejects an unknown flag, a number that does not
 // parse completely, --scale <= 0 (or not finite), a negative --threads,
-// and an unknown --codec, --simd, --shuffle_mode or --combine_scope
-// value.
+// --iterations < 2, and an unknown --codec, --simd, --shuffle_mode or
+// --combine_scope value.
 inline Status ParseFlagsInto(int argc, const char* const* argv,
                              Flags* flags) {
   for (int i = 1; i < argc; ++i) {
@@ -156,6 +156,9 @@ inline Status ParseFlagsInto(int argc, const char* const* argv,
   }
   if (flags->threads < 0) {
     return Status::InvalidArgument("--threads must be >= 0");
+  }
+  if (flags->iterations < 2) {
+    return Status::InvalidArgument("--iterations must be >= 2");
   }
   if (!detail::OneOf(flags->codec, {"none", "lz"})) {
     return Status::InvalidArgument("unknown --codec=" + flags->codec);

@@ -60,7 +60,7 @@ onepass::Result<onepass::ChainResult> MustChain(
 int main(int argc, char** argv) {
   using namespace onepass;
   const bench::Flags flags = bench::ParseFlags(argc, argv);
-  const int iters = flags.iterations > 1 ? flags.iterations : 5;
+  const int iters = flags.iterations;
   const double growth = 0.08;  // each round adds 8% of the total log
   bool ok = true;
   double min_growing_speedup = -1;

@@ -29,6 +29,7 @@ TEST(BenchFlagsTest, NoFlagsKeepsDefaults) {
   ASSERT_TRUE(Parse({}, &flags).ok());
   EXPECT_EQ(flags.scale, 1.0);
   EXPECT_EQ(flags.threads, 0);
+  EXPECT_EQ(flags.iterations, 5);
   EXPECT_EQ(flags.codec, "none");
   EXPECT_EQ(flags.simd, "auto");
   EXPECT_EQ(flags.shuffle_mode, "disk");
@@ -80,12 +81,15 @@ TEST(BenchFlagsTest, RejectsNumbersThatDoNotParseCompletely) {
 }
 
 TEST(BenchFlagsTest, RejectsOutOfRangeScaleAndThreads) {
+  // A chain of fewer than 2 stages has no warm iteration to measure.
   for (const char* arg : {"--scale=0", "--scale=-1", "--scale=nan",
-                          "--scale=inf", "--threads=-1"}) {
+                          "--scale=inf", "--threads=-1", "--iterations=1",
+                          "--iterations=0", "--iterations=-3"}) {
     EXPECT_EQ(Parse({arg}).code(), StatusCode::kInvalidArgument) << arg;
   }
   EXPECT_TRUE(Parse({"--threads=0"}).ok());
   EXPECT_TRUE(Parse({"--scale=1e-3"}).ok());
+  EXPECT_TRUE(Parse({"--iterations=2"}).ok());
 }
 
 TEST(BenchFlagsTest, RejectsUnknownValues) {
