@@ -55,7 +55,10 @@ __attribute__((target("avx2"))) void Mix64AffineAvx2(uint64_t* xs, size_t n,
 __attribute__((target("avx512f,avx512dq,avx512vl"))) void Mix64AffineAvx512(
     uint64_t* xs, size_t n, uint64_t a, uint64_t b) {
   // vpmullq (AVX-512DQ) is a true lane-wise 64-bit multiply, so the whole
-  // Mix64 + affine chain runs 8 lanes per instruction stream.
+  // Mix64 + affine chain runs 8 lanes per instruction stream. The shifts
+  // use the all-lanes zero-masked form, which computes the same bits as
+  // _mm512_srli_epi64 without GCC 12's -Wmaybe-uninitialized false
+  // positive on that intrinsic's undefined pass-through operand.
   const __m512i c1 =
       _mm512_set1_epi64(static_cast<int64_t>(0xbf58476d1ce4e5b9ULL));
   const __m512i c2 =
@@ -65,11 +68,11 @@ __attribute__((target("avx512f,avx512dq,avx512vl"))) void Mix64AffineAvx512(
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     __m512i x = _mm512_loadu_si512(xs + i);
-    x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 30));
+    x = _mm512_xor_si512(x, _mm512_maskz_srli_epi64(0xFF, x, 30));
     x = _mm512_mullo_epi64(x, c1);
-    x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 27));
+    x = _mm512_xor_si512(x, _mm512_maskz_srli_epi64(0xFF, x, 27));
     x = _mm512_mullo_epi64(x, c2);
-    x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 31));
+    x = _mm512_xor_si512(x, _mm512_maskz_srli_epi64(0xFF, x, 31));
     x = _mm512_add_epi64(_mm512_mullo_epi64(x, va), vb);
     _mm512_storeu_si512(xs + i, x);
   }
