@@ -54,8 +54,6 @@ void JobMetrics::Merge(const JobMetrics& o) {
   shuffle_refetched_bytes += o.shuffle_refetched_bytes;
   resident_publish_segments += o.resident_publish_segments;
   resident_publish_bytes += o.resident_publish_bytes;
-  resident_spilled_segments += o.resident_spilled_segments;
-  resident_spilled_bytes += o.resident_spilled_bytes;
   resident_hit_bytes += o.resident_hit_bytes;
   resident_invalidated_segments += o.resident_invalidated_segments;
   resident_invalidated_bytes += o.resident_invalidated_bytes;
@@ -150,8 +148,6 @@ std::string JobMetrics::Serialize() const {
   put_u64("shuffle_refetched_bytes", shuffle_refetched_bytes);
   put_u64("resident_publish_segments", resident_publish_segments);
   put_u64("resident_publish_bytes", resident_publish_bytes);
-  put_u64("resident_spilled_segments", resident_spilled_segments);
-  put_u64("resident_spilled_bytes", resident_spilled_bytes);
   put_u64("resident_hit_bytes", resident_hit_bytes);
   put_u64("resident_invalidated_segments", resident_invalidated_segments);
   put_u64("resident_invalidated_bytes", resident_invalidated_bytes);
@@ -291,14 +287,12 @@ std::string JobMetrics::ToString() const {
   if (resident_publish_segments + resident_state_restores > 0) {
     std::snprintf(
         buf, sizeof(buf),
-        "\nresident:        %llu segments published (%llu bytes, %llu "
-        "spilled / %llu bytes), %llu hit bytes, %llu invalidated\n"
+        "\nresident:        %llu segments published (%llu bytes), %llu "
+        "hit bytes, %llu invalidated\n"
         "state carry:     %llu adoptions (%llu bytes in, %llu bytes "
         "saved), %llu cached input bytes",
         static_cast<unsigned long long>(resident_publish_segments),
         static_cast<unsigned long long>(resident_publish_bytes),
-        static_cast<unsigned long long>(resident_spilled_segments),
-        static_cast<unsigned long long>(resident_spilled_bytes),
         static_cast<unsigned long long>(resident_hit_bytes),
         static_cast<unsigned long long>(resident_invalidated_segments),
         static_cast<unsigned long long>(resident_state_restores),

@@ -86,12 +86,10 @@ struct JobMetrics {
   uint64_t shuffle_refetched_bytes = 0;
 
   // --- Resident shuffle (DESIGN.md §5.9) ---
-  // Push segments admitted to the per-node resident cache vs. spilled to
-  // the disk backstop under the byte budget, counted at publish time.
+  // Push segments published to their producer's memory, counted at
+  // publish time.
   uint64_t resident_publish_segments = 0;
   uint64_t resident_publish_bytes = 0;
-  uint64_t resident_spilled_segments = 0;
-  uint64_t resident_spilled_bytes = 0;
   // Shuffle fetch bytes served from resident segments (vs. the retention-
   // window disk re-reads they avoid), and segments lost to node crashes
   // (re-materialized through ordinary map re-execution).
