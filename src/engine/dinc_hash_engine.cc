@@ -15,36 +15,46 @@ constexpr int kDefaultBuckets = 16;
 constexpr int kExpirySweep = 4;
 }  // namespace
 
+DincHashEngine::MemoryPlan DincHashEngine::PlanMemory(
+    const JobConfig& cfg, uint64_t state_bytes_hint) {
+  MemoryPlan plan;
+  plan.entry_cost = state_bytes_hint + 16 /*avg key*/ + kResidentEntryOverhead;
+  // Pick h so each bucket's distinct keys fit in memory when read back
+  // (the paper: "setting h as small as possible increases s").
+  plan.num_buckets =
+      cfg.expected_keys_per_reducer > 0
+          ? IncHashEngine::ChooseNumBuckets(cfg.expected_keys_per_reducer,
+                                            cfg.reduce_memory_bytes,
+                                            plan.entry_cost,
+                                            cfg.bucket_page_bytes)
+          : kDefaultBuckets;
+  plan.page_bytes = IncHashEngine::ClampedPageBytes(
+      cfg.bucket_page_bytes, cfg.reduce_memory_bytes, plan.num_buckets);
+  const uint64_t reserved =
+      std::min<uint64_t>(cfg.reduce_memory_bytes,
+                         static_cast<uint64_t>(plan.num_buckets) *
+                             plan.page_bytes);
+  plan.slots = std::max<uint64_t>(
+      1, (cfg.reduce_memory_bytes - reserved) / plan.entry_cost);
+  return plan;
+}
+
 DincHashEngine::DincHashEngine(const EngineContext& ctx)
     : GroupByEngine(ctx),
       h3_(ctx.hashes.At(2)) {
   CHECK(ctx.inc != nullptr) << "DINC-hash requires an IncrementalReducer";
   const JobConfig& cfg = *ctx.config;
-  const uint64_t entry_cost = ctx.inc->StateBytesHint() + 16 /*avg key*/ +
-                              kResidentEntryOverhead;
-  // Pick h so each bucket's distinct keys fit in memory when read back
-  // (the paper: "setting h as small as possible increases s").
-  num_buckets_ =
-      cfg.expected_keys_per_reducer > 0
-          ? IncHashEngine::ChooseNumBuckets(cfg.expected_keys_per_reducer,
-                                            cfg.reduce_memory_bytes,
-                                            entry_cost,
-                                            cfg.bucket_page_bytes)
-          : kDefaultBuckets;
-  const uint64_t page = IncHashEngine::ClampedPageBytes(
-      cfg.bucket_page_bytes, cfg.reduce_memory_bytes, num_buckets_);
-  const uint64_t reserved = std::min<uint64_t>(
-      cfg.reduce_memory_bytes, static_cast<uint64_t>(num_buckets_) * page);
-  capacity_entries_ =
-      std::max<uint64_t>(1, (cfg.reduce_memory_bytes - reserved) / entry_cost);
+  const MemoryPlan plan = PlanMemory(cfg, ctx.inc->StateBytesHint());
+  num_buckets_ = plan.num_buckets;
+  capacity_entries_ = plan.slots;
   sketch_ = std::make_unique<FrequentSketch>(capacity_entries_);
   states_.resize(capacity_entries_);
   buckets_ = std::make_unique<BucketFileManager>(
-      num_buckets_, page, ctx_.trace, ctx_.metrics, &cfg.integrity,
-      ctx_.faults, ctx_.integrity_owner, &cfg.costs, cfg.block_codec,
-      cfg.codec_block_bytes);
+      num_buckets_, plan.page_bytes, ctx_.trace, ctx_.metrics,
+      &cfg.integrity, ctx_.faults, ctx_.integrity_owner, &cfg.costs,
+      cfg.block_codec, cfg.codec_block_bytes);
   bucket_pass_ = std::make_unique<BucketPassProcessor>(
-      &ctx_, capacity_entries_ * entry_cost);
+      &ctx_, capacity_entries_ * plan.entry_cost);
 }
 
 void DincHashEngine::SpillState(std::string_view key, uint64_t digest,
@@ -85,7 +95,10 @@ Status DincHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
       // and let the workload discard finished states (e.g. all-expired
       // sessions are emitted, not spilled), freeing a slot for the new
       // key before the FREQUENT policy has to spill anything.
-      for (int c : sketch_->ColdestSlots(kExpirySweep)) {
+      int cold[kExpirySweep];
+      const int num_cold = sketch_->ColdestSlots(kExpirySweep, cold);
+      for (int i = 0; i < num_cold; ++i) {
+        const int c = cold[i];
         if (sketch_->Count(c) <= 1 &&
             inc->TryDiscard(sketch_->Key(c), &states_[c], ctx_.out)) {
           states_[c].clear();
@@ -104,14 +117,15 @@ Status DincHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
       return;
     }
     if (sketch_->MinCount() == 0) {
-      // Classic FREQUENT eviction: displace a zero-count slot; its state
-      // is discarded or spilled (routed by the digest retained in the
-      // slot — no rehash of the evicted key).
+      // Classic FREQUENT eviction: the zero-count slot's state is
+      // discarded or spilled in place, straight from the slot's key and
+      // state (routed by the digest retained in the slot — no rehash or
+      // copy of the evicted key), then the slot takes the new key.
+      // ReplaceSlot emits nothing, so spilling first keeps the output
+      // order.
       const int slot = sketch_->MinSlot();
-      std::string old = std::move(states_[slot]);
-      const uint64_t evicted_digest = sketch_->SlotHash(slot);
-      const std::string evicted_key = sketch_->ReplaceSlot(slot, key, digest);
-      SpillState(evicted_key, evicted_digest, &old);
+      SpillState(sketch_->Key(slot), sketch_->SlotHash(slot), &states_[slot]);
+      sketch_->ReplaceSlot(slot, key, digest);
       states_[slot].assign(state.data(), state.size());
       inc->OnUpdate(key, &states_[slot], ctx_.out);
       ++combines;

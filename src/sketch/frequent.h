@@ -11,10 +11,25 @@
 // The classic guarantee: a key with true frequency f is combined in memory
 // at least max(0, f - M/(s+1)) times, where M is the number of offers.
 //
-// Decrement-all is O(1) amortized via a global offset: effective count =
-// raw count - delta_, and "decrement all" is delta_ += 1 (legal exactly when
-// no effective count is 0). A multiset over raw counts tracks the minimum so
-// eviction candidates are found in O(log s).
+// Decrement-all is O(1) via a global offset: effective count = raw count -
+// delta_, and "decrement all" is delta_ += 1 (legal exactly when no
+// effective count is 0).
+//
+// The count index is an indexed binary min-heap over (raw count, slot id):
+// two arrays sized at construction, the heap nodes and a slot -> heap
+// position map. Hit, insert, replace and release are O(log s) sift
+// operations that never allocate; MinSlot/MinCount read the root. The
+// order is strictly lexicographic on (raw, slot) — equal counts go to the
+// lower slot id — and that tie rule is part of the contract, not an
+// implementation detail: it decides which zero-count slot DINC evicts and
+// which slots its expiry sweep offers to TryDiscard, and so which keys
+// spill (a FIFO tie rule would change spill bytes and the goldens).
+// ColdestSlots(n) reads the n coldest slots by a best-first walk from the
+// root: the n smallest nodes of a binary heap lie within its first n
+// levels (the first 2^n - 1 nodes), so the walk touches O(n) nodes.
+// Together with in-place key replacement, the miss path (Find,
+// ColdestSlots, MinCount, ReplaceSlot or DecrementAll) makes no per-miss
+// allocation; only the key index's arena takes a block now and then.
 //
 // The sketch tracks per-slot `t` counters — tuples combined since the key
 // was last inserted — which DINC uses for coverage estimation:
@@ -36,10 +51,8 @@
 #define ONEPASS_SKETCH_FREQUENT_H_
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "src/storage/checkpoint.h"
@@ -89,19 +102,22 @@ class FrequentSketch {
   bool HasFreeSlot() const { return !free_slots_.empty(); }
   // The occupied slot with the minimum effective count (-1 if none).
   int MinSlot() const;
-  // Effective count of MinSlot() (undefined when no slot is occupied).
+  // Effective count of MinSlot(); requires an occupied slot.
   uint64_t MinCount() const;
   // Replaces `slot`'s key with `key`, resetting its counter to 1 and its
-  // coverage counter (one offer). Returns the displaced key.
-  std::string ReplaceSlot(int slot, std::string_view key) {
-    return ReplaceSlot(slot, key, FlatTable::DefaultHash(key));
+  // coverage counter (one offer). The displaced key is gone afterwards:
+  // read Key(slot) and SlotHash(slot) first to route its payload.
+  void ReplaceSlot(int slot, std::string_view key) {
+    ReplaceSlot(slot, key, FlatTable::DefaultHash(key));
   }
-  std::string ReplaceSlot(int slot, std::string_view key, uint64_t hash);
+  void ReplaceSlot(int slot, std::string_view key, uint64_t hash);
   // Decrements every counter by one; legal only when MinCount() > 0
   // (one offer — the rejected tuple).
   void DecrementAll();
-  // Up to `n` occupied slots in ascending effective-count order.
-  std::vector<int> ColdestSlots(int n) const;
+  // Writes up to `n` (<= kMaxColdestSlots) occupied slots to `out` in
+  // ascending (effective count, slot id) order; returns how many it wrote.
+  static constexpr int kMaxColdestSlots = 8;
+  int ColdestSlots(int n, int* out) const;
 
   // Looks up the slot of `key`, or -1 if not monitored.
   int Find(std::string_view key) const {
@@ -133,7 +149,7 @@ class FrequentSketch {
   // ReplaceSlot when routing the displaced key's payload.
   uint64_t SlotHash(int slot) const { return slots_[slot].hash; }
 
-  bool SlotOccupied(int slot) const { return slots_[slot].occupied; }
+  bool SlotOccupied(int slot) const { return heap_pos_[slot] != kNoPos; }
 
   // Removes `slot`'s key from the sketch, leaving the slot free with an
   // effective count of zero. Used by DINC eviction hooks (e.g. expired
@@ -154,9 +170,12 @@ class FrequentSketch {
   // Checkpointing (DESIGN.md §5.6): serializes the slots, the decrement
   // offset, the offer count, and the free-slot stack (its LIFO order
   // decides future insertions, so it is state, not scratch). The key→slot
-  // index and the count multiset are derivable and rebuilt on restore.
+  // index and the count heap are derivable and rebuilt on restore.
   void SaveTo(CheckpointWriter* w) const;
-  // Restores into a sketch constructed with the same capacity.
+  // Restores into a sketch constructed with the same capacity. Returns
+  // Corruption when the stream breaks the slot invariants the heap relies
+  // on: every free slot below capacity and listed once, no slot both free
+  // and occupied, free + occupied == capacity, and raw >= the offset.
   Status RestoreFrom(CheckpointReader* r);
 
   // Adds the index table's probe/rehash/arena counters to `m` (see
@@ -170,12 +189,27 @@ class FrequentSketch {
   struct Slot {
     std::string key;
     uint64_t hash = 0;  // digest the key was inserted with
-    uint64_t raw = 0;   // effective count = raw - delta_
     uint64_t t = 0;     // combines since last insertion
-    bool occupied = false;
   };
 
-  uint64_t Effective(const Slot& s) const { return s.raw - delta_; }
+  // One occupied slot in the count heap; effective count = raw - delta_.
+  struct HeapNode {
+    uint64_t raw;
+    int slot;
+  };
+  static constexpr int kNoPos = -1;  // heap_pos_ of a free slot
+
+  // The heap order: lexicographic on (raw, slot).
+  static bool Colder(const HeapNode& a, const HeapNode& b) {
+    return a.raw < b.raw || (a.raw == b.raw && a.slot < b.slot);
+  }
+  uint64_t Raw(int slot) const { return heap_[heap_pos_[slot]].raw; }
+  // Heap maintenance. Each moves nodes and keeps heap_pos_ in step.
+  void PushNode(HeapNode node);
+  void RemoveNode(int pos);
+  void SiftUp(int pos);
+  void SiftDown(int pos);
+  void Resift(int pos);  // after the node at `pos` changed either way
 
   void IndexInsert(std::string_view key, uint64_t hash, int slot);
   void IndexErase(std::string_view key, uint64_t hash);
@@ -187,8 +221,11 @@ class FrequentSketch {
   FlatTable index_;  // key -> slot id
   uint64_t live_key_bytes_ = 0;
   uint64_t dead_key_bytes_ = 0;
-  // (raw count, slot) for every occupied slot; begin() is the minimum.
-  std::set<std::pair<uint64_t, int>> by_count_;
+  // Min-heap of the occupied slots (heap_[0] is the coldest) and each
+  // slot's position in it (kNoPos when free). Both are reserved to the
+  // capacity up front.
+  std::vector<HeapNode> heap_;
+  std::vector<int> heap_pos_;
   std::vector<int> free_slots_;
   uint64_t delta_ = 0;
   uint64_t offers_ = 0;
