@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -205,17 +206,22 @@ Status NodeCombine(DataPlane& dp) {
 // job's own FaultPlan (so crash-forced map re-executions shift publish
 // times the way the cluster would see them) fixes when each push
 // publishes. Publish order is only a consumption-order contract for the
-// reduce plane; the full replay is authoritative for timing.
-Result<DeliveryOrder> OrderDeliveries(const PreparedJob& pj) {
+// reduce plane; the full replay is authoritative for timing, and for
+// failure: the provisional replay's status is ignored, so a job whose
+// fault plan exhausts it fails in the full replay, with its simulated
+// work charged, like any other. Pushes it never published go last, in
+// (map task, push) order.
+DeliveryOrder OrderDeliveries(const PreparedJob& pj) {
   sim::Engine engine;
   SlotPool slots(&engine, pj.config.cluster);
   Replayer provisional(&engine, &slots, pj.config, pj.plan, pj.map_ins, {},
                        {});
-  RETURN_IF_ERROR(provisional.Run());
+  (void)provisional.Run();
   std::vector<std::pair<double, std::pair<int, uint32_t>>> timed;
   for (size_t m = 0; m < pj.map_ins.size(); ++m) {
     for (uint32_t p = 0; p < pj.map_ins[m].num_pushes; ++p) {
-      timed.push_back({provisional.push_ready_time(static_cast<int>(m), p),
+      const double t = provisional.push_ready_time(static_cast<int>(m), p);
+      timed.push_back({t < 0 ? std::numeric_limits<double>::infinity() : t,
                        {static_cast<int>(m), p}});
     }
   }
@@ -649,7 +655,7 @@ Result<PreparedJob> LocalCluster::PrepareJob(const JobSpec& spec,
   if (config.combine_scope == CombineScope::kNode) {
     RETURN_IF_ERROR(NodeCombine(dp));
   }
-  ASSIGN_OR_RETURN(const DeliveryOrder order, OrderDeliveries(pj));
+  const DeliveryOrder order = OrderDeliveries(pj);
   RETURN_IF_ERROR(ReducePlane(dp, order, chain.adopt, chain.save));
   if (config.shuffle_mode == ShuffleMode::kResident) {
     ResidentTransform(dp, chain.cached_input);

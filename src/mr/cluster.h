@@ -6,7 +6,9 @@
 //      per-partition output bytes and a cost trace.
 //   2. A provisional map-only replay on the simulated cluster fixes the
 //      map completion order (and push times under pipelining), which
-//      determines the order reducers receive shuffle deliveries in.
+//      determines the order reducers receive shuffle deliveries in. Its
+//      status is not the job's: pushes it never published (its fault plan
+//      failed it first) go last, and only step 4 decides failure.
 //   3. Every reduce task executes for real: its GroupByEngine consumes the
 //      deliveries in that order and finishes, producing real output and a
 //      sectioned cost trace.

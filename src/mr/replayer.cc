@@ -158,6 +158,7 @@ void Replayer::Start(std::function<void(const Status&)> on_done) {
 }
 
 Status Replayer::Run() {
+  solo_ = true;
   Start();
   const double horizon = engine_->Run();
   if (failed_) return status_;
@@ -227,6 +228,7 @@ double Replayer::WithDiskRetries(double dur, const TraceOp& op, bool is_map,
 
 void Replayer::SubmitOp(const TraceOp& op, int node, double dur,
                         sim::Engine::Callback done) {
+  ++in_flight_;
   if (op.resource == OpResource::kStall) {
     engine_->ScheduleAfterStream(dur, opts_.stream, std::move(done));
     return;
@@ -335,6 +337,21 @@ void Replayer::Fail(Status s) {
 bool Replayer::JobComplete() const {
   return maps_completed_ == maps_.size() &&
          reduces_done_ == reduces_.size();
+}
+
+bool Replayer::CanProgress() const {
+  if (in_flight_ > 0) return true;
+  // Every slot holder without an op in flight is a reduce attempt parked
+  // on a push nobody will republish. Alone on the pool, no slot will free
+  // for a queued entry either; sharing it, another job's attempt may.
+  if (solo_) return false;
+  auto queued = [](const auto& states) {
+    for (const auto& st : states) {
+      if (st.queued || st.spec_queued) return true;
+    }
+    return false;
+  };
+  return queued(map_states_) || queued(reduce_states_);
 }
 
 void Replayer::CheckCompletion() {
@@ -678,7 +695,11 @@ void Replayer::ScheduleSpeculationTick() {
     if (failed_ || JobComplete()) return;
     MaybeSpeculate(/*is_map=*/true);
     MaybeSpeculate(/*is_map=*/false);
-    if (!failed_ && !JobComplete()) ScheduleSpeculationTick();
+    // A job that cannot progress stops re-arming, so the engine drains
+    // and the stall is reported instead of ticking forever.
+    if (!failed_ && !JobComplete() && CanProgress()) {
+      ScheduleSpeculationTick();
+    }
   });
 }
 
@@ -696,7 +717,10 @@ void Replayer::RunRestoreOp(int r, int a, size_t i) {
   }
   const TraceOp& op = at.restore.ops[i];
   SubmitOp(op, at.node, Duration(op, at.node),
-           [this, r, a, i]() { RunRestoreOp(r, a, i + 1); });
+           [this, r, a, i]() {
+             --in_flight_;
+             RunRestoreOp(r, a, i + 1);
+           });
 }
 
 // ---- crash handling ----
@@ -759,6 +783,19 @@ void Replayer::CrashNode(int n) {
   // Kill running attempts; reduces first so their fetched state is
   // settled before the lost-output scan asks who still needs what.
   KillAttemptsOn(n);
+  // Node-feed contributions held on n are gone (node combine tier): any
+  // running combine attempt that was consuming one dies with its input.
+  // This runs before the lost-push scan below, whose ScheduleMapRun must
+  // see the contributions as lost: a combine whose deps look intact would
+  // be queued as runnable, dropped by the pool as not runnable, and never
+  // re-queued. The restart scans re-run what is still needed — a killed
+  // or push-lost combine reschedules through ScheduleMapRun, which first
+  // re-materializes the missing contributions (generalized lineage).
+  for (size_t m = 0; m < maps_.size(); ++m) {
+    if (contrib_src_[m] != n) continue;
+    contrib_src_[m] = -1;
+    for (int c : dependents_[m]) KillRunning(/*is_map=*/true, c, -1);
+  }
   // Map outputs stored on n are gone. A push a surviving attempt already
   // produced republishes immediately; the rest revert to unpublished.
   for (size_t m = 0; m < maps_.size(); ++m) {
@@ -793,16 +830,6 @@ void Replayer::CrashNode(int n) {
       ScheduleMapRun(static_cast<int>(m));
       if (failed_) return;
     }
-  }
-  // Node-feed contributions held on n are gone (node combine tier): any
-  // running combine attempt that was consuming one dies with its input.
-  // The restart scan below re-runs what is still needed — a killed or
-  // push-lost combine reschedules through ScheduleMapRun, which first
-  // re-materializes the missing contributions (generalized lineage).
-  for (size_t m = 0; m < maps_.size(); ++m) {
-    if (contrib_src_[m] != n) continue;
-    contrib_src_[m] = -1;
-    for (int c : dependents_[m]) KillRunning(/*is_map=*/true, c, -1);
   }
   // Restart whatever the crash left without a running or queued
   // execution.
@@ -886,6 +913,7 @@ void Replayer::RunNextMapOp(int m, int a) {
   const double dur = WithDiskRetries(Duration(op, at.node), op,
                                      /*is_map=*/true, m, a, idx);
   SubmitOp(op, at.node, dur, [this, m, a, idx]() {
+    --in_flight_;
     if (failed_) return;
     MapAttempt& att = map_states_[static_cast<size_t>(m)]
                           .attempts[static_cast<size_t>(a)];
@@ -1028,8 +1056,10 @@ void Replayer::StartFetch(int r, int a) {
     read.is_read = true;
     const int src_node = push_src_[static_cast<size_t>(d.map_task)][d.push];
     ActInc(at, Activity::kShuffle);
+    ++in_flight_;
     pool_->Route(src_node, read)
         ->Submit(Duration(read, src_node), opts_.stream, [this, r, a, s]() {
+          --in_flight_;
           if (failed_) return;
           ReduceAttempt& att = reduce_states_[static_cast<size_t>(r)]
                                    .attempts[static_cast<size_t>(a)];
@@ -1049,8 +1079,10 @@ void Replayer::FetchOverNet(int r, int a, uint32_t s) {
   const TraceOp& net_op = task.trace->ops[task.trace->section_starts[s]];
   CHECK(net_op.resource == OpResource::kNet);
   ActInc(at, Activity::kShuffle);
+  ++in_flight_;
   pool_->Route(at.node, net_op)
       ->Submit(Duration(net_op, at.node), opts_.stream, [this, r, a, s]() {
+        --in_flight_;
         if (failed_) return;
         ReduceAttempt& att = reduce_states_[static_cast<size_t>(r)]
                                  .attempts[static_cast<size_t>(a)];
@@ -1070,8 +1102,10 @@ void Replayer::FetchOverNet(int r, int a, uint32_t s) {
           ++recovery_.shuffle_fetch_retries;
           const double backoff = config_.faults.fetch_retry.BackoffFor(
               try_i, FetchRetryKey(r, d.map_task, d.push));
+          ++in_flight_;
           engine_->ScheduleAfterStream(backoff, opts_.stream, [this, r, a,
                                                                s]() {
+            --in_flight_;
             if (failed_) return;
             ReduceAttempt& att2 = reduce_states_[static_cast<size_t>(r)]
                                       .attempts[static_cast<size_t>(a)];
@@ -1188,6 +1222,7 @@ void Replayer::TryConsume(int r, int a) {
                                      /*is_map=*/false, r, a, idx);
   ActInc(at, act);
   SubmitOp(op, at.node, dur, [this, r, a, idx, act]() {
+    --in_flight_;
     if (failed_) return;
     ReduceAttempt& att = reduce_states_[static_cast<size_t>(r)]
                              .attempts[static_cast<size_t>(a)];

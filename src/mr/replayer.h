@@ -282,6 +282,10 @@ class Replayer {
 
   void Fail(Status s);
   bool JobComplete() const;
+  // Some op or timer of this job is in flight, or (sharing the pool) some
+  // task has a queued entry. Otherwise the job has stalled: its running
+  // attempts are parked on pushes that nothing will republish.
+  bool CanProgress() const;
   void CheckCompletion();
   void NotifyDone(const Status& s);
 
@@ -400,6 +404,11 @@ class Replayer {
   double end_time_ = 0;
   bool failed_ = false;
   bool notified_ = false;
+  // Ops and retry timers submitted for this job's attempts whose
+  // completion has not fired yet (killed attempts' included).
+  int in_flight_ = 0;
+  bool solo_ = false;  // Run(): the only job on its engine and pool
+
   Status status_ = Status::OK();
 
   uint64_t shuffle_from_disk_bytes_ = 0;
