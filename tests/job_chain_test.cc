@@ -44,13 +44,8 @@ GrowingLog MakeLog(int iterations) {
                              /*chunk_bytes=*/64 << 10, /*nodes=*/4);
 }
 
-// "INC-hash" -> "INC_hash": gtest names allow no '-'.
 std::string EngineTestName(const ::testing::TestParamInfo<EngineKind>& info) {
-  std::string name(EngineKindName(info.param));
-  for (char& c : name) {
-    if (c == '-') c = '_';
-  }
-  return name;
+  return EngineTag(info.param);
 }
 
 class JobChainExactness : public ::testing::TestWithParam<EngineKind> {};

@@ -21,17 +21,10 @@
 #include "src/mr/cluster.h"
 #include "src/workloads/clickstream.h"
 #include "src/workloads/jobs.h"
+#include "tests/test_fingerprint.h"
 
 namespace onepass {
 namespace {
-
-std::string EngineTag(EngineKind engine) {
-  std::string name(EngineKindName(engine));
-  for (char& c : name) {
-    if (c == '-') c = '_';
-  }
-  return name;
-}
 
 std::string GoldenPath(const std::string& prefix, EngineKind engine) {
   return std::string(ONEPASS_TESTS_DIR) + "/golden/" + prefix +

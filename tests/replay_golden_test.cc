@@ -50,15 +50,6 @@ uint64_t Fnv1a(const std::string& s) {
   return h;
 }
 
-// "INC-hash" -> "INC_hash", so row names are single tokens.
-std::string EngineTag(EngineKind engine) {
-  std::string name(EngineKindName(engine));
-  for (char& c : name) {
-    if (c == '-') c = '_';
-  }
-  return name;
-}
-
 ClickStreamConfig Clicks() {
   ClickStreamConfig clicks;
   clicks.num_clicks = 30'000;
