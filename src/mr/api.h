@@ -67,8 +67,8 @@ class Mapper {
   // order (the default loop). Mappers with per-record independence can
   // override to stage outputs and hand them to Emitter::EmitBatch in one
   // call. Overrides must preserve the scalar emit sequence exactly — the
-  // batch-equivalence property test compares full job fingerprints across
-  // batch sizes.
+  // config-space harness (tests/config_space_test.cc) compares full job
+  // fingerprints across thread counts and SIMD tiers.
   virtual void MapBatch(const RecordBatch& batch, Emitter* out) {
     for (size_t i = 0; i < batch.size; ++i) {
       Map(batch.keys[i], batch.values[i], out);

@@ -3,59 +3,21 @@
 // checkpoint instead of replaying the whole shuffle — re-fetching only
 // post-watermark segments — while the answer stays byte-identical to a
 // clean run on every engine, at every interval, at any thread count, and
-// through the corrupt-replica fallback ladder.
+// through the corrupt-replica fallback ladder. On the fault-test cluster
+// (tests/fault_test_util.h) each of the 8 reducers sees ~40 shuffle
+// segments, so a checkpoint every 4 deliveries leaves a ~90% watermark
+// when the crash lands at 90% of the shuffle.
 
 #include <gtest/gtest.h>
-
-#include <map>
-#include <string>
-#include <vector>
 
 #include "src/mr/cluster.h"
 #include "src/workloads/clickstream.h"
 #include "src/workloads/jobs.h"
 #include "src/workloads/reference.h"
+#include "tests/fault_test_util.h"
 
 namespace onepass {
 namespace {
-
-constexpr EngineKind kAllEngines[] = {EngineKind::kSortMerge,
-                                      EngineKind::kMRHash,
-                                      EngineKind::kIncHash,
-                                      EngineKind::kDincHash};
-
-ChunkStore RecoveryInput(int replication, uint64_t num_clicks = 20'000) {
-  ClickStreamConfig clicks;
-  clicks.num_clicks = num_clicks;
-  clicks.num_users = 800;
-  clicks.seed = 31;
-  ChunkStore input(32 << 10, 4, replication);
-  GenerateClickStream(clicks, &input);
-  return input;
-}
-
-// The fault-tolerance test cluster with many small map pushes per
-// reducer: ~40 chunks -> ~40 single-push maps, so each of the 8 reducers
-// sees ~40 shuffle segments and a checkpoint every 4 deliveries leaves a
-// ~90% watermark when the crash lands at 90% of the shuffle.
-JobConfig RecoveryConfigFor(EngineKind engine) {
-  JobConfig cfg;
-  cfg.engine = engine;
-  cfg.cluster.nodes = 4;
-  cfg.cluster.cores_per_node = 2;
-  cfg.cluster.map_slots = 2;
-  cfg.cluster.reduce_slots = 2;
-  cfg.reducers_per_node = 2;
-  cfg.chunk_bytes = 32 << 10;
-  cfg.map_buffer_bytes = 128 << 10;
-  cfg.reduce_memory_bytes = 64 << 10;
-  cfg.map_side_combine = true;
-  cfg.collect_outputs = true;
-  cfg.expected_keys_per_reducer = 150;
-  cfg.expected_bytes_per_reducer = 64 << 10;
-  cfg.replication = 2;
-  return cfg;
-}
 
 sim::CrashEvent CrashLateInShuffle(int node, double fraction = 0.9) {
   sim::CrashEvent crash;
@@ -64,24 +26,15 @@ sim::CrashEvent CrashLateInShuffle(int node, double fraction = 0.9) {
   return crash;
 }
 
-std::map<std::string, uint64_t> CountsOf(const std::vector<Record>& outs) {
-  std::map<std::string, uint64_t> got;
-  for (const Record& rec : outs) {
-    EXPECT_EQ(got.count(rec.key), 0u) << "duplicate key " << rec.key;
-    got[rec.key] = std::stoull(rec.value);
-  }
-  return got;
-}
-
 // The tentpole property + the issue's acceptance bound: a reduce-phase
 // crash at 90% with checkpoints every 4 segments re-fetches at least 3x
 // fewer segment bytes than the same crash without checkpoints, and both
 // runs still produce the clean answer.
 TEST(CheckpointRecoveryTest, LateCrashResumesFromCheckpointOnAllEngines) {
-  const ChunkStore input = RecoveryInput(/*replication=*/2);
+  const ChunkStore input = FaultInput(/*replication=*/2);
   const auto expected = ReferenceClickCounts(input, ClickKeyField::kUser);
   for (EngineKind engine : kAllEngines) {
-    JobConfig cfg = RecoveryConfigFor(engine);
+    JobConfig cfg = FaultConfigFor(engine, 2);
     cfg.checkpoint_interval_segments = 4;
     cfg.checkpoint_replication = 2;
 
@@ -111,7 +64,7 @@ TEST(CheckpointRecoveryTest, LateCrashResumesFromCheckpointOnAllEngines) {
     EXPECT_EQ(m.checkpoint_full_replays, 0u);
 
     // The same crash without checkpointing replays the whole shuffle.
-    JobConfig no_ckpt_cfg = RecoveryConfigFor(engine);
+    JobConfig no_ckpt_cfg = FaultConfigFor(engine, 2);
     no_ckpt_cfg.faults.crashes = {CrashLateInShuffle(2)};
     auto replay = LocalCluster::RunJob(ClickCountJob(), no_ckpt_cfg, input);
     ASSERT_TRUE(replay.ok()) << replay.status().ToString();
@@ -129,9 +82,9 @@ TEST(CheckpointRecoveryTest, LateCrashResumesFromCheckpointOnAllEngines) {
 // checkpoint down with the reducer: the ladder finds nothing durable and
 // falls back to full replay — correct answer, full-replay counter set.
 TEST(CheckpointRecoveryTest, ReplicaLostWithWriterFallsBackToFullReplay) {
-  const ChunkStore input = RecoveryInput(/*replication=*/2);
+  const ChunkStore input = FaultInput(/*replication=*/2);
   const auto expected = ReferenceClickCounts(input, ClickKeyField::kUser);
-  JobConfig cfg = RecoveryConfigFor(EngineKind::kIncHash);
+  JobConfig cfg = FaultConfigFor(EngineKind::kIncHash, 2);
   cfg.checkpoint_interval_segments = 4;
   cfg.checkpoint_replication = 1;  // primary only, on the writer
   cfg.faults.crashes = {CrashLateInShuffle(2)};
@@ -151,11 +104,11 @@ TEST(CheckpointRecoveryTest, ReplicaLostWithWriterFallsBackToFullReplay) {
 // deterministic: every run must stay correct, and across the sweep the
 // ladder provably rejects at least one corrupt candidate.
 TEST(CheckpointRecoveryTest, CorruptReplicasLadderToOlderImages) {
-  const ChunkStore input = RecoveryInput(/*replication=*/3);
+  const ChunkStore input = FaultInput(/*replication=*/3);
   const auto expected = ReferenceClickCounts(input, ClickKeyField::kUser);
   uint64_t corrupt_rejections = 0, restores = 0;
   for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
-    JobConfig cfg = RecoveryConfigFor(EngineKind::kDincHash);
+    JobConfig cfg = FaultConfigFor(EngineKind::kDincHash, 2);
     cfg.seed = seed;
     cfg.checkpoint_interval_segments = 4;
     cfg.checkpoint_replication = 2;
@@ -181,9 +134,9 @@ TEST(CheckpointRecoveryTest, CorruptReplicasLadderToOlderImages) {
 // Two identical faulted checkpointed runs are byte-identical, down to the
 // recovery schedule and every checkpoint counter.
 TEST(CheckpointRecoveryTest, DeterministicUnderCheckpointedRecovery) {
-  const ChunkStore input = RecoveryInput(/*replication=*/2);
+  const ChunkStore input = FaultInput(/*replication=*/2);
   for (EngineKind engine : {EngineKind::kSortMerge, EngineKind::kIncHash}) {
-    JobConfig cfg = RecoveryConfigFor(engine);
+    JobConfig cfg = FaultConfigFor(engine, 2);
     cfg.checkpoint_interval_segments = 4;
     cfg.checkpoint_replication = 2;
     cfg.faults.crashes = {CrashLateInShuffle(2)};
@@ -213,13 +166,13 @@ TEST(CheckpointRecoveryTest, DeterministicUnderCheckpointedRecovery) {
 // segment / every 4th segment, single-threaded and parallel, clean and
 // crashed — all produce the same counts.
 TEST(CheckpointRecoveryTest, OutputsInvariantAcrossIntervalsAndThreads) {
-  const ChunkStore input = RecoveryInput(/*replication=*/2, 10'000);
+  const ChunkStore input = FaultInput(/*replication=*/2, 10'000);
   const auto expected = ReferenceClickCounts(input, ClickKeyField::kUser);
   for (EngineKind engine : kAllEngines) {
     for (const uint64_t interval : {0, 1, 4}) {
       for (const int threads : {1, 4}) {
         for (const bool faulted : {false, true}) {
-          JobConfig cfg = RecoveryConfigFor(engine);
+          JobConfig cfg = FaultConfigFor(engine, 2);
           cfg.checkpoint_interval_segments = interval;
           cfg.data_plane_threads = threads;
           if (faulted) cfg.faults.crashes = {CrashLateInShuffle(1, 0.75)};
@@ -243,12 +196,12 @@ TEST(CheckpointRecoveryTest, OutputsInvariantAcrossIntervalsAndThreads) {
 // whole state would grow with the state consumed, and their total with
 // the square of the input (x3.3-3.8 per 2x on sort-merge and MR-hash).
 TEST(CheckpointRecoveryTest, CheckpointBytesGrowLinearlyWithInput) {
-  const ChunkStore small = RecoveryInput(/*replication=*/2, 20'000);
-  const ChunkStore large = RecoveryInput(/*replication=*/2, 40'000);
+  const ChunkStore small = FaultInput(/*replication=*/2, 20'000);
+  const ChunkStore large = FaultInput(/*replication=*/2, 40'000);
   for (EngineKind engine : kAllEngines) {
     for (const BlockCodecKind codec :
          {BlockCodecKind::kNone, BlockCodecKind::kLz}) {
-      JobConfig cfg = RecoveryConfigFor(engine);
+      JobConfig cfg = FaultConfigFor(engine, 2);
       cfg.block_codec = codec;
       cfg.checkpoint_interval_segments = 4;
       cfg.checkpoint_replication = 2;

@@ -350,9 +350,9 @@ TEST(CheckpointDeltaTest, MutatedOpStreamsNeverAbort) {
 
 // ---- mid-stream save/restore equivalence on every engine ----
 
-// Same commutative padded-sum workload family as the engine-equivalence
-// property test: counts fold identically in any order, padding stresses
-// memory budgets.
+// The padded-sum workload family of the config-space harness's property
+// sweep: counts fold identically in any order, padding stresses memory
+// budgets.
 uint64_t ParseCount(std::string_view v) {
   uint64_t c = 0;
   for (char ch : v) {

@@ -6,66 +6,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "src/mr/cluster.h"
 #include "src/workloads/clickstream.h"
 #include "src/workloads/jobs.h"
 #include "src/workloads/reference.h"
+#include "tests/fault_test_util.h"
 
 namespace onepass {
 namespace {
-
-constexpr EngineKind kAllEngines[] = {EngineKind::kSortMerge,
-                                      EngineKind::kMRHash,
-                                      EngineKind::kIncHash,
-                                      EngineKind::kDincHash};
-
-ChunkStore FaultInput(int replication) {
-  ClickStreamConfig clicks;
-  clicks.num_clicks = 20'000;
-  clicks.num_users = 800;
-  clicks.seed = 31;
-  ChunkStore input(32 << 10, 4, replication);
-  GenerateClickStream(clicks, &input);
-  return input;
-}
-
-JobConfig FaultConfigFor(EngineKind engine, int replication) {
-  JobConfig cfg;
-  cfg.engine = engine;
-  cfg.cluster.nodes = 4;
-  cfg.cluster.cores_per_node = 2;
-  cfg.cluster.map_slots = 2;
-  cfg.cluster.reduce_slots = 2;
-  cfg.reducers_per_node = 2;
-  cfg.chunk_bytes = 32 << 10;
-  cfg.map_buffer_bytes = 128 << 10;
-  cfg.reduce_memory_bytes = 64 << 10;
-  cfg.map_side_combine = true;
-  cfg.collect_outputs = true;
-  cfg.expected_keys_per_reducer = 150;
-  cfg.expected_bytes_per_reducer = 64 << 10;
-  cfg.replication = replication;
-  return cfg;
-}
 
 sim::CrashEvent CrashAtHalfMaps(int node) {
   sim::CrashEvent crash;
   crash.node = node;
   crash.at_map_fraction = 0.5;
   return crash;
-}
-
-std::map<std::string, uint64_t> CountsOf(const std::vector<Record>& outs) {
-  std::map<std::string, uint64_t> got;
-  for (const Record& rec : outs) {
-    EXPECT_EQ(got.count(rec.key), 0u) << "duplicate key " << rec.key;
-    got[rec.key] = std::stoull(rec.value);
-  }
-  return got;
 }
 
 TEST(FaultToleranceTest, CrashMidMapRecoversWithReplication) {

@@ -8,66 +8,20 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <string>
-#include <vector>
-
 #include "src/mr/cluster.h"
 #include "src/workloads/clickstream.h"
 #include "src/workloads/jobs.h"
 #include "src/workloads/reference.h"
+#include "tests/fault_test_util.h"
 
 namespace onepass {
 namespace {
 
-constexpr EngineKind kAllEngines[] = {EngineKind::kSortMerge,
-                                      EngineKind::kMRHash,
-                                      EngineKind::kIncHash,
-                                      EngineKind::kDincHash};
-
-ChunkStore IntegrityInput(int replication) {
-  ClickStreamConfig clicks;
-  clicks.num_clicks = 20'000;
-  clicks.num_users = 800;
-  clicks.seed = 31;
-  ChunkStore input(32 << 10, 4, replication);
-  GenerateClickStream(clicks, &input);
-  return input;
-}
-
-JobConfig IntegrityConfigFor(EngineKind engine, int replication) {
-  JobConfig cfg;
-  cfg.engine = engine;
-  cfg.cluster.nodes = 4;
-  cfg.cluster.cores_per_node = 2;
-  cfg.cluster.map_slots = 2;
-  cfg.cluster.reduce_slots = 2;
-  cfg.reducers_per_node = 2;
-  cfg.chunk_bytes = 32 << 10;
-  cfg.map_buffer_bytes = 128 << 10;
-  cfg.reduce_memory_bytes = 64 << 10;
-  cfg.map_side_combine = true;
-  cfg.collect_outputs = true;
-  cfg.expected_keys_per_reducer = 150;
-  cfg.expected_bytes_per_reducer = 64 << 10;
-  cfg.replication = replication;
-  return cfg;
-}
-
-std::map<std::string, uint64_t> CountsOf(const std::vector<Record>& outs) {
-  std::map<std::string, uint64_t> got;
-  for (const Record& rec : outs) {
-    EXPECT_EQ(got.count(rec.key), 0u) << "duplicate key " << rec.key;
-    got[rec.key] = std::stoull(rec.value);
-  }
-  return got;
-}
-
 TEST(IntegrityTest, AllEnginesRecoverReferenceEqualOutput) {
-  const ChunkStore input = IntegrityInput(/*replication=*/3);
+  const ChunkStore input = FaultInput(/*replication=*/3);
   const auto expected = ReferenceClickCounts(input, ClickKeyField::kUser);
   for (EngineKind engine : kAllEngines) {
-    JobConfig cfg = IntegrityConfigFor(engine, 3);
+    JobConfig cfg = FaultConfigFor(engine, 3);
     cfg.faults.corruption_rate = 0.05;
     cfg.faults.torn_writes = true;
     auto r = LocalCluster::RunJob(ClickCountJob(), cfg, input);
@@ -85,9 +39,9 @@ TEST(IntegrityTest, AllEnginesRecoverReferenceEqualOutput) {
 }
 
 TEST(IntegrityTest, ZeroRateChecksumsAreInvisibleToResults) {
-  const ChunkStore input = IntegrityInput(/*replication=*/2);
+  const ChunkStore input = FaultInput(/*replication=*/2);
   for (EngineKind engine : kAllEngines) {
-    JobConfig on = IntegrityConfigFor(engine, 2);
+    JobConfig on = FaultConfigFor(engine, 2);
     // A fault plan with crashes and retries exercises the scheduler; the
     // schedules must not move when checksums turn off.
     sim::CrashEvent crash;
@@ -125,9 +79,9 @@ TEST(IntegrityTest, ZeroRateChecksumsAreInvisibleToResults) {
 }
 
 TEST(IntegrityTest, RecoveryTraceIsDeterministic) {
-  const ChunkStore input = IntegrityInput(/*replication=*/3);
+  const ChunkStore input = FaultInput(/*replication=*/3);
   for (EngineKind engine : {EngineKind::kSortMerge, EngineKind::kIncHash}) {
-    JobConfig cfg = IntegrityConfigFor(engine, 3);
+    JobConfig cfg = FaultConfigFor(engine, 3);
     cfg.faults.corruption_rate = 0.08;
     cfg.faults.torn_writes = true;
     auto a = LocalCluster::RunJob(ClickCountJob(), cfg, input);
@@ -152,8 +106,8 @@ TEST(IntegrityTest, UnreplicatedInputWithHighRateFailsWithCorruption) {
   // With one replica per chunk and a near-certain corruption rate, some
   // chunk loses its only good copy; the job must fail loudly with
   // kCorruption, never return silently wrong data.
-  const ChunkStore input = IntegrityInput(/*replication=*/1);
-  JobConfig cfg = IntegrityConfigFor(EngineKind::kMRHash, 1);
+  const ChunkStore input = FaultInput(/*replication=*/1);
+  JobConfig cfg = FaultConfigFor(EngineKind::kMRHash, 1);
   cfg.faults.corruption_rate = 0.999999;
   cfg.faults.corruption_retry.max_retries = 0;
   auto r = LocalCluster::RunJob(ClickCountJob(), cfg, input);
@@ -162,8 +116,8 @@ TEST(IntegrityTest, UnreplicatedInputWithHighRateFailsWithCorruption) {
 }
 
 TEST(IntegrityTest, CorruptionCostsShowUpInTimeAndBytes) {
-  const ChunkStore input = IntegrityInput(/*replication=*/3);
-  JobConfig cfg = IntegrityConfigFor(EngineKind::kSortMerge, 3);
+  const ChunkStore input = FaultInput(/*replication=*/3);
+  JobConfig cfg = FaultConfigFor(EngineKind::kSortMerge, 3);
   auto clean = LocalCluster::RunJob(ClickCountJob(), cfg, input);
   ASSERT_TRUE(clean.ok());
   cfg.faults.corruption_rate = 0.10;
