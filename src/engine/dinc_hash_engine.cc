@@ -150,9 +150,10 @@ Status DincHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
 Status DincHashEngine::SaveState(CheckpointWriter* w) const {
   w->PutU64("dinc.covered", covered_keys_);
   sketch_->SaveTo(w);
+  FieldName state_name("dinc.s.");
   for (size_t slot = 0; slot < capacity_entries_; ++slot) {
     if (!sketch_->SlotOccupied(static_cast<int>(slot))) continue;
-    w->PutBytes("dinc.s." + std::to_string(slot), states_[slot]);
+    w->PutBytes(state_name(slot), states_[slot]);
   }
   buckets_->SaveTo(w);
   return Status::OK();

@@ -86,13 +86,14 @@ class GroupByEngine {
   virtual Status Snapshot() { return Status::OK(); }
 
   // Checkpointed recovery (DESIGN.md §5.6). SaveCheckpoint writes the
-  // next image of this engine's checkpoint chain: it walks the complete
-  // mid-stream state (SaveState) and passes it through the chain, which
-  // keeps the full stream when the chain starts or compacts and otherwise
-  // writes only what changed since the previous save. The chain lives here
-  // so that every caller replaying the same saves gets the same images.
-  // Saving is non-destructive — Consume can continue right after, and a
-  // run that checkpoints emits byte-identical output to one that does not.
+  // next image of this engine's checkpoint chain into `w`: it walks the
+  // complete mid-stream state (SaveState) into a writer the chain binds,
+  // which checks each field against the previous save's stream as it is
+  // written, so the image is the full stream when the chain starts or
+  // compacts and otherwise only what changed. The chain lives here so that
+  // every caller replaying the same saves gets the same images. Saving is
+  // non-destructive — Consume can continue right after, and a run that
+  // checkpoints emits byte-identical output to one that does not.
   // RestoreCheckpoint loads a full stream (ResolveCheckpointChain of a
   // chain, or SaveState's) into a freshly constructed engine under the
   // same config and starts a new chain; consuming the remaining deliveries
@@ -100,10 +101,8 @@ class GroupByEngine {
   // Neither charges trace or metrics: the cluster prices checkpoint I/O in
   // the time plane.
   Status SaveCheckpoint(CheckpointWriter* w) {
-    CheckpointWriter state;
-    RETURN_IF_ERROR(SaveState(&state));
-    *w = CheckpointWriter(chain_.Next(state.Take()));
-    return Status::OK();
+    return chain_.Save(w,
+                       [this](CheckpointWriter* s) { return SaveState(s); });
   }
   Status RestoreCheckpoint(CheckpointReader* r) {
     chain_ = CheckpointChain();

@@ -132,10 +132,10 @@ Status IncHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
 Status IncHashEngine::SaveState(CheckpointWriter* w) const {
   w->PutU64("inc.resident_bytes", resident_bytes_);
   w->PutU64("inc.entries", table_.size());
+  FieldName key_name("inc.k."), value_name("inc.v.");
   for (uint32_t i = 0; i < table_.size(); ++i) {
-    const std::string tag = std::to_string(i);
-    w->PutBytes("inc.k." + tag, table_.key_at(i));
-    w->PutBytes("inc.v." + tag, table_.value_at(i));
+    w->PutBytes(key_name(i), table_.key_at(i));
+    w->PutBytes(value_name(i), table_.value_at(i));
   }
   buckets_->SaveTo(w);
   return Status::OK();

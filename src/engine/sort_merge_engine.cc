@@ -110,10 +110,10 @@ Status SortMergeEngine::SpillBuffered() {
 Status SortMergeEngine::SaveState(CheckpointWriter* w) const {
   w->PutU64("sm.buffered_bytes", buffered_bytes_);
   w->PutU64("sm.buffered", buffered_.size());
+  FieldName seg_n("sm.seg_n."), seg("sm.seg.");
   for (size_t i = 0; i < buffered_.size(); ++i) {
-    const std::string tag = std::to_string(i);
-    w->PutU64("sm.seg_n." + tag, buffered_[i].count());
-    w->PutBytes("sm.seg." + tag, buffered_[i].data());
+    w->PutU64(seg_n(i), buffered_[i].count());
+    w->PutBytes(seg(i), buffered_[i].data());
   }
   w->PutU64("sm.runs", runs_.size());
   for (size_t i = 0; i < runs_.size(); ++i) {
@@ -122,13 +122,14 @@ Status SortMergeEngine::SaveState(CheckpointWriter* w) const {
   const std::vector<double>& sizes = scheduler_.file_sizes();
   const std::vector<int>& live = scheduler_.live_ids();
   w->PutU64("sm.sched_files", sizes.size());
+  FieldName size_name("sm.sched_size.");
   for (size_t i = 0; i < sizes.size(); ++i) {
-    w->PutF64("sm.sched_size." + std::to_string(i), sizes[i]);
+    w->PutF64(size_name(i), sizes[i]);
   }
   w->PutU64("sm.sched_live", live.size());
+  FieldName live_name("sm.sched_live.");
   for (size_t i = 0; i < live.size(); ++i) {
-    w->PutU64("sm.sched_live." + std::to_string(i),
-              static_cast<uint64_t>(live[i]));
+    w->PutU64(live_name(i), static_cast<uint64_t>(live[i]));
   }
   return Status::OK();
 }

@@ -303,20 +303,16 @@ void Replayer::ApplyDeltas(const TraceOp& op) {
 }
 
 void Replayer::RecordReduceProgress() {
-  // Definition 1: 1/3 shuffle + 1/3 combine/reduce-fn + 1/3 output.
-  double p = 0;
-  if (totals_.shuffle_bytes > 0) {
-    p += static_cast<double>(cum_shuffle_) /
-         static_cast<double>(totals_.shuffle_bytes);
-  }
-  if (totals_.reduce_work > 0) {
-    p += static_cast<double>(cum_work_) /
-         static_cast<double>(totals_.reduce_work);
-  }
-  if (totals_.output_bytes > 0) {
-    p += static_cast<double>(cum_output_) /
-         static_cast<double>(totals_.output_bytes);
-  }
+  // Definition 1: 1/3 shuffle + 1/3 combine/reduce-fn + 1/3 output. A
+  // third with nothing to do (an empty answer, a silent map) counts as
+  // done once the job completes.
+  auto third = [this](uint64_t done, uint64_t total) {
+    if (total == 0) return JobComplete() ? 1.0 : 0.0;
+    return static_cast<double>(done) / static_cast<double>(total);
+  };
+  const double p = third(cum_shuffle_, totals_.shuffle_bytes) +
+                   third(cum_work_, totals_.reduce_work) +
+                   third(cum_output_, totals_.output_bytes);
   reduce_progress_.Add(engine_->now(), 100.0 * p / 3.0);
 }
 
@@ -358,6 +354,10 @@ void Replayer::CheckCompletion() {
   if (completion_time_ < 0 && JobComplete()) {
     completion_time_ = engine_->now();
     end_time_ = completion_time_;
+    if (totals_.shuffle_bytes == 0 || totals_.reduce_work == 0 ||
+        totals_.output_bytes == 0) {
+      RecordReduceProgress();  // the empty thirds are done now
+    }
     NotifyDone(Status::OK());
   }
 }

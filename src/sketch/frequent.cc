@@ -258,20 +258,21 @@ void FrequentSketch::SaveTo(CheckpointWriter* w) const {
   w->PutU64("mg.delta", delta_);
   w->PutU64("mg.offers", offers_);
   w->PutU64("mg.free", free_slots_.size());
+  FieldName free_name("mg.free.");
   for (size_t i = 0; i < free_slots_.size(); ++i) {
-    w->PutU64("mg.free." + std::to_string(i),
-              static_cast<uint64_t>(free_slots_[i]));
+    w->PutU64(free_name(i), static_cast<uint64_t>(free_slots_[i]));
   }
+  FieldName occ("mg.occ."), key("mg.key."), hash("mg.hash."), raw("mg.raw."),
+      t("mg.t.");
   for (size_t i = 0; i < slots_.size(); ++i) {
     const int slot = static_cast<int>(i);
     const Slot& s = slots_[i];
-    const std::string tag = std::to_string(i);
-    w->PutU64("mg.occ." + tag, SlotOccupied(slot) ? 1 : 0);
+    w->PutU64(occ(i), SlotOccupied(slot) ? 1 : 0);
     if (!SlotOccupied(slot)) continue;
-    w->PutBytes("mg.key." + tag, s.key);
-    w->PutU64("mg.hash." + tag, s.hash);
-    w->PutU64("mg.raw." + tag, Raw(slot));
-    w->PutU64("mg.t." + tag, s.t);
+    w->PutBytes(key(i), s.key);
+    w->PutU64(hash(i), s.hash);
+    w->PutU64(raw(i), Raw(slot));
+    w->PutU64(t(i), s.t);
   }
 }
 

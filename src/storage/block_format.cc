@@ -131,8 +131,11 @@ std::string EncodeKvStream(const KvBuffer& records, BlockEncoding encoding,
                            CodecStats* stats) {
   BlockBuilder builder(encoding, codec, block_bytes, stats);
   // Batched decode (§5.8): stage a RecordBatch of views per Fill; the
-  // builder consumes them in order, so the stream is unchanged.
-  KvBatchReader reader(records, kBatchRecords);
+  // builder consumes them in order, so the stream is unchanged. A small
+  // stream (a checkpoint delta) stages only its own records.
+  KvBatchReader reader(
+      records, static_cast<size_t>(std::min<uint64_t>(kBatchRecords,
+                                                      records.count())));
   for (;;) {
     const size_t n = reader.Fill();
     if (n == 0) break;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 
 #include "src/util/coding.h"
+#include "src/util/hash.h"
 
 namespace onepass {
 
@@ -42,83 +42,27 @@ bool SplitFields(const KvBuffer& stream, std::vector<Field>* fields) {
   return reader.AtEnd();
 }
 
-// The delta that turns `base` into `next`, as link `link` of its chain.
-KvBuffer DiffFields(const KvBuffer& base, const KvBuffer& next,
-                    uint32_t link) {
-  std::vector<Field> old;
-  SplitFields(base, &old);
-  KvBuffer delta;
-  std::string op;
-  PutVarint64(&op, link);
-  PutVarint64(&op, old.size());
-  delta.Append(kDeltaHeader, op);
+// A field payload still in two pieces: its type tag (or nothing) and its
+// body, compared and copied without being joined.
+struct Payload {
+  std::string_view tag, body;
 
-  // Fields usually keep their relative order, so the base field after the
-  // last match is tried first and the name index is built only on a miss.
-  std::unordered_map<std::string_view, uint32_t> by_name;
-  bool indexed = false;
-  size_t cursor = 0;
-  uint64_t run_first = 0, run_count = 0;
-  auto flush_run = [&] {
-    if (run_count == 0) return;
-    op.assign(1, kOpCopy);
-    PutVarint64(&op, run_first);
-    PutVarint64(&op, run_count);
-    delta.Append({}, op);
-    run_count = 0;
-  };
-  KvBufferReader reader(next);
-  std::string_view name, payload;
-  while (reader.Next(&name, &payload)) {
-    size_t j = old.size();
-    if (cursor < old.size() && old[cursor].name == name) {
-      j = cursor;
-    } else {
-      if (!indexed) {
-        by_name.reserve(old.size());
-        for (uint32_t i = 0; i < old.size(); ++i) {
-          by_name.emplace(old[i].name, i);
-        }
-        indexed = true;
-      }
-      const auto it = by_name.find(name);
-      if (it != by_name.end()) j = it->second;
-    }
-    if (j == old.size()) {
-      flush_run();
-      op.assign(1, kOpLiteral);
-      op.append(payload);
-      delta.Append(name, op);
-      continue;
-    }
-    cursor = j + 1;
-    const std::string_view was = old[j].payload;
-    if (payload == was) {
-      if (run_count > 0 && run_first + run_count == j) {
-        ++run_count;
-      } else {
-        flush_run();
-        run_first = j;
-        run_count = 1;
-      }
-      continue;
-    }
-    flush_run();
-    if (payload.size() > was.size() &&
-        payload.compare(0, was.size(), was) == 0) {
-      op.assign(1, kOpAppend);
-      PutVarint64(&op, j);
-      op.append(payload.substr(was.size()));
-      delta.Append({}, op);
-    } else {
-      op.assign(1, kOpLiteral);
-      op.append(payload);
-      delta.Append(name, op);
-    }
+  size_t size() const { return tag.size() + body.size(); }
+  // Whether the payload begins with `p` (no longer than the payload).
+  bool StartsWith(std::string_view p) const {
+    const size_t in_tag = std::min(p.size(), tag.size());
+    return tag.substr(0, in_tag) == p.substr(0, in_tag) &&
+           body.substr(0, p.size() - in_tag) == p.substr(in_tag);
   }
-  flush_run();
-  return delta;
-}
+  bool operator==(std::string_view p) const {
+    return p.size() == size() && StartsWith(p);
+  }
+  // The bytes from offset `from` on.
+  Payload From(size_t from) const {
+    if (from >= tag.size()) return {{}, body.substr(from - tag.size())};
+    return {tag.substr(from), body};
+  }
+};
 
 // Applies delta link `link` to `base`.
 Result<KvBuffer> ApplyDelta(const KvBuffer& base, const KvBuffer& delta,
@@ -192,26 +136,33 @@ Result<KvBuffer> ApplyDelta(const KvBuffer& base, const KvBuffer& delta,
 
 }  // namespace
 
+void CheckpointWriter::Put(std::string_view name, std::string_view tag,
+                           std::string_view body) {
+  if (chain_ != nullptr) {
+    chain_->Add(name, tag, body, &fields_);
+  } else {
+    fields_.AppendParts(name, {tag, body});
+  }
+}
+
 void CheckpointWriter::PutU64(std::string_view name, uint64_t v) {
-  std::string payload(1, kTagU64);
-  PutVarint64(&payload, v);
-  fields_.Append(name, payload);
+  char buf[10];
+  const char* const end = EncodeVarint64(buf, v);
+  Put(name, std::string_view(&kTagU64, 1),
+      std::string_view(buf, static_cast<size_t>(end - buf)));
 }
 
 void CheckpointWriter::PutF64(std::string_view name, double v) {
-  std::string payload(1, kTagF64);
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutFixed64(&payload, bits);
-  fields_.Append(name, payload);
+  static_assert(sizeof(v) == sizeof(uint64_t), "double must be 64-bit");
+  char bits[sizeof(v)];  // what PutFixed64 writes for the bit pattern
+  std::memcpy(bits, &v, sizeof(v));
+  Put(name, std::string_view(&kTagF64, 1),
+      std::string_view(bits, sizeof(bits)));
 }
 
 void CheckpointWriter::PutBytes(std::string_view name,
                                 std::string_view bytes) {
-  std::string payload(1, kTagBytes);
-  payload.append(bytes);
-  fields_.Append(name, payload);
+  Put(name, std::string_view(&kTagBytes, 1), bytes);
 }
 
 Status CheckpointReader::Next(std::string_view name, char type_tag,
@@ -299,24 +250,165 @@ Result<KvBuffer> DecodeCheckpoint(const EncodedCheckpoint& image,
   return KvBuffer::FromData(std::move(payload), image.raw_count);
 }
 
-KvBuffer CheckpointChain::Next(KvBuffer full) {
-  KvBuffer image;
-  bool delta = false;
-  if (links_ > 0) {
-    image = DiffFields(base_, full, links_);
-    delta = delta_bytes_ + image.bytes() <= full_bytes_;
+void CheckpointChain::Begin(CheckpointWriter* w) {
+  w->fields_.Clear();
+  w->image_ = nullptr;
+  w->chain_ = this;
+  delta_open_ = links_ > 0;
+  if (delta_open_) {
+    std::string header;
+    PutVarint64(&header, links_);
+    PutVarint64(&header, base_fields_.size());
+    w->fields_.Append(kDeltaHeader, header);
   }
-  if (delta) {
-    delta_bytes_ += image.bytes();
-    ++links_;
+}
+
+size_t CheckpointChain::Find(std::string_view name) {
+  const size_t n = base_fields_.size();
+  if (!indexed_) {
+    size_t slots = 16;
+    while (slots < 2 * n) slots *= 2;
+    by_name_.assign(slots, 0);
+    for (size_t i = 0; i < n; ++i) {
+      const std::string_view field = BaseName(i);
+      for (size_t s = HashBytes(field) & (slots - 1);;
+           s = (s + 1) & (slots - 1)) {
+        if (by_name_[s] == 0) {
+          by_name_[s] = static_cast<uint32_t>(i + 1);
+          break;
+        }
+        if (BaseName(by_name_[s] - 1) == field) break;  // the first one stays
+      }
+    }
+    indexed_ = true;
+  }
+  const size_t mask = by_name_.size() - 1;
+  for (size_t s = HashBytes(name) & mask;; s = (s + 1) & mask) {
+    const uint32_t e = by_name_[s];
+    if (e == 0) return n;
+    if (BaseName(e - 1) == name) return e - 1;
+  }
+}
+
+void CheckpointChain::AppendNext(std::string_view name, std::string_view tag,
+                                 std::string_view body) {
+  next_.AppendParts(name, {tag, body});
+  const uint32_t size = static_cast<uint32_t>(tag.size() + body.size());
+  const uint64_t payload_at = next_.bytes() - size;
+  next_fields_.push_back(
+      {payload_at - static_cast<uint64_t>(VarintLength(size)) - name.size(),
+       payload_at, static_cast<uint32_t>(name.size()), size});
+}
+
+void CheckpointChain::FlushRun(KvBuffer* delta) {
+  if (run_count_ == 0) return;
+  // The run's records sit back to back in the base: one copy moves them
+  // into the next stream, and their spans shift by the same distance.
+  const FieldSpan& first = base_fields_[run_first_];
+  const FieldSpan& last = base_fields_[run_first_ + run_count_ - 1];
+  const uint64_t from =
+      first.name_at - static_cast<uint64_t>(VarintLength(first.name_len));
+  const uint64_t to = last.payload_at + last.payload_len;
+  const uint64_t at = next_.bytes();
+  next_.AppendRecords(
+      std::string_view(base_.data().data() + from, to - from), run_count_);
+  for (uint64_t k = run_first_; k < run_first_ + run_count_; ++k) {
+    FieldSpan f = base_fields_[k];
+    f.name_at = f.name_at - from + at;
+    f.payload_at = f.payload_at - from + at;
+    next_fields_.push_back(f);
+  }
+  if (delta_open_) {
+    op_.assign(1, kOpCopy);
+    PutVarint64(&op_, run_first_);
+    PutVarint64(&op_, run_count_);
+    delta->Append({}, op_);
+  }
+  run_count_ = 0;
+}
+
+void CheckpointChain::Add(std::string_view name, std::string_view tag,
+                          std::string_view body, KvBuffer* delta) {
+  if (links_ == 0) {  // the chain's first image: nothing to diff against
+    AppendNext(name, tag, body);
+    return;
+  }
+  // A delta already past the compaction budget is not stored, so the rest
+  // of the save writes no ops; unchanged fields still move by run.
+  if (delta_open_ && delta_bytes_ + delta->bytes() > full_bytes_) {
+    delta_open_ = false;
+  }
+  size_t j = cursor_;
+  if (j >= base_fields_.size() || BaseName(j) != name) j = Find(name);
+  const Payload payload{tag, body};
+  if (j == base_fields_.size()) {
+    FlushRun(delta);
+    AppendNext(name, tag, body);
+    if (delta_open_) {
+      delta->AppendParts(name, {std::string_view(&kOpLiteral, 1), tag, body});
+    }
+    return;
+  }
+  cursor_ = j + 1;
+  const FieldSpan& f = base_fields_[j];
+  const std::string_view was(base_.data().data() + f.payload_at,
+                             f.payload_len);
+  if (payload == was) {
+    if (run_count_ == 0 || run_first_ + run_count_ != j) {
+      FlushRun(delta);
+      run_first_ = j;
+    }
+    ++run_count_;
+    return;
+  }
+  FlushRun(delta);
+  AppendNext(name, tag, body);
+  if (!delta_open_) return;
+  if (payload.size() > was.size() && payload.StartsWith(was)) {
+    op_.assign(1, kOpAppend);
+    PutVarint64(&op_, j);
+    const Payload grown = payload.From(was.size());
+    delta->AppendParts({}, {op_, grown.tag, grown.body});
   } else {
-    image = full;
-    full_bytes_ = full.bytes();
-    delta_bytes_ = 0;
-    links_ = 1;
+    delta->AppendParts(name, {std::string_view(&kOpLiteral, 1), tag, body});
   }
-  base_ = std::move(full);
-  return image;
+}
+
+void CheckpointChain::End(CheckpointWriter* w, bool keep) {
+  w->chain_ = nullptr;
+  if (keep) {
+    FlushRun(&w->fields_);
+    std::swap(base_, next_);
+    std::swap(base_fields_, next_fields_);
+    if (delta_open_ && delta_bytes_ + w->fields_.bytes() <= full_bytes_) {
+      delta_bytes_ += w->fields_.bytes();
+      ++links_;
+    } else {
+      w->fields_.Clear();
+      w->image_ = &base_;
+      full_bytes_ = base_.bytes();
+      delta_bytes_ = 0;
+      links_ = 1;
+    }
+  } else {
+    w->fields_.Clear();
+  }
+  next_.Clear();
+  next_fields_.clear();
+  delta_open_ = false;
+  cursor_ = 0;
+  run_count_ = 0;
+  indexed_ = false;
+}
+
+KvBuffer CheckpointChain::Next(const KvBuffer& full) {
+  CheckpointWriter w;
+  Begin(&w);
+  KvBufferReader reader(full);
+  std::string_view name, payload;
+  while (reader.Next(&name, &payload)) w.Put(name, {}, payload);
+  End(&w, true);
+  return w.Take();
 }
 
 Result<KvBuffer> ResolveCheckpointChain(std::vector<KvBuffer> links) {

@@ -14,14 +14,17 @@ void PutVarint32(std::string* dst, uint32_t v) {
 }
 
 void PutVarint64(std::string* dst, uint64_t v) {
-  unsigned char buf[10];
-  int n = 0;
+  char buf[10];
+  dst->append(buf, static_cast<size_t>(EncodeVarint64(buf, v) - buf));
+}
+
+char* EncodeVarint64(char* dst, uint64_t v) {
   while (v >= 0x80) {
-    buf[n++] = static_cast<unsigned char>(v) | 0x80;
+    *dst++ = static_cast<char>(v | 0x80);
     v >>= 7;
   }
-  buf[n++] = static_cast<unsigned char>(v);
-  dst->append(reinterpret_cast<char*>(buf), n);
+  *dst++ = static_cast<char>(v);
+  return dst;
 }
 
 const char* GetVarint32Ptr(const char* p, const char* limit,

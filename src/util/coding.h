@@ -57,6 +57,10 @@ inline uint64_t DecodeFixed64(const char* p) {
 void PutVarint32(std::string* dst, uint32_t v);
 void PutVarint64(std::string* dst, uint64_t v);
 
+// Writes v as a LEB128 varint at dst, which has room for 10 bytes, and
+// returns the byte after it.
+char* EncodeVarint64(char* dst, uint64_t v);
+
 // Parses a varint from [p, limit). Returns the byte after the varint, or
 // nullptr on truncation/overflow.
 const char* GetVarint32Ptr(const char* p, const char* limit, uint32_t* value);

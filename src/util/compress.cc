@@ -4,7 +4,8 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <vector>
+#include <iterator>
+#include <memory>
 
 namespace onepass {
 
@@ -12,8 +13,19 @@ namespace {
 
 constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxOffset = 65535;
+// The hash width is part of the format in practice: it decides which
+// candidates a chain holds within its depth cap, so another width
+// changes the compressed bytes.
 constexpr int kHashBits = 15;
 constexpr size_t kHashSize = 1u << kHashBits;
+// prev[] is a ring over the window: a chain walk reads prev only for
+// candidates within kMaxOffset of the current position, whose entries no
+// later position has overwritten yet.
+constexpr size_t kWindow = kMaxOffset + 1;
+// Inputs up to this many bytes reset the head table by re-hashing the
+// positions they inserted; after a larger one the next call clears all
+// 128 KB of it, which costs about as much as re-hashing 3-4 KB of text.
+constexpr size_t kSmallInput = 4 << 10;
 // Positions examined per match attempt; bounds worst-case compress time on
 // degenerate inputs without measurably hurting the ratio on block-sized
 // chunks.
@@ -97,6 +109,44 @@ char* EmitSequence(const char* lits, size_t lit_len, size_t match_len,
   return dst;
 }
 
+// The hash chains of one thread's LzCompress calls: head[h] is the most
+// recent position with hash h (-1: none), prev[i % kWindow] the previous
+// position sharing position i's hash (written when i enters its chain,
+// before any walk can read it). Allocated once per thread, 384 KB
+// whatever the inputs. Every call must find head all -1: it would take a
+// leftover position as a candidate, and one equal to the position being
+// matched is a zero-offset match the decoder rejects.
+struct MatchTable {
+  int32_t head[kHashSize];
+  int32_t prev[kWindow];
+  // The last call inserted more than kSmallInput positions and left head
+  // as it was; the next call clears it whole first, so the lines the
+  // clear brings into cache are the ones that call is about to use.
+  bool dirty = true;
+
+  // Makes head all -1 for the call about to start.
+  void Ready() {
+    if (!dirty) return;
+    std::fill(std::begin(head), std::end(head), -1);
+    dirty = false;
+  }
+
+  // Ends a call that inserted positions [0, inserted_end) of `base`.
+  void Reset(const char* base, size_t inserted_end) {
+    if (inserted_end > kSmallInput) {
+      dirty = true;
+      return;
+    }
+    for (size_t j = 0; j < inserted_end; ++j) head[Hash4(base + j)] = -1;
+  }
+};
+
+MatchTable& ThreadMatchTable() {
+  thread_local const std::unique_ptr<MatchTable> table =
+      std::make_unique<MatchTable>();
+  return *table;
+}
+
 }  // namespace
 
 size_t LzMaxCompressedSize(size_t raw_size) {
@@ -116,11 +166,10 @@ size_t LzCompress(std::string_view input, std::string* out) {
   const char* base = input.data();
   size_t lit_start = 0;
   if (n >= kMinMatch + 1) {
-    // Hash chains: head[h] is the most recent position with hash h,
-    // prev[i] the previous position sharing position i's hash (written
-    // when i enters its chain, before any walk can read it).
-    std::vector<int32_t> head(kHashSize, -1);
-    std::vector<int32_t> prev(n);
+    MatchTable& table = ThreadMatchTable();
+    table.Ready();
+    int32_t* const head = table.head;
+    int32_t* const prev = table.prev;
     const char* limit = base + n;
     // The last position where a 4-byte load is in range.
     const size_t match_end = n - kMinMatch;
@@ -139,7 +188,7 @@ size_t LzCompress(std::string_view input, std::string* out) {
       uint32_t cur_word = Load32(cur);
       int32_t cand = head[h];
       for (int depth = 0; cand >= 0 && depth < kMaxChainDepth;
-           ++depth, cand = prev[cand]) {
+           ++depth, cand = prev[static_cast<size_t>(cand) % kWindow]) {
         const size_t offset = i - static_cast<size_t>(cand);
         if (offset > kMaxOffset) break;  // chain is position-ordered
         const char* ref = base + cand;
@@ -154,7 +203,7 @@ size_t LzCompress(std::string_view input, std::string* out) {
         }
       }
       if (best_len == 0) {
-        prev[i] = head[h];
+        prev[i % kWindow] = head[h];
         head[h] = static_cast<int32_t>(i);
         ++i;
         continue;
@@ -165,12 +214,14 @@ size_t LzCompress(std::string_view input, std::string* out) {
       const size_t insert_end = std::min(i + best_len, match_end + 1);
       for (size_t j = i; j < insert_end; ++j) {
         const uint32_t hj = Hash4(base + j);
-        prev[j] = head[hj];
+        prev[j % kWindow] = head[hj];
         head[hj] = static_cast<int32_t>(j);
       }
       i += best_len;
       lit_start = i;
     }
+    // Every position up to match_end entered a chain.
+    table.Reset(base, match_end + 1);
   }
   dst = EmitSequence(base + lit_start, n - lit_start, 0, 0, dst);
   const size_t written = static_cast<size_t>(dst - dst_begin);

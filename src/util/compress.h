@@ -31,7 +31,9 @@ size_t LzMaxCompressedSize(size_t raw_size);
 
 // Appends the compressed image of `input` to *out and returns the number
 // of bytes appended. Inputs larger than ~1 GB are rejected (returns 0 and
-// appends nothing); block callers never get near that.
+// appends nothing); block callers never get near that. The matcher's hash
+// chains live in a table each thread allocates once (384 KB), so a call
+// allocates nothing beyond `out`'s growth.
 size_t LzCompress(std::string_view input, std::string* out);
 
 // Appends exactly `raw_size` decompressed bytes to *out. Returns false —

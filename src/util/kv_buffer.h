@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -31,6 +32,25 @@ class KvBuffer {
     PutLengthPrefixed(&data_, key);
     PutLengthPrefixed(&data_, value);
     ++count_;
+  }
+
+  // Appends one record whose value is the concatenation of `value_parts`,
+  // without joining them into one string first.
+  void AppendParts(std::string_view key,
+                   std::initializer_list<std::string_view> value_parts) {
+    PutLengthPrefixed(&data_, key);
+    size_t size = 0;
+    for (const std::string_view part : value_parts) size += part.size();
+    PutVarint32(&data_, static_cast<uint32_t>(size));
+    for (const std::string_view part : value_parts) data_.append(part);
+    ++count_;
+  }
+
+  // Appends `count` whole records already in this layout (a run of
+  // another buffer's records).
+  void AppendRecords(std::string_view records, uint64_t count) {
+    data_.append(records);
+    count_ += count;
   }
 
   // Appends every record of `other`. Grows capacity geometrically: an

@@ -348,6 +348,275 @@ TEST(CheckpointDeltaTest, MutatedOpStreamsNeverAbort) {
   EXPECT_GT(resolved, 0);  // e.g. a flipped bit inside a literal's bytes
 }
 
+// ---- the in-place diff against the whole-stream reference ----
+
+// The reference diff: the delta that turns `base` into `next` as link
+// `link` of its chain, computed from the two whole streams. It is the
+// format's definition; CheckpointChain computes the same ops in place, as
+// each field is written.
+KvBuffer ReferenceDiff(const KvBuffer& base, const KvBuffer& next,
+                       uint32_t link) {
+  std::vector<std::pair<std::string_view, std::string_view>> old;
+  KvBufferReader base_reader(base);
+  std::string_view name, payload;
+  while (base_reader.Next(&name, &payload)) old.emplace_back(name, payload);
+  KvBuffer delta;
+  delta.Append(kDeltaHeader, Varints({link, old.size()}));
+
+  // The base field after the last match is tried first, then the first
+  // base field of that name.
+  std::map<std::string_view, size_t> by_name;
+  for (size_t i = 0; i < old.size(); ++i) by_name.emplace(old[i].first, i);
+  size_t cursor = 0;
+  uint64_t run_first = 0, run_count = 0;
+  auto flush_run = [&] {
+    if (run_count == 0) return;
+    delta.Append({}, "c" + Varints({run_first, run_count}));
+    run_count = 0;
+  };
+  KvBufferReader reader(next);
+  while (reader.Next(&name, &payload)) {
+    size_t j = old.size();
+    if (cursor < old.size() && old[cursor].first == name) {
+      j = cursor;
+    } else if (const auto it = by_name.find(name); it != by_name.end()) {
+      j = it->second;
+    }
+    if (j == old.size()) {
+      flush_run();
+      delta.Append(name, "l" + std::string(payload));
+      continue;
+    }
+    cursor = j + 1;
+    const std::string_view was = old[j].second;
+    if (payload == was) {
+      if (run_count > 0 && run_first + run_count == j) {
+        ++run_count;
+      } else {
+        flush_run();
+        run_first = j;
+        run_count = 1;
+      }
+      continue;
+    }
+    flush_run();
+    if (payload.size() > was.size() && payload.substr(0, was.size()) == was) {
+      delta.Append({}, "a" + Varints({j}) +
+                           std::string(payload.substr(was.size())));
+    } else {
+      delta.Append(name, "l" + std::string(payload));
+    }
+  }
+  flush_run();
+  return delta;
+}
+
+// The reference chain: a whole-stream diff per save, and the compaction
+// rule (a full image once the chain's delta bytes would pass its full
+// image's bytes).
+class ReferenceChain {
+ public:
+  KvBuffer Next(const KvBuffer& full) {
+    KvBuffer image;
+    bool delta = false;
+    if (links_ > 0) {
+      image = ReferenceDiff(base_, full, links_);
+      delta = delta_bytes_ + image.bytes() <= full_bytes_;
+    }
+    if (delta) {
+      delta_bytes_ += image.bytes();
+      ++links_;
+    } else {
+      image = full;
+      full_bytes_ = full.bytes();
+      delta_bytes_ = 0;
+      links_ = 1;
+    }
+    base_ = full;
+    return image;
+  }
+  uint32_t links() const { return links_; }
+
+ private:
+  KvBuffer base_;
+  uint64_t full_bytes_ = 0, delta_bytes_ = 0;
+  uint32_t links_ = 0;
+};
+
+// One field of the state the property test evolves.
+struct TestField {
+  std::string name;
+  char type;  // 'u', 'f' or 'b'
+  uint64_t u = 0;
+  double f = 0;
+  std::string bytes;
+};
+
+void WriteFields(const std::vector<TestField>& fields, CheckpointWriter* w) {
+  for (const TestField& field : fields) {
+    if (field.type == 'u') {
+      w->PutU64(field.name, field.u);
+    } else if (field.type == 'f') {
+      w->PutF64(field.name, field.f);
+    } else {
+      w->PutBytes(field.name, field.bytes);
+    }
+  }
+}
+
+std::string RandomText(Xoshiro256StarStar* rng, size_t max_len) {
+  std::string s(rng->NextBounded(max_len + 1), ' ');
+  for (char& c : s) c = static_cast<char>('a' + rng->NextBounded(4));
+  return s;
+}
+
+// The edits a save can see; each one's count must be non-zero at the end.
+enum Edit { kGrow, kShrink, kChange, kInsert, kDelete, kReorder, kRename,
+            kEditKinds };
+
+TEST(CheckpointDiffTest, InPlaceDiffMatchesTheReferenceChain) {
+  std::vector<int> edits(kEditKinds, 0);
+  std::map<char, int> ops;
+  int compactions = 0, unchanged_saves = 0, empty_payloads = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Xoshiro256StarStar rng(seed);
+    uint64_t next_name = 0;
+    auto new_field = [&] {
+      TestField f;
+      f.name = "f." + std::to_string(next_name++);
+      f.type = "ufb"[rng.NextBounded(3)];
+      f.u = rng.Next() >> rng.NextBounded(64);
+      f.f = rng.NextDouble() * 1e6;
+      f.bytes = RandomText(&rng, rng.NextBool(0.1) ? 300 : 24);
+      return f;
+    };
+    std::vector<TestField> fields;
+    for (uint64_t i = rng.NextBounded(30); i > 0; --i) {
+      fields.push_back(new_field());
+    }
+    CheckpointChain chain, replayed;
+    ReferenceChain reference;
+    std::vector<KvBuffer> links;
+    for (int save = 0; save < 60; ++save) {
+      const uint64_t n_edits = rng.NextBounded(5);
+      if (n_edits == 0) ++unchanged_saves;
+      for (uint64_t e = 0; e < n_edits; ++e) {
+        const auto kind = static_cast<Edit>(rng.NextBounded(kEditKinds));
+        if (fields.empty() && kind != kInsert) continue;
+        const size_t pick = fields.empty() ? 0 : rng.NextBounded(fields.size());
+        const auto pos = [&](size_t i) {
+          return fields.begin() + static_cast<std::ptrdiff_t>(i);
+        };
+        TestField* const at = fields.empty() ? nullptr : &fields[pick];
+        switch (kind) {
+          case kGrow:
+            if (at->type != 'b') continue;
+            at->bytes += RandomText(&rng, 12) + "g";
+            break;
+          case kShrink:
+            if (at->type != 'b' || at->bytes.empty()) continue;
+            at->bytes.resize(rng.NextBounded(at->bytes.size()));
+            break;
+          case kChange:
+            at->u += 1 + rng.NextBounded(1000);
+            at->f = -at->f + 1;
+            at->bytes = RandomText(&rng, 24);
+            break;
+          case kInsert:
+            fields.insert(pos(rng.NextBounded(fields.size() + 1)),
+                          new_field());
+            break;
+          case kDelete:
+            fields.erase(pos(pick));
+            break;
+          case kReorder: {
+            TestField moved = std::move(*at);
+            fields.erase(pos(pick));
+            fields.insert(pos(rng.NextBounded(fields.size() + 1)),
+                          std::move(moved));
+            break;
+          }
+          case kRename: {  // a second field of an existing name
+            TestField twin{at->name, 'b', 0, 0, RandomText(&rng, 8)};
+            fields.insert(pos(rng.NextBounded(fields.size() + 1)),
+                          std::move(twin));
+            break;
+          }
+          case kEditKinds:
+            break;
+        }
+        ++edits[kind];
+      }
+      for (const TestField& f : fields) {
+        empty_payloads += f.type == 'b' && f.bytes.empty();
+      }
+
+      CheckpointWriter full;
+      WriteFields(fields, &full);
+      const KvBuffer expect = reference.Next(full.fields());
+      CheckpointWriter w;
+      ASSERT_TRUE(chain
+                      .Save(&w,
+                            [&fields](CheckpointWriter* s) {
+                              WriteFields(fields, s);
+                              return Status::OK();
+                            })
+                      .ok());
+      const std::string where =
+          "seed " + std::to_string(seed) + " save " + std::to_string(save);
+      ASSERT_EQ(w.fields().data(), expect.data()) << where;
+      ASSERT_EQ(w.fields().count(), expect.count()) << where;
+      ASSERT_EQ(chain.links(), reference.links()) << where;
+      ASSERT_EQ(replayed.Next(full.fields()).data(), expect.data()) << where;
+
+      // The chain so far rebuilds the stream.
+      if (chain.links() == 1) {
+        compactions += !links.empty();
+        links.clear();
+      }
+      links.push_back(w.Take());
+      auto resolved = ResolveCheckpointChain(links);
+      ASSERT_TRUE(resolved.ok()) << where << ": "
+                                 << resolved.status().ToString();
+      ExpectSameFields(resolved.value(), full.fields());
+      if (chain.links() > 1) {
+        KvBufferReader reader(links.back());
+        std::string_view name, value;
+        reader.Next(&name, &value);  // the header
+        while (reader.Next(&name, &value)) ++ops[value[0]];
+      }
+    }
+  }
+  for (int kind = 0; kind < kEditKinds; ++kind) {
+    EXPECT_GT(edits[kind], 0) << "edit kind " << kind << " never ran";
+  }
+  EXPECT_GT(ops['c'], 0);
+  EXPECT_GT(ops['a'], 0);
+  EXPECT_GT(ops['l'], 0);
+  EXPECT_GT(compactions, 0);
+  EXPECT_GT(unchanged_saves, 0);
+  EXPECT_GT(empty_payloads, 0);
+}
+
+TEST(CheckpointDiffTest, FailedSaveLeavesTheChainAsItWas) {
+  // A save whose state walk fails stores nothing: the next save diffs
+  // against the last good stream, as if the failed one never ran.
+  CheckpointChain chain;
+  ReferenceChain reference;
+  chain.Next(SampleFields());
+  reference.Next(SampleFields());
+  CheckpointWriter w;
+  const Status failed = chain.Save(&w, [](CheckpointWriter* s) {
+    s->PutU64("entries", 99);
+    return Status::Internal("state walk failed");
+  });
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(chain.links(), 1u);
+  EXPECT_EQ(chain.Next(GrownFields()).data(),
+            reference.Next(GrownFields()).data());
+  EXPECT_EQ(chain.links(), 2u);
+}
+
 // ---- mid-stream save/restore equivalence on every engine ----
 
 // The padded-sum workload family of the config-space harness's property

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -356,6 +357,79 @@ TEST(CompressTest, CompressedBytesArePinned) {
     EXPECT_EQ(compressed.size(), pinned.size) << name;
     EXPECT_EQ(Crc32c(compressed), pinned.crc) << name;
     EXPECT_EQ(RoundTrip(input), input) << name;
+  }
+}
+
+// ---- the per-thread match table ----
+
+// A seeded mix of inputs in every size regime of the match table: tiny
+// (no table use), typical checkpoint deltas, both sides of the
+// small/large reset threshold (4 KB), a codec block, and past the 64 KB
+// window, shuffled so each size follows others. Every input comes twice
+// in a row: a head entry the first call leaves behind then points at the
+// very position the second call is matching, a zero-offset match that
+// changes the bytes (random bytes put few other candidates in its way).
+std::vector<std::string> SizeMix(uint64_t seed) {
+  uint64_t s = seed | 1;
+  std::vector<size_t> sizes = {0,    1,    2,    3,     4,     100,
+                               232,  2048, 4095, 4096,  4097,  4500,
+                               8000, 48 << 10,   65536, 70000, 150000};
+  for (int k = 0; k < 12; ++k) sizes.push_back(100 + Next(&s) % 1948);
+  for (int k = 0; k < 4; ++k) sizes.push_back(3800 + Next(&s) % 600);
+  for (size_t i = sizes.size() - 1; i > 0; --i) {
+    std::swap(sizes[i], sizes[Next(&s) % (i + 1)]);
+  }
+  std::vector<std::string> inputs;
+  for (const size_t n : sizes) {
+    for (const bool random : {false, true}) {
+      std::string in = random ? RandomBytes(n, Next(&s))
+                              : ZipfText(n, 3 + Next(&s) % 3);
+      in.resize(n);
+      inputs.push_back(in);
+      inputs.push_back(std::move(in));
+    }
+  }
+  return inputs;
+}
+
+std::string CompressOnFreshThread(const std::string& input) {
+  std::string out;
+  std::thread([&] { LzCompress(input, &out); }).join();
+  return out;
+}
+
+TEST(CompressTest, ReusedMatchTableGivesFreshTableBytes) {
+  const std::vector<std::string> inputs = SizeMix(0x7AB1E);
+  std::vector<std::string> fresh;
+  for (const std::string& in : inputs) {
+    fresh.push_back(CompressOnFreshThread(in));
+  }
+  // One thread, one input after another.
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    std::string out;
+    LzCompress(inputs[i], &out);
+    EXPECT_EQ(out, fresh[i]) << "input " << i << " (" << inputs[i].size()
+                             << " B)";
+  }
+  // Four threads at once, each over the mix from its own start.
+  constexpr int kThreads = 4;
+  std::vector<std::vector<size_t>> wrong(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < inputs.size(); ++k) {
+        const size_t i = (k + static_cast<size_t>(t) * 14) % inputs.size();
+        std::string out;
+        LzCompress(inputs[i], &out);
+        if (out != fresh[i]) wrong[static_cast<size_t>(t)].push_back(i);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(wrong[static_cast<size_t>(t)].empty())
+        << "thread " << t << " differed on "
+        << wrong[static_cast<size_t>(t)].size() << " inputs";
   }
 }
 

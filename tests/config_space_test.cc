@@ -15,7 +15,7 @@
 //      shuffle mode and checkpoints, which leave the data plane alone,
 //      were reset), and each tier's counters are engaged exactly when on;
 //   4. Definition-1 map and reduce progress never decrease and end at 100%
-//      (reduce progress only for a non-empty answer).
+//      (an empty answer or a silent map included).
 // A plan that loses every replica of a chunk must instead end in
 // ResourceExhausted, the same at every thread count and tier.
 //
@@ -676,13 +676,10 @@ Result<JobResult> RunAt(const Draw& d, const JobConfig& cfg,
   return r;
 }
 
-void ExpectProgress(const char* name, const sim::StepSeries& s,
-                    bool must_finish) {
+void ExpectProgress(const char* name, const sim::StepSeries& s) {
   EXPECT_TRUE(std::is_sorted(s.values.begin(), s.values.end()))
       << name << " decreased";
-  if (must_finish) {
-    EXPECT_NEAR(s.values.empty() ? 0 : s.values.back(), 100.0, 1e-9) << name;
-  }
+  EXPECT_NEAR(s.values.empty() ? 0 : s.values.back(), 100.0, 1e-9) << name;
 }
 
 // Each tier's counters are engaged exactly when the tier is on.
@@ -765,11 +762,9 @@ void RunDraw(const Draw& d, const ChunkStore& input,
     ASSERT_TRUE(r.ok()) << shape << ": " << r.status().ToString();
     ExpectSame(Fingerprint(*r), Fingerprint(*base), shape + " diverged");
   }
-  // 4: Definition-1 progress. An empty answer leaves the output third of
-  // reduce progress without a denominator.
-  ExpectProgress("map_progress", run->map_progress, true);
-  ExpectProgress("reduce_progress", run->reduce_progress,
-                 !run->outputs.empty());
+  // 4: Definition-1 progress.
+  ExpectProgress("map_progress", run->map_progress);
+  ExpectProgress("reduce_progress", run->reduce_progress);
   ExpectTierCounters(d.cfg, run->metrics);
 
   // 3: the default tiers give the same answer.
