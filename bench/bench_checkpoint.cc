@@ -9,7 +9,8 @@
 // checkpoint every 4 deliveries, replicated 2x, a restart restores the
 // newest surviving image and re-fetches only post-watermark segments —
 // the later the crash, the bigger the win. Running times print with 3
-// decimals so CI can gate them at reduced scale.
+// decimals so CI can gate them at reduced scale. Exits 1 when a job
+// fails or a row's ref? column reads NO.
 //
 // Usage: bench_checkpoint [--scale=S] [--codec=none|lz] [--threads=N]
 
@@ -41,16 +42,8 @@ JobConfig BaseConfig(EngineKind kind, const bench::Flags& flags) {
   return cfg;
 }
 
-bool MatchesReference(const JobResult& result,
-                      const std::map<std::string, uint64_t>& expected) {
-  std::map<std::string, uint64_t> got;
-  for (const Record& rec : result.outputs) {
-    got[rec.key] += std::stoull(rec.value);
-  }
-  return got == expected;
-}
-
-void CrashScenario(const ChunkStore& input,
+// Each scenario returns false when a job failed or a row read NO.
+bool CrashScenario(const ChunkStore& input,
                    const std::map<std::string, uint64_t>& expected,
                    const bench::Flags& flags, double fraction) {
   std::printf("\n--- crash node 3 at %.0f%% of the shuffle:"
@@ -60,22 +53,23 @@ void CrashScenario(const ChunkStore& input,
               "engine", "clean_s", "plain_s", "refetchMB", "remaps",
               "ckpt_s", "refetchMB", "remaps", "saved", "rest", "workdrop",
               "ref?");
+  bool all_ok = true;
   for (EngineKind kind : kEngines) {
     JobConfig cfg = BaseConfig(kind, flags);
     auto clean = bench::MustRun(ClickCountJob(), cfg, input);
-    if (!clean.ok()) continue;
+    if (!clean.ok()) return false;
 
     sim::CrashEvent crash;
     crash.node = 3;
     crash.at_reduce_fraction = fraction;
     cfg.faults.crashes = {crash};
     auto plain = bench::MustRun(ClickCountJob(), cfg, input);
-    if (!plain.ok()) continue;
+    if (!plain.ok()) return false;
 
     cfg.checkpoint_interval_segments = 4;
     cfg.checkpoint_replication = 2;
     auto ckpt = bench::MustRun(ClickCountJob(), cfg, input);
-    if (!ckpt.ok()) continue;
+    if (!ckpt.ok()) return false;
 
     const JobMetrics& mp = plain->metrics;
     const JobMetrics& mc = ckpt->metrics;
@@ -90,9 +84,9 @@ void CrashScenario(const ChunkStore& input,
             ? static_cast<double>(mp.shuffle_refetched_bytes) /
                   static_cast<double>(mc.shuffle_refetched_bytes)
             : 0.0;
-    const bool ok = MatchesReference(*plain, expected) &&
-                    MatchesReference(*ckpt, expected) &&
-                    MatchesReference(*clean, expected);
+    const bool ok = bench::MatchesReference(*plain, expected) &&
+                    bench::MatchesReference(*ckpt, expected) &&
+                    bench::MatchesReference(*clean, expected);
     std::printf(
         "%-9s %8.3f | %8.3f %9s %6llu | %8.3f %9s %6llu %5llu %5llu |"
         " %7.1fx %4s\n",
@@ -103,25 +97,27 @@ void CrashScenario(const ChunkStore& input,
         static_cast<unsigned long long>(ckpt_remaps),
         static_cast<unsigned long long>(mc.checkpoints_written),
         static_cast<unsigned long long>(mc.checkpoints_restored), workdrop,
-        ok ? "yes" : "NO");
+        bench::YesNo(ok, &all_ok));
   }
+  return all_ok;
 }
 
-void CleanOverheadScenario(const ChunkStore& input,
+bool CleanOverheadScenario(const ChunkStore& input,
                            const std::map<std::string, uint64_t>& expected,
                            const bench::Flags& flags) {
   std::printf("\n--- checkpoint overhead on a healthy run"
               " (every 4 segments, repl 2) ---\n");
   std::printf("%-9s %9s %9s %9s %6s %9s %9s %4s\n", "engine", "plain_s",
               "ckpt_s", "overhead", "saved", "ckpt_MB", "repl_MB", "ref?");
+  bool all_ok = true;
   for (EngineKind kind : kEngines) {
     JobConfig cfg = BaseConfig(kind, flags);
     auto plain = bench::MustRun(ClickCountJob(), cfg, input);
-    if (!plain.ok()) continue;
+    if (!plain.ok()) return false;
     cfg.checkpoint_interval_segments = 4;
     cfg.checkpoint_replication = 2;
     auto ckpt = bench::MustRun(ClickCountJob(), cfg, input);
-    if (!ckpt.ok()) continue;
+    if (!ckpt.ok()) return false;
     const JobMetrics& m = ckpt->metrics;
     std::printf("%-9s %9.3f %9.3f %8.1f%% %6llu %9s %9s %4s\n",
                 std::string(EngineKindName(kind)).c_str(),
@@ -130,8 +126,10 @@ void CleanOverheadScenario(const ChunkStore& input,
                 static_cast<unsigned long long>(m.checkpoints_written),
                 bench::Mb(m.checkpoint_bytes).c_str(),
                 bench::Mb(m.checkpoint_replica_bytes).c_str(),
-                MatchesReference(*ckpt, expected) ? "yes" : "NO");
+                bench::YesNo(bench::MatchesReference(*ckpt, expected),
+                             &all_ok));
   }
+  return all_ok;
 }
 
 }  // namespace
@@ -151,8 +149,8 @@ int main(int argc, char** argv) {
               bench::Mb(input.total_bytes()).c_str(), input.chunks().size());
 
   const auto expected = ReferenceClickCounts(input, ClickKeyField::kUser);
-  CleanOverheadScenario(input, expected, flags);
-  CrashScenario(input, expected, flags, 0.5);
-  CrashScenario(input, expected, flags, 0.9);
-  return 0;
+  const bool healthy_ok = CleanOverheadScenario(input, expected, flags);
+  const bool crash50_ok = CrashScenario(input, expected, flags, 0.5);
+  const bool crash90_ok = CrashScenario(input, expected, flags, 0.9);
+  return healthy_ok && crash50_ok && crash90_ok ? 0 : 1;
 }

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
+#include <map>
 #include <string>
 #include <string_view>
 
@@ -360,6 +361,26 @@ inline Result<JobResult> MustRun(const JobSpec& spec, const JobConfig& cfg,
     std::fprintf(stderr, "job failed: %s\n", r.status().ToString().c_str());
   }
   return r;
+}
+
+// ---- answer checks ----
+
+// True when a click-count job's output sums, per key, to the reference
+// counts (ReferenceClickCounts).
+inline bool MatchesReference(const JobResult& result,
+                             const std::map<std::string, uint64_t>& expected) {
+  std::map<std::string, uint64_t> got;
+  for (const Record& rec : result.outputs) {
+    got[rec.key] += std::stoull(rec.value);
+  }
+  return got == expected;
+}
+
+// A row's yes/NO reference cell. A NO also clears `*all_ok`, which the
+// bench turns into exit status 1.
+inline const char* YesNo(bool ok, bool* all_ok) {
+  if (!ok) *all_ok = false;
+  return ok ? "yes" : "NO";
 }
 
 }  // namespace onepass::bench

@@ -12,6 +12,8 @@
 // Scenario B — one node with CPU and disk 4x slower, speculative
 //   execution on vs off: backups on healthy nodes should cut the tail.
 //
+// Exits 1 when a job fails or a row's ref? column reads NO.
+//
 // Usage: bench_faults [--scale=S]
 
 #include <cstdio>
@@ -40,16 +42,8 @@ JobConfig FaultyConfig(EngineKind kind) {
   return cfg;
 }
 
-bool MatchesReference(const JobResult& result,
-                      const std::map<std::string, uint64_t>& expected) {
-  std::map<std::string, uint64_t> got;
-  for (const Record& rec : result.outputs) {
-    got[rec.key] += std::stoull(rec.value);
-  }
-  return got == expected;
-}
-
-void CrashScenario(const ChunkStore& input,
+// Each scenario returns false when a job failed or a row read NO.
+bool CrashScenario(const ChunkStore& input,
                    const std::map<std::string, uint64_t>& expected) {
   std::printf(
       "\n--- A: crash node 3 at 50%% of maps (replication=2) ---\n");
@@ -59,17 +53,18 @@ void CrashScenario(const ChunkStore& input,
 
   std::vector<std::string> names;
   std::vector<sim::StepSeries> series;
+  bool all_ok = true;
   for (EngineKind kind : kEngines) {
     JobConfig cfg = FaultyConfig(kind);
     auto clean = bench::MustRun(ClickCountJob(), cfg, input);
-    if (!clean.ok()) continue;
+    if (!clean.ok()) return false;
 
     sim::CrashEvent crash;
     crash.node = 3;
     crash.at_map_fraction = 0.5;
     cfg.faults.crashes = {crash};
     auto faulty = bench::MustRun(ClickCountJob(), cfg, input);
-    if (!faulty.ok()) continue;
+    if (!faulty.ok()) return false;
 
     const JobMetrics& m = faulty->metrics;
     std::printf("%-9s %9.1f %9.1f %8.1f%% %6llu %6llu %5llu %9s %8.1f %4s\n",
@@ -80,21 +75,24 @@ void CrashScenario(const ChunkStore& input,
                 static_cast<unsigned long long>(m.killed_attempts),
                 static_cast<unsigned long long>(m.lost_map_outputs),
                 bench::Mb(m.recovery_bytes).c_str(), m.wasted_cpu_s,
-                MatchesReference(*faulty, expected) ? "yes" : "NO");
+                bench::YesNo(bench::MatchesReference(*faulty, expected),
+                             &all_ok));
     names.push_back(std::string(EngineKindName(kind)) + " red%");
     series.push_back(faulty->reduce_progress);
   }
   std::printf("\nreduce progress under the crash (the plateau is the"
               " re-execution window):\n");
   bench::PrintProgress(names, series, 20);
+  return all_ok;
 }
 
-void StragglerScenario(const ChunkStore& input,
+bool StragglerScenario(const ChunkStore& input,
                        const std::map<std::string, uint64_t>& expected) {
   std::printf("\n--- B: node 1 with cpu/disk 4x slower, speculation"
               " off vs on ---\n");
   std::printf("%-9s %9s %9s %8s %6s %5s %4s\n", "engine", "no_spec_s",
               "spec_s", "speedup", "spec", "wins", "ref?");
+  bool all_ok = true;
   for (EngineKind kind : kEngines) {
     JobConfig cfg = FaultyConfig(kind);
     sim::StragglerSpec slow;
@@ -103,11 +101,11 @@ void StragglerScenario(const ChunkStore& input,
     slow.disk_factor = 4.0;
     cfg.faults.stragglers = {slow};
     auto no_spec = bench::MustRun(ClickCountJob(), cfg, input);
-    if (!no_spec.ok()) continue;
+    if (!no_spec.ok()) return false;
 
     cfg.faults.speculative_execution = true;
     auto spec = bench::MustRun(ClickCountJob(), cfg, input);
-    if (!spec.ok()) continue;
+    if (!spec.ok()) return false;
 
     const JobMetrics& m = spec->metrics;
     std::printf("%-9s %9.1f %9.1f %7.2fx %6llu %5llu %4s\n",
@@ -116,8 +114,10 @@ void StragglerScenario(const ChunkStore& input,
                 no_spec->running_time / spec->running_time,
                 static_cast<unsigned long long>(m.speculative_attempts),
                 static_cast<unsigned long long>(m.speculative_wins),
-                MatchesReference(*spec, expected) ? "yes" : "NO");
+                bench::YesNo(bench::MatchesReference(*spec, expected),
+                             &all_ok));
   }
+  return all_ok;
 }
 
 }  // namespace
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
               bench::Mb(input.total_bytes()).c_str(), input.chunks().size());
 
   const auto expected = ReferenceClickCounts(input, ClickKeyField::kUser);
-  CrashScenario(input, expected);
-  StragglerScenario(input, expected);
-  return 0;
+  const bool crash_ok = CrashScenario(input, expected);
+  const bool straggler_ok = StragglerScenario(input, expected);
+  return crash_ok && straggler_ok ? 0 : 1;
 }

@@ -9,6 +9,8 @@
 // from a surviving replica, a rebuilt spill, or a re-executed map; an
 // unrecoverable one fails the job loudly (never silent wrong output).
 //
+// Exits 1 when a job fails or a row's ref? column reads NO.
+//
 // Usage: bench_integrity [--scale=S]
 
 #include <cstdio>
@@ -39,21 +41,14 @@ JobConfig IntegrityConfigFor(EngineKind kind) {
   return cfg;
 }
 
-bool MatchesReference(const JobResult& result,
-                      const std::map<std::string, uint64_t>& expected) {
-  std::map<std::string, uint64_t> got;
-  for (const Record& rec : result.outputs) {
-    got[rec.key] += std::stoull(rec.value);
-  }
-  return got == expected;
-}
-
-void RateSweep(const ChunkStore& input,
+// Each section returns false when a job failed or a row read NO.
+bool RateSweep(const ChunkStore& input,
                const std::map<std::string, uint64_t>& expected) {
   std::printf("\n--- corruption-rate sweep (replication=3, torn writes) ---\n");
   std::printf("%-9s %6s %9s %8s %6s %6s %5s %5s %9s %9s %4s\n", "engine",
               "rate", "time_s", "overhead", "detect", "recov", "torn",
               "quar", "recov_MB", "verif_MB", "ref?");
+  bool all_ok = true;
   for (EngineKind kind : kEngines) {
     double clean_time = -1;
     for (double rate : kRates) {
@@ -61,7 +56,7 @@ void RateSweep(const ChunkStore& input,
       cfg.faults.corruption_rate = rate;
       cfg.faults.torn_writes = rate > 0;
       auto r = bench::MustRun(ClickCountJob(), cfg, input);
-      if (!r.ok()) continue;
+      if (!r.ok()) return false;
       if (rate == 0.0) clean_time = r->running_time;
       const JobMetrics& m = r->metrics;
       std::printf(
@@ -76,12 +71,13 @@ void RateSweep(const ChunkStore& input,
           static_cast<unsigned long long>(m.quarantined_replicas),
           bench::Mb(m.corruption_recovery_bytes).c_str(),
           bench::Mb(m.verify_bytes).c_str(),
-          MatchesReference(*r, expected) ? "yes" : "NO");
+          bench::YesNo(bench::MatchesReference(*r, expected), &all_ok));
     }
   }
+  return all_ok;
 }
 
-void ChecksumOverhead(const ChunkStore& input,
+bool ChecksumOverhead(const ChunkStore& input,
                       const std::map<std::string, uint64_t>& expected) {
   // Checksums off vs on at rate 0: schedules are byte-identical by design
   // (verify work is metrics-only), so the "cost" is purely the framing
@@ -90,23 +86,24 @@ void ChecksumOverhead(const ChunkStore& input,
               " move) ---\n");
   std::printf("%-9s %11s %11s %10s %4s\n", "engine", "off_time_s",
               "on_time_s", "frame_MB", "ref?");
+  bool all_ok = true;
   for (EngineKind kind : kEngines) {
     JobConfig off = IntegrityConfigFor(kind);
     off.integrity.checksums = false;
     auto a = bench::MustRun(ClickCountJob(), off, input);
-    if (!a.ok()) continue;
+    if (!a.ok()) return false;
     JobConfig on = IntegrityConfigFor(kind);
     auto b = bench::MustRun(ClickCountJob(), on, input);
-    if (!b.ok()) continue;
+    if (!b.ok()) return false;
     std::printf("%-9s %11.2f %11.2f %10s %4s\n",
                 std::string(EngineKindName(kind)).c_str(), a->running_time,
                 b->running_time,
                 bench::Mb(b->metrics.checksum_overhead_bytes).c_str(),
-                (MatchesReference(*b, expected) &&
-                 a->running_time == b->running_time)
-                    ? "yes"
-                    : "NO");
+                bench::YesNo(bench::MatchesReference(*b, expected) &&
+                                 a->running_time == b->running_time,
+                             &all_ok));
   }
+  return all_ok;
 }
 
 }  // namespace
@@ -126,7 +123,7 @@ int main(int argc, char** argv) {
               bench::Mb(input.total_bytes()).c_str(), input.chunks().size());
 
   const auto expected = ReferenceClickCounts(input, ClickKeyField::kUser);
-  RateSweep(input, expected);
-  ChecksumOverhead(input, expected);
-  return 0;
+  const bool sweep_ok = RateSweep(input, expected);
+  const bool overhead_ok = ChecksumOverhead(input, expected);
+  return sweep_ok && overhead_ok ? 0 : 1;
 }

@@ -142,10 +142,9 @@ int main(int argc, char** argv) {
 
     const bool match =
         Sorted(warm->iterations.back().outputs) == Sorted(cold->outputs);
-    ok &= match;
     std::printf("\n%-52s %s\n",
                 "counting chain final output == cold job over full log:",
-                match ? "yes" : "NO");
+                bench::YesNo(match, &ok));
   }
 
   // ---- (3) label propagation repeated over the same input ----
@@ -184,10 +183,9 @@ int main(int argc, char** argv) {
     }
     const bool match =
         Sorted(warm->iterations.back().outputs) == Sorted(cold->outputs);
-    ok &= match;
     std::printf("%-52s %s\n",
                 "label-propagation warm final output == cold output:",
-                match ? "yes" : "NO");
+                bench::YesNo(match, &ok));
   }
 
   std::printf("\nmin warm-iteration speedup (growing log, iter >= 1): "

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/engine/dinc_hash_engine.h"
+#include "src/engine/hash_bucket_pass.h"
 #include "src/sketch/frequent.h"
 #include "src/util/coding.h"
 #include "src/util/flat_table.h"
@@ -52,7 +52,7 @@ size_t TrigramsDincCapacity() {
   JobConfig cfg = bench::ScaledJobConfig(EngineKind::kDincHash);
   cfg.expected_keys_per_reducer = 60'000;
   const uint64_t state_bytes = TrigramCountJob(50).inc()->StateBytesHint();
-  return DincHashEngine::PlanMemory(cfg, state_bytes).slots;
+  return PlanHashMemory(cfg, state_bytes).slots();
 }
 
 // One reducer's share of trigrams_dinc's input, in the order the lines

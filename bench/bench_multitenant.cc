@@ -10,11 +10,12 @@
 //
 // It reports per-tenant p50/p99/max job latency (sojourn: finish -
 // arrival), cluster CPU utilization, and preemption counts, then prints
-// a PASS/FAIL line CI greps: fair share must cut the interactive p99 by
-// at least 2x. Two more sections exercise graceful degradation (a burst
-// into a tiny admission queue must reject immediately with a typed
-// status, never hang) and the solo-identity contract (one managed FIFO
-// job is byte-identical to LocalCluster::RunJob).
+// a PASS/FAIL line: fair share must cut the interactive p99 by at least
+// 2x. Two more sections exercise graceful degradation (a burst into a
+// tiny admission queue must reject immediately with a typed status,
+// never hang) and the solo-identity contract (one managed FIFO job is
+// byte-identical to LocalCluster::RunJob). Exits 1 when a run fails or
+// any of the three lines reads FAIL.
 //
 // Usage: bench_multitenant [--scale=S]
 

@@ -11,7 +11,8 @@
 // threads=1, plus serial_s, the job's wall time outside both phases —
 // and verifies the determinism contract on every row: outputs, metrics,
 // and the simulated running time must be byte-identical to the sequential
-// run ("same?" prints NO otherwise, which CI greps for).
+// run ("same?" prints NO otherwise). Exits 1 when a job fails or a row
+// reads NO.
 //
 // Usage: bench_parallel_scaling [--scale=S] [--threads=T]
 //   --threads=T caps the sweep (default: one per hardware thread).
@@ -37,7 +38,8 @@ struct Baseline {
   double running_time = 0;
 };
 
-void Sweep(const char* name, const JobSpec& spec, const JobConfig& base,
+// Returns false when a job failed or a row read NO.
+bool Sweep(const char* name, const JobSpec& spec, const JobConfig& base,
            const ChunkStore& input, int max_threads) {
   std::printf("\n--- %s ---\n", name);
   std::printf("%-8s %10s %8s %10s %8s %10s %5s\n", "threads", "map_s",
@@ -45,6 +47,7 @@ void Sweep(const char* name, const JobSpec& spec, const JobConfig& base,
 
   Baseline ref;
   double map_base = 0, reduce_base = 0;
+  bool all_ok = true;
   for (int threads = 1; threads <= max_threads;
        threads = threads < 2 ? 2 : threads * 2) {
     JobConfig cfg = base;
@@ -54,7 +57,7 @@ void Sweep(const char* name, const JobSpec& spec, const JobConfig& base,
     const double wall_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
                               .count();
-    if (!r.ok()) return;
+    if (!r.ok()) return false;
     bool same = true;
     if (threads == 1) {
       ref.metrics = r->metrics.Serialize();
@@ -75,8 +78,9 @@ void Sweep(const char* name, const JobSpec& spec, const JobConfig& base,
                     ? reduce_base / r->reduce_plane_wall_s
                     : 0,
                 wall_s - r->map_plane_wall_s - r->reduce_plane_wall_s,
-                same ? "yes" : "NO");
+                bench::YesNo(same, &all_ok));
   }
+  return all_ok;
 }
 
 int Run(int argc, char** argv) {
@@ -87,6 +91,7 @@ int Run(int argc, char** argv) {
   std::printf("parallel data-plane scaling (host: %d hardware threads, "
               "sweeping 1..%d)\n",
               hw, max_threads);
+  bool all_ok = true;
 
   // Map-heavy: trigram counting on the sort-merge engine — the map-side
   // sort is the dominant cost, so the map phase shows the scaling.
@@ -95,8 +100,8 @@ int Run(int argc, char** argv) {
     GenerateDocuments(bench::ScaledDocs(0.5 * flags.scale), &input);
     JobConfig cfg = bench::ScaledJobConfig(EngineKind::kSortMerge);
     cfg.collect_outputs = true;
-    Sweep("map-heavy: trigram count, sort-merge", TrigramCountJob(), cfg,
-          input, max_threads);
+    all_ok &= Sweep("map-heavy: trigram count, sort-merge",
+                    TrigramCountJob(), cfg, input, max_threads);
   }
 
   ChunkStore clicks(256 << 10, 10);
@@ -110,8 +115,8 @@ int Run(int argc, char** argv) {
     cfg.reduce_memory_bytes = 256 << 10;
     cfg.expected_keys_per_reducer = 1200;
     cfg.collect_outputs = true;
-    Sweep("reduce-heavy: click count, INC-hash", ClickCountJob(), cfg,
-          clicks, max_threads);
+    all_ok &= Sweep("reduce-heavy: click count, INC-hash", ClickCountJob(),
+                    cfg, clicks, max_threads);
   }
 
   // Answer-heavy: uncombined sessionization on INC-hash (Table 3's job) —
@@ -123,10 +128,10 @@ int Run(int argc, char** argv) {
     cfg.expected_keys_per_reducer = 1200;
     cfg.expected_bytes_per_reducer = 5 << 20;
     cfg.collect_outputs = true;
-    Sweep("answer-heavy: sessionization, INC-hash", SessionizationJob(),
-          cfg, clicks, max_threads);
+    all_ok &= Sweep("answer-heavy: sessionization, INC-hash",
+                    SessionizationJob(), cfg, clicks, max_threads);
   }
-  return 0;
+  return all_ok ? 0 : 1;
 }
 
 }  // namespace

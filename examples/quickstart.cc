@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -91,7 +92,12 @@ int main() {
   for (const Record& r : sorted) {
     std::printf("%-16s %8s\n", r.key.c_str(), r.value.c_str());
   }
-  std::printf("\nmetrics:\n%s\n", result->metrics.ToString().c_str());
+  // The job's counters, one "name=value" line each; zeros left out.
+  std::printf("\nmetrics:\n");
+  std::istringstream lines(result->metrics.Serialize());
+  for (std::string line; std::getline(lines, line);) {
+    if (!line.ends_with("=0")) std::printf("  %s\n", line.c_str());
+  }
   std::printf("cpu:             map %.3f s, reduce %.3f s\n",
               result->map_cpu_s, result->reduce_cpu_s);
   return 0;

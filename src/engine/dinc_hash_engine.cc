@@ -1,52 +1,24 @@
 #include "src/engine/dinc_hash_engine.h"
 
-#include <algorithm>
-
 #include "src/common/logging.h"
 #include "src/engine/batch_consume.h"
-#include "src/engine/inc_hash_engine.h"
 
 namespace onepass {
 
 namespace {
-constexpr int kDefaultBuckets = 16;
 // How many of the coldest monitored slots the proactive eviction hook
 // examines per miss (amortized O(1) per tuple).
 constexpr int kExpirySweep = 4;
 }  // namespace
-
-DincHashEngine::MemoryPlan DincHashEngine::PlanMemory(
-    const JobConfig& cfg, uint64_t state_bytes_hint) {
-  MemoryPlan plan;
-  plan.entry_cost = state_bytes_hint + 16 /*avg key*/ + kResidentEntryOverhead;
-  // Pick h so each bucket's distinct keys fit in memory when read back
-  // (the paper: "setting h as small as possible increases s").
-  plan.num_buckets =
-      cfg.expected_keys_per_reducer > 0
-          ? IncHashEngine::ChooseNumBuckets(cfg.expected_keys_per_reducer,
-                                            cfg.reduce_memory_bytes,
-                                            plan.entry_cost,
-                                            cfg.bucket_page_bytes)
-          : kDefaultBuckets;
-  plan.page_bytes = IncHashEngine::ClampedPageBytes(
-      cfg.bucket_page_bytes, cfg.reduce_memory_bytes, plan.num_buckets);
-  const uint64_t reserved =
-      std::min<uint64_t>(cfg.reduce_memory_bytes,
-                         static_cast<uint64_t>(plan.num_buckets) *
-                             plan.page_bytes);
-  plan.slots = std::max<uint64_t>(
-      1, (cfg.reduce_memory_bytes - reserved) / plan.entry_cost);
-  return plan;
-}
 
 DincHashEngine::DincHashEngine(const EngineContext& ctx)
     : GroupByEngine(ctx),
       h3_(ctx.hashes.At(2)) {
   CHECK(ctx.inc != nullptr) << "DINC-hash requires an IncrementalReducer";
   const JobConfig& cfg = *ctx.config;
-  const MemoryPlan plan = PlanMemory(cfg, ctx.inc->StateBytesHint());
+  const HashMemoryPlan plan = PlanHashMemory(cfg, ctx.inc->StateBytesHint());
   num_buckets_ = plan.num_buckets;
-  capacity_entries_ = plan.slots;
+  capacity_entries_ = plan.slots();
   sketch_ = std::make_unique<FrequentSketch>(capacity_entries_);
   states_.resize(capacity_entries_);
   buckets_ = std::make_unique<BucketFileManager>(
@@ -231,15 +203,7 @@ Status DincHashEngine::Finish() {
                     OpTag::kReduceFn);
   }
 
-  buckets_->FlushAll();
-  for (int b = 0; b < num_buckets_; ++b) {
-    ASSIGN_OR_RETURN(KvBuffer data, buckets_->TakeBucket(b));
-    if (data.empty()) continue;
-    RETURN_IF_ERROR(bucket_pass_->Process(
-        std::move(data), /*level=*/2, 0,
-        Mix64(ctx_.integrity_owner ^ (2ULL << 40) ^
-              (static_cast<uint64_t>(b) + 1))));
-  }
+  RETURN_IF_ERROR(bucket_pass_->Drain(buckets_.get()));
   sketch_->FlushIndexStatsTo(ctx_.metrics);
   bucket_pass_->FlushStatsTo(ctx_.metrics);
   ctx_.out->Flush();

@@ -50,17 +50,6 @@ class DincHashEngine : public GroupByEngine {
  public:
   explicit DincHashEngine(const EngineContext& ctx);
 
-  // How the engine splits the reduce memory B: h spill buckets with their
-  // write pages, and s = (B - h pages) / entry monitored slots.
-  struct MemoryPlan {
-    uint64_t entry_cost = 0;  // bytes per monitored (counter, key, state)
-    int num_buckets = 0;      // h
-    uint64_t page_bytes = 0;  // each bucket's write page
-    uint64_t slots = 0;       // s
-  };
-  static MemoryPlan PlanMemory(const JobConfig& cfg,
-                               uint64_t state_bytes_hint);
-
   Status Consume(const KvBuffer& segment, bool sorted) override;
   Status Finish() override;
   // Sketch slots (with their Misra–Gries counters and retained digests),

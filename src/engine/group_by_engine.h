@@ -37,6 +37,13 @@ namespace onepass {
 // bucket pass.
 inline constexpr uint64_t kResidentEntryOverhead = 32;
 
+// Spill buckets a hash engine uses when the config gives no size hint
+// (expected_keys_per_reducer or expected_bytes_per_reducer of 0), and the
+// recursion depth past which a bucket is reduced in memory whatever the
+// budget (pathological hash collisions).
+inline constexpr int kDefaultBuckets = 16;
+inline constexpr int kMaxRecursionDepth = 16;
+
 struct EngineContext {
   TraceRecorder* trace = nullptr;
   JobMetrics* metrics = nullptr;
@@ -112,14 +119,8 @@ class GroupByEngine {
   uint32_t checkpoint_links() const { return chain_.links(); }
 
   // The engine's complete state as one full field stream, and its inverse.
-  virtual Status SaveState(CheckpointWriter* w) const {
-    (void)w;
-    return Status::Unimplemented("engine does not support checkpointing");
-  }
-  virtual Status RestoreState(CheckpointReader* r) {
-    (void)r;
-    return Status::Unimplemented("engine does not support checkpointing");
-  }
+  virtual Status SaveState(CheckpointWriter* w) const = 0;
+  virtual Status RestoreState(CheckpointReader* r) = 0;
 
  protected:
   EngineContext ctx_;

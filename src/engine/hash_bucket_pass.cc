@@ -2,18 +2,50 @@
 
 #include "src/common/logging.h"
 #include "src/engine/batch_consume.h"
+#include "src/engine/inc_hash_engine.h"
 #include "src/storage/bucket_manager.h"
 
 namespace onepass {
 
-namespace {
-constexpr int kMaxRecursionDepth = 16;
-}  // namespace
+HashMemoryPlan PlanHashMemory(const JobConfig& cfg,
+                              uint64_t state_bytes_hint) {
+  HashMemoryPlan plan;
+  plan.entry_cost = state_bytes_hint + 16 /*avg key*/ + kResidentEntryOverhead;
+  // Pick h so each bucket's distinct keys fit in memory when read back
+  // (the paper: "setting h as small as possible increases s").
+  plan.num_buckets =
+      cfg.expected_keys_per_reducer > 0
+          ? IncHashEngine::ChooseNumBuckets(cfg.expected_keys_per_reducer,
+                                            cfg.reduce_memory_bytes,
+                                            plan.entry_cost,
+                                            cfg.bucket_page_bytes)
+          : kDefaultBuckets;
+  plan.page_bytes = IncHashEngine::ClampedPageBytes(
+      cfg.bucket_page_bytes, cfg.reduce_memory_bytes, plan.num_buckets);
+  const uint64_t reserved =
+      std::min<uint64_t>(cfg.reduce_memory_bytes,
+                         static_cast<uint64_t>(plan.num_buckets) *
+                             plan.page_bytes);
+  plan.free_bytes = cfg.reduce_memory_bytes - reserved;
+  return plan;
+}
 
 BucketPassProcessor::BucketPassProcessor(const EngineContext* ctx,
                                          uint64_t capacity_bytes)
     : ctx_(ctx), capacity_bytes_(capacity_bytes) {
   CHECK(ctx_->inc != nullptr);
+}
+
+Status BucketPassProcessor::Drain(BucketFileManager* buckets) {
+  buckets->FlushAll();
+  for (int b = 0; b < buckets->num_buckets(); ++b) {
+    ASSIGN_OR_RETURN(KvBuffer data, buckets->TakeBucket(b));
+    if (data.empty()) continue;
+    RETURN_IF_ERROR(Process(std::move(data), /*level=*/2, 0,
+                            Mix64(ctx_->integrity_owner ^ (2ULL << 40) ^
+                                  (static_cast<uint64_t>(b) + 1))));
+  }
+  return Status::OK();
 }
 
 Status BucketPassProcessor::Process(KvBuffer data, uint64_t level, int depth,

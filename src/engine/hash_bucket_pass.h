@@ -1,13 +1,14 @@
-// BucketPassProcessor: the shared "drain one disk bucket" procedure of the
-// incremental hash engines (§4.2/§4.3).
+// What the incremental hash engines (§4.2/§4.3) share: how they split the
+// reduce memory (PlanHashMemory) and how they drain their disk buckets
+// (BucketPassProcessor).
 //
 // INC-hash and DINC-hash spill overflow tuples to h disk buckets; at end of
 // input each bucket is read back and reduced with an identical procedure:
 // build a key→state table in memory, combining tuples per key, then
 // finalize every key — recursively repartitioning with the next independent
 // hash function if the bucket's distinct keys exceed the memory budget.
-// Both engines previously carried a private copy of this loop; it lives
-// here once, with the memory budget as the only per-engine parameter.
+// The procedure lives here once, with the memory budget as the only
+// per-engine parameter.
 //
 // The in-memory table is an arena-backed FlatTable (one UniversalHash
 // digest per tuple per level, reused for the table probe), owned by the
@@ -18,6 +19,7 @@
 #ifndef ONEPASS_ENGINE_HASH_BUCKET_PASS_H_
 #define ONEPASS_ENGINE_HASH_BUCKET_PASS_H_
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,25 @@
 #include "src/util/kv_buffer.h"
 
 namespace onepass {
+
+class BucketFileManager;
+
+// How an incremental hash engine splits the reduce memory B: h spill
+// buckets with their write pages, and the bytes left for resident states.
+// INC-hash budgets its state table in those bytes; DINC-hash turns them
+// into `slots()` monitored entries.
+struct HashMemoryPlan {
+  uint64_t entry_cost = 0;  // bytes per resident (counter, key, state)
+  int num_buckets = 0;      // h
+  uint64_t page_bytes = 0;  // each bucket's write page
+  uint64_t free_bytes = 0;  // B - h pages
+  // DINC-hash's monitored slots s = free bytes / entry cost (at least 1).
+  uint64_t slots() const {
+    return std::max<uint64_t>(1, free_bytes / entry_cost);
+  }
+};
+HashMemoryPlan PlanHashMemory(const JobConfig& cfg,
+                              uint64_t state_bytes_hint);
 
 class BucketPassProcessor {
  public:
@@ -39,6 +60,11 @@ class BucketPassProcessor {
   // recursing into sub-buckets (hash level + 1) on overflow. `owner` seeds
   // the sub-partition manager's corruption keyspace.
   Status Process(KvBuffer data, uint64_t level, int depth, uint64_t owner);
+
+  // Reduces an engine's spill buckets at end of input: flushes their write
+  // pages, then processes each non-empty bucket at hash level 2 (the h3
+  // the engine routed its spills by).
+  Status Drain(BucketFileManager* buckets);
 
   // Adds the pass table's counters to `m` (call once, when the engine
   // finishes).

@@ -7,10 +7,6 @@
 
 namespace onepass {
 
-namespace {
-constexpr int kDefaultBuckets = 16;
-}  // namespace
-
 uint64_t IncHashEngine::ClampedPageBytes(uint64_t page_bytes,
                                          uint64_t memory_bytes, int h) {
   // Write buffers never take more than half the memory; keep pages at
@@ -47,24 +43,13 @@ IncHashEngine::IncHashEngine(const EngineContext& ctx)
       h3_(ctx.hashes.At(2)) {
   CHECK(ctx.inc != nullptr) << "INC-hash requires an IncrementalReducer";
   const JobConfig& cfg = *ctx.config;
-  const uint64_t entry_cost = ctx.inc->StateBytesHint() + 16 /*avg key*/ +
-                              kResidentEntryOverhead;
-  num_buckets_ =
-      cfg.expected_keys_per_reducer > 0
-          ? ChooseNumBuckets(cfg.expected_keys_per_reducer,
-                             cfg.reduce_memory_bytes, entry_cost,
-                             cfg.bucket_page_bytes)
-          : kDefaultBuckets;
-  const uint64_t page = ClampedPageBytes(cfg.bucket_page_bytes,
-                                         cfg.reduce_memory_bytes,
-                                         num_buckets_);
-  const uint64_t reserved = std::min<uint64_t>(
-      cfg.reduce_memory_bytes, static_cast<uint64_t>(num_buckets_) * page);
-  capacity_bytes_ = cfg.reduce_memory_bytes - reserved;
+  const HashMemoryPlan plan = PlanHashMemory(cfg, ctx.inc->StateBytesHint());
+  num_buckets_ = plan.num_buckets;
+  capacity_bytes_ = plan.free_bytes;
   buckets_ = std::make_unique<BucketFileManager>(
-      num_buckets_, page, ctx_.trace, ctx_.metrics, &cfg.integrity,
-      ctx_.faults, ctx_.integrity_owner, &cfg.costs, cfg.block_codec,
-      cfg.codec_block_bytes);
+      num_buckets_, plan.page_bytes, ctx_.trace, ctx_.metrics,
+      &cfg.integrity, ctx_.faults, ctx_.integrity_owner, &cfg.costs,
+      cfg.block_codec, cfg.codec_block_bytes);
   bucket_pass_ = std::make_unique<BucketPassProcessor>(&ctx_,
                                                        capacity_bytes_);
 }
@@ -186,15 +171,7 @@ Status IncHashEngine::Finish() {
                   OpTag::kReduceFn);
   resident_bytes_ = 0;
 
-  buckets_->FlushAll();
-  for (int b = 0; b < num_buckets_; ++b) {
-    ASSIGN_OR_RETURN(KvBuffer data, buckets_->TakeBucket(b));
-    if (data.empty()) continue;
-    RETURN_IF_ERROR(bucket_pass_->Process(
-        std::move(data), /*level=*/2, 0,
-        Mix64(ctx_.integrity_owner ^ (2ULL << 40) ^
-              (static_cast<uint64_t>(b) + 1))));
-  }
+  RETURN_IF_ERROR(bucket_pass_->Drain(buckets_.get()));
   bucket_pass_->FlushStatsTo(ctx_.metrics);
   ctx_.out->Flush();
   return Status::OK();

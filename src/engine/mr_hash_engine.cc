@@ -9,8 +9,6 @@
 namespace onepass {
 
 namespace {
-constexpr int kMaxRecursionDepth = 16;
-constexpr int kDefaultBuckets = 16;
 constexpr uint32_t kNilNode = UINT32_MAX;
 }  // namespace
 

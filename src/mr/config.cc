@@ -1,5 +1,6 @@
 #include "src/mr/config.h"
 
+#include <cmath>
 #include <string>
 
 namespace onepass {
@@ -54,6 +55,11 @@ Status JobConfig::Validate() const {
   }
   if (map_buffer_bytes == 0 || reduce_memory_bytes == 0) {
     return Status::InvalidArgument("map/reduce buffers must be > 0");
+  }
+  if (!std::isfinite(timeline_bin_s) || timeline_bin_s <= 0) {
+    return Status::InvalidArgument(
+        "timeline_bin_s must be positive and finite, got " +
+        std::to_string(timeline_bin_s));
   }
   if (dinc_coverage_threshold < 0 || dinc_coverage_threshold > 1.0) {
     return Status::InvalidArgument(

@@ -195,13 +195,14 @@ struct JobConfig {
   double timeline_bin_s = 30.0;
 
   // Rejects configurations no job could run under: empty/negative cluster
-  // shapes, merge_factor < 2, zero chunk or buffer sizes, coverage
-  // thresholds outside [0, 1], replication > nodes, malformed fault plans
-  // (negative times, out-of-range nodes or rates), and engine-only
-  // features on another engine: pipelining and snapshots > 0 need
-  // sort-merge (the hash engines emit incrementally; their Snapshot is a
-  // no-op), dinc_coverage_threshold > 0 needs DINC-hash, and snapshots
-  // must be >= 0. ValidateJob (src/mr/cluster.h) calls it first.
+  // shapes, merge_factor < 2, zero chunk or buffer sizes, a timeline bin
+  // that is not positive and finite, coverage thresholds outside [0, 1],
+  // replication > nodes, malformed fault plans (negative times,
+  // out-of-range nodes or rates), and engine-only features on another
+  // engine: pipelining and snapshots > 0 need sort-merge (the hash
+  // engines emit incrementally; their Snapshot is a no-op),
+  // dinc_coverage_threshold > 0 needs DINC-hash, and snapshots must be
+  // >= 0. ValidateJob (src/mr/cluster.h) calls it first.
   Status Validate() const;
 };
 

@@ -102,8 +102,9 @@ Status ManagerRun::ValidateBatch() const {
   if (mc_.max_queued_jobs < 0) {
     return Status::InvalidArgument("negative max_queued_jobs");
   }
-  if (mc_.timeline_bin_s <= 0) {
-    return Status::InvalidArgument("timeline_bin_s must be positive");
+  if (!std::isfinite(mc_.timeline_bin_s) || mc_.timeline_bin_s <= 0) {
+    return Status::InvalidArgument(
+        "timeline_bin_s must be positive and finite");
   }
   for (size_t t = 0; t < mc_.tenants.size(); ++t) {
     if (mc_.tenants[t].weight <= 0) {

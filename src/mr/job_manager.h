@@ -70,7 +70,7 @@ struct ManagerConfig {
   // implicit tenant 0 with weight 1.
   std::vector<TenantSpec> tenants;
 
-  // Bin for the cluster-wide utilization series.
+  // Bin for the cluster-wide utilization series (positive and finite).
   double timeline_bin_s = 30.0;
 };
 

@@ -9,6 +9,7 @@
 #define ONEPASS_MR_METRICS_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 namespace onepass {
@@ -148,12 +149,31 @@ struct JobMetrics {
   uint64_t hash_table_max_probe = 0;  // longest chain (Merge takes the max)
   uint64_t hash_arena_bytes = 0;  // peak arena bytes, summed over tables
 
+  // One row of the counter table in metrics.cc: a counter's serialized
+  // name, its member (exactly one of `u64`/`f64` is set), how Merge
+  // combines it and whether Serialize prints it. The table has one row
+  // per field above, in declaration order, and Merge and Serialize only
+  // walk it, so a new counter is its declaration plus one row (the build
+  // fails while the two disagree in number).
+  struct Field {
+    enum Rule : uint8_t { kSum, kMax };
+    constexpr Field(const char* n, uint64_t JobMetrics::*m, Rule r = kSum,
+                    bool printed = true)
+        : name(n), u64(m), merge(r), serialized(printed) {}
+    constexpr Field(const char* n, double JobMetrics::*m, Rule r = kSum,
+                    bool printed = true)
+        : name(n), f64(m), merge(r), serialized(printed) {}
+    const char* name;
+    uint64_t JobMetrics::*u64 = nullptr;
+    double JobMetrics::*f64 = nullptr;
+    Rule merge = kSum;
+    bool serialized = true;
+  };
+  static std::span<const Field> Fields();
+
   void Merge(const JobMetrics& o);
 
-  // Human-readable multi-line summary.
-  std::string ToString() const;
-
-  // Stable "name=value" serialization of every field, one per line, in
+  // Stable "name=value" serialization of every printed field, one per line, in
   // declaration order. Golden-snapshot tests diff this against checked-in
   // files so accidental schedule or accounting drift fails loudly, and
   // determinism tests compare it across data_plane_threads settings.

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "src/model/cost_model.h"
+#include "src/mr/cluster.h"
+#include "src/workloads/jobs.h"
 
 namespace onepass {
 namespace {
@@ -55,6 +60,19 @@ TEST(ConfigValidateTest, RejectsBadKnobs) {
   cfg = JobConfig();
   cfg.dinc_coverage_threshold = 1.5;
   EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
+}
+
+// A bin that is not positive and finite would turn RunJob's utilization
+// series into NaN or negative samples; the job gate rejects it.
+TEST(ConfigValidateTest, RejectsBadTimelineBin) {
+  for (const double bin : {0.0, -1.0, std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
+    JobConfig cfg;
+    cfg.timeline_bin_s = bin;
+    EXPECT_TRUE(cfg.Validate().IsInvalidArgument()) << bin;
+    EXPECT_TRUE(ValidateJob(ClickCountJob(), cfg).IsInvalidArgument())
+        << bin;
+  }
 }
 
 TEST(ConfigValidateTest, DataPlaneThreads) {

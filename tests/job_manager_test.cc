@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -189,6 +190,13 @@ TEST(JobManagerTest, ValidatesSubmissions) {
     auto mr = JobManager::Run(bad, {Submit(input, cfg)});
     ASSERT_FALSE(mr.ok());
     EXPECT_TRUE(mr.status().IsInvalidArgument());
+  }
+  for (const double bin : {0.0, -1.0, std::nan("")}) {
+    ManagerConfig bad = mc;
+    bad.timeline_bin_s = bin;
+    auto mr = JobManager::Run(bad, {Submit(input, cfg)});
+    ASSERT_FALSE(mr.ok()) << bin;
+    EXPECT_TRUE(mr.status().IsInvalidArgument()) << bin;
   }
 }
 

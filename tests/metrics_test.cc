@@ -2,59 +2,98 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+#include <string>
+
 namespace onepass {
 namespace {
 
-TEST(MetricsTest, MergeAddsEveryField) {
-  JobMetrics a, b;
-  a.map_input_bytes = 1;
-  a.map_spill_write_bytes = 2;
-  a.map_spill_read_bytes = 3;
-  a.map_output_bytes = 4;
-  a.shuffle_bytes = 5;
-  a.reduce_spill_write_bytes = 6;
-  a.reduce_spill_read_bytes = 7;
-  a.reduce_output_bytes = 8;
-  a.map_input_records = 9;
-  a.map_output_records = 10;
-  a.reduce_input_records = 11;
-  a.combine_invocations = 12;
-  a.reduce_groups = 13;
-  a.output_records = 14;
-  a.early_output_records = 15;
-  a.snapshot_bytes = 16;
-  a.snapshot_count = 17;
-  a.wasted_cpu_s = 1.5;
+using Field = JobMetrics::Field;
 
-  b = a;
-  b.Merge(a);
-  EXPECT_EQ(b.map_input_bytes, 2u);
-  EXPECT_EQ(b.map_spill_write_bytes, 4u);
-  EXPECT_EQ(b.map_spill_read_bytes, 6u);
-  EXPECT_EQ(b.map_output_bytes, 8u);
-  EXPECT_EQ(b.shuffle_bytes, 10u);
-  EXPECT_EQ(b.reduce_spill_write_bytes, 12u);
-  EXPECT_EQ(b.reduce_spill_read_bytes, 14u);
-  EXPECT_EQ(b.reduce_output_bytes, 16u);
-  EXPECT_EQ(b.map_input_records, 18u);
-  EXPECT_EQ(b.map_output_records, 20u);
-  EXPECT_EQ(b.reduce_input_records, 22u);
-  EXPECT_EQ(b.combine_invocations, 24u);
-  EXPECT_EQ(b.reduce_groups, 26u);
-  EXPECT_EQ(b.output_records, 28u);
-  EXPECT_EQ(b.early_output_records, 30u);
-  EXPECT_EQ(b.snapshot_bytes, 32u);
-  EXPECT_EQ(b.snapshot_count, 34u);
-  EXPECT_DOUBLE_EQ(b.wasted_cpu_s, 3.0);
+// Gives the counter of row i the distinct value i + 1 (plus 0.5 for a
+// double).
+JobMetrics DistinctValues() {
+  JobMetrics m;
+  uint64_t i = 0;
+  for (const Field& f : JobMetrics::Fields()) {
+    ++i;
+    if (f.u64 != nullptr) {
+      m.*f.u64 = i;
+    } else {
+      m.*f.f64 = static_cast<double>(i) + 0.5;
+    }
+  }
+  return m;
 }
 
-TEST(MetricsTest, ToStringMentionsKeyNumbers) {
+double Value(const JobMetrics& m, const Field& f) {
+  return f.u64 != nullptr ? static_cast<double>(m.*f.u64) : m.*f.f64;
+}
+
+// The table names every counter once, in declaration order: row i is
+// the member at byte offset 8 * i (the build checks the row count).
+TEST(MetricsTest, TableRowsFollowDeclarationOrder) {
   JobMetrics m;
-  m.map_input_bytes = 12345;
-  m.output_records = 42;
-  const std::string s = m.ToString();
-  EXPECT_NE(s.find("12345"), std::string::npos);
-  EXPECT_NE(s.find("42"), std::string::npos);
+  const auto* base = reinterpret_cast<const char*>(&m);
+  size_t i = 0;
+  for (const Field& f : JobMetrics::Fields()) {
+    ASSERT_NE(f.u64 == nullptr, f.f64 == nullptr) << f.name;
+    const auto* member =
+        f.u64 != nullptr ? reinterpret_cast<const char*>(&(m.*f.u64))
+                         : reinterpret_cast<const char*>(&(m.*f.f64));
+    EXPECT_EQ(member - base, static_cast<std::ptrdiff_t>(8 * i)) << f.name;
+    ++i;
+  }
+  EXPECT_EQ(i * 8, sizeof(JobMetrics));
+}
+
+TEST(MetricsTest, MergeAddsEveryField) {
+  const JobMetrics a = DistinctValues();
+  JobMetrics b = a;
+  b.Merge(a);
+  JobMetrics zero;
+  zero.Merge(a);
+  for (const Field& f : JobMetrics::Fields()) {
+    const double v = Value(a, f);
+    // Sums double; the max of a value with itself is that value.
+    EXPECT_EQ(Value(b, f), f.merge == Field::kMax ? v : 2 * v) << f.name;
+    // Merged into zeros, both rules take the other side's value.
+    EXPECT_EQ(Value(zero, f), v) << f.name;
+  }
+  EXPECT_EQ(b.hash_table_probes, 2 * a.hash_table_probes);
+  EXPECT_EQ(b.hash_table_max_probe, a.hash_table_max_probe);
+  // The max rule keeps the larger side, whichever it is.
+  JobMetrics big;
+  big.hash_table_max_probe = 1000;
+  big.Merge(a);
+  b.Merge(big);
+  EXPECT_EQ(big.hash_table_max_probe, 1000u);
+  EXPECT_EQ(b.hash_table_max_probe, 1000u);
+}
+
+// Serialize prints exactly the printed rows, one "name=value" line each,
+// in table (== declaration) order; the host timers stay out.
+TEST(MetricsTest, SerializePrintsThePrintedRowsInOrder) {
+  const JobMetrics m = DistinctValues();
+  std::istringstream lines(m.Serialize());
+  std::string line;
+  size_t printed = 0;
+  for (const Field& f : JobMetrics::Fields()) {
+    if (!f.serialized) continue;
+    ++printed;
+    ASSERT_TRUE(std::getline(lines, line)) << "missing " << f.name;
+    const size_t eq = line.find('=');
+    ASSERT_NE(eq, std::string::npos) << line;
+    EXPECT_EQ(line.substr(0, eq), f.name);
+    EXPECT_EQ(std::stod(line.substr(eq + 1)), Value(m, f)) << line;
+  }
+  EXPECT_FALSE(std::getline(lines, line)) << "extra line " << line;
+  EXPECT_EQ(printed, JobMetrics::Fields().size() - 2);
+  const std::string s = m.Serialize();
+  EXPECT_EQ(s.find("compress_ns"), std::string::npos);
+  EXPECT_EQ(s.find("decompress_ns"), std::string::npos);
+  EXPECT_NE(s.find("\nwasted_cpu_s=29.5\n"), std::string::npos);
 }
 
 }  // namespace
