@@ -34,7 +34,7 @@ Result<KvBuffer> ChunkReader::Read(int index, ChunkReadStats* stats) {
 
   std::vector<int>& view = replicas_[static_cast<size_t>(index)];
   const std::string framed =
-      FrameBytes(chunk.records.data(), integrity_.block_bytes);
+      FrameBytes(chunk.records.data(), IntegrityConfig::block_bytes);
   const int64_t expect = static_cast<int64_t>(chunk.records.bytes());
   const uint64_t overhead = framed.size() - chunk.records.bytes();
 

@@ -24,7 +24,7 @@ DincHashEngine::DincHashEngine(const EngineContext& ctx)
   buckets_ = std::make_unique<BucketFileManager>(
       num_buckets_, plan.page_bytes, ctx_.trace, ctx_.metrics,
       &cfg.integrity, ctx_.faults, ctx_.integrity_owner, &cfg.costs,
-      cfg.block_codec, cfg.codec_block_bytes);
+      cfg.block_codec);
   bucket_pass_ = std::make_unique<BucketPassProcessor>(
       &ctx_, capacity_entries_ * plan.entry_cost);
 }

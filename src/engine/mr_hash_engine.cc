@@ -58,7 +58,7 @@ MRHashEngine::MRHashEngine(const EngineContext& ctx)
     buckets_ = std::make_unique<BucketFileManager>(
         num_disk_buckets_, page, ctx_.trace, ctx_.metrics,
         &cfg.integrity, ctx_.faults, ctx_.integrity_owner, &cfg.costs,
-        cfg.block_codec, cfg.codec_block_bytes);
+        cfg.block_codec);
   }
 }
 
@@ -224,7 +224,7 @@ Status MRHashEngine::ProcessBucket(KvBuffer data, uint64_t level,
                   1;
   BucketFileManager subs(sub, cfg.bucket_page_bytes, ctx_.trace,
                          ctx_.metrics, &cfg.integrity, ctx_.faults, owner,
-                         &cfg.costs, cfg.block_codec, cfg.codec_block_bytes);
+                         &cfg.costs, cfg.block_codec);
   const UniversalHash h = ctx_.hashes.At(level);
   KvBufferReader reader(data);
   std::string_view key, value;

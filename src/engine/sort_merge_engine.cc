@@ -11,8 +11,7 @@ namespace onepass {
 SortMergeEngine::SortMergeEngine(const EngineContext& ctx)
     : GroupByEngine(ctx),
       codec_(ctx.config->block_codec, BlockEncoding::kPrefix,
-             ctx.config->codec_block_bytes, &ctx.config->costs,
-             RunCodec::Family::kReduceSpill),
+             &ctx.config->costs, RunCodec::Family::kReduceSpill),
       scheduler_(ctx.config->merge_factor),
       use_combiner_(ctx.inc != nullptr && ctx.values_are_states) {}
 

@@ -120,12 +120,9 @@ CostTrace CheckpointLadder::RestoreChain(int r, const Choice& choice,
   // The read after a rejected replica waits out the retry backoff first.
   int rejected = 0;
   auto back_off = [&] {
-    if (rejected == 0) return;
-    const uint64_t key = (static_cast<uint64_t>(r) << 40) ^
-                         (static_cast<uint64_t>(choice.ordinal) << 16) ^
-                         static_cast<uint64_t>(rejected);
-    trace.Stall(config_.faults.fetch_retry.BackoffFor(rejected - 1, key),
-                OpTag::kCheckpoint);
+    if (rejected > 0) {
+      trace.Stall(sim::RetryBackoff(rejected - 1), OpTag::kCheckpoint);
+    }
   };
   for (const TriedReplica& t : choice.tried) {
     back_off();

@@ -96,10 +96,10 @@ class CheckpointLadder {
   // The ops a restarted attempt on `node` runs before its fetch and
   // consume streams start: every tried replica is read in full (a local
   // disk read when `node` holds it, a network pull otherwise), each read
-  // that follows a rejected one waits out the shared fetch_retry backoff
-  // as a Stall op, then each link of the chosen chain is read once, oldest
-  // first, with no wait between links, and under a block codec the
-  // chain's summed raw bytes are decoded. Requires choice.node >= 0.
+  // that follows a rejected one waits out sim::RetryBackoff as a Stall op,
+  // then each link of the chosen chain is read once, oldest first, with no
+  // wait between links, and under a block codec the chain's summed raw
+  // bytes are decoded. Requires choice.node >= 0.
   CostTrace RestoreChain(int r, const Choice& choice, int node) const;
 
  private:

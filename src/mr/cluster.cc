@@ -307,7 +307,7 @@ Status RunReduceTask(const DataPlane& dp, const DeliveryOrder& order, int r,
       }
       out->metrics.verify_bytes += wire_bytes;
       out->metrics.checksum_overhead_bytes +=
-          FramedOverheadBytes(wire_bytes, config.integrity.block_bytes);
+          FramedOverheadBytes(wire_bytes, IntegrityConfig::block_bytes);
     }
     KvBuffer decoded;
     if (coded) {
@@ -353,9 +353,8 @@ Status RunReduceTask(const DataPlane& dp, const DeliveryOrder& order, int r,
       CheckpointWriter w;
       RETURN_IF_ERROR(engine->SaveCheckpoint(&w));
       const EncodedCheckpoint image =
-          EncodeCheckpoint(w.fields(), config.block_codec,
-                           config.codec_block_bytes,
-                           config.integrity.block_bytes);
+          EncodeCheckpoint(w.fields(), config.block_codec, kCodecBlockBytes,
+                           IntegrityConfig::block_bytes);
       if (image.coded) {
         trace.Cpu(config.costs.compress_byte_s *
                       static_cast<double>(image.raw_bytes),
@@ -674,10 +673,10 @@ Result<JobResult> LocalCluster::Replay(PreparedJob pj,
 
   JobResult result = std::move(pj.result);
   replay.ExportResult(&result);
-  slots.ExportUtilization(
+  RETURN_IF_ERROR(slots.ExportUtilization(
       pj.config.timeline_bin_s,
       std::max(result.running_time, pj.config.timeline_bin_s),
-      &result.cpu_util, &result.iowait);
+      &result.cpu_util, &result.iowait));
   if (placement != nullptr) {
     // Only the input's own map tasks: node combine tasks are regrouped by
     // the next stage's map placement, not pinned.

@@ -89,14 +89,6 @@ Status JobConfig::Validate() const {
         "replication must be in [1, nodes], got " +
         std::to_string(replication));
   }
-  if (integrity.block_bytes == 0) {
-    return Status::InvalidArgument("integrity.block_bytes must be > 0");
-  }
-  if (codec_block_bytes == 0 || codec_block_bytes > (16u << 20)) {
-    return Status::InvalidArgument(
-        "codec_block_bytes must be in (0, 16 MB], got " +
-        std::to_string(codec_block_bytes));
-  }
   if (data_plane_threads < 0 || data_plane_threads > 1024) {
     return Status::InvalidArgument(
         "data_plane_threads must be in [0, 1024] (0 = one per hardware "

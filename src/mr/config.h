@@ -89,9 +89,9 @@ struct JobConfig {
   uint64_t chunk_bytes = 4 << 20;       // C, map input chunk size
   int merge_factor = 10;                // F
   int reducers_per_node = 4;            // R
-  // DFS replication factor r: copies of each input chunk (must match the
-  // ChunkStore the job reads; RunJob falls back to the chunk's primary
-  // when the store was built without replicas).
+  // DFS replication factor r. Only Validate reads it (1 <= r <= nodes):
+  // the ChunkStore a job reads fixes the real number of replicas. It stays
+  // settable because perfbench assigns it.
   int replication = 1;
 
   // Hardware description (Table 2, part 3).
@@ -167,8 +167,10 @@ struct JobConfig {
   // consumer sees are identical — only the bytes charged for moving them
   // change.
   BlockCodecKind block_codec = BlockCodecKind::kNone;
-  // Target raw bytes per encoded block (32-64 KB is the useful range).
-  uint64_t codec_block_bytes = 48 << 10;
+  // Raw bytes per encoded block: the constant kCodecBlockBytes, not a
+  // setting. It keeps a name here because perfbench passes a job's
+  // codec_block_bytes to EncodeCheckpoint.
+  static constexpr uint64_t codec_block_bytes = kCodecBlockBytes;
 
   // Data integrity: CRC32C block framing + verification of every
   // simulated persistent/network stream (DESIGN.md §5.2). On by default;

@@ -118,10 +118,8 @@ class TraceRecorder {
   }
 
   // A pure wait: the task holds its slot for `seconds` without occupying
-  // any server (retry backoff between corruption rebuilds). No-op at 0 so
-  // zero-backoff policies leave traces untouched.
+  // any server (the retry backoff after a rejected checkpoint replica).
   void Stall(double seconds, OpTag tag) {
-    if (seconds <= 0) return;
     TraceOp op;
     op.resource = OpResource::kStall;
     op.tag = tag;
@@ -165,24 +163,6 @@ class TraceRecorder {
  private:
   CostTrace* trace_;
 };
-
-// True if ops with this tag count as "map phase" CPU for Table 3's
-// per-node CPU attribution.
-inline bool IsMapTag(OpTag tag) {
-  switch (tag) {
-    case OpTag::kStartup:
-    case OpTag::kMapInput:
-    case OpTag::kMapFn:
-    case OpTag::kSort:
-    case OpTag::kMapSpill:
-    case OpTag::kMapMerge:
-    case OpTag::kMapOutput:
-    case OpTag::kNodeCombine:
-      return true;
-    default:
-      return false;
-  }
-}
 
 }  // namespace onepass
 

@@ -84,7 +84,7 @@ class ManagerRun {
   void OnDone(int j, const Status& s);
   void FinishJob(int j, JobOutcomeState state, Status status);
   void TryDispatch();
-  ManagerResult Collect();
+  Result<ManagerResult> Collect();
 
   const ManagerConfig& mc_;
   const std::vector<JobSubmission>& subs_;
@@ -215,7 +215,7 @@ void ManagerRun::TryDispatch() {
   }
 }
 
-ManagerResult ManagerRun::Collect() {
+Result<ManagerResult> ManagerRun::Collect() {
   ManagerResult out;
   out.tenants.resize(static_cast<size_t>(NumTenants()));
   for (size_t t = 0; t < out.tenants.size(); ++t) {
@@ -258,9 +258,9 @@ ManagerResult ManagerRun::Collect() {
     ts.max_latency_s = lat.back();
   }
   sim::BinnedSeries iowait;
-  pool_.ExportUtilization(mc_.timeline_bin_s,
-                          std::max(out.makespan, mc_.timeline_bin_s),
-                          &out.cpu_util, &iowait);
+  RETURN_IF_ERROR(pool_.ExportUtilization(
+      mc_.timeline_bin_s, std::max(out.makespan, mc_.timeline_bin_s),
+      &out.cpu_util, &iowait));
   if (!out.cpu_util.values.empty()) {
     double sum = 0;
     for (double v : out.cpu_util.values) sum += v;

@@ -245,7 +245,7 @@ void EncodePushSegment(const JobConfig& config, PushSegment* push,
     push->encoded.push_back(
         part.empty() ? std::string()
                      : EncodeKvStream(part, encoding, config.block_codec,
-                                      config.codec_block_bytes, &stats));
+                                      kCodecBlockBytes, &stats));
     part = KvBuffer();  // the encoded image supersedes the raw partition
   }
   trace->Cpu(config.costs.compress_byte_s * static_cast<double>(raw_bytes),
@@ -455,8 +455,7 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
   // Spilled runs, one StoredRun per partition: prefix-coded block streams
   // under a codec, so both the byte charges and the resident memory track
   // the encoded size.
-  const RunCodec codec(config_.block_codec, BlockEncoding::kPrefix,
-                       config_.codec_block_bytes, &costs,
+  const RunCodec codec(config_.block_codec, BlockEncoding::kPrefix, &costs,
                        RunCodec::Family::kMapSpill);
   std::vector<std::vector<StoredRun>> runs;
   uint64_t total_run_bytes = 0;  // bytes on disk over all runs
@@ -562,18 +561,18 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
   const int n_runs = static_cast<int>(runs.size());
 
   // Verified read of each run's on-disk image (its partitions' images,
-  // concatenated): a corrupt generation the fault plan draws is rebuilt —
-  // re-sorted from the resident input and rewritten, charged as an extra
-  // write + read of the run — until the recovery budget runs out.
+  // concatenated): each corrupt generation the fault plan draws is
+  // rebuilt — re-sorted from the resident input and rewritten, charged as
+  // an extra write + read of the run.
   if (config_.integrity.checksums) {
     for (int r = 0; r < n_runs; ++r) {
       std::string image;
       for (const StoredRun& part : runs[r]) image.append(part.image());
-      RETURN_IF_ERROR(VerifiedRead(
-          image,
-          {sim::StreamKind::kMapSpillRun, static_cast<uint64_t>(task_index_),
-           static_cast<uint64_t>(r), OpTag::kMapSpill},
-          &config_.integrity, faults_, trace, &out->metrics));
+      VerifiedRead(image,
+                   {sim::StreamKind::kMapSpillRun,
+                    static_cast<uint64_t>(task_index_),
+                    static_cast<uint64_t>(r), OpTag::kMapSpill},
+                   &config_.integrity, faults_, trace, &out->metrics);
     }
   }
 

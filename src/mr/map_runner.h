@@ -117,8 +117,8 @@ class MapRunner {
   // Runs the map function over one input chunk. `read_stats`, when given,
   // carries the verified DFS read's accounting (extra replica reads after
   // a quarantine, re-replication traffic) to charge to this task's trace
-  // and metrics. Returns Status::Corruption when a spill run is corrupt
-  // beyond the plan's rebuild budget.
+  // and metrics. Returns Status::Corruption when a spill run's stored
+  // image does not decode.
   // Const and reentrant: a MapRunner holds no mutable state, every
   // fault/corruption draw is a pure function of (task_index, stream), so
   // concurrent runners over distinct tasks share nothing that can race

@@ -212,11 +212,6 @@ double Replayer::Duration(const TraceOp& op, int node) const {
   return 0;
 }
 
-uint64_t Replayer::FetchRetryKey(int r, int m, uint32_t p) {
-  return (static_cast<uint64_t>(r) << 40) ^
-         (static_cast<uint64_t>(m) << 16) ^ static_cast<uint64_t>(p);
-}
-
 double Replayer::WithDiskRetries(double dur, const TraceOp& op, bool is_map,
                                  int task, int attempt, size_t idx) {
   if (op.resource != OpResource::kDisk || !op.is_read) return dur;
@@ -1100,8 +1095,7 @@ void Replayer::FetchOverNet(int r, int a, uint32_t s) {
         if (static_cast<int>(att.fetch_tries[s]) < fails) {
           const int try_i = att.fetch_tries[s]++;
           ++recovery_.shuffle_fetch_retries;
-          const double backoff = config_.faults.fetch_retry.BackoffFor(
-              try_i, FetchRetryKey(r, d.map_task, d.push));
+          const double backoff = sim::RetryBackoff(try_i);
           ++in_flight_;
           engine_->ScheduleAfterStream(backoff, opts_.stream, [this, r, a,
                                                                s]() {
@@ -1138,18 +1132,10 @@ void Replayer::FetchOverNet(int r, int a, uint32_t s) {
         // map task rematerializes a good push. Mark this push
         // unpublished and park until the re-run republishes it.
         const int bad_gens = plan_.MapOutputCorruptions(d.map_task, d.push);
-        if (push_gen_[static_cast<size_t>(d.map_task)][d.push] < bad_gens) {
-          const int gen = push_gen_[static_cast<size_t>(d.map_task)][d.push];
+        int& gen = push_gen_[static_cast<size_t>(d.map_task)][d.push];
+        if (gen < bad_gens) {
+          ++gen;
           ++recovery_.corruptions_detected;
-          const sim::RetryPolicy& retry = config_.faults.corruption_retry;
-          if (gen >= retry.max_retries) {
-            Fail(Status::Corruption(
-                "map task " + std::to_string(d.map_task) + " push " +
-                std::to_string(d.push) + ": output corrupt beyond " +
-                std::to_string(retry.max_retries) + " re-executions"));
-            return;
-          }
-          ++push_gen_[static_cast<size_t>(d.map_task)][d.push];
           ++recovery_.corruptions_recovered;
           recovery_.corruption_recovery_bytes += d.bytes;
           push_ready_[static_cast<size_t>(d.map_task)][d.push] = -1.0;

@@ -262,7 +262,6 @@ class Replayer {
   Attempt& AttemptOf(bool is_map, int t, int a);
 
   double Duration(const TraceOp& op, int node) const;
-  static uint64_t FetchRetryKey(int r, int m, uint32_t p);
   double WithDiskRetries(double dur, const TraceOp& op, bool is_map,
                          int task, int attempt, size_t idx);
   // Submits `op` for attempt-completion callback `done`: a timer for

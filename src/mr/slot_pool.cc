@@ -279,9 +279,10 @@ sim::Server* SlotPool::Route(int node, const TraceOp& op) {
   return nullptr;
 }
 
-void SlotPool::ExportUtilization(double bin_s, double horizon,
-                                 sim::BinnedSeries* util,
-                                 sim::BinnedSeries* iowait) const {
+Status SlotPool::ExportUtilization(double bin_s, double horizon,
+                                   sim::BinnedSeries* util,
+                                   sim::BinnedSeries* iowait) const {
+  RETURN_IF_ERROR(sim::CheckSeriesBins(bin_s, horizon));
   sim::BinnedSeries u_sum, w_sum;
   for (size_t n = 0; n < nodes_.size(); ++n) {
     sim::BinnedSeries u = sim::UtilizationSeries(nodes_[n]->cpu, bin_s,
@@ -309,6 +310,7 @@ void SlotPool::ExportUtilization(double bin_s, double horizon,
   for (auto& v : w_sum.values) v /= static_cast<double>(nodes_.size());
   *util = u_sum;
   *iowait = w_sum;
+  return Status::OK();
 }
 
 }  // namespace onepass

@@ -119,9 +119,11 @@ class SlotPool {
   sim::Server* Route(int node, const TraceOp& op);
 
   // Cluster-average CPU utilization and iowait over [0, horizon].
-  void ExportUtilization(double bin_s, double horizon,
-                         sim::BinnedSeries* util,
-                         sim::BinnedSeries* iowait) const;
+  // InvalidArgument, with nothing allocated, when a series would need more
+  // than sim::kMaxSeriesBins bins.
+  Status ExportUtilization(double bin_s, double horizon,
+                           sim::BinnedSeries* util,
+                           sim::BinnedSeries* iowait) const;
 
   uint64_t preemptions() const { return preemptions_; }
 

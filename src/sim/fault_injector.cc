@@ -74,19 +74,11 @@ Status FaultConfig::Validate(int nodes) const {
   if (fetch_failure_rate < 0 || fetch_failure_rate >= 1.0) {
     return Status::InvalidArgument("fetch_failure_rate must be in [0, 1)");
   }
-  {
-    const Status retry = fetch_retry.Validate();
-    if (!retry.ok()) return retry;
-  }
   if (max_attempts < 1) {
     return Status::InvalidArgument("max_attempts must be >= 1");
   }
   if (corruption_rate < 0 || corruption_rate >= 1.0) {
     return Status::InvalidArgument("corruption_rate must be in [0, 1)");
-  }
-  {
-    const Status retry = corruption_retry.Validate();
-    if (!retry.ok()) return retry;
   }
   return Status::OK();
 }
@@ -116,7 +108,7 @@ int FaultPlan::FetchFailures(int reduce_task, int map_task,
                           (static_cast<uint64_t>(reduce_task) << 40) ^
                           (static_cast<uint64_t>(map_task) << 16) ^ push));
   return GeometricFailures(ToUnit(key), config_.fetch_failure_rate,
-                           config_.fetch_retry.max_retries);
+                           kMaxFetchFailures);
 }
 
 int FaultPlan::DiskReadFailures(bool is_map, int task, int attempt,
@@ -126,9 +118,8 @@ int FaultPlan::DiskReadFailures(bool is_map, int task, int attempt,
       seed_ ^ Mix64((is_map ? 0x1111ULL : 0x2222ULL) ^
                     (static_cast<uint64_t>(task) << 32) ^
                     (static_cast<uint64_t>(attempt) << 24) ^ (op_idx << 2)));
-  // A read is retried at most 3 times: disk errors here model transient
-  // sector hiccups, not device loss (that is the crash model).
-  return GeometricFailures(ToUnit(key), config_.disk_error_rate, 3);
+  return GeometricFailures(ToUnit(key), config_.disk_error_rate,
+                           kMaxDiskReadFailures);
 }
 
 namespace {
@@ -151,7 +142,8 @@ int FaultPlan::CorruptionChain(StreamKind kind, uint64_t a,
   const double u = ToUnit(key);
   if (u >= config_.corruption_rate) return 0;
   return 1 + GeometricFailures(u / config_.corruption_rate,
-                               config_.corruption_rate, 2);
+                               config_.corruption_rate,
+                               kMaxCorruptGenerations - 1);
 }
 
 CorruptionEvent FaultPlan::CorruptionDamage(StreamKind kind, uint64_t a,

@@ -21,8 +21,8 @@
 //   * Transient disk-read error: a read must be retried; costs extra seek
 //     + transfer time on the same device.
 //   * Transient shuffle-fetch failure: a reducer's fetch of one map-output
-//     segment fails; retried with exponential backoff, bounded by
-//     fetch_retry.max_retries (after which the fetch succeeds —
+//     segment fails; retried with exponential backoff (RetryBackoff), at
+//     most kMaxFetchFailures times (after which the fetch succeeds —
 //     "transient").
 //   * Straggler: a node whose CPU and/or disk run slower by a constant
 //     factor, the trigger for speculative execution.
@@ -30,18 +30,43 @@
 //     DFS chunk replica, a map-output push, a spill run, a hash bucket,
 //     or one shuffle wire transfer — is damaged by a seeded bit flip or
 //     a torn write (truncation). Detected only by checksum verification
-//     at the next read boundary (DESIGN.md §5.2).
+//     at the next read boundary (DESIGN.md §5.2). At most
+//     kMaxCorruptGenerations copies of one stream are corrupt in a row,
+//     and every one is rebuilt, re-fetched or re-executed.
+//
+// The recovery schedule is not configurable: every run uses the
+// constants below.
 
 #ifndef ONEPASS_SIM_FAULT_INJECTOR_H_
 #define ONEPASS_SIM_FAULT_INJECTOR_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/sim/retry_policy.h"
 
 namespace onepass::sim {
+
+// A shuffle fetch fails transiently at most this many times, then
+// succeeds.
+inline constexpr int kMaxFetchFailures = 4;
+// A disk read fails transiently at most this many times: disk errors
+// model sector hiccups, not device loss (that is the crash model).
+inline constexpr int kMaxDiskReadFailures = 3;
+// At most this many consecutive generations of one stored stream are
+// corrupt. Each one is rebuilt, re-fetched or re-executed, so a stream
+// that can be rebuilt always recovers.
+inline constexpr int kMaxCorruptGenerations = 3;
+// First retry backoff, in simulated seconds.
+inline constexpr double kRetryBackoffS = 0.05;
+
+// The wait before retry `try_i` (0-based) of a failed shuffle fetch, and
+// before the read that follows the (try_i + 1)-th rejected checkpoint
+// replica: kRetryBackoffS doubled try_i times.
+inline double RetryBackoff(int try_i) {
+  return std::ldexp(kRetryBackoffS, try_i);
+}
 
 // One scheduled fail-stop crash. Exactly one of `time` (absolute simulated
 // seconds), `at_map_fraction` (crash when this fraction of map tasks has
@@ -87,15 +112,11 @@ struct FaultConfig {
   std::vector<CrashEvent> crashes;
   std::vector<StragglerSpec> stragglers;
 
-  // Per-op transient failure probabilities in [0, 1).
+  // Per-op transient failure probabilities in [0, 1). How many times an
+  // op may fail in a row and how long a fetch retry waits are the fixed
+  // kMax*Failures and RetryBackoff above.
   double disk_error_rate = 0;
   double fetch_failure_rate = 0;
-
-  // Shared retry schedule for transient shuffle-fetch failures,
-  // checkpoint-replica reads, and chunk re-replication: attempt i backs
-  // off fetch_retry.BackoffFor(i, key) before retrying; a fetch fails at
-  // most fetch_retry.max_retries times before it is forced to succeed.
-  RetryPolicy fetch_retry;
 
   // Speculative execution: a running task that lags the median duration
   // of its phase's finished tasks gets one backup attempt on another
@@ -109,22 +130,14 @@ struct FaultConfig {
 
   // Silent-corruption injection (requires JobConfig integrity checksums;
   // JobConfig::Validate enforces that). Each stored copy / transfer of a
-  // framed stream is independently corrupted with this probability.
+  // framed stream is independently corrupted with this probability (at
+  // most kMaxCorruptGenerations times in a row). A DFS chunk read fails
+  // with kCorruption only when every replica is bad.
   double corruption_rate = 0;
   // When set, a corruption event may be a torn write (truncation of the
   // in-flight block sequence) instead of a bit flip; a seeded coin per
   // event picks which.
   bool torn_writes = false;
-  // Recovery budget + pacing for corruption rebuilds, on the shared
-  // RetryPolicy: at most max_retries consecutive corrupt generations of
-  // one stream may be rebuilt / re-fetched / re-executed before the job
-  // fails with kCorruption, and rebuild `gen` stalls
-  // corruption_retry.BackoffFor(gen, key) simulated seconds before
-  // retrying (seeded jitter included). The default base of 0 keeps the
-  // historical no-backoff schedule byte-identical. DFS replica fail-over
-  // is not charged against this budget — a chunk read fails only when
-  // every replica is bad.
-  RetryPolicy corruption_retry{/*base_backoff_s=*/0.0, /*max_retries=*/3};
 
   // True if any fault source is enabled (crash, straggler, error rates,
   // or speculation).
@@ -153,12 +166,12 @@ class FaultPlan {
 
   // Number of consecutive transient failures (possibly 0) for the fetch of
   // map `map_task`'s push `push` by reduce task `reduce_task`. Pure in its
-  // arguments; capped at fetch_retry.max_retries.
+  // arguments; capped at kMaxFetchFailures.
   int FetchFailures(int reduce_task, int map_task, uint32_t push) const;
 
   // Number of consecutive transient failures for disk-read op `op_idx` of
   // attempt `attempt` of task `task` (`is_map` selects the task space).
-  // Capped at 3 retries so a read always eventually succeeds.
+  // Capped at kMaxDiskReadFailures so a read always eventually succeeds.
   int DiskReadFailures(bool is_map, int task, int attempt,
                        uint64_t op_idx) const;
 
@@ -166,7 +179,8 @@ class FaultPlan {
 
   // Number of consecutive corrupt generations of the stream (kind, a, b):
   // the k-th write (or transfer) of that stream is corrupt iff
-  // k < CorruptionChain(...). Geometric in corruption_rate, capped at 3.
+  // k < CorruptionChain(...). Geometric in corruption_rate, capped at
+  // kMaxCorruptGenerations.
   // For DFS chunk replicas only "chain > 0" matters (the replica is bad).
   int CorruptionChain(StreamKind kind, uint64_t a, uint64_t b) const;
 

@@ -10,21 +10,28 @@ namespace onepass::sim {
 
 namespace {
 
+// Bins of `bin_seconds` covering [0, horizon), at least 1. Counted in
+// floating point, so a count no integer type holds still compares.
+double BinCount(double bin_seconds, double horizon) {
+  return std::max(1.0, std::ceil(horizon / bin_seconds));
+}
+
 // Integrates a piecewise-constant function given by state-change samples
 // into uniform bins; `extract` maps a sample to the function value.
 template <typename Extract>
 BinnedSeries Integrate(const std::vector<Server::Sample>& samples,
                        double bin_seconds, double horizon, Extract extract) {
+  CHECK(CheckSeriesBins(bin_seconds, horizon).ok());
   BinnedSeries out;
   out.bin_seconds = bin_seconds;
-  const int bins = std::max(1, static_cast<int>(std::ceil(horizon / bin_seconds)));
-  out.values.assign(bins, 0.0);
+  const int64_t bins = static_cast<int64_t>(BinCount(bin_seconds, horizon));
+  out.values.assign(static_cast<size_t>(bins), 0.0);
   if (samples.empty()) return out;
 
   // Bin boundaries are computed by index (not by accumulating segment
   // lengths), so floating-point drift can neither spin the loop nor drop
   // mass. The integration range is capped at the bin grid's end.
-  const double range_end = bins * bin_seconds;
+  const double range_end = static_cast<double>(bins) * bin_seconds;
   for (size_t i = 0; i < samples.size(); ++i) {
     const double t0 = samples[i].time;
     const double t1 =
@@ -35,14 +42,15 @@ BinnedSeries Integrate(const std::vector<Server::Sample>& samples,
     const double a = t0;
     const double b = std::min({t1, horizon, range_end});
     if (a >= b) continue;
-    const int first =
-        std::clamp(static_cast<int>(a / bin_seconds), 0, bins - 1);
-    const int last =
-        std::clamp(static_cast<int>(b / bin_seconds), 0, bins - 1);
-    for (int k = first; k <= last; ++k) {
-      const double lo = std::max(a, k * bin_seconds);
-      const double hi = std::min(b, (k + 1) * bin_seconds);
-      if (hi > lo) out.values[k] += v * (hi - lo);
+    const int64_t first = std::clamp(static_cast<int64_t>(a / bin_seconds),
+                                     int64_t{0}, bins - 1);
+    const int64_t last = std::clamp(static_cast<int64_t>(b / bin_seconds),
+                                    int64_t{0}, bins - 1);
+    for (int64_t k = first; k <= last; ++k) {
+      const double lo = std::max(a, static_cast<double>(k) * bin_seconds);
+      const double hi =
+          std::min(b, static_cast<double>(k + 1) * bin_seconds);
+      if (hi > lo) out.values[static_cast<size_t>(k)] += v * (hi - lo);
     }
   }
   for (auto& v : out.values) v /= bin_seconds;
@@ -51,11 +59,29 @@ BinnedSeries Integrate(const std::vector<Server::Sample>& samples,
 
 }  // namespace
 
+Status CheckSeriesBins(double bin_seconds, double horizon) {
+  const double bins = BinCount(bin_seconds, horizon);
+  if (bins > static_cast<double>(kMaxSeriesBins)) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "a timeline bin of %g s needs %g bins to cover %g s; at "
+                  "most %lld are allowed",
+                  bin_seconds, bins, horizon,
+                  static_cast<long long>(kMaxSeriesBins));
+    return Status::InvalidArgument(buf);
+  }
+  return Status::OK();
+}
+
 double BinnedSeries::ValueAt(double time) const {
   if (values.empty() || bin_seconds <= 0) return 0.0;
-  int bin = static_cast<int>(time / bin_seconds);
-  bin = std::clamp(bin, 0, static_cast<int>(values.size()) - 1);
-  return values[bin];
+  // Clamped before the conversion: a time many bins past the end must
+  // read the last bin, not overflow an integer.
+  const double bin = time / bin_seconds;
+  const size_t last = values.size() - 1;
+  if (!(bin > 0)) return values[0];
+  return bin >= static_cast<double>(last) ? values[last]
+                                          : values[static_cast<size_t>(bin)];
 }
 
 BinnedSeries UtilizationSeries(const Server& server, double bin_seconds,

@@ -12,9 +12,18 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/sim/resources.h"
 
 namespace onepass::sim {
+
+// The most bins a series may have: 2^20, 8 MiB of values.
+inline constexpr int64_t kMaxSeriesBins = int64_t{1} << 20;
+
+// InvalidArgument when a series of `bin_seconds` bins covering
+// [0, horizon) would need more than kMaxSeriesBins bins. UtilizationSeries
+// and IowaitSeries require it to pass.
+Status CheckSeriesBins(double bin_seconds, double horizon);
 
 // A uniformly binned time series.
 struct BinnedSeries {

@@ -45,7 +45,7 @@ BlockBuilder::BlockBuilder(BlockEncoding encoding, BlockCodecKind codec,
                            uint64_t block_bytes, CodecStats* stats)
     : encoding_(encoding),
       codec_(codec),
-      block_bytes_(block_bytes > 0 ? block_bytes : 48 << 10),
+      block_bytes_(block_bytes > 0 ? block_bytes : kCodecBlockBytes),
       stats_(stats) {}
 
 void BlockBuilder::Add(std::string_view key, std::string_view value) {

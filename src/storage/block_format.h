@@ -55,6 +55,10 @@ enum class BlockCodecKind : uint8_t {
 
 std::string_view BlockCodecName(BlockCodecKind kind);
 
+// Target raw bytes per block of every stream a job encodes: map spill
+// runs, shuffle pushes, reduce runs, bucket files and checkpoint images.
+inline constexpr uint64_t kCodecBlockBytes = 48 << 10;
+
 // How records are laid out inside a block.
 enum class BlockEncoding : uint8_t {
   kPrefix = 0,   // shared-key-prefix (front) coding — for sorted runs

@@ -10,14 +10,14 @@ BucketFileManager::BucketFileManager(
     int num_buckets, uint64_t page_bytes, TraceRecorder* trace,
     JobMetrics* metrics, const IntegrityConfig* integrity,
     const sim::FaultPlan* plan, uint64_t owner, const CostModel* costs,
-    BlockCodecKind codec, uint64_t codec_block_bytes)
+    BlockCodecKind codec)
     : page_bytes_(page_bytes),
       trace_(trace),
       metrics_(metrics),
       integrity_(integrity),
       plan_(plan),
       owner_(owner),
-      codec_(codec, BlockEncoding::kGrouped, codec_block_bytes, costs,
+      codec_(codec, BlockEncoding::kGrouped, costs,
              RunCodec::Family::kBucket) {
   CHECK_GE(num_buckets, 1);
   pages_.resize(num_buckets);
@@ -59,11 +59,10 @@ Result<KvBuffer> BucketFileManager::TakeBucket(int bucket) {
   trace_->DiskRead(file.disk_bytes(), OpTag::kReduceSpill);
   metrics_->reduce_spill_read_bytes += file.disk_bytes();
   // A corrupt copy is rebuilt by replaying the recorded page flushes.
-  RETURN_IF_ERROR(VerifiedRead(
-      file.image(),
-      {sim::StreamKind::kBucketFile, owner_, static_cast<uint64_t>(bucket),
-       OpTag::kReduceSpill},
-      integrity_, plan_, trace_, metrics_));
+  VerifiedRead(file.image(),
+               {sim::StreamKind::kBucketFile, owner_,
+                static_cast<uint64_t>(bucket), OpTag::kReduceSpill},
+               integrity_, plan_, trace_, metrics_);
   CodecStats stats;
   Result<KvBuffer> records = file.Take(&stats);
   codec_.ChargeDecode(stats, OpTag::kReduceSpill, trace_, metrics_);

@@ -15,9 +15,8 @@
 // id, not by when the task happens to run. Each bucket file is a StoredRun
 // (stored_run.h), which applies the codec; TakeBucket reads it back
 // through VerifiedRead, the rebuild loop bucket files share with map spill
-// runs (DESIGN.md §5.2): a corrupt copy is rebuilt from the recorded page
-// flushes, charging the extra I/O, until the per-stream recovery budget
-// runs out, and then TakeBucket returns Status::Corruption.
+// runs (DESIGN.md §5.2): each corrupt copy is rebuilt from the recorded
+// page flushes, charging the extra I/O.
 
 #ifndef ONEPASS_STORAGE_BUCKET_MANAGER_H_
 #define ONEPASS_STORAGE_BUCKET_MANAGER_H_
@@ -57,8 +56,7 @@ class BucketFileManager {
                     const IntegrityConfig* integrity = nullptr,
                     const sim::FaultPlan* plan = nullptr,
                     uint64_t owner = 0, const CostModel* costs = nullptr,
-                    BlockCodecKind codec = BlockCodecKind::kNone,
-                    uint64_t codec_block_bytes = 48 << 10);
+                    BlockCodecKind codec = BlockCodecKind::kNone);
 
   // Appends a tuple to `bucket`'s write buffer, flushing the page to disk
   // if it is full.
@@ -68,10 +66,10 @@ class BucketFileManager {
   void FlushAll();
 
   // Reads a bucket's file back from disk (charges the read), verifies it
-  // when integrity checksums are on, and returns its contents, clearing
-  // the stored file. FlushAll must have been called. Returns
-  // Status::Corruption when the file is corrupt beyond the plan's
-  // corruption_retry.max_retries rebuild budget.
+  // when integrity checksums are on, rebuilding every corrupt copy the
+  // plan draws, and returns its contents, clearing the stored file.
+  // FlushAll must have been called. Returns Status::Corruption when the
+  // stored image does not decode.
   Result<KvBuffer> TakeBucket(int bucket);
 
   int num_buckets() const { return static_cast<int>(files_.size()); }

@@ -30,8 +30,9 @@ namespace onepass {
 // framing/verify work is deliberately NOT charged to the time plane
 // (see DESIGN.md §5.2), so enabling them leaves schedules byte-identical.
 struct IntegrityConfig {
-  bool checksums = true;          // frame + verify all simulated streams
-  uint64_t block_bytes = 32 << 10;  // max payload bytes per framed block
+  // Max payload bytes per framed block of every job stream: a constant.
+  static constexpr uint64_t block_bytes = 32 << 10;
+  bool checksums = true;  // frame + verify all simulated streams
 };
 
 // Bytes of framing (headers) a payload of `payload_bytes` carries when

@@ -7,13 +7,8 @@
 namespace onepass {
 
 RunCodec::RunCodec(BlockCodecKind kind, BlockEncoding encoding,
-                   uint64_t block_bytes, const CostModel* costs,
-                   Family family)
-    : kind_(kind),
-      encoding_(encoding),
-      family_(family),
-      block_bytes_(block_bytes),
-      costs_(costs) {
+                   const CostModel* costs, Family family)
+    : kind_(kind), encoding_(encoding), family_(family), costs_(costs) {
   CHECK(!coded() || costs_ != nullptr)
       << "codec needs the cost model's CPU constants";
 }
@@ -53,7 +48,7 @@ uint64_t StoredRun::Append(const KvBuffer& records, CodecStats* stats) {
   const uint64_t before = image_.size();
   if (codec_.coded()) {
     image_.append(EncodeKvStream(records, codec_.encoding_, codec_.kind_,
-                                 codec_.block_bytes_, stats));
+                                 kCodecBlockBytes, stats));
   } else {
     image_.append(records.data());
   }
@@ -120,16 +115,16 @@ void StoredRun::Restore(std::string_view image, uint64_t raw_bytes,
   records_ = records;
 }
 
-Status VerifiedRead(std::string_view image, const StreamSite& site,
-                    const IntegrityConfig* integrity,
-                    const sim::FaultPlan* plan, TraceRecorder* trace,
-                    JobMetrics* metrics) {
+void VerifiedRead(std::string_view image, const StreamSite& site,
+                  const IntegrityConfig* integrity,
+                  const sim::FaultPlan* plan, TraceRecorder* trace,
+                  JobMetrics* metrics) {
   if (integrity == nullptr || !integrity->checksums || image.empty()) {
-    return Status::OK();
+    return;
   }
   // The "disk" holds the framed image; read it back through the checksum
   // layer.
-  const std::string framed = FrameBytes(image, integrity->block_bytes);
+  const std::string framed = FrameBytes(image, IntegrityConfig::block_bytes);
   metrics->checksum_overhead_bytes += framed.size() - image.size();
   const int64_t expect = static_cast<int64_t>(image.size());
   const int chain = plan == nullptr ? 0
@@ -145,15 +140,6 @@ Status VerifiedRead(std::string_view image, const StreamSite& site,
     ProveDamageDetected(framed, ev, expect);
     ++metrics->corruptions_detected;
     if (ev.torn) ++metrics->torn_writes_detected;
-    const sim::RetryPolicy& retry = plan->config().corruption_retry;
-    if (gen >= retry.max_retries) {
-      return Status::Corruption(
-          "stored run " + std::to_string(site.index) + " of owner " +
-          std::to_string(site.owner) + ": corrupt beyond " +
-          std::to_string(retry.max_retries) + " rebuilds");
-    }
-    trace->Stall(retry.BackoffFor(gen, (site.owner << 20) ^ site.index),
-                 site.tag);
     trace->DiskWrite(image.size(), site.tag);
     trace->DiskRead(image.size(), site.tag);
     metrics->corruption_recovery_bytes += 2 * image.size();
@@ -163,7 +149,6 @@ Status VerifiedRead(std::string_view image, const StreamSite& site,
   CHECK(payload.ok() && payload.value() == image)
       << "clean stored image failed verification";
   metrics->verify_bytes += image.size();
-  return Status::OK();
 }
 
 void ProveDamageDetected(std::string_view framed,

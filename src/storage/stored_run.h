@@ -36,8 +36,9 @@ class RunCodec {
   // Which JobMetrics codec_*_{raw,encoded}_bytes pair the family feeds.
   enum class Family : uint8_t { kMapSpill, kReduceSpill, kBucket };
 
-  // `costs` supplies the codec CPU prices; required unless kind is kNone.
-  RunCodec(BlockCodecKind kind, BlockEncoding encoding, uint64_t block_bytes,
+  // Blocks are kCodecBlockBytes. `costs` supplies the codec CPU prices;
+  // required unless kind is kNone.
+  RunCodec(BlockCodecKind kind, BlockEncoding encoding,
            const CostModel* costs, Family family);
 
   bool coded() const { return kind_ != BlockCodecKind::kNone; }
@@ -56,7 +57,6 @@ class RunCodec {
   BlockCodecKind kind_ = BlockCodecKind::kNone;
   BlockEncoding encoding_ = BlockEncoding::kPrefix;
   Family family_ = Family::kMapSpill;
-  uint64_t block_bytes_ = 0;
   const CostModel* costs_ = nullptr;
 };
 
@@ -112,16 +112,16 @@ struct StreamSite {
 
 // Verified read of one stored image: the one rebuild loop shared by map
 // spill runs and bucket files. When checksums are on, frames the image,
-// then for each corrupt generation the plan draws damages a framed copy,
-// proves the verifier rejects it and counts it; past the plan's
-// corruption_retry.max_retries it returns Status::Corruption, otherwise
-// it charges the backoff stall plus the rebuild's write and read at
-// site.tag. `verify_bytes` counts every verified read, damaged
+// then for each corrupt generation the plan draws (at most
+// sim::kMaxCorruptGenerations) damages a framed copy, proves the verifier
+// rejects it, counts it and charges the rebuild's write and read at
+// site.tag. Every generation is rebuilt, so the read always ends on a
+// clean copy. `verify_bytes` counts every verified read, damaged
 // generations included. The caller charges the first read itself.
-Status VerifiedRead(std::string_view image, const StreamSite& site,
-                    const IntegrityConfig* integrity,
-                    const sim::FaultPlan* plan, TraceRecorder* trace,
-                    JobMetrics* metrics);
+void VerifiedRead(std::string_view image, const StreamSite& site,
+                  const IntegrityConfig* integrity,
+                  const sim::FaultPlan* plan, TraceRecorder* trace,
+                  JobMetrics* metrics);
 
 // Damages a copy of the framed image `framed` as `ev` says (ev must fire)
 // and proves the verifier rejects it: injected damage that verifies is a

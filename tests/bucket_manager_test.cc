@@ -160,24 +160,6 @@ TEST(BucketManagerTest, CorruptBucketIsDetectedAndRebuilt) {
   }
 }
 
-TEST(BucketManagerTest, ExhaustedRebuildBudgetIsCorruption) {
-  for (const BlockCodecKind codec : kCodecs) {
-    SCOPED_TRACE(std::string(BlockCodecName(codec)));
-    Harness h;
-    IntegrityConfig integrity;
-    sim::FaultConfig fc;
-    fc.corruption_rate = 0.999999;
-    fc.corruption_retry.max_retries = 0;  // no rebuilds allowed
-    const sim::FaultPlan plan(fc, /*seed=*/5);
-    BucketFileManager mgr =
-        h.Manager(codec, 2, 64, &integrity, &plan, /*owner=*/7);
-    FillBuckets(&mgr, 2);
-    Result<KvBuffer> data = mgr.TakeBucket(0);
-    ASSERT_FALSE(data.ok());
-    EXPECT_TRUE(data.status().IsCorruption());
-  }
-}
-
 TEST(BucketManagerTest, ZeroRateKeepsTraceIdenticalToNoIntegrity) {
   // Checksums on with a zero corruption rate must not perturb the time
   // plane: the recorded trace ops match a checksum-free manager's exactly.

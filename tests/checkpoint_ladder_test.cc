@@ -215,27 +215,6 @@ TEST(CheckpointLadderTest, RestoreChainReadsBacksOffAndDecodes) {
   for (const TraceOp& op : chain.ops) EXPECT_EQ(op.tag, OpTag::kCheckpoint);
 }
 
-TEST(CheckpointLadderTest, ZeroBackoffRestoreChainHasNoStall) {
-  JobConfig cfg = LadderConfig(0);
-  cfg.faults.fetch_retry.base_backoff_s = 0;
-  const sim::FaultPlan plan(cfg.faults, cfg.seed);
-  const CheckpointLadder ladder(cfg, plan, TwoMarksEach(1));
-  CheckpointLadder::Choice choice;
-  choice.ordinal = 0;
-  choice.watermark = 4;
-  choice.node = 1;
-  choice.tried = {{0, 0, 1000}, {1, 2, 1000}};
-  const CostTrace chain = ladder.RestoreChain(0, choice, 1);
-  // Three replica reads, no waits, no decode under kNone.
-  ASSERT_EQ(chain.ops.size(), 3u);
-  EXPECT_EQ(chain.ops[0].resource, OpResource::kNet);
-  EXPECT_EQ(chain.ops[1].resource, OpResource::kNet);
-  EXPECT_EQ(chain.ops[2].resource, OpResource::kDisk);
-  for (const TraceOp& op : chain.ops) {
-    EXPECT_NE(op.resource, OpResource::kStall);
-  }
-}
-
 // ---- chains of delta images ----
 
 // One reduce task's marks with the given chain lengths: checkpoint c has
@@ -436,7 +415,10 @@ TEST(CheckpointLadderTest, RestoreChainBacksOffOnlyAfterRejectedReplicas) {
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(chain.ops[i].resource, want[i]) << "op " << i;
   }
-  EXPECT_GT(chain.ops[3].cpu_s, chain.ops[1].cpu_s);  // exponential
+  // The fixed backoff: 0.05 s after the first rejection, doubled after
+  // the second.
+  EXPECT_DOUBLE_EQ(chain.ops[1].cpu_s, 0.05);
+  EXPECT_DOUBLE_EQ(chain.ops[3].cpu_s, 0.1);
   EXPECT_EQ(chain.ops[0].bytes, 1000u);
   EXPECT_EQ(chain.ops[2].bytes, 101u);
   EXPECT_EQ(chain.ops[4].bytes, 1000u);

@@ -689,7 +689,6 @@ EngineHarness MakeCheckpointHarness(EngineKind kind, BlockCodecKind codec) {
   h.config.bucket_page_bytes = 1 << 10;
   h.config.merge_factor = 4;
   h.config.block_codec = codec;
-  h.config.codec_block_bytes = 4 << 10;
   const bool incremental =
       kind == EngineKind::kIncHash || kind == EngineKind::kDincHash;
   if (incremental) {
@@ -724,9 +723,9 @@ std::vector<Record> RunWithMidStreamRestore(
   }
   CheckpointWriter w;
   EXPECT_TRUE(first.engine->SaveCheckpoint(&w).ok());
-  const EncodedCheckpoint image = EncodeCheckpoint(
-      w.fields(), codec, first.config.codec_block_bytes,
-      first.config.integrity.block_bytes);
+  const EncodedCheckpoint image =
+      EncodeCheckpoint(w.fields(), codec, JobConfig::codec_block_bytes,
+                       IntegrityConfig::block_bytes);
   auto fields = DecodeCheckpoint(image, image.framed);
   EXPECT_TRUE(fields.ok()) << fields.status().ToString();
 
@@ -799,8 +798,8 @@ SavedRun RunSavingEvery(EngineKind kind, BlockCodecKind codec,
     CheckpointWriter w;
     EXPECT_TRUE(h.engine->SaveCheckpoint(&w).ok());
     run.images.push_back(EncodeCheckpoint(w.fields(), codec,
-                                          h.config.codec_block_bytes,
-                                          h.config.integrity.block_bytes));
+                                          JobConfig::codec_block_bytes,
+                                          IntegrityConfig::block_bytes));
     run.links.push_back(h.engine->checkpoint_links());
     run.watermarks.push_back(i + 1);
   }

@@ -215,5 +215,44 @@ TEST(ClusterTest, CpuTimelineCoversJob) {
   EXPECT_GT(peak, 0.1);  // the cluster actually did work
 }
 
+// examples/quickstart.cc's word count: a 0.132 simulated-second job.
+Result<JobResult> RunQuickstartWordCount(double timeline_bin_s) {
+  ChunkStore input(/*chunk_bytes=*/4096, /*nodes=*/4);
+  const char* docs[] = {
+      "the quick brown fox jumps over the lazy dog",
+      "the dog barks and the fox runs",
+      "one pass analytics needs incremental processing",
+      "hash beats sort for one pass analytics",
+  };
+  for (int copy = 0; copy < 200; ++copy) {
+    for (const char* doc : docs) input.Append("", doc);
+  }
+  input.Seal();
+  JobConfig cfg;
+  cfg.engine = EngineKind::kIncHash;
+  cfg.cluster.nodes = 4;
+  cfg.reducers_per_node = 2;
+  cfg.chunk_bytes = 4096;
+  cfg.map_side_combine = true;
+  cfg.timeline_bin_s = timeline_bin_s;
+  return LocalCluster::RunJob(WordCountJob(), cfg, input);
+}
+
+// A bin the job gate accepts can still need more bins than a series may
+// hold: the run fails with a typed error instead of overflowing the bin
+// count (1e-12) or allocating ~1 GB per series (1e-9).
+TEST(ClusterTest, TimelineBinTooFineForTheJobIsRejected) {
+  for (const double bin : {1e-12, 1e-9}) {
+    auto r = RunQuickstartWordCount(bin);
+    ASSERT_FALSE(r.ok()) << bin;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  }
+  auto r = RunQuickstartWordCount(1e-4);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_NEAR(r->running_time, 0.1321, 1e-4);
+  EXPECT_EQ(r->cpu_util.values.size(), 1322u);
+  EXPECT_EQ(r->iowait.values.size(), 1322u);
+}
+
 }  // namespace
 }  // namespace onepass

@@ -3,6 +3,8 @@
 
 #include "src/sim/fault_injector.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 namespace onepass::sim {
@@ -64,7 +66,6 @@ TEST(FaultPlanTest, DifferentSeedsDiverge) {
 TEST(FaultPlanTest, FailureDrawsAreBoundedAndMatchRateRoughly) {
   FaultConfig f;
   f.fetch_failure_rate = 0.25;
-  f.fetch_retry.max_retries = 4;
   f.disk_error_rate = 0.1;
   const FaultPlan plan(f, 7);
   int fetch_failures = 0;
@@ -72,16 +73,42 @@ TEST(FaultPlanTest, FailureDrawsAreBoundedAndMatchRateRoughly) {
   for (int i = 0; i < kDraws; ++i) {
     const int ff = plan.FetchFailures(i % 16, i / 16, 0);
     ASSERT_GE(ff, 0);
-    ASSERT_LE(ff, f.fetch_retry.max_retries);
+    ASSERT_LE(ff, kMaxFetchFailures);
     if (ff > 0) ++fetch_failures;
     const int df = plan.DiskReadFailures(false, i % 16, 0, i);
     ASSERT_GE(df, 0);
-    ASSERT_LE(df, 3);
+    ASSERT_LE(df, kMaxDiskReadFailures);
   }
   // P(at least one failure) == rate; allow generous sampling slack.
   const double observed =
       static_cast<double>(fetch_failures) / static_cast<double>(kDraws);
   EXPECT_NEAR(observed, 0.25, 0.05);
+}
+
+// The fixed recovery schedule's caps, pinned by value: at a near-certain
+// rate nearly every draw reaches its cap, and none passes it.
+TEST(FaultPlanTest, NearCertainRatesDrawExactlyTheCaps) {
+  FaultConfig f;
+  f.fetch_failure_rate = 0.999999;
+  f.disk_error_rate = 0.999999;
+  f.corruption_rate = 0.999999;
+  const FaultPlan plan(f, 17);
+  int max_fetch = 0, max_disk = 0, max_chain = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const int ff = plan.FetchFailures(i % 64, i / 64, i % 3);
+    const int df = plan.DiskReadFailures(i % 2 == 0, i % 64, 0, i);
+    const int chain =
+        plan.CorruptionChain(StreamKind::kBucketFile, i % 64, i / 64);
+    ASSERT_LE(ff, 4);
+    ASSERT_LE(df, 3);
+    ASSERT_LE(chain, 3);
+    max_fetch = std::max(max_fetch, ff);
+    max_disk = std::max(max_disk, df);
+    max_chain = std::max(max_chain, chain);
+  }
+  EXPECT_EQ(max_fetch, 4);
+  EXPECT_EQ(max_disk, 3);
+  EXPECT_EQ(max_chain, 3);
 }
 
 TEST(FaultPlanTest, StragglerFactorsApplyOnlyToTheirNode) {
@@ -127,7 +154,7 @@ TEST(FaultPlanTest, CorruptionDrawsAreDeterministicAndBounded) {
   for (int i = 0; i < 1000; ++i) {
     const int chain = a.CorruptionChain(StreamKind::kBucketFile, i, i % 7);
     ASSERT_GE(chain, 0);
-    ASSERT_LE(chain, 3);  // 1 + geometric, capped
+    ASSERT_LE(chain, kMaxCorruptGenerations);  // 1 + geometric, capped
     EXPECT_EQ(chain, b.CorruptionChain(StreamKind::kBucketFile, i, i % 7));
     if (chain !=
         other_seed.CorruptionChain(StreamKind::kBucketFile, i, i % 7)) {

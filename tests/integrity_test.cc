@@ -109,7 +109,6 @@ TEST(IntegrityTest, UnreplicatedInputWithHighRateFailsWithCorruption) {
   const ChunkStore input = FaultInput(/*replication=*/1);
   JobConfig cfg = FaultConfigFor(EngineKind::kMRHash, 1);
   cfg.faults.corruption_rate = 0.999999;
-  cfg.faults.corruption_retry.max_retries = 0;
   auto r = LocalCluster::RunJob(ClickCountJob(), cfg, input);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();

@@ -191,7 +191,8 @@ TEST(JobManagerTest, ValidatesSubmissions) {
     ASSERT_FALSE(mr.ok());
     EXPECT_TRUE(mr.status().IsInvalidArgument());
   }
-  for (const double bin : {0.0, -1.0, std::nan("")}) {
+  // 1e-12 passes the batch gate but would need ~1e12 bins per series.
+  for (const double bin : {0.0, -1.0, std::nan(""), 1e-12}) {
     ManagerConfig bad = mc;
     bad.timeline_bin_s = bin;
     auto mr = JobManager::Run(bad, {Submit(input, cfg)});

@@ -138,6 +138,24 @@ TEST(TimelineTest, UtilizationIntegratesBusyTime) {
   for (double v : u.values) EXPECT_NEAR(v, 0.5, 1e-9);
 }
 
+TEST(TimelineTest, SeriesBinsAreCappedAndReadsClamped) {
+  EXPECT_TRUE(CheckSeriesBins(1.0, 0.5).ok());  // one bin at least
+  EXPECT_TRUE(CheckSeriesBins(1.0, 1 << 20).ok());
+  EXPECT_TRUE(CheckSeriesBins(1.0, (1 << 20) + 0.5).IsInvalidArgument());
+  // Counts no integer type holds, and an infinite one, are rejected too.
+  EXPECT_TRUE(CheckSeriesBins(1e-300, 1e10).IsInvalidArgument());
+  EXPECT_TRUE(CheckSeriesBins(5e-324, 1.0).IsInvalidArgument());
+
+  // Reads clamp to the grid before converting: far past the end reads
+  // the last bin, before the start the first.
+  BinnedSeries s;
+  s.bin_seconds = 1.0;
+  s.values = {1.0, 2.0, 3.0};
+  EXPECT_EQ(s.ValueAt(1.5), 2.0);
+  EXPECT_EQ(s.ValueAt(1e10), 3.0);
+  EXPECT_EQ(s.ValueAt(-1.0), 1.0);
+}
+
 TEST(TimelineTest, UtilizationDropsWhenIdle) {
   Engine engine;
   Server cpu(&engine, 1, "cpu");

@@ -19,8 +19,8 @@ KvBuffer Records(int first, int count) {
 }
 
 RunCodec Codec(BlockCodecKind kind, const CostModel* costs) {
-  return RunCodec(kind, BlockEncoding::kPrefix, /*block_bytes=*/1 << 10,
-                  costs, RunCodec::Family::kReduceSpill);
+  return RunCodec(kind, BlockEncoding::kPrefix, costs,
+                  RunCodec::Family::kReduceSpill);
 }
 
 TEST(StoredRunTest, AppendsReadBackExactly) {
@@ -111,18 +111,33 @@ TEST(StoredRunTest, VerifiedReadCountsEveryGeneration) {
   JobMetrics metrics;
   const StreamSite site{sim::StreamKind::kBucketFile, /*owner=*/1,
                         /*index=*/2, OpTag::kReduceSpill};
-  ASSERT_TRUE(
-      VerifiedRead(image, site, &integrity, &plan, &trace, &metrics).ok());
+  VerifiedRead(image, site, &integrity, &plan, &trace, &metrics);
   EXPECT_EQ(metrics.verify_bytes, 4 * image.size());
   EXPECT_EQ(metrics.corruptions_detected, 3u);
   EXPECT_EQ(metrics.corruptions_recovered, 3u);
   EXPECT_EQ(metrics.corruption_recovery_bytes, 6 * image.size());
-  // Each rebuild is one write and one read at the site's tag (the default
-  // backoff is 0 s, so no stall ops).
+  // Each rebuild is one write and one read at the site's tag, with no
+  // stall between them.
   ASSERT_EQ(trace_storage.ops.size(), 6u);
   for (const TraceOp& op : trace_storage.ops) {
     EXPECT_EQ(op.tag, OpTag::kReduceSpill);
     EXPECT_EQ(op.bytes, image.size());
+  }
+
+  // Over many streams at that rate, every drawn generation is rebuilt:
+  // no stream has a budget to run out of.
+  for (uint64_t owner = 0; owner < 64; ++owner) {
+    JobMetrics m;
+    CostTrace ops;
+    TraceRecorder rec(&ops);
+    const StreamSite s{sim::StreamKind::kMapSpillRun, owner, owner % 5,
+                       OpTag::kMapSpill};
+    VerifiedRead(image, s, &integrity, &plan, &rec, &m);
+    const uint64_t chain = static_cast<uint64_t>(
+        plan.CorruptionChain(s.kind, s.owner, s.index));
+    EXPECT_EQ(m.corruptions_detected, chain) << owner;
+    EXPECT_EQ(m.corruptions_recovered, chain) << owner;
+    EXPECT_EQ(ops.ops.size(), 2 * chain) << owner;
   }
 }
 
