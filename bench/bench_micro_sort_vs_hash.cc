@@ -1,94 +1,115 @@
-// Microbenchmark: the map-side CPU cost the paper attacks (§2.3) —
-// sorting the map output buffer by (partition, key) versus hash-based
-// grouping (partition-count + one-scan placement, or a combine hash
-// table). These are the *real* CPU costs of the data plane (the simulated
-// cost model is calibrated separately).
+// Microbenchmark: the map-side CPU cost the paper attacks (§2.3), on the
+// real map task. Each row runs MapRunner::Run over every chunk of an input
+// store, one chunk after another on one thread, in one MapOutputMode
+// (src/mr/map_runner.h): sorting the map buffer by (partition, key), raw or
+// combined as records arrive, against the hash paths' partition grouping,
+// per-record init() and combine table. The time is the host data plane's;
+// the simulated cost model is calibrated separately.
+//
+// Two key shapes, on the scaled paper cluster's job config without a
+// codec (bench::ScaledJobConfig):
+//   clicks    ClickCountJob over ScaledClicks(1.0): keys repeat within a
+//             map buffer (1.3 M emits, 174,587 buffered keys);
+//   trigrams  TrigramCountJob(50) over ScaledDocs(0.25): near-distinct
+//             keys (990,000 emits, 981,352 buffered keys).
+// Each row's label carries the map output record count, the same in every
+// run of one row.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
+#include <memory>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
-#include "src/util/hash.h"
-#include "src/util/random.h"
+#include "bench/bench_common.h"
+#include "src/dfs/chunk_store.h"
+#include "src/mr/map_runner.h"
 #include "src/workloads/clickstream.h"
+#include "src/workloads/documents.h"
+#include "src/workloads/jobs.h"
 
 namespace onepass {
 namespace {
 
-std::vector<std::pair<std::string, std::string>> MakePairs(int n) {
-  Xoshiro256StarStar rng(7);
-  ZipfGenerator users(50'000, 0.8);
-  std::vector<std::pair<std::string, std::string>> pairs;
-  pairs.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    pairs.emplace_back(UserKey(users.Next(&rng)), std::string(52, 'v'));
-  }
-  return pairs;
+enum class KeyShape { kClicks, kTrigrams };
+
+struct Input {
+  JobSpec spec;
+  ChunkStore store;
+};
+
+// The store of `shape`, generated once per process (untimed) and cut into
+// `cfg`'s chunks.
+const Input& InputOf(KeyShape shape, const JobConfig& cfg) {
+  static const Input* const clicks = [&] {
+    auto* in = new Input{ClickCountJob(),
+                         ChunkStore(cfg.chunk_bytes, cfg.cluster.nodes)};
+    GenerateClickStream(bench::ScaledClicks(1.0), &in->store);
+    return in;
+  }();
+  static const Input* const trigrams = [&] {
+    auto* in = new Input{TrigramCountJob(50),
+                         ChunkStore(cfg.chunk_bytes, cfg.cluster.nodes)};
+    GenerateDocuments(bench::ScaledDocs(0.25), &in->store);
+    return in;
+  }();
+  return shape == KeyShape::kClicks ? *clicks : *trigrams;
 }
 
-void BM_SortMapBuffer(benchmark::State& state) {
-  const auto pairs = MakePairs(static_cast<int>(state.range(0)));
-  UniversalHashFamily family(1);
-  const UniversalHash h1 = family.At(0);
-  struct Entry {
-    uint32_t part;
-    std::string_view key;
-  };
+void BM_MapTask(benchmark::State& state, KeyShape shape, MapOutputMode mode) {
+  // MapRunner takes its mode as given and reads neither the engine nor
+  // the combiner flag, so one config serves every row.
+  const JobConfig cfg = bench::ScaledJobConfig(EngineKind::kSortMerge);
+  const Input& in = InputOf(shape, cfg);
+  const int reducers = cfg.cluster.nodes * cfg.reducers_per_node;
+  const UniversalHashFamily hashes(cfg.seed);
+  uint64_t out_records = 0;
   for (auto _ : state) {
-    std::vector<Entry> entries;
-    entries.reserve(pairs.size());
-    for (const auto& [k, v] : pairs) {
-      entries.push_back({static_cast<uint32_t>(h1.Bucket(k, 40)), k});
+    out_records = 0;
+    for (const Chunk& chunk : in.store.chunks()) {
+      std::unique_ptr<Mapper> mapper = in.spec.mapper();
+      std::unique_ptr<IncrementalReducer> inc = in.spec.inc();
+      const MapRunner runner(cfg, mode, hashes.At(0), reducers, mapper.get(),
+                             inc.get());
+      Result<MapTaskOutput> out = runner.Run(chunk.records);
+      if (!out.ok()) {
+        state.SkipWithError(out.status().ToString().c_str());
+        return;
+      }
+      out_records += out->metrics.map_output_records;
+      benchmark::DoNotOptimize(out->pushes.data());
     }
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) {
-                if (a.part != b.part) return a.part < b.part;
-                return a.key < b.key;
-              });
-    benchmark::DoNotOptimize(entries);
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(in.store.total_records()));
+  state.SetLabel("chunks=" + std::to_string(in.store.chunks().size()) +
+                 " out_records=" + std::to_string(out_records));
 }
-BENCHMARK(BM_SortMapBuffer)->Arg(1 << 12)->Arg(1 << 15)->Arg(1 << 18);
 
-void BM_HashPartitionGroup(benchmark::State& state) {
-  const auto pairs = MakePairs(static_cast<int>(state.range(0)));
-  UniversalHashFamily family(1);
-  const UniversalHash h1 = family.At(0);
-  for (auto _ : state) {
-    // Count per partition, then place in one scan (§5's hash map output).
-    std::vector<uint32_t> counts(40, 0);
-    std::vector<uint32_t> parts(pairs.size());
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      parts[i] = static_cast<uint32_t>(h1.Bucket(pairs[i].first, 40));
-      ++counts[parts[i]];
+const bool kRegistered = [] {
+  const struct {
+    const char* name;
+    KeyShape shape;
+  } kShapes[] = {{"clicks", KeyShape::kClicks},
+                 {"trigrams", KeyShape::kTrigrams}};
+  const struct {
+    const char* name;
+    MapOutputMode mode;
+  } kModes[] = {{"kSortRaw", MapOutputMode::kSortRaw},
+                {"kSortCombine", MapOutputMode::kSortCombine},
+                {"kHashRaw", MapOutputMode::kHashRaw},
+                {"kHashInit", MapOutputMode::kHashInit},
+                {"kHashCombine", MapOutputMode::kHashCombine}};
+  for (const auto& s : kShapes) {
+    for (const auto& m : kModes) {
+      const std::string name =
+          std::string("BM_MapTask/") + s.name + "/" + m.name;
+      benchmark::RegisterBenchmark(name.c_str(), BM_MapTask, s.shape, m.mode)
+          ->Unit(benchmark::kMillisecond)
+          ->UseRealTime();
     }
-    std::vector<uint32_t> offsets(40, 0);
-    for (int p = 1; p < 40; ++p) offsets[p] = offsets[p - 1] + counts[p - 1];
-    std::vector<uint32_t> placed(pairs.size());
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      placed[offsets[parts[i]]++] = static_cast<uint32_t>(i);
-    }
-    benchmark::DoNotOptimize(placed);
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_HashPartitionGroup)->Arg(1 << 12)->Arg(1 << 15)->Arg(1 << 18);
-
-void BM_HashCombineTable(benchmark::State& state) {
-  const auto pairs = MakePairs(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    std::unordered_map<std::string_view, uint64_t> table;
-    table.reserve(pairs.size() / 4);
-    for (const auto& [k, v] : pairs) ++table[k];
-    benchmark::DoNotOptimize(table);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_HashCombineTable)->Arg(1 << 12)->Arg(1 << 15)->Arg(1 << 18);
+  return true;
+}();
 
 }  // namespace
 }  // namespace onepass

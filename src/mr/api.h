@@ -106,7 +106,8 @@ class IncrementalReducer {
   // cb(): folds `other` (another state for the same key) into `state`.
   // `other` never aliases `*state`: every caller passes a separately held
   // state, so an implementation may edit `*state` in place while it reads
-  // `other`.
+  // `other`. Map-side folds run in emit order on every engine: a key's
+  // later emits are folded, as `other`, into the state of its earlier ones.
   virtual void Combine(std::string_view key, std::string* state,
                        std::string_view other) = 0;
 

@@ -17,49 +17,6 @@ namespace onepass {
 
 namespace {
 
-// Collects the mapper's emitted pairs with partition tags. Bytes live in an
-// arena so entries are cheap to sort.
-class CollectingEmitter : public Emitter {
- public:
-  struct Entry {
-    uint32_t part;
-    std::string_view key;
-    std::string_view value;
-  };
-
-  CollectingEmitter(const UniversalHash* partitioner, int total_partitions)
-      : partitioner_(partitioner), total_partitions_(total_partitions) {}
-
-  void Emit(std::string_view key, std::string_view value) override {
-    Entry e;
-    e.part = static_cast<uint32_t>(
-        partitioner_->Bucket(key, total_partitions_));
-    e.key = arena_.Copy(key);
-    e.value = arena_.Copy(value);
-    entries_.push_back(e);
-    bytes_ += RecordBytes(key, value);
-    ++records_;
-  }
-
-  std::vector<Entry>& entries() { return entries_; }
-  uint64_t bytes() const { return bytes_; }
-  uint64_t records() const { return records_; }
-
-  void Reset() {
-    entries_.clear();
-    arena_.Reset();
-    bytes_ = 0;
-  }
-
- private:
-  const UniversalHash* partitioner_;
-  int total_partitions_;
-  Arena arena_;
-  std::vector<Entry> entries_;
-  uint64_t bytes_ = 0;
-  uint64_t records_ = 0;
-};
-
 // Routes emitted pairs straight into per-partition buffers (hash paths),
 // optionally applying initialize() per record.
 class PartitionEmitter : public Emitter {
@@ -112,6 +69,42 @@ class PartitionEmitter : public Emitter {
   uint64_t records_ = 0;
 };
 
+// The map side's init/cb fold (§4.2), shared by both map-side combiners:
+// the hash path's CombiningEmitter and the sort path's SortBuffer. Emits
+// fold into a FlatTable of key -> state, keyed by the partitioner's
+// digest, in the order they arrive: a key's first emit stores
+// init(key, value), each later one folds init(key, value) into that state
+// with cb().
+class EmitFold {
+ public:
+  explicit EmitFold(IncrementalReducer* inc) : inc_(inc) {}
+
+  // Folds one emit into `table`. Returns the key's entry; *inserted tells
+  // whether this was the key's first emit. A new key probes twice (Find,
+  // then FindOrInsert): the hash path serializes its table's probe count,
+  // and the metric goldens pin it.
+  uint32_t Fold(FlatTable* table, std::string_view key,
+                std::string_view value, uint64_t digest, bool* inserted) {
+    const uint32_t found = table->Find(key, digest);
+    const std::string state = inc_->Init(key, value);
+    if (found == FlatTable::kNoEntry) {
+      const uint32_t idx = table->FindOrInsert(key, digest, inserted);
+      table->set_value(idx, state);
+      return idx;
+    }
+    const std::string_view cur = table->value_at(found);
+    scratch_.assign(cur.data(), cur.size());
+    inc_->Combine(key, &scratch_, state);
+    table->set_value(found, scratch_);
+    *inserted = false;
+    return found;
+  }
+
+ private:
+  IncrementalReducer* inc_;
+  std::string scratch_;
+};
+
 // Map-side combiner: in-memory hash table of key -> state (§5's Hash-based
 // Map Output component). The table is a FlatTable keyed by the
 // partitioner's digest — computed once per emitted record and reused by
@@ -120,15 +113,15 @@ class PartitionEmitter : public Emitter {
 class CombiningEmitter : public Emitter {
  public:
   CombiningEmitter(IncrementalReducer* inc, const UniversalHash* partitioner)
-      : inc_(inc), partitioner_(partitioner) {}
+      : fold_(inc), partitioner_(partitioner) {}
 
   // Emits run through a small pending ring (§5.8): Emit hashes the record
   // and prefetches its control word immediately, but the table update
   // happens when the record leaves the ring — up to kRing emits later, by
   // which time the prefetched line has arrived. Drain() empties the ring;
   // MapRunner drains before every flush check, so the update sequence the
-  // table sees (and thus every flush boundary, byte count, and combine
-  // total) is exactly the per-emit order.
+  // table sees (and thus every flush boundary and byte count) is exactly
+  // the per-emit order.
   void Emit(std::string_view key, std::string_view value) override {
     ++records_;
     if (pending_ == kRing) ProcessOldest();
@@ -169,7 +162,6 @@ class CombiningEmitter : public Emitter {
 
   uint64_t table_bytes() const { return bytes_; }
   uint64_t records() const { return records_; }
-  uint64_t combines() const { return combines_; }
 
  private:
   // Ring depth: the probe prefetch distance — deep enough to hide a miss,
@@ -182,46 +174,118 @@ class CombiningEmitter : public Emitter {
     uint64_t digest = 0;
   };
 
-  // Pops the oldest pending emit and applies the original per-emit table
-  // update with its precomputed digest.
+  // Pops the oldest pending emit and folds it into the table with its
+  // precomputed digest.
   void ProcessOldest() {
     Pending& p = ring_[head_];
     head_ = (head_ + 1) % kRing;
     --pending_;
-    const uint32_t found = flat_.Find(p.key, p.digest);
-    if (found == FlatTable::kNoEntry) {
-      const std::string state = inc_->Init(p.key, p.value);
-      bytes_ += p.key.size() + state.size() + 32;
-      bool inserted = false;
-      const uint32_t idx = flat_.FindOrInsert(p.key, p.digest, &inserted);
-      flat_.set_value(idx, state);
-    } else {
-      const std::string state = inc_->Init(p.key, p.value);
-      const std::string_view cur = flat_.value_at(found);
-      scratch_.assign(cur.data(), cur.size());
-      inc_->Combine(p.key, &scratch_, state);
-      flat_.set_value(found, scratch_);
-      ++combines_;
-    }
+    bool inserted = false;
+    const uint32_t idx =
+        fold_.Fold(&flat_, p.key, p.value, p.digest, &inserted);
+    if (inserted) bytes_ += p.key.size() + flat_.value_at(idx).size() + 32;
   }
 
-  IncrementalReducer* inc_;
+  EmitFold fold_;
   const UniversalHash* partitioner_;
   FlatTable flat_;
-  std::string scratch_;
   Pending ring_[kRing];
   size_t head_ = 0;
   size_t pending_ = 0;
   uint64_t bytes_ = 0;
   uint64_t records_ = 0;
-  uint64_t combines_ = 0;
 };
 
-bool EntryLess(const CollectingEmitter::Entry& a,
-               const CollectingEmitter::Entry& b) {
-  if (a.part != b.part) return a.part < b.part;
-  return a.key < b.key;
-}
+// The sort path's map buffer (§2.2). It holds a task's emits until a cut,
+// then hands them over sorted by (partition, key), equal keys in emit
+// order, so a sort-path map output is a function of the emit sequence
+// alone. Raw, every emit is kept and stable-sorted. With a combiner, emits
+// fold into a FlatTable as they arrive (EmitFold, as on the hash path) and
+// a cut sorts only the distinct keys. bytes() and records() count the raw
+// emits in both modes: the spill cut and the simulated sort charge stay
+// Hadoop's, whatever the host sorted (DESIGN.md §5). The table's probe
+// counters stay out of JobMetrics: the serialized hash_table_* figures
+// count the hash paths' tables only.
+class SortBuffer : public Emitter {
+ public:
+  // `combiner` is null in raw mode.
+  SortBuffer(const UniversalHash* partitioner, int total_partitions,
+             IncrementalReducer* combiner)
+      : partitioner_(partitioner),
+        total_partitions_(total_partitions),
+        fold_(combiner),
+        combine_(combiner != nullptr) {}
+
+  void Emit(std::string_view key, std::string_view value) override {
+    const uint64_t digest = (*partitioner_)(key);
+    if (combine_) {
+      bool inserted = false;
+      fold_.Fold(&table_, key, value, digest, &inserted);
+    } else {
+      entries_.push_back({PartitionOf(digest), arena_.Copy(key),
+                          arena_.Copy(value)});
+    }
+    bytes_ += RecordBytes(key, value);
+    ++records_;
+  }
+
+  // Emitted bytes and records since the last cut.
+  uint64_t bytes() const { return bytes_; }
+  uint64_t records() const { return records_; }
+
+  // Appends the buffer's records to `parts` in (partition, key) order,
+  // adds their bytes and count to *bytes and *records, and empties the
+  // buffer.
+  void CutInto(std::vector<KvBuffer>* parts, uint64_t* bytes,
+               uint64_t* records) {
+    if (combine_) {
+      table_.ForEach([&](uint32_t idx) {
+        entries_.push_back({PartitionOf(table_.hash_at(idx)),
+                            table_.key_at(idx), table_.value_at(idx)});
+      });
+      // The table's keys are distinct, so this order is total.
+      std::sort(entries_.begin(), entries_.end(), EntryLess);
+    } else {
+      std::stable_sort(entries_.begin(), entries_.end(), EntryLess);
+    }
+    for (const Entry& e : entries_) {
+      (*parts)[e.part].Append(e.key, e.value);
+      *bytes += RecordBytes(e.key, e.value);
+      ++*records;
+    }
+    entries_.clear();
+    arena_.Reset();
+    table_.Clear();
+    bytes_ = 0;
+    records_ = 0;
+  }
+
+ private:
+  struct Entry {
+    uint32_t part;
+    std::string_view key;
+    std::string_view value;
+  };
+
+  static bool EntryLess(const Entry& a, const Entry& b) {
+    if (a.part != b.part) return a.part < b.part;
+    return a.key < b.key;
+  }
+
+  uint32_t PartitionOf(uint64_t digest) const {
+    return static_cast<uint32_t>(FastRangeBucket(digest, total_partitions_));
+  }
+
+  const UniversalHash* partitioner_;
+  int total_partitions_;
+  EmitFold fold_;
+  bool combine_;
+  Arena arena_;      // raw mode: the emitted bytes
+  FlatTable table_;  // combine mode: key -> state
+  std::vector<Entry> entries_;
+  uint64_t bytes_ = 0;
+  uint64_t records_ = 0;
+};
 
 uint32_t WriteRequests(uint64_t bytes) {
   return std::max<uint32_t>(1, static_cast<uint32_t>(bytes >> 20));
@@ -451,7 +515,8 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
                               TraceRecorder* trace, MapTaskOutput* out) const {
   const CostModel& costs = config_.costs;
   const bool combine = mode_ == MapOutputMode::kSortCombine;
-  CollectingEmitter emitter(&partitioner_, total_partitions_);
+  SortBuffer buffer(&partitioner_, total_partitions_,
+                    combine ? inc_ : nullptr);
   // Spilled runs, one StoredRun per partition: prefix-coded block streams
   // under a codec, so both the byte charges and the resident memory track
   // the encoded size.
@@ -460,46 +525,21 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
   std::vector<std::vector<StoredRun>> runs;
   uint64_t total_run_bytes = 0;  // bytes on disk over all runs
 
-  // Sorts the buffered entries (combining key groups if enabled) and emits
-  // them either as an on-disk run, a pipelined push, or the final output.
+  // Cuts the buffer in (partition, key) order and emits it either as an
+  // on-disk run, a pipelined push, or the final output. The time plane
+  // charges Hadoop's sort of every buffered record (and a combine of each),
+  // however few distinct keys the host sorted.
   enum class CutKind { kSpill, kFinalOutput };
   auto sort_and_cut = [&](CutKind kind) {
-    auto& entries = emitter.entries();
-    std::sort(entries.begin(), entries.end(), EntryLess);
-    trace->Cpu(costs.SortCost(entries.size()), OpTag::kSort);
+    const uint64_t buffered = buffer.records();
     std::vector<KvBuffer> parts(total_partitions_);
-    uint64_t bytes = 0, records = 0, combines = 0;
-    size_t i = 0;
-    while (i < entries.size()) {
-      size_t j = i + 1;
-      while (combine && j < entries.size() &&
-             entries[j].part == entries[i].part &&
-             entries[j].key == entries[i].key) {
-        ++j;
-      }
-      if (combine) {
-        std::string state = inc_->Init(entries[i].key, entries[i].value);
-        for (size_t k = i + 1; k < j; ++k) {
-          const std::string s2 = inc_->Init(entries[k].key,
-                                            entries[k].value);
-          inc_->Combine(entries[i].key, &state, s2);
-          ++combines;
-        }
-        parts[entries[i].part].Append(entries[i].key, state);
-        bytes += RecordBytes(entries[i].key, state);
-      } else {
-        parts[entries[i].part].Append(entries[i].key, entries[i].value);
-        bytes += RecordBytes(entries[i].key, entries[i].value);
-      }
-      ++records;
-      i = j;
-    }
+    uint64_t bytes = 0, records = 0;
+    buffer.CutInto(&parts, &bytes, &records);
+    trace->Cpu(costs.SortCost(buffered), OpTag::kSort);
     if (combine) {
-      trace->Cpu(2.0 * costs.combine_record_s *
-                     static_cast<double>(entries.size()),
+      trace->Cpu(2.0 * costs.combine_record_s * static_cast<double>(buffered),
                  OpTag::kMapFn);
     }
-    emitter.Reset();
 
     const bool publish =
         config_.pipelining || kind == CutKind::kFinalOutput;
@@ -536,9 +576,9 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
     const size_t bn = reader.Fill();
     if (bn == 0) break;
     for (size_t i = 0; i < bn; ++i) {
-      mapper_->Map(reader.keys()[i], reader.values()[i], &emitter);
+      mapper_->Map(reader.keys()[i], reader.values()[i], &buffer);
       trace->Cpu(fn_per_record, OpTag::kMapFn);
-      if (emitter.bytes() >= cut_bytes) {
+      if (buffer.bytes() >= cut_bytes) {
         sort_and_cut(CutKind::kSpill);
       }
     }

@@ -5,9 +5,13 @@
 //  * Sort path (Hadoop/sort-merge): emitted pairs buffer up to B_m bytes,
 //    are sorted by (partition, key) and spilled as sorted runs; runs are
 //    merged (multi-pass with factor F) into the final map output file. The
-//    sort is the map-side CPU cost the hash engines eliminate. With a
-//    combiner, key groups are collapsed at every sort/merge point. Each
-//    run's partitions are StoredRuns (src/storage/stored_run.h), which
+//    sort is the map-side CPU cost the hash engines eliminate. Equal keys
+//    leave a buffer in emit order, and the merge keeps run order, so the
+//    output depends only on the emit sequence. With a combiner, emits fold
+//    into a per-buffer hash table as they arrive (in emit order), only the
+//    distinct keys are sorted, and key groups collapse again at the merge;
+//    the simulated clock still charges the sort of every buffered record.
+//    Each run's partitions are StoredRuns (src/storage/stored_run.h), which
 //    apply the block codec, and the merge reads each run back through
 //    VerifiedRead, the rebuild loop spill runs share with bucket files.
 //
@@ -41,9 +45,10 @@
 namespace onepass {
 
 // How the map side organizes its output.
+// Every map-side fold (kSortCombine, kHashCombine) runs in emit order.
 enum class MapOutputMode : uint8_t {
-  kSortRaw,      // sort by (partition, key); raw values
-  kSortCombine,  // sort + combiner at spills/merges; values become states
+  kSortRaw,      // stable sort by (partition, key); raw values
+  kSortCombine,  // fold per key as emitted, sort the distinct keys; states
   kHashRaw,      // group by partition only; raw values
   kHashInit,     // group by partition; initialize() per record
   kHashCombine,  // in-memory hash table of states (map-side combine)

@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/sim/fault_injector.h"
+#include "src/util/random.h"
 #include "src/workloads/count_workloads.h"
 
 namespace onepass {
@@ -252,6 +256,215 @@ TEST(MapRunnerTest, TraceStartsWithStartupAndInputRead) {
   EXPECT_EQ(out->trace.ops[0].tag, OpTag::kStartup);
   EXPECT_EQ(out->trace.ops[1].tag, OpTag::kMapInput);
   EXPECT_TRUE(out->trace.ops[1].is_read);
+}
+
+// --- The sort path's tie rule: equal keys leave a buffer in emit order ---
+
+// An order-sensitive combiner: a state is its values concatenated in fold
+// order, so any reordering of equal keys shows in the bytes.
+class ConcatInc : public IncrementalReducer {
+ public:
+  std::string Init(std::string_view, std::string_view value) override {
+    return std::string(value);
+  }
+  void Combine(std::string_view, std::string* state,
+               std::string_view other) override {
+    state->append(other.data(), other.size());
+  }
+  void Finalize(std::string_view key, std::string_view state,
+                Emitter* out) override {
+    out->Emit(key, state);
+  }
+};
+
+// A fixed-width token naming emit `i`.
+std::string Token(int i) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "#%05d", i);
+  return buf;
+}
+
+// `keys` keys, interleaved, `per_key` emits each; every value is its
+// emit's token.
+KvBuffer MakeTieChunk(int keys, int per_key) {
+  KvBuffer chunk;
+  for (int i = 0; i < keys * per_key; ++i) {
+    chunk.Append("key" + std::to_string(i % keys), Token(i));
+  }
+  return chunk;
+}
+
+// Each key's values over every push, concatenated in push order.
+std::map<std::string, std::string> ValuesPerKey(const MapTaskOutput& out) {
+  std::map<std::string, std::string> m;
+  for (const auto& push : out.pushes) {
+    for (const auto& part : push.partitions) {
+      KvBufferReader reader(part);
+      std::string_view k, v;
+      while (reader.Next(&k, &v)) m[std::string(k)].append(v);
+    }
+  }
+  return m;
+}
+
+// What ValuesPerKey must read under the tie rule: each key's tokens in
+// emit order, whether the buffer kept them (raw) or folded them (combine).
+std::map<std::string, std::string> EmitOrderPerKey(const KvBuffer& chunk) {
+  std::map<std::string, std::string> m;
+  KvBufferReader reader(chunk);
+  std::string_view k, v;
+  while (reader.Next(&k, &v)) m[std::string(k)].append(v);
+  return m;
+}
+
+// 3 keys x 400 emits through 2 KB buffers: ~37 equal-key entries per key
+// per buffer, past the 16 below which introsort's insertion pass happens
+// to keep them in order. `pipelined` pushes every buffer; otherwise the
+// buffers spill as runs and merge.
+Result<MapTaskOutput> RunTieMap(MapOutputMode mode, bool pipelined,
+                                IncrementalReducer* inc,
+                                const KvBuffer& chunk) {
+  JobConfig cfg = BaseConfig(EngineKind::kSortMerge);
+  cfg.map_side_combine = mode == MapOutputMode::kSortCombine;
+  cfg.map_buffer_bytes = 2 << 10;
+  cfg.pipelining = pipelined;
+  cfg.pipeline_push_bytes = 2 << 10;
+  IdentityMapper mapper;
+  UniversalHashFamily family(1);
+  MapRunner runner(cfg, mode, family.At(0), 4, &mapper, inc);
+  return runner.Run(chunk);
+}
+
+TEST(MapRunnerTest, SortRawKeepsEqualKeysInEmitOrder) {
+  const KvBuffer chunk = MakeTieChunk(3, 400);
+  for (const bool pipelined : {false, true}) {
+    SCOPED_TRACE(pipelined ? "pipelined" : "spilled");
+    auto out = RunTieMap(MapOutputMode::kSortRaw, pipelined, nullptr, chunk);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    if (pipelined) {
+      EXPECT_GT(out->pushes.size(), 4u);
+    } else {
+      EXPECT_EQ(out->pushes.size(), 1u);
+      EXPECT_GT(out->metrics.map_spill_write_bytes, 0u);
+    }
+    EXPECT_EQ(out->metrics.map_output_records, chunk.count());
+    EXPECT_EQ(ValuesPerKey(*out), EmitOrderPerKey(chunk));
+  }
+}
+
+TEST(MapRunnerTest, SortCombineFoldsInEmitOrder) {
+  const KvBuffer chunk = MakeTieChunk(3, 400);
+  ConcatInc inc;
+  for (const bool pipelined : {false, true}) {
+    SCOPED_TRACE(pipelined ? "pipelined" : "spilled");
+    auto out = RunTieMap(MapOutputMode::kSortCombine, pipelined, &inc, chunk);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    if (pipelined) {
+      EXPECT_GT(out->pushes.size(), 4u);
+    } else {
+      EXPECT_EQ(out->pushes.size(), 1u);
+      EXPECT_GT(out->metrics.map_spill_write_bytes, 0u);
+      EXPECT_EQ(out->metrics.map_output_records, 3u);
+    }
+    EXPECT_EQ(ValuesPerKey(*out), EmitOrderPerKey(chunk));
+  }
+}
+
+// Keys that stress the (partition, key) order: empty, sharing a 20-byte
+// prefix, longer than 16 bytes, holding bytes >= 0x80 (which sort above
+// ASCII: the order is unsigned) and embedding NULs.
+std::string DrawKey(Xoshiro256StarStar* rng) {
+  const std::string tail = std::to_string(rng->NextBounded(1000));
+  switch (rng->NextBounded(6)) {
+    case 0:
+      return std::string();
+    case 1:
+      return std::string(20, 'p') + tail;
+    case 2:
+      return "a-key-longer-than-sixteen-bytes/" + tail;
+    case 3:
+      return std::string(1, static_cast<char>(0x80 + rng->NextBounded(128))) +
+             tail;
+    case 4:
+      return std::string("n\0", 2) + tail + std::string(1, '\0');
+    default:
+      return tail;
+  }
+}
+
+// The sort path against its contract, one seeded draw per case: mode,
+// buffer size (one buffer, or spilled runs that merge) and a Zipf-ish
+// multiset of drawn keys. The reference stable-sorts the emits by
+// (partition, key) and, with a combiner, folds each key's run in order;
+// the task's one push must hold exactly those bytes.
+TEST(MapRunnerTest, SortBufferMatchesStableSortReference) {
+  constexpr int kPartitions = 5;
+  for (uint64_t seed = 0; seed < 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Xoshiro256StarStar rng(seed);
+    const bool combine = (seed & 1) != 0;
+    const bool spill = (seed & 2) != 0;
+    std::vector<std::string> pool(1 + rng.NextBounded(60));
+    for (std::string& key : pool) key = DrawKey(&rng);
+    KvBuffer chunk;
+    const int records = 200 + static_cast<int>(rng.NextBounded(1800));
+    for (int i = 0; i < records; ++i) {
+      // Squaring the draw skews the pool toward its first keys.
+      const double u = rng.NextDouble();
+      chunk.Append(pool[static_cast<size_t>(u * u * pool.size())], Token(i));
+    }
+
+    JobConfig cfg = BaseConfig(EngineKind::kSortMerge);
+    cfg.map_side_combine = combine;
+    cfg.map_buffer_bytes = spill ? 512 + rng.NextBounded(4096) : 1 << 20;
+    const MapOutputMode mode =
+        combine ? MapOutputMode::kSortCombine : MapOutputMode::kSortRaw;
+    IdentityMapper mapper;
+    ConcatInc inc;
+    UniversalHashFamily family(seed);
+    const UniversalHash h1 = family.At(0);
+    MapRunner runner(cfg, mode, h1, kPartitions, &mapper,
+                     combine ? &inc : nullptr);
+    auto out = runner.Run(chunk);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_EQ(out->pushes.size(), 1u);
+    EXPECT_EQ(out->metrics.map_spill_write_bytes > 0, spill);
+
+    struct Emitted {
+      uint64_t part;
+      std::string key;
+      std::string value;
+    };
+    std::vector<Emitted> emits;
+    KvBufferReader reader(chunk);
+    std::string_view k, v;
+    while (reader.Next(&k, &v)) {
+      emits.push_back({h1.Bucket(k, kPartitions), std::string(k),
+                       std::string(v)});
+    }
+    std::stable_sort(emits.begin(), emits.end(),
+                     [](const Emitted& a, const Emitted& b) {
+                       if (a.part != b.part) return a.part < b.part;
+                       return a.key < b.key;
+                     });
+    std::vector<KvBuffer> want(kPartitions);
+    for (size_t i = 0; i < emits.size();) {
+      size_t j = i + 1;
+      std::string value = emits[i].value;
+      for (; combine && j < emits.size() && emits[j].part == emits[i].part &&
+             emits[j].key == emits[i].key;
+           ++j) {
+        value += emits[j].value;
+      }
+      want[emits[i].part].Append(emits[i].key, value);
+      i = j;
+    }
+    const PushSegment& got = out->pushes[0];
+    ASSERT_EQ(got.partitions.size(), want.size());
+    for (int p = 0; p < kPartitions; ++p) {
+      EXPECT_EQ(got.partitions[p].data(), want[p].data()) << "partition " << p;
+    }
+  }
 }
 
 // --- Verified spill-run reads, on both codecs ---
