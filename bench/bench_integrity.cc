@@ -41,7 +41,7 @@ JobConfig IntegrityConfigFor(EngineKind kind) {
   return cfg;
 }
 
-// Each section returns false when a job failed or a row read NO.
+// Returns false when a job failed or a row read NO.
 bool RateSweep(const ChunkStore& input,
                const std::map<std::string, uint64_t>& expected) {
   std::printf("\n--- corruption-rate sweep (replication=3, torn writes) ---\n");
@@ -77,35 +77,6 @@ bool RateSweep(const ChunkStore& input,
   return all_ok;
 }
 
-bool ChecksumOverhead(const ChunkStore& input,
-                      const std::map<std::string, uint64_t>& expected) {
-  // Checksums off vs on at rate 0: schedules are byte-identical by design
-  // (verify work is metrics-only), so the "cost" is purely the framing
-  // bytes the simulated storage would carry.
-  std::printf("\n--- checksums off vs on at rate 0 (schedule must not"
-              " move) ---\n");
-  std::printf("%-9s %11s %11s %10s %4s\n", "engine", "off_time_s",
-              "on_time_s", "frame_MB", "ref?");
-  bool all_ok = true;
-  for (EngineKind kind : kEngines) {
-    JobConfig off = IntegrityConfigFor(kind);
-    off.integrity.checksums = false;
-    auto a = bench::MustRun(ClickCountJob(), off, input);
-    if (!a.ok()) return false;
-    JobConfig on = IntegrityConfigFor(kind);
-    auto b = bench::MustRun(ClickCountJob(), on, input);
-    if (!b.ok()) return false;
-    std::printf("%-9s %11.2f %11.2f %10s %4s\n",
-                std::string(EngineKindName(kind)).c_str(), a->running_time,
-                b->running_time,
-                bench::Mb(b->metrics.checksum_overhead_bytes).c_str(),
-                bench::YesNo(bench::MatchesReference(*b, expected) &&
-                                 a->running_time == b->running_time,
-                             &all_ok));
-  }
-  return all_ok;
-}
-
 }  // namespace
 }  // namespace onepass
 
@@ -123,7 +94,5 @@ int main(int argc, char** argv) {
               bench::Mb(input.total_bytes()).c_str(), input.chunks().size());
 
   const auto expected = ReferenceClickCounts(input, ClickKeyField::kUser);
-  const bool sweep_ok = RateSweep(input, expected);
-  const bool overhead_ok = ChecksumOverhead(input, expected);
-  return sweep_ok && overhead_ok ? 0 : 1;
+  return RateSweep(input, expected) ? 0 : 1;
 }

@@ -9,11 +9,9 @@
 
 namespace onepass {
 
-ChunkReader::ChunkReader(const ChunkStore* store,
-                         const IntegrityConfig& integrity,
+ChunkReader::ChunkReader(const ChunkStore* store, const IntegrityConfig&,
                          const sim::FaultPlan* plan)
-    : store_(store), integrity_(integrity), plan_(plan),
-      nodes_(store->nodes()) {
+    : store_(store), plan_(plan), nodes_(store->nodes()) {
   CHECK(store != nullptr);
   replicas_.reserve(store_->chunks().size());
   for (const Chunk& c : store_->chunks()) replicas_.push_back(c.replicas);
@@ -27,7 +25,7 @@ Result<KvBuffer> ChunkReader::Read(int index, ChunkReadStats* stats) {
   CHECK(stats != nullptr);
   *stats = ChunkReadStats{};
   const Chunk& chunk = store_->chunks()[static_cast<size_t>(index)];
-  if (!integrity_.checksums || chunk.records.empty()) {
+  if (chunk.records.empty()) {
     stats->replica_reads = 1;
     return chunk.records;
   }

@@ -48,8 +48,9 @@ struct ChunkReadStats {
 class ChunkReader {
  public:
   // `store` must outlive the reader. `plan` may be null (no injection);
-  // verification still runs whenever `integrity.checksums` is set.
-  ChunkReader(const ChunkStore* store, const IntegrityConfig& integrity,
+  // verification runs either way. The IntegrityConfig holds only
+  // constants; the parameter stays because perfbench passes one.
+  ChunkReader(const ChunkStore* store, const IntegrityConfig&,
               const sim::FaultPlan* plan);
 
   // Reads chunk `index`, trying replicas in placement order. On success
@@ -63,7 +64,6 @@ class ChunkReader {
 
  private:
   const ChunkStore* store_;
-  IntegrityConfig integrity_;
   const sim::FaultPlan* plan_;
   int nodes_;
   // Post-recovery replica views, lazily initialized from the store.

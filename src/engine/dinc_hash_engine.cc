@@ -22,9 +22,8 @@ DincHashEngine::DincHashEngine(const EngineContext& ctx)
   sketch_ = std::make_unique<FrequentSketch>(capacity_entries_);
   states_.resize(capacity_entries_);
   buckets_ = std::make_unique<BucketFileManager>(
-      num_buckets_, plan.page_bytes, ctx_.trace, ctx_.metrics,
-      &cfg.integrity, ctx_.faults, ctx_.integrity_owner, &cfg.costs,
-      cfg.block_codec);
+      num_buckets_, plan.page_bytes, ctx_.trace, ctx_.metrics, ctx_.faults,
+      ctx_.integrity_owner, &cfg.costs, cfg.block_codec);
   bucket_pass_ = std::make_unique<BucketPassProcessor>(
       &ctx_, capacity_entries_ * plan.entry_cost);
 }

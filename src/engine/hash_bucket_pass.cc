@@ -128,8 +128,8 @@ Status BucketPassProcessor::Repartition(KvBuffer data, uint64_t level,
   const JobConfig& cfg = *ctx_->config;
   const int sub = 4;
   BucketFileManager subs(sub, cfg.bucket_page_bytes, ctx_->trace,
-                         ctx_->metrics, &cfg.integrity, ctx_->faults, owner,
-                         &cfg.costs, cfg.block_codec);
+                         ctx_->metrics, ctx_->faults, owner, &cfg.costs,
+                         cfg.block_codec);
   const UniversalHash h = ctx_->hashes.At(level + 1);
   // Batched route: FastRangeBucket(digest, sub) == h.Bucket(key, sub) by
   // the hash.h identity, so sub-bucket assignment is unchanged.

@@ -47,9 +47,8 @@ IncHashEngine::IncHashEngine(const EngineContext& ctx)
   num_buckets_ = plan.num_buckets;
   capacity_bytes_ = plan.free_bytes;
   buckets_ = std::make_unique<BucketFileManager>(
-      num_buckets_, plan.page_bytes, ctx_.trace, ctx_.metrics,
-      &cfg.integrity, ctx_.faults, ctx_.integrity_owner, &cfg.costs,
-      cfg.block_codec);
+      num_buckets_, plan.page_bytes, ctx_.trace, ctx_.metrics, ctx_.faults,
+      ctx_.integrity_owner, &cfg.costs, cfg.block_codec);
   bucket_pass_ = std::make_unique<BucketPassProcessor>(&ctx_,
                                                        capacity_bytes_);
 }

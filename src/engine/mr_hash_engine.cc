@@ -56,9 +56,8 @@ MRHashEngine::MRHashEngine(const EngineContext& ctx)
                          static_cast<uint64_t>(num_disk_buckets_) * page);
   if (num_disk_buckets_ > 0) {
     buckets_ = std::make_unique<BucketFileManager>(
-        num_disk_buckets_, page, ctx_.trace, ctx_.metrics,
-        &cfg.integrity, ctx_.faults, ctx_.integrity_owner, &cfg.costs,
-        cfg.block_codec);
+        num_disk_buckets_, page, ctx_.trace, ctx_.metrics, ctx_.faults,
+        ctx_.integrity_owner, &cfg.costs, cfg.block_codec);
   }
 }
 
@@ -223,8 +222,8 @@ Status MRHashEngine::ProcessBucket(KvBuffer data, uint64_t level,
                                    cfg.bucket_page_bytes) +
                   1;
   BucketFileManager subs(sub, cfg.bucket_page_bytes, ctx_.trace,
-                         ctx_.metrics, &cfg.integrity, ctx_.faults, owner,
-                         &cfg.costs, cfg.block_codec);
+                         ctx_.metrics, ctx_.faults, owner, &cfg.costs,
+                         cfg.block_codec);
   const UniversalHash h = ctx_.hashes.At(level);
   KvBufferReader reader(data);
   std::string_view key, value;

@@ -297,18 +297,16 @@ Status RunReduceTask(const DataPlane& dp, const DeliveryOrder& order, int r,
     // Every fetched segment re-verifies against the CRC its producer
     // stamped at publish time; the time-plane replay decides which
     // fetches the plan corrupts and replays the recovery.
-    if (config.integrity.checksums && !push.crcs.empty()) {
-      const uint32_t crc = coded ? Crc32c(*enc) : Crc32c(segment->data());
-      if (crc != push.crcs[r]) {
-        return Status::Corruption(
-            "map task " + std::to_string(m) + " push " + std::to_string(p) +
-            ": segment for reducer " + std::to_string(r) +
-            " failed checksum verification");
-      }
-      out->metrics.verify_bytes += wire_bytes;
-      out->metrics.checksum_overhead_bytes +=
-          FramedOverheadBytes(wire_bytes, IntegrityConfig::block_bytes);
+    const uint32_t crc = coded ? Crc32c(*enc) : Crc32c(segment->data());
+    if (crc != push.crcs[r]) {
+      return Status::Corruption(
+          "map task " + std::to_string(m) + " push " + std::to_string(p) +
+          ": segment for reducer " + std::to_string(r) +
+          " failed checksum verification");
     }
+    out->metrics.verify_bytes += wire_bytes;
+    out->metrics.checksum_overhead_bytes +=
+        FramedOverheadBytes(wire_bytes, IntegrityConfig::block_bytes);
     KvBuffer decoded;
     if (coded) {
       CodecStats dstats;

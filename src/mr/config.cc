@@ -95,11 +95,6 @@ Status JobConfig::Validate() const {
         "thread), got " +
         std::to_string(data_plane_threads));
   }
-  if (faults.corruption_rate > 0 && !integrity.checksums) {
-    return Status::InvalidArgument(
-        "corruption injection requires integrity.checksums: silent "
-        "corruption is undetectable without them");
-  }
   if (combine_scope == CombineScope::kNode) {
     if (pipelining) {
       return Status::InvalidArgument(

@@ -173,9 +173,10 @@ struct JobConfig {
   static constexpr uint64_t codec_block_bytes = kCodecBlockBytes;
 
   // Data integrity: CRC32C block framing + verification of every
-  // simulated persistent/network stream (DESIGN.md §5.2). On by default;
-  // verification work is accounted in JobMetrics but never charged to the
-  // time plane, so schedules are byte-identical either way.
+  // simulated persistent/network stream (DESIGN.md §5.2), always on.
+  // Verification work is accounted in JobMetrics but never charged to the
+  // time plane. Constants only: the member stays because perfbench reads
+  // config.integrity.
   IntegrityConfig integrity;
 
   // Host threads executing the data plane (map tasks and reduce-engine

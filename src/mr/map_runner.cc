@@ -9,7 +9,6 @@
 #include "src/storage/block_format.h"
 #include "src/storage/stored_run.h"
 #include "src/util/arena.h"
-#include "src/util/batch_hash.h"
 #include "src/util/crc32c.h"
 #include "src/util/flat_table.h"
 
@@ -69,12 +68,11 @@ class PartitionEmitter : public Emitter {
   uint64_t records_ = 0;
 };
 
-// The map side's init/cb fold (§4.2), shared by both map-side combiners:
-// the hash path's CombiningEmitter and the sort path's SortBuffer. Emits
-// fold into a FlatTable of key -> state, keyed by the partitioner's
-// digest, in the order they arrive: a key's first emit stores
-// init(key, value), each later one folds init(key, value) into that state
-// with cb().
+// The map side's init/cb fold (§4.2), which MapBuffer applies in both
+// combining modes. Emits fold into a FlatTable of key -> state, keyed by
+// the partitioner's digest, in the order they arrive: a key's first emit
+// stores init(key, value), each later one folds init(key, value) into that
+// state with cb().
 class EmitFold {
  public:
   explicit EmitFold(IncrementalReducer* inc) : inc_(inc) {}
@@ -105,137 +103,58 @@ class EmitFold {
   std::string scratch_;
 };
 
-// Map-side combiner: in-memory hash table of key -> state (§5's Hash-based
-// Map Output component). The table is a FlatTable keyed by the
-// partitioner's digest — computed once per emitted record and reused by
-// FlushTo for the partition assignment (FastRangeBucket over the cached
-// digest equals partitioner.Bucket exactly).
-class CombiningEmitter : public Emitter {
+// The map buffer of the three buffered output modes. It holds a task's
+// emits until its owner cuts it:
+//  * kSortRaw keeps every emit and stable-sorts them by (partition, key);
+//  * kSortCombine folds each emit into a FlatTable as it arrives
+//    (EmitFold) and sorts only the distinct keys (§2.2);
+//  * kHashCombine folds the same way and hands the distinct keys over in
+//    table insertion order, unsorted (§5's hash-based map output).
+// Either way equal keys leave in emit order, so a map output is a function
+// of the emit sequence alone. bytes() is what the owner cuts on: the
+// emitted bytes on the sort path, Hadoop's spill rule, which the simulated
+// sort charge follows whatever the host sorted (DESIGN.md §5); the table's
+// footprint on the hash path, key + state + 32 bytes per distinct key.
+class MapBuffer : public Emitter {
  public:
-  CombiningEmitter(IncrementalReducer* inc, const UniversalHash* partitioner)
-      : fold_(inc), partitioner_(partitioner) {}
-
-  // Emits run through a small pending ring (§5.8): Emit hashes the record
-  // and prefetches its control word immediately, but the table update
-  // happens when the record leaves the ring — up to kRing emits later, by
-  // which time the prefetched line has arrived. Drain() empties the ring;
-  // MapRunner drains before every flush check, so the update sequence the
-  // table sees (and thus every flush boundary and byte count) is exactly
-  // the per-emit order.
-  void Emit(std::string_view key, std::string_view value) override {
-    ++records_;
-    if (pending_ == kRing) ProcessOldest();
-    Pending& p = ring_[(head_ + pending_) % kRing];
-    p.key.assign(key.data(), key.size());
-    p.value.assign(value.data(), value.size());
-    p.digest = (*partitioner_)(key);
-    flat_.PrefetchProbe(p.digest);
-    ++pending_;
-  }
-
-  // Applies every ring-buffered emit to the table, in emit order.
-  void Drain() {
-    while (pending_ > 0) ProcessOldest();
-  }
-
-  // Moves the table's contents into per-partition buffers and clears it.
-  // Callers must Drain() first (MapRunner's flush checks already do).
-  void FlushTo(std::vector<KvBuffer>* partitions, uint64_t* out_bytes,
-               uint64_t* out_records) {
-    CHECK_EQ(pending_, 0u) << "FlushTo with undrained pending emits";
-    flat_.ForEach([&](uint32_t idx) {
-      const std::string_view key = flat_.key_at(idx);
-      const std::string_view state = flat_.value_at(idx);
-      const auto part =
-          FastRangeBucket(flat_.hash_at(idx), partitions->size());
-      (*partitions)[part].Append(key, state);
-      *out_bytes += RecordBytes(key, state);
-      ++*out_records;
-    });
-    flat_.Clear();
-    bytes_ = 0;
-  }
-
-  // Adds the table's counters to `m`. Stats survive FlushTo's Clear, so
-  // call once after the final flush.
-  void FlushStatsTo(JobMetrics* m) const { flat_.FlushStatsTo(m); }
-
-  uint64_t table_bytes() const { return bytes_; }
-  uint64_t records() const { return records_; }
-
- private:
-  // Ring depth: the probe prefetch distance — deep enough to hide a miss,
-  // shallow enough that the copied key/value stay L1-resident.
-  static constexpr size_t kRing = kProbePrefetchDistance;
-
-  struct Pending {
-    std::string key;
-    std::string value;
-    uint64_t digest = 0;
-  };
-
-  // Pops the oldest pending emit and folds it into the table with its
-  // precomputed digest.
-  void ProcessOldest() {
-    Pending& p = ring_[head_];
-    head_ = (head_ + 1) % kRing;
-    --pending_;
-    bool inserted = false;
-    const uint32_t idx =
-        fold_.Fold(&flat_, p.key, p.value, p.digest, &inserted);
-    if (inserted) bytes_ += p.key.size() + flat_.value_at(idx).size() + 32;
-  }
-
-  EmitFold fold_;
-  const UniversalHash* partitioner_;
-  FlatTable flat_;
-  Pending ring_[kRing];
-  size_t head_ = 0;
-  size_t pending_ = 0;
-  uint64_t bytes_ = 0;
-  uint64_t records_ = 0;
-};
-
-// The sort path's map buffer (§2.2). It holds a task's emits until a cut,
-// then hands them over sorted by (partition, key), equal keys in emit
-// order, so a sort-path map output is a function of the emit sequence
-// alone. Raw, every emit is kept and stable-sorted. With a combiner, emits
-// fold into a FlatTable as they arrive (EmitFold, as on the hash path) and
-// a cut sorts only the distinct keys. bytes() and records() count the raw
-// emits in both modes: the spill cut and the simulated sort charge stay
-// Hadoop's, whatever the host sorted (DESIGN.md §5). The table's probe
-// counters stay out of JobMetrics: the serialized hash_table_* figures
-// count the hash paths' tables only.
-class SortBuffer : public Emitter {
- public:
-  // `combiner` is null in raw mode.
-  SortBuffer(const UniversalHash* partitioner, int total_partitions,
-             IncrementalReducer* combiner)
+  // `combiner` may be null under kSortRaw, which never folds.
+  MapBuffer(MapOutputMode mode, const UniversalHash* partitioner,
+            int total_partitions, IncrementalReducer* combiner)
       : partitioner_(partitioner),
         total_partitions_(total_partitions),
         fold_(combiner),
-        combine_(combiner != nullptr) {}
+        combine_(mode != MapOutputMode::kSortRaw),
+        sort_(mode != MapOutputMode::kHashCombine) {
+    CHECK(mode == MapOutputMode::kSortRaw ||
+          mode == MapOutputMode::kSortCombine ||
+          mode == MapOutputMode::kHashCombine);
+  }
 
   void Emit(std::string_view key, std::string_view value) override {
     const uint64_t digest = (*partitioner_)(key);
-    if (combine_) {
-      bool inserted = false;
-      fold_.Fold(&table_, key, value, digest, &inserted);
-    } else {
+    ++records_;
+    if (!combine_) {
       entries_.push_back({PartitionOf(digest), arena_.Copy(key),
                           arena_.Copy(value)});
+      bytes_ += RecordBytes(key, value);
+      return;
     }
-    bytes_ += RecordBytes(key, value);
-    ++records_;
+    bool inserted = false;
+    const uint32_t idx = fold_.Fold(&table_, key, value, digest, &inserted);
+    if (sort_) {
+      bytes_ += RecordBytes(key, value);
+    } else if (inserted) {
+      bytes_ += key.size() + table_.value_at(idx).size() + 32;
+    }
   }
 
-  // Emitted bytes and records since the last cut.
+  // The fill the owner cuts on, and the emits, since the last cut.
   uint64_t bytes() const { return bytes_; }
   uint64_t records() const { return records_; }
 
-  // Appends the buffer's records to `parts` in (partition, key) order,
-  // adds their bytes and count to *bytes and *records, and empties the
-  // buffer.
+  // Appends the buffer's records to `parts`, in (partition, key) order on
+  // the sort path, adds their bytes and count to *bytes and *records, and
+  // empties the buffer.
   void CutInto(std::vector<KvBuffer>* parts, uint64_t* bytes,
                uint64_t* records) {
     if (combine_) {
@@ -243,9 +162,11 @@ class SortBuffer : public Emitter {
         entries_.push_back({PartitionOf(table_.hash_at(idx)),
                             table_.key_at(idx), table_.value_at(idx)});
       });
+    }
+    if (sort_ && combine_) {
       // The table's keys are distinct, so this order is total.
       std::sort(entries_.begin(), entries_.end(), EntryLess);
-    } else {
+    } else if (sort_) {
       std::stable_sort(entries_.begin(), entries_.end(), EntryLess);
     }
     for (const Entry& e : entries_) {
@@ -259,6 +180,11 @@ class SortBuffer : public Emitter {
     bytes_ = 0;
     records_ = 0;
   }
+
+  // Adds the table's counters to `m`; they survive every cut. Only the
+  // hash path calls it: the serialized hash_table_* figures count the
+  // hash paths' tables alone.
+  void FlushStatsTo(JobMetrics* m) const { table_.FlushStatsTo(m); }
 
  private:
   struct Entry {
@@ -280,8 +206,9 @@ class SortBuffer : public Emitter {
   int total_partitions_;
   EmitFold fold_;
   bool combine_;
-  Arena arena_;      // raw mode: the emitted bytes
-  FlatTable table_;  // combine mode: key -> state
+  bool sort_;
+  Arena arena_;      // kSortRaw: the emitted bytes
+  FlatTable table_;  // combining modes: key -> state
   std::vector<Entry> entries_;
   uint64_t bytes_ = 0;
   uint64_t records_ = 0;
@@ -334,15 +261,13 @@ PushSegment PublishPushSegment(const JobConfig& config,
   metrics->map_output_bytes += push.bytes;
   metrics->map_output_records += records;
   push.gate_op = static_cast<uint32_t>(trace->trace()->ops.size() - 1);
-  if (config.integrity.checksums) {
-    // The CRCs cover the bytes the push carries: the encoded streams under
-    // a codec (DESIGN.md §5.5), the raw partitions otherwise.
-    push.crcs.reserve(push.partitions.size());
-    for (size_t p = 0; p < push.partitions.size(); ++p) {
-      push.crcs.push_back(push.encoded.empty()
-                              ? Crc32c(push.partitions[p].data())
-                              : Crc32c(push.encoded[p]));
-    }
+  // The CRCs cover the bytes the push carries: the encoded streams under a
+  // codec (DESIGN.md §5.5), the raw partitions otherwise.
+  push.crcs.reserve(push.partitions.size());
+  for (size_t p = 0; p < push.partitions.size(); ++p) {
+    push.crcs.push_back(push.encoded.empty()
+                            ? Crc32c(push.partitions[p].data())
+                            : Crc32c(push.encoded[p]));
   }
   return push;
 }
@@ -474,32 +399,32 @@ Result<MapTaskOutput> MapRunner::Run(const KvBuffer& chunk,
       break;
     }
     case MapOutputMode::kHashCombine: {
+      // Every flush appends to the same partitions: the task publishes
+      // once, and the map-fn charge covers every emit of every flush.
       std::vector<KvBuffer> parts(total_partitions_);
-      CombiningEmitter emitter(inc_, &partitioner_);
-      uint64_t out_bytes = 0, out_records = 0;
-      // The combiner's flush threshold is checked after every input record
-      // (a batched check would move flush boundaries and change output),
-      // so records still Map one at a time; batching buys the decoded
-      // view staging, and the emitter's pending ring buys probe prefetch
-      // within each record's emits. Drain before each check so
-      // table_bytes() reflects every emit so far, exactly as per-record.
+      MapBuffer buffer(mode_, &partitioner_, total_partitions_, inc_);
+      uint64_t emits = 0, out_bytes = 0, out_records = 0;
+      auto flush = [&] {
+        emits += buffer.records();
+        buffer.CutInto(&parts, &out_bytes, &out_records);
+      };
+      // The flush threshold is checked after every input record (a batched
+      // check would move flush boundaries and change output), so records
+      // still Map one at a time; batching buys the decoded view staging.
       KvBatchReader reader(chunk, kBatchRecords);
       for (;;) {
         const size_t bn = reader.Fill();
         if (bn == 0) break;
         for (size_t i = 0; i < bn; ++i) {
-          mapper_->Map(reader.keys()[i], reader.values()[i], &emitter);
-          emitter.Drain();
-          if (emitter.table_bytes() >= config_.map_buffer_bytes) {
-            emitter.FlushTo(&parts, &out_bytes, &out_records);
-          }
+          mapper_->Map(reader.keys()[i], reader.values()[i], &buffer);
+          if (buffer.bytes() >= config_.map_buffer_bytes) flush();
         }
       }
-      emitter.FlushTo(&parts, &out_bytes, &out_records);
-      emitter.FlushStatsTo(&out.metrics);
+      flush();
+      buffer.FlushStatsTo(&out.metrics);
       trace.Cpu(map_fn_cost, OpTag::kMapFn);
       trace.Cpu((costs.hash_record_s + costs.combine_record_s) *
-                    static_cast<double>(emitter.records()),
+                    static_cast<double>(emits),
                 OpTag::kMapFn);
       PublishOrFeed(std::move(parts), out_bytes, out_records,
                     /*sorted=*/false, &trace, &out);
@@ -515,8 +440,7 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
                               TraceRecorder* trace, MapTaskOutput* out) const {
   const CostModel& costs = config_.costs;
   const bool combine = mode_ == MapOutputMode::kSortCombine;
-  SortBuffer buffer(&partitioner_, total_partitions_,
-                    combine ? inc_ : nullptr);
+  MapBuffer buffer(mode_, &partitioner_, total_partitions_, inc_);
   // Spilled runs, one StoredRun per partition: prefix-coded block streams
   // under a codec, so both the byte charges and the resident memory track
   // the encoded size.
@@ -604,16 +528,14 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
   // concatenated): each corrupt generation the fault plan draws is
   // rebuilt — re-sorted from the resident input and rewritten, charged as
   // an extra write + read of the run.
-  if (config_.integrity.checksums) {
-    for (int r = 0; r < n_runs; ++r) {
-      std::string image;
-      for (const StoredRun& part : runs[r]) image.append(part.image());
-      VerifiedRead(image,
-                   {sim::StreamKind::kMapSpillRun,
-                    static_cast<uint64_t>(task_index_),
-                    static_cast<uint64_t>(r), OpTag::kMapSpill},
-                   &config_.integrity, faults_, trace, &out->metrics);
-    }
+  for (int r = 0; r < n_runs; ++r) {
+    std::string image;
+    for (const StoredRun& part : runs[r]) image.append(part.image());
+    VerifiedRead(image,
+                 {sim::StreamKind::kMapSpillRun,
+                  static_cast<uint64_t>(task_index_),
+                  static_cast<uint64_t>(r), OpTag::kMapSpill},
+                 faults_, trace, &out->metrics);
   }
 
   // Merge partition by partition, reading each run's partition back (and

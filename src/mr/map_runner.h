@@ -16,10 +16,11 @@
 //    VerifiedRead, the rebuild loop spill runs share with bucket files.
 //
 //  * Hash path (our platform): no sort. Without a combiner, records are
-//    grouped by partition id in one scan; with one, an in-memory hash
-//    table applies initialize/combine and emits key-state pairs; for
-//    incremental engines without a combiner, initialize still runs per
-//    record so reducers receive states.
+//    grouped by partition id in one scan; for incremental engines,
+//    initialize still runs per record so reducers receive states. With
+//    a combiner, emits fold into the same in-memory table the sort
+//    path's combiner uses, as they arrive, and each flush hands over the
+//    key-state pairs in insertion order.
 //
 // Pipelining (MapReduce Online): on the sort path, each spill is pushed to
 // the reducers as soon as it is written (gate = the spill's write op) and
@@ -44,14 +45,15 @@
 
 namespace onepass {
 
-// How the map side organizes its output.
-// Every map-side fold (kSortCombine, kHashCombine) runs in emit order.
+// How the map side organizes its output. The three buffered modes share
+// one map buffer, and both folds (kSortCombine, kHashCombine) run in emit
+// order.
 enum class MapOutputMode : uint8_t {
   kSortRaw,      // stable sort by (partition, key); raw values
   kSortCombine,  // fold per key as emitted, sort the distinct keys; states
   kHashRaw,      // group by partition only; raw values
   kHashInit,     // group by partition; initialize() per record
-  kHashCombine,  // in-memory hash table of states (map-side combine)
+  kHashCombine,  // fold per key as emitted, insertion order; states
 };
 
 // Returns the mode a job's configuration implies, for any config (so
@@ -78,9 +80,8 @@ struct PushSegment {
   // carry is the block stream, so checksums cover post-compression bytes.
   std::vector<std::string> encoded;
   uint64_t bytes = 0;
-  // CRC32C per partition segment, recorded at publish time when the job
-  // runs with integrity checksums (empty otherwise). Reducers re-verify
-  // each fetched segment against these (DESIGN.md §5.2).
+  // CRC32C per partition segment, recorded at publish time. Reducers
+  // re-verify each fetched segment against these (DESIGN.md §5.2).
   std::vector<uint32_t> crcs;
 };
 

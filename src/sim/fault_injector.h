@@ -128,11 +128,11 @@ struct FaultConfig {
   // exceeding it fails the job with a non-OK Status.
   int max_attempts = 4;
 
-  // Silent-corruption injection (requires JobConfig integrity checksums;
-  // JobConfig::Validate enforces that). Each stored copy / transfer of a
-  // framed stream is independently corrupted with this probability (at
-  // most kMaxCorruptGenerations times in a row). A DFS chunk read fails
-  // with kCorruption only when every replica is bad.
+  // Silent-corruption injection into the checksummed streams (DESIGN.md
+  // §5.2). Each stored copy / transfer of a framed stream is independently
+  // corrupted with this probability (at most kMaxCorruptGenerations times
+  // in a row). A DFS chunk read fails with kCorruption only when every
+  // replica is bad.
   double corruption_rate = 0;
   // When set, a corruption event may be a torn write (truncation of the
   // in-flight block sequence) instead of a bit flip; a seeded coin per

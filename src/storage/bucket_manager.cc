@@ -8,13 +8,11 @@ namespace onepass {
 
 BucketFileManager::BucketFileManager(
     int num_buckets, uint64_t page_bytes, TraceRecorder* trace,
-    JobMetrics* metrics, const IntegrityConfig* integrity,
-    const sim::FaultPlan* plan, uint64_t owner, const CostModel* costs,
-    BlockCodecKind codec)
+    JobMetrics* metrics, const sim::FaultPlan* plan, uint64_t owner,
+    const CostModel* costs, BlockCodecKind codec)
     : page_bytes_(page_bytes),
       trace_(trace),
       metrics_(metrics),
-      integrity_(integrity),
       plan_(plan),
       owner_(owner),
       codec_(codec, BlockEncoding::kGrouped, costs,
@@ -62,7 +60,7 @@ Result<KvBuffer> BucketFileManager::TakeBucket(int bucket) {
   VerifiedRead(file.image(),
                {sim::StreamKind::kBucketFile, owner_,
                 static_cast<uint64_t>(bucket), OpTag::kReduceSpill},
-               integrity_, plan_, trace_, metrics_);
+               plan_, trace_, metrics_);
   CodecStats stats;
   Result<KvBuffer> records = file.Take(&stats);
   codec_.ChargeDecode(stats, OpTag::kReduceSpill, trace_, metrics_);

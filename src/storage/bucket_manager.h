@@ -32,7 +32,6 @@
 #include "src/sim/fault_injector.h"
 #include "src/storage/block_format.h"
 #include "src/storage/checkpoint.h"
-#include "src/storage/framed_io.h"
 #include "src/storage/stored_run.h"
 #include "src/util/kv_buffer.h"
 
@@ -41,19 +40,17 @@ namespace onepass {
 class BucketFileManager {
  public:
   // num_buckets: h; page_bytes: write-buffer size per bucket.
-  // integrity/plan may be null (checksums off / no injection); `owner`
-  // names this manager in the FaultPlan's corruption keyspace — reduce
-  // task index + 1 for an engine's primary manager, a mixed child id for
-  // recursive sub-partition managers (must be stable across runs for
-  // determinism).
+  // `plan` may be null (no injection); `owner` names this manager in the
+  // FaultPlan's corruption keyspace — reduce task index + 1 for an
+  // engine's primary manager, a mixed child id for recursive
+  // sub-partition managers (must be stable across runs for determinism).
   // When `codec` is not kNone, each page flush is encoded as a run-length
   // key-grouped block stream (DESIGN.md §5.5) before it hits disk, so disk
-  // charges and integrity checksums cover the encoded bytes. `costs`
+  // charges and checksums cover the encoded bytes. `costs`
   // supplies the codec CPU constants and must be non-null when a codec is
   // active.
   BucketFileManager(int num_buckets, uint64_t page_bytes,
                     TraceRecorder* trace, JobMetrics* metrics,
-                    const IntegrityConfig* integrity = nullptr,
                     const sim::FaultPlan* plan = nullptr,
                     uint64_t owner = 0, const CostModel* costs = nullptr,
                     BlockCodecKind codec = BlockCodecKind::kNone);
@@ -65,9 +62,9 @@ class BucketFileManager {
   // Flushes every non-empty page. Call at end of input.
   void FlushAll();
 
-  // Reads a bucket's file back from disk (charges the read), verifies it
-  // when integrity checksums are on, rebuilding every corrupt copy the
-  // plan draws, and returns its contents, clearing the stored file.
+  // Reads a bucket's file back from disk (charges the read), verifies it,
+  // rebuilding every corrupt copy the plan draws, and returns its
+  // contents, clearing the stored file.
   // FlushAll must have been called. Returns Status::Corruption when the
   // stored image does not decode.
   Result<KvBuffer> TakeBucket(int bucket);
@@ -95,7 +92,6 @@ class BucketFileManager {
   uint64_t page_bytes_;
   TraceRecorder* trace_;
   JobMetrics* metrics_;
-  const IntegrityConfig* integrity_;
   const sim::FaultPlan* plan_;
   uint64_t owner_;
   RunCodec codec_;

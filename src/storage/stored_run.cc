@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/storage/framed_io.h"
 
 namespace onepass {
 
@@ -116,12 +117,9 @@ void StoredRun::Restore(std::string_view image, uint64_t raw_bytes,
 }
 
 void VerifiedRead(std::string_view image, const StreamSite& site,
-                  const IntegrityConfig* integrity,
                   const sim::FaultPlan* plan, TraceRecorder* trace,
                   JobMetrics* metrics) {
-  if (integrity == nullptr || !integrity->checksums || image.empty()) {
-    return;
-  }
+  if (image.empty()) return;
   // The "disk" holds the framed image; read it back through the checksum
   // layer.
   const std::string framed = FrameBytes(image, IntegrityConfig::block_bytes);

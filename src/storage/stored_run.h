@@ -24,7 +24,6 @@
 #include "src/sim/fault_injector.h"
 #include "src/storage/block_format.h"
 #include "src/storage/checkpoint.h"
-#include "src/storage/framed_io.h"
 #include "src/util/kv_buffer.h"
 
 namespace onepass {
@@ -111,15 +110,14 @@ struct StreamSite {
 };
 
 // Verified read of one stored image: the one rebuild loop shared by map
-// spill runs and bucket files. When checksums are on, frames the image,
-// then for each corrupt generation the plan draws (at most
-// sim::kMaxCorruptGenerations) damages a framed copy, proves the verifier
+// spill runs and bucket files. Frames the image, then for each corrupt
+// generation `plan` (may be null: no injection) draws, at most
+// sim::kMaxCorruptGenerations, damages a framed copy, proves the verifier
 // rejects it, counts it and charges the rebuild's write and read at
 // site.tag. Every generation is rebuilt, so the read always ends on a
 // clean copy. `verify_bytes` counts every verified read, damaged
 // generations included. The caller charges the first read itself.
 void VerifiedRead(std::string_view image, const StreamSite& site,
-                  const IntegrityConfig* integrity,
                   const sim::FaultPlan* plan, TraceRecorder* trace,
                   JobMetrics* metrics);
 

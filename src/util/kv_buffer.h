@@ -53,20 +53,6 @@ class KvBuffer {
     count_ += count;
   }
 
-  // Appends every record of `other`. Grows capacity geometrically: an
-  // exact reservation on every bulk append would pin capacity to size and
-  // degrade repeated AppendAll calls (bucket files absorbing page flushes)
-  // to quadratic copying.
-  void AppendAll(const KvBuffer& other) {
-    const size_t needed = data_.size() + other.data_.size();
-    if (needed > data_.capacity()) {
-      data_.reserve(needed > 2 * data_.capacity() ? needed
-                                                  : 2 * data_.capacity());
-    }
-    data_.append(other.data_);
-    count_ += other.count_;
-  }
-
   // Pre-sizes the backing storage for `bytes` total serialized bytes.
   // Callers that know the final size (e.g. partition assembly from runs of
   // known byte counts) use this to avoid repeated string reallocations.
@@ -86,12 +72,6 @@ class KvBuffer {
   void Clear() {
     data_.clear();
     count_ = 0;
-  }
-
-  // Trades away the contents, leaving this buffer empty.
-  std::string ReleaseData() {
-    count_ = 0;
-    return std::move(data_);
   }
 
   const std::string& data() const { return data_; }

@@ -22,11 +22,10 @@ struct Harness {
 
   BucketFileManager Manager(BlockCodecKind codec, int buckets,
                             uint64_t page_bytes,
-                            const IntegrityConfig* integrity = nullptr,
                             const sim::FaultPlan* plan = nullptr,
                             uint64_t owner = 0) {
-    return BucketFileManager(buckets, page_bytes, &trace, &metrics,
-                             integrity, plan, owner, &costs, codec);
+    return BucketFileManager(buckets, page_bytes, &trace, &metrics, plan,
+                             owner, &costs, codec);
   }
 };
 
@@ -120,13 +119,11 @@ TEST(BucketManagerTest, CorruptBucketIsDetectedAndRebuilt) {
   for (const BlockCodecKind codec : kCodecs) {
     SCOPED_TRACE(std::string(BlockCodecName(codec)));
     Harness h;
-    IntegrityConfig integrity;
     sim::FaultConfig fc;
     fc.corruption_rate = 0.999999;  // every bucket stream fires
     fc.torn_writes = true;
     const sim::FaultPlan plan(fc, /*seed=*/5);
-    BucketFileManager mgr =
-        h.Manager(codec, 4, 64, &integrity, &plan, /*owner=*/42);
+    BucketFileManager mgr = h.Manager(codec, 4, 64, &plan, /*owner=*/42);
     FillBuckets(&mgr, 4);
 
     uint64_t records = 0;
@@ -160,18 +157,16 @@ TEST(BucketManagerTest, CorruptBucketIsDetectedAndRebuilt) {
   }
 }
 
-TEST(BucketManagerTest, ZeroRateKeepsTraceIdenticalToNoIntegrity) {
-  // Checksums on with a zero corruption rate must not perturb the time
-  // plane: the recorded trace ops match a checksum-free manager's exactly.
+TEST(BucketManagerTest, ZeroRatePlanKeepsTraceIdenticalToNoPlan) {
+  // A fault plan with a zero corruption rate must not perturb the time
+  // plane: the recorded trace ops match a plan-free manager's exactly.
   for (const BlockCodecKind codec : kCodecs) {
     SCOPED_TRACE(std::string(BlockCodecName(codec)));
     Harness plain, checked;
-    IntegrityConfig integrity;
     sim::FaultConfig fc;  // rate 0
     const sim::FaultPlan plan(fc, /*seed=*/9);
     BucketFileManager a = plain.Manager(codec, 4, 64);
-    BucketFileManager b =
-        checked.Manager(codec, 4, 64, &integrity, &plan, /*owner=*/1);
+    BucketFileManager b = checked.Manager(codec, 4, 64, &plan, /*owner=*/1);
     FillBuckets(&a, 4);
     FillBuckets(&b, 4);
     for (int bkt = 0; bkt < 4; ++bkt) {
@@ -186,9 +181,13 @@ TEST(BucketManagerTest, ZeroRateKeepsTraceIdenticalToNoIntegrity) {
       EXPECT_EQ(plain.trace_storage.ops[i].tag,
                 checked.trace_storage.ops[i].tag);
     }
-    // Verification happened (metrics-only accounting) but found nothing.
+    // Both verified the same bytes (metrics-only accounting) and found
+    // nothing.
     EXPECT_GT(checked.metrics.verify_bytes, 0u);
     EXPECT_GT(checked.metrics.checksum_overhead_bytes, 0u);
+    EXPECT_EQ(plain.metrics.verify_bytes, checked.metrics.verify_bytes);
+    EXPECT_EQ(plain.metrics.checksum_overhead_bytes,
+              checked.metrics.checksum_overhead_bytes);
     EXPECT_EQ(checked.metrics.corruptions_detected, 0u);
   }
 }

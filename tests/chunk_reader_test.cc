@@ -129,19 +129,5 @@ TEST(ChunkReaderTest, SameSeedSamePlanIsDeterministic) {
   }
 }
 
-TEST(ChunkReaderTest, ChecksumsOffSkipsVerification) {
-  const ChunkStore store = MakeStore(4, 2);
-  IntegrityConfig integrity;
-  integrity.checksums = false;
-  sim::FaultConfig fc;
-  const sim::FaultPlan plan(fc, 1);
-  ChunkReader reader(&store, integrity, &plan);
-  ChunkReadStats stats;
-  Result<KvBuffer> got = reader.Read(0, &stats);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(stats.verify_bytes, 0u);
-  EXPECT_EQ(stats.overhead_bytes, 0u);
-}
-
 }  // namespace
 }  // namespace onepass

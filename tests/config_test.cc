@@ -157,23 +157,11 @@ TEST(ConfigValidateTest, RejectsBadIntegrityConfig) {
   cfg.faults.corruption_rate = 1.0;  // must be < 1
   EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
 
-  // Corruption injection without checksums would be silent data loss:
-  // nothing in the pipeline could ever detect the damage.
-  cfg = JobConfig();
-  cfg.faults.corruption_rate = 0.01;
-  cfg.integrity.checksums = false;
-  EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
-
   cfg = JobConfig();
   cfg.faults.corruption_rate = 0.01;
   cfg.faults.torn_writes = true;
   EXPECT_TRUE(cfg.Validate().ok()) << cfg.Validate().ToString();
   EXPECT_TRUE(cfg.faults.any());
-
-  // Checksums off with no injection stays a valid (legacy) configuration.
-  cfg = JobConfig();
-  cfg.integrity.checksums = false;
-  EXPECT_TRUE(cfg.Validate().ok()) << cfg.Validate().ToString();
 }
 
 TEST(CostModelTest, PaperConstants) {

@@ -3,8 +3,6 @@
 // recovered along the cheapest path — replica fail-over for DFS chunks,
 // map re-execution for corrupt map outputs, re-fetch for wire corruption,
 // rebuilds for spill runs and hash buckets — with reference-equal output.
-// With the rate at zero, checksums must be invisible: results, traces and
-// fault schedules stay byte-identical to a checksum-free run.
 
 #include <gtest/gtest.h>
 
@@ -35,46 +33,6 @@ TEST(IntegrityTest, AllEnginesRecoverReferenceEqualOutput) {
     EXPECT_EQ(m.corruptions_recovered, m.corruptions_detected)
         << EngineKindName(engine);
     EXPECT_GT(m.verify_bytes, 0u);
-  }
-}
-
-TEST(IntegrityTest, ZeroRateChecksumsAreInvisibleToResults) {
-  const ChunkStore input = FaultInput(/*replication=*/2);
-  for (EngineKind engine : kAllEngines) {
-    JobConfig on = FaultConfigFor(engine, 2);
-    // A fault plan with crashes and retries exercises the scheduler; the
-    // schedules must not move when checksums turn off.
-    sim::CrashEvent crash;
-    crash.node = 2;
-    crash.at_map_fraction = 0.5;
-    on.faults.crashes = {crash};
-    on.faults.fetch_failure_rate = 0.05;
-    on.faults.speculative_execution = true;
-    JobConfig off = on;
-    on.integrity.checksums = true;
-    off.integrity.checksums = false;
-
-    auto a = LocalCluster::RunJob(ClickCountJob(), on, input);
-    auto b = LocalCluster::RunJob(ClickCountJob(), off, input);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    // Byte-identical results and identical timing/fault schedules.
-    EXPECT_EQ(CountsOf(a->outputs), CountsOf(b->outputs))
-        << EngineKindName(engine);
-    EXPECT_DOUBLE_EQ(a->running_time, b->running_time)
-        << EngineKindName(engine);
-    EXPECT_DOUBLE_EQ(a->map_finish_time, b->map_finish_time);
-    EXPECT_EQ(a->metrics.map_task_attempts, b->metrics.map_task_attempts);
-    EXPECT_EQ(a->metrics.reduce_task_attempts,
-              b->metrics.reduce_task_attempts);
-    EXPECT_EQ(a->metrics.shuffle_fetch_retries,
-              b->metrics.shuffle_fetch_retries);
-    EXPECT_EQ(a->metrics.killed_attempts, b->metrics.killed_attempts);
-    EXPECT_EQ(a->shuffle_from_disk_bytes, b->shuffle_from_disk_bytes);
-    // The only difference: the checksummed run verified data.
-    EXPECT_GT(a->metrics.verify_bytes, 0u);
-    EXPECT_EQ(a->metrics.corruptions_detected, 0u);
-    EXPECT_EQ(b->metrics.verify_bytes, 0u);
   }
 }
 

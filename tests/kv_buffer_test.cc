@@ -39,23 +39,6 @@ TEST(KvBufferTest, BytesMatchRecordBytes) {
   EXPECT_EQ(buf.bytes(), expected);
 }
 
-TEST(KvBufferTest, AppendAllConcatenates) {
-  KvBuffer a, b;
-  a.Append("a", "1");
-  b.Append("b", "2");
-  b.Append("c", "3");
-  a.AppendAll(b);
-  EXPECT_EQ(a.count(), 3u);
-  KvBufferReader reader(a);
-  std::string_view k, v;
-  ASSERT_TRUE(reader.Next(&k, &v));
-  EXPECT_EQ(k, "a");
-  ASSERT_TRUE(reader.Next(&k, &v));
-  EXPECT_EQ(k, "b");
-  ASSERT_TRUE(reader.Next(&k, &v));
-  EXPECT_EQ(k, "c");
-}
-
 TEST(KvBufferTest, ClearAndReuse) {
   KvBuffer buf;
   buf.Append("k", "v");
@@ -70,11 +53,9 @@ TEST(KvBufferTest, ReleaseAndFromDataRoundTrip) {
   KvBuffer buf;
   buf.Append("x", "y");
   buf.Append("z", "w");
-  const uint64_t count = buf.count();
-  std::string data = buf.ReleaseData();
-  EXPECT_EQ(buf.count(), 0u);
-  KvBuffer restored = KvBuffer::FromData(std::move(data), count);
+  KvBuffer restored = KvBuffer::FromData(buf.data(), buf.count());
   EXPECT_EQ(restored.count(), 2u);
+  EXPECT_EQ(restored.data(), buf.data());
   KvBufferReader reader(restored);
   std::string_view k, v;
   ASSERT_TRUE(reader.Next(&k, &v));
@@ -103,38 +84,6 @@ TEST(KvBufferTest, ReserveAvoidsReallocation) {
   buf.Reserve(1);
   EXPECT_EQ(buf.data().data(), before);
   EXPECT_EQ(buf.count(), 500u);
-}
-
-TEST(KvBufferTest, AppendAllGrowsGeometrically) {
-  // Many small bulk appends (a bucket file absorbing page flushes) must
-  // not reallocate per call: capacity doubles rather than tracking size
-  // exactly, so N appends cost O(N) copies overall, not O(N^2).
-  KvBuffer page;
-  page.Append("key", std::string(60, 'v'));
-  KvBuffer file;
-  size_t reallocations = 0;
-  const char* last = file.data().data();
-  for (int i = 0; i < 1000; ++i) {
-    file.AppendAll(page);
-    if (file.data().data() != last) {
-      ++reallocations;
-      last = file.data().data();
-    }
-  }
-  EXPECT_EQ(file.count(), 1000u);
-  EXPECT_LE(reallocations, 40u) << "AppendAll reallocates per call";
-}
-
-TEST(KvBufferTest, AppendAllReservesWholeNeedForBigDonor) {
-  // A donor bigger than 2x the current capacity is reserved for exactly,
-  // not doubled into repeatedly.
-  KvBuffer big;
-  for (int i = 0; i < 2000; ++i) big.Append("k" + std::to_string(i), "v");
-  KvBuffer dst;
-  dst.Append("seed", "s");
-  dst.AppendAll(big);
-  EXPECT_EQ(dst.count(), 2001u);
-  EXPECT_GE(dst.data().capacity(), dst.bytes());
 }
 
 TEST(KvBufferTest, ShrinkToFitReleasesSlack) {

@@ -258,7 +258,7 @@ TEST(MapRunnerTest, TraceStartsWithStartupAndInputRead) {
   EXPECT_TRUE(out->trace.ops[1].is_read);
 }
 
-// --- The sort path's tie rule: equal keys leave a buffer in emit order ---
+// --- The tie rule: equal keys leave a map buffer in emit order ---
 
 // An order-sensitive combiner: a state is its values concatenated in fold
 // order, so any reordering of equal keys shows in the bytes.
@@ -309,6 +309,8 @@ std::map<std::string, std::string> ValuesPerKey(const MapTaskOutput& out) {
 
 // What ValuesPerKey must read under the tie rule: each key's tokens in
 // emit order, whether the buffer kept them (raw) or folded them (combine).
+// The hash path publishes every flush in one push, each flush's records
+// after the last's, so the rule holds across its flushes too.
 std::map<std::string, std::string> EmitOrderPerKey(const KvBuffer& chunk) {
   std::map<std::string, std::string> m;
   KvBufferReader reader(chunk);
@@ -317,15 +319,18 @@ std::map<std::string, std::string> EmitOrderPerKey(const KvBuffer& chunk) {
   return m;
 }
 
-// 3 keys x 400 emits through 2 KB buffers: ~37 equal-key entries per key
-// per buffer, past the 16 below which introsort's insertion pass happens
-// to keep them in order. `pipelined` pushes every buffer; otherwise the
-// buffers spill as runs and merge.
+// A map task through 2 KB buffers. On the sort path, 3 keys x 400 emits
+// put ~37 equal-key entries per key in each buffer, past the 16 below
+// which introsort's insertion pass happens to keep them in order;
+// `pipelined` pushes every buffer, otherwise the buffers spill as runs and
+// merge. `inc` is the combiner, null under kSortRaw.
 Result<MapTaskOutput> RunTieMap(MapOutputMode mode, bool pipelined,
                                 IncrementalReducer* inc,
                                 const KvBuffer& chunk) {
-  JobConfig cfg = BaseConfig(EngineKind::kSortMerge);
-  cfg.map_side_combine = mode == MapOutputMode::kSortCombine;
+  JobConfig cfg = BaseConfig(mode == MapOutputMode::kHashCombine
+                                 ? EngineKind::kIncHash
+                                 : EngineKind::kSortMerge);
+  cfg.map_side_combine = inc != nullptr;
   cfg.map_buffer_bytes = 2 << 10;
   cfg.pipelining = pipelined;
   cfg.pipeline_push_bytes = 2 << 10;
@@ -368,6 +373,35 @@ TEST(MapRunnerTest, SortCombineFoldsInEmitOrder) {
     }
     EXPECT_EQ(ValuesPerKey(*out), EmitOrderPerKey(chunk));
   }
+}
+
+// 3 hot keys take the even emits, interleaved; each odd emit is a fresh
+// 7-byte key. Every value is its emit's token.
+KvBuffer MakeChurnChunk(int emits) {
+  KvBuffer chunk;
+  for (int i = 0; i < emits; ++i) {
+    const std::string key =
+        i % 2 == 0 ? "key" + std::to_string(i / 2 % 3) : "f" + Token(i);
+    chunk.Append(key, Token(i));
+  }
+  return chunk;
+}
+
+// The hash path's fold table flushes on its footprint, key + state + 32
+// bytes per distinct key: 42 bytes per hot key, 45 per fresh one. A flush
+// holds the 3 hot keys and 43 fresh ones (126 + 43 x 45 = 2061 first
+// reaches 2 KB), so it covers 86 emits, 14-15 folded into each hot key;
+// 1,200 emits make 13 full flushes and a final one.
+TEST(MapRunnerTest, HashCombineFoldsInEmitOrderAcrossFlushes) {
+  const KvBuffer chunk = MakeChurnChunk(1200);
+  ConcatInc inc;
+  auto out = RunTieMap(MapOutputMode::kHashCombine, /*pipelined=*/false,
+                       &inc, chunk);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_FALSE(out->sorted);
+  ASSERT_EQ(out->pushes.size(), 1u);
+  EXPECT_EQ(out->metrics.map_output_records, 600u + 3 * 14);
+  EXPECT_EQ(ValuesPerKey(*out), EmitOrderPerKey(chunk));
 }
 
 // Keys that stress the (partition, key) order: empty, sharing a 20-byte

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/storage/framed_io.h"
+
 namespace onepass {
 namespace {
 
@@ -102,7 +104,6 @@ TEST(StoredRunTest, OnlyACodecChargesCodecWork) {
 
 TEST(StoredRunTest, VerifiedReadCountsEveryGeneration) {
   const std::string image(5000, 'x');
-  IntegrityConfig integrity;
   sim::FaultConfig fc;
   fc.corruption_rate = 0.999999;  // the capped chain: three bad copies
   const sim::FaultPlan plan(fc, /*seed=*/3);
@@ -111,7 +112,7 @@ TEST(StoredRunTest, VerifiedReadCountsEveryGeneration) {
   JobMetrics metrics;
   const StreamSite site{sim::StreamKind::kBucketFile, /*owner=*/1,
                         /*index=*/2, OpTag::kReduceSpill};
-  VerifiedRead(image, site, &integrity, &plan, &trace, &metrics);
+  VerifiedRead(image, site, &plan, &trace, &metrics);
   EXPECT_EQ(metrics.verify_bytes, 4 * image.size());
   EXPECT_EQ(metrics.corruptions_detected, 3u);
   EXPECT_EQ(metrics.corruptions_recovered, 3u);
@@ -132,12 +133,30 @@ TEST(StoredRunTest, VerifiedReadCountsEveryGeneration) {
     TraceRecorder rec(&ops);
     const StreamSite s{sim::StreamKind::kMapSpillRun, owner, owner % 5,
                        OpTag::kMapSpill};
-    VerifiedRead(image, s, &integrity, &plan, &rec, &m);
+    VerifiedRead(image, s, &plan, &rec, &m);
     const uint64_t chain = static_cast<uint64_t>(
         plan.CorruptionChain(s.kind, s.owner, s.index));
     EXPECT_EQ(m.corruptions_detected, chain) << owner;
     EXPECT_EQ(m.corruptions_recovered, chain) << owner;
     EXPECT_EQ(ops.ops.size(), 2 * chain) << owner;
+  }
+
+  // A clean read, with a rate-0 plan or none, verifies the image once and
+  // stays off the time plane: verification is metrics-only.
+  const std::string clean(70000, 'y');  // three 32 KB blocks
+  const sim::FaultPlan zero(sim::FaultConfig{}, /*seed=*/3);
+  const sim::FaultPlan* const plans[] = {&zero, nullptr};
+  for (const sim::FaultPlan* p : plans) {
+    SCOPED_TRACE(p == nullptr ? "null plan" : "rate-0 plan");
+    JobMetrics m;
+    CostTrace ops;
+    TraceRecorder rec(&ops);
+    VerifiedRead(clean, site, p, &rec, &m);
+    EXPECT_TRUE(ops.ops.empty());
+    EXPECT_EQ(m.verify_bytes, clean.size());
+    EXPECT_EQ(m.checksum_overhead_bytes,
+              FramedOverheadBytes(clean.size(), IntegrityConfig::block_bytes));
+    EXPECT_EQ(m.corruptions_detected, 0u);
   }
 }
 
