@@ -57,18 +57,13 @@ struct Flags {
   // CRC32C kernels skip the hardware paths; --simd=auto (default) uses
   // the detected tier.
   std::string simd = "auto";
-  // Resident shuffle engine (DESIGN.md §5.9). --iterations=N is
-  // bench_iterative's chain length (stages per RunJobChain; not a
-  // JobConfig field), at least 2 so the chain has a warm iteration;
-  // --shuffle_mode=disk|resident sets JobConfig::shuffle_mode.
+  // Resident shuffle (DESIGN.md §5.9). --iterations=N is bench_iterative's
+  // chain length (stages per RunJobChain; not a JobConfig field), at least
+  // 2 so the chain has a warm iteration.
   int iterations = 5;
-  std::string shuffle_mode = "disk";
   // Node combine tier (DESIGN.md §5.10). --combine_scope=task|node sets
-  // JobConfig::combine_scope; --node_combine_budget=N bytes bounds one
-  // node's combine tier (0 = unbounded; shards over their share degrade
-  // to the FREQUENT sketch).
+  // JobConfig::combine_scope.
   std::string combine_scope = "task";
-  uint64_t node_combine_budget = 0;
 };
 
 namespace detail {
@@ -100,15 +95,14 @@ inline bool OneOf(const std::string& value,
 
 inline constexpr const char* kFlagsUsage =
     "[--scale=F] [--threads=N] [--codec=none|lz] [--simd=auto|scalar] "
-    "[--iterations=N] [--shuffle_mode=disk|resident] "
-    "[--combine_scope=task|node] [--node_combine_budget=N] [--ssd] [--hop] "
-    "[--util] [--plot NAME]";
+    "[--iterations=N] [--combine_scope=task|node] [--ssd] [--hop] [--util] "
+    "[--plot NAME]";
 
 // Parses the shared bench flags into `flags`, which keeps its defaults
 // for flags not given. Rejects an unknown flag, a number that does not
 // parse completely, --scale <= 0 (or not finite), a negative --threads,
-// --iterations < 2, and an unknown --codec, --simd, --shuffle_mode or
-// --combine_scope value.
+// --iterations < 2, and an unknown --codec, --simd or --combine_scope
+// value.
 inline Status ParseFlagsInto(int argc, const char* const* argv,
                              Flags* flags) {
   for (int i = 1; i < argc; ++i) {
@@ -137,14 +131,10 @@ inline Status ParseFlagsInto(int argc, const char* const* argv,
       number_ok = detail::ParseNumber(value, &flags->threads);
     } else if (name == "--iterations") {
       number_ok = detail::ParseNumber(value, &flags->iterations);
-    } else if (name == "--node_combine_budget") {
-      number_ok = detail::ParseNumber(value, &flags->node_combine_budget);
     } else if (name == "--codec") {
       flags->codec = value;
     } else if (name == "--simd") {
       flags->simd = value;
-    } else if (name == "--shuffle_mode") {
-      flags->shuffle_mode = value;
     } else if (name == "--combine_scope") {
       flags->combine_scope = value;
     } else {
@@ -166,10 +156,6 @@ inline Status ParseFlagsInto(int argc, const char* const* argv,
   }
   if (!detail::OneOf(flags->simd, {"auto", "scalar"})) {
     return Status::InvalidArgument("unknown --simd=" + flags->simd);
-  }
-  if (!detail::OneOf(flags->shuffle_mode, {"disk", "resident"})) {
-    return Status::InvalidArgument("unknown --shuffle_mode=" +
-                                   flags->shuffle_mode);
   }
   if (!detail::OneOf(flags->combine_scope, {"task", "node"})) {
     return Status::InvalidArgument("unknown --combine_scope=" +
@@ -194,8 +180,8 @@ inline Flags ParseFlags(int argc, char** argv) {
   return flags;
 }
 
-// Resolve the validated --codec/--combine_scope/--shuffle_mode names to
-// their config enums.
+// Resolve the validated --codec/--combine_scope names to their config
+// enums.
 inline BlockCodecKind CodecFromFlag(const std::string& name) {
   return name == "lz" ? BlockCodecKind::kLz : BlockCodecKind::kNone;
 }
@@ -204,20 +190,14 @@ inline CombineScope CombineScopeFromFlag(const std::string& name) {
   return name == "node" ? CombineScope::kNode : CombineScope::kTask;
 }
 
-inline ShuffleMode ShuffleModeFromFlag(const std::string& name) {
-  return name == "resident" ? ShuffleMode::kResident : ShuffleMode::kDisk;
-}
-
-// Applies the data-plane flags (--threads/--codec/--shuffle_mode/
-// --combine_scope/--node_combine_budget) to a job config.
+// Applies the data-plane flags (--threads/--codec/--combine_scope) to a
+// job config.
 // Every bench routes its config through here so the whole suite exposes
 // the same knobs.
 inline void ApplyDataPlaneFlags(const Flags& flags, JobConfig* cfg) {
   cfg->data_plane_threads = flags.threads;
   cfg->block_codec = CodecFromFlag(flags.codec);
-  cfg->shuffle_mode = ShuffleModeFromFlag(flags.shuffle_mode);
   cfg->combine_scope = CombineScopeFromFlag(flags.combine_scope);
-  cfg->node_combine_budget_bytes = flags.node_combine_budget;
 }
 
 // Headline throughput metric for the vectorized data plane: input tuples

@@ -13,6 +13,9 @@
 //       pinned placement + state carry on an idempotent aggregate; the
 //       warm final output must equal the cold answer.
 //
+// Each section runs one JobConfig twice: warm as a RunJobChain, whose
+// stages are resident, and cold as solo RunJob calls.
+//
 // Exits non-zero if any job fails or an output-match sentinel reads NO.
 
 #include <algorithm>
@@ -70,11 +73,8 @@ int main(int argc, char** argv) {
 
   // ---- (1) growing-log incremental sessionization ----
   {
-    JobConfig warm_cfg = bench::ScaledJobConfig(EngineKind::kIncHash, flags);
-    warm_cfg.shuffle_mode = ShuffleMode::kResident;
-    warm_cfg.map_side_combine = false;  // sessionization: states are buffers
-    JobConfig cold_cfg = warm_cfg;
-    cold_cfg.shuffle_mode = ShuffleMode::kDisk;
+    JobConfig cfg = bench::ScaledJobConfig(EngineKind::kIncHash, flags);
+    cfg.map_side_combine = false;  // sessionization: states are buffers
 
     // A fixed user population over a log that keeps growing: finalize
     // cost stays flat while the cold job's rescan grows with the log —
@@ -82,11 +82,11 @@ int main(int argc, char** argv) {
     ClickStreamConfig clicks = bench::ScaledClicks(2.0 * flags.scale);
     clicks.num_users = 16'000;
     const GrowingLog log = MakeGrowingClickLog(
-        clicks, iters, growth, warm_cfg.chunk_bytes, warm_cfg.cluster.nodes);
+        clicks, iters, growth, cfg.chunk_bytes, cfg.cluster.nodes);
 
     std::vector<ChainStage> stages(static_cast<size_t>(iters));
     for (int i = 0; i < iters; ++i) {
-      stages[static_cast<size_t>(i)] = {SessionizationJob(), warm_cfg,
+      stages[static_cast<size_t>(i)] = {SessionizationJob(), cfg,
                                         log.deltas[static_cast<size_t>(i)].get()};
     }
     auto warm = MustChain(stages);
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     std::printf("%-6s %12s %12s %10s %10s\n", "iter", "cold (s)",
                 "warm (s)", "speedup", "hit ratio");
     for (int i = 0; i < iters; ++i) {
-      auto cold = bench::MustRun(SessionizationJob(), cold_cfg,
+      auto cold = bench::MustRun(SessionizationJob(), cfg,
                                  *log.fulls[static_cast<size_t>(i)]);
       if (!cold.ok()) return 1;
       const JobResult& w = warm->iterations[static_cast<size_t>(i)];
@@ -119,25 +119,22 @@ int main(int argc, char** argv) {
   // ---- (2) growing-log click counting: exactness of the refreshed
   // answer ----
   {
-    JobConfig warm_cfg = bench::ScaledJobConfig(EngineKind::kIncHash, flags);
-    warm_cfg.shuffle_mode = ShuffleMode::kResident;
-    warm_cfg.map_side_combine = true;
-    warm_cfg.collect_outputs = true;
-    JobConfig cold_cfg = warm_cfg;
-    cold_cfg.shuffle_mode = ShuffleMode::kDisk;
+    JobConfig cfg = bench::ScaledJobConfig(EngineKind::kIncHash, flags);
+    cfg.map_side_combine = true;
+    cfg.collect_outputs = true;
 
     const ClickStreamConfig clicks = bench::ScaledClicks(0.1 * flags.scale);
     const GrowingLog log = MakeGrowingClickLog(
-        clicks, iters, growth, warm_cfg.chunk_bytes, warm_cfg.cluster.nodes);
+        clicks, iters, growth, cfg.chunk_bytes, cfg.cluster.nodes);
 
     std::vector<ChainStage> stages(static_cast<size_t>(iters));
     for (int i = 0; i < iters; ++i) {
-      stages[static_cast<size_t>(i)] = {ClickCountJob(), warm_cfg,
+      stages[static_cast<size_t>(i)] = {ClickCountJob(), cfg,
                                         log.deltas[static_cast<size_t>(i)].get()};
     }
     auto warm = MustChain(stages);
     if (!warm.ok()) return 1;
-    auto cold = bench::MustRun(ClickCountJob(), cold_cfg, *log.fulls.back());
+    auto cold = bench::MustRun(ClickCountJob(), cfg, *log.fulls.back());
     if (!cold.ok()) return 1;
 
     const bool match =
@@ -149,25 +146,21 @@ int main(int argc, char** argv) {
 
   // ---- (3) label propagation repeated over the same input ----
   {
-    JobConfig warm_cfg = bench::ScaledJobConfig(EngineKind::kIncHash, flags);
-    warm_cfg.shuffle_mode = ShuffleMode::kResident;
-    warm_cfg.map_side_combine = true;
-    warm_cfg.collect_outputs = true;
-    JobConfig cold_cfg = warm_cfg;
-    cold_cfg.shuffle_mode = ShuffleMode::kDisk;
+    JobConfig cfg = bench::ScaledJobConfig(EngineKind::kIncHash, flags);
+    cfg.map_side_combine = true;
+    cfg.collect_outputs = true;
 
     const ClickStreamConfig clicks = bench::ScaledClicks(0.1 * flags.scale);
-    ChunkStore input(warm_cfg.chunk_bytes, warm_cfg.cluster.nodes);
+    ChunkStore input(cfg.chunk_bytes, cfg.cluster.nodes);
     GenerateClickStream(clicks, &input);
 
     std::vector<ChainStage> stages(static_cast<size_t>(iters));
     for (int i = 0; i < iters; ++i) {
-      stages[static_cast<size_t>(i)] = {LabelPropagationJob(), warm_cfg,
-                                        &input};
+      stages[static_cast<size_t>(i)] = {LabelPropagationJob(), cfg, &input};
     }
     auto warm = MustChain(stages);
     if (!warm.ok()) return 1;
-    auto cold = bench::MustRun(LabelPropagationJob(), cold_cfg, input);
+    auto cold = bench::MustRun(LabelPropagationJob(), cfg, input);
     if (!cold.ok()) return 1;
 
     std::printf("\nlabel propagation, same input every round (cold: %.3f "

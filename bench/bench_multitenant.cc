@@ -120,7 +120,6 @@ int RunBench(double scale) {
 
   ManagerConfig fifo_cfg = BaseManagerConfig();
   fifo_cfg.policy = SchedulePolicy::kFifo;
-  fifo_cfg.preemption = false;
   auto fifo = JobManager::Run(fifo_cfg, subs);
   if (!fifo.ok()) {
     std::fprintf(stderr, "fifo run failed: %s\n",
@@ -131,7 +130,6 @@ int RunBench(double scale) {
 
   ManagerConfig fair_cfg = BaseManagerConfig();
   fair_cfg.policy = SchedulePolicy::kFairShare;
-  fair_cfg.preemption = true;
   auto fair = JobManager::Run(fair_cfg, subs);
   if (!fair.ok()) {
     std::fprintf(stderr, "fair-share run failed: %s\n",
@@ -193,7 +191,6 @@ int RunBench(double scale) {
   auto solo = LocalCluster::RunJob(ClickCountJob(), solo_cfg, inter_input);
   ManagerConfig one = BaseManagerConfig();
   one.policy = SchedulePolicy::kFifo;
-  one.preemption = false;
   JobSubmission sub;
   sub.spec = ClickCountJob();
   sub.config = solo_cfg;

@@ -1,13 +1,12 @@
 // Shared driver for the engines' batched consume loops (DESIGN.md §5.8).
 //
-// Every hash engine walks a delivered segment the same way: decode a
-// RecordBatch worth of views, compute the whole batch's UniversalHash
-// digests into a scratch array, then run the per-record body with the
-// table probe for record i+kProbePrefetchDistance already prefetched.
-// Batches hold kBatchRecords records. The body runs once per record in
-// exactly KvBufferReader order, so the loop is byte-identical to the
-// scalar per-record walk — batching only changes memory-level
-// parallelism, never semantics.
+// Every hash engine walks a delivered segment the same way: decode the
+// views of a batch of kBatchRecords records, compute the whole batch's
+// UniversalHash digests into a scratch array, then run the per-record
+// body with the table probe for record i+kProbePrefetchDistance already
+// prefetched. The body runs once per record in exactly KvBufferReader
+// order, so the loop is byte-identical to the scalar per-record walk —
+// batching only changes memory-level parallelism, never semantics.
 
 #ifndef ONEPASS_ENGINE_BATCH_CONSUME_H_
 #define ONEPASS_ENGINE_BATCH_CONSUME_H_

@@ -42,10 +42,10 @@ Status DincHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
   ctx_.out->set_streaming(true);
   uint64_t n = 0, combines = 0;
   // Tuples arrive as key-state pairs (init ran map-side). Batched walk
-  // (§5.8): one h3 digest per tuple, computed a RecordBatch at a time and
-  // shared between the monitor-index probe and the spill-bucket route,
-  // with the sketch index's control word prefetched kProbePrefetchDistance
-  // tuples ahead.
+  // (§5.8): one h3 digest per tuple, computed a batch of kBatchRecords
+  // records at a time and shared between the monitor-index probe and the
+  // spill-bucket route, with the sketch index's control word prefetched
+  // kProbePrefetchDistance tuples ahead.
   ConsumeBatched(
       segment, h3_, &digest_scratch_, *sketch_,
       [&](std::string_view key, std::string_view state, uint64_t digest) {

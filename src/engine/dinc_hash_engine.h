@@ -57,10 +57,6 @@ class DincHashEngine : public GroupByEngine {
   Status SaveState(CheckpointWriter* w) const override;
   Status RestoreState(CheckpointReader* r) override;
 
-  uint64_t monitored_keys() const { return sketch_->size(); }
-  // Keys finalized from memory in approximate mode.
-  uint64_t covered_keys() const { return covered_keys_; }
-
  private:
   // Routes a key-state pair to its disk bucket unless the workload
   // discards it via TryDiscard. `digest` must be h3(key).
@@ -74,7 +70,7 @@ class DincHashEngine : public GroupByEngine {
   std::unique_ptr<BucketFileManager> buckets_;
   std::unique_ptr<BucketPassProcessor> bucket_pass_;
   UniversalHash h3_;
-  uint64_t covered_keys_ = 0;
+  uint64_t covered_keys_ = 0;  // finalized from memory in approximate mode
 };
 
 }  // namespace onepass

@@ -70,9 +70,10 @@ bool BucketPassProcessor::ReduceInMemory(const KvBuffer& data,
   uint64_t bytes_used = 0, combines = 0;
   bool overflow = false;
   // Batched walk (§5.8): one digest per tuple at this level, computed a
-  // RecordBatch at a time and shared by every probe below. After an
-  // overflow the remaining records are skipped exactly as the scalar
-  // walk's break skipped them (they are re-read by the repartition pass).
+  // batch of kBatchRecords records at a time and shared by every probe
+  // below. After an overflow the remaining records are skipped exactly as
+  // the scalar walk's break skipped them (they are re-read by the
+  // repartition pass).
   ConsumeBatched(
       data, h, &digest_scratch_, table_,
       [&](std::string_view key, std::string_view state, uint64_t digest) {

@@ -60,10 +60,10 @@ Status IncHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
   ctx_.out->set_streaming(true);
   uint64_t n = 0, combines = 0;
   // Tuples arrive as key-state pairs (init ran map-side). Batched walk: one
-  // h3 digest per tuple, computed a whole RecordBatch at a time, probing
-  // the state table with the control word for tuple i+D already
-  // prefetched; on overflow the digest routes the spill to the same bucket
-  // h3_.Bucket would pick.
+  // h3 digest per tuple, computed a batch of kBatchRecords records at a
+  // time, probing the state table with the control word for tuple i+D
+  // already prefetched; on overflow the digest routes the spill to the
+  // same bucket h3_.Bucket would pick.
   ConsumeBatched(
       segment, h3_, &digest_scratch_, table_,
       [&](std::string_view key, std::string_view state, uint64_t digest) {

@@ -64,9 +64,10 @@ MRHashEngine::MRHashEngine(const EngineContext& ctx)
 Status MRHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
   const CostModel& costs = ctx_.config->costs;
   uint64_t n = 0;
-  // Batched walk (§5.8): h2 digests for a whole RecordBatch at a time; the
-  // FastRangeBucket identity (hash.h) makes FastRangeBucket(h2(key), h+1)
-  // == h2_.Bucket(key, h+1) exactly, so routing is unchanged.
+  // Batched walk (§5.8): h2 digests for a batch of kBatchRecords records
+  // at a time; the FastRangeBucket identity (hash.h) makes
+  // FastRangeBucket(h2(key), h+1) == h2_.Bucket(key, h+1) exactly, so
+  // routing is unchanged.
   ConsumeBatched(
       segment, h2_, &digest_scratch_,
       NoProbePrefetch{},  // no table to warm: records route to buffers
@@ -147,8 +148,9 @@ void MRHashEngine::ProcessInMemory(const KvBuffer& data, uint64_t level) {
   group_table_.Reserve(static_cast<size_t>(data.count()));
   nodes_.clear();
   nodes_.reserve(static_cast<size_t>(data.count()));
-  // Batched walk (§5.8): the level hash for a whole RecordBatch at a time,
-  // group-table control words prefetched kProbePrefetchDistance ahead.
+  // Batched walk (§5.8): the level hash for a batch of kBatchRecords
+  // records at a time, group-table control words prefetched
+  // kProbePrefetchDistance ahead.
   ConsumeBatched(
       data, h, &digest_scratch_, group_table_,
       [&](std::string_view key, std::string_view value, uint64_t digest) {

@@ -62,7 +62,7 @@ struct CostModel {
   double resident_publish_byte_s = 0.5e-9;
   // Seconds per byte of map input served from the M3R-style input cache
   // when an iteration re-reads the chunk store the previous iteration
-  // already scanned on the same nodes (kResident chains only).
+  // already scanned on the same nodes (chain stages only).
   double cached_input_byte_s = 0.5e-9;
 
   // Node combine tier (DESIGN.md §5.10): seconds per byte of handing a map

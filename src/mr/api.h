@@ -17,7 +17,6 @@
 #ifndef ONEPASS_MR_API_H_
 #define ONEPASS_MR_API_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -26,34 +25,11 @@
 
 namespace onepass {
 
-// A read-only view over a run of records: parallel key/value view arrays
-// decoded from one stretch of a KvBuffer (KvBatchReader) or staged by a
-// batch-aware mapper. The batch data plane (DESIGN.md §5.8) hands these
-// through MapBatch/EmitBatch so digests can be computed for the whole run
-// and table probes prefetch-pipelined. Views are only guaranteed valid for
-// the duration of the call that receives the batch; batch size is a pure
-// performance knob — record order and contents are exactly the scalar
-// per-record sequence at every size.
-struct RecordBatch {
-  const std::string_view* keys = nullptr;
-  const std::string_view* values = nullptr;
-  size_t size = 0;
-};
-
 // Receives output records. Implementations count bytes and record I/O.
 class Emitter {
  public:
   virtual ~Emitter() = default;
   virtual void Emit(std::string_view key, std::string_view value) = 0;
-
-  // Batch emit: semantically identical to Emit(keys[i], values[i]) for
-  // i = 0..size-1 (the default does exactly that). Batch-aware emitters
-  // override it to hash the whole run at once.
-  virtual void EmitBatch(const RecordBatch& batch) {
-    for (size_t i = 0; i < batch.size; ++i) {
-      Emit(batch.keys[i], batch.values[i]);
-    }
-  }
 };
 
 // Transforms one input record into zero or more (key, value) pairs.
@@ -62,18 +38,6 @@ class Mapper {
   virtual ~Mapper() = default;
   virtual void Map(std::string_view key, std::string_view value,
                    Emitter* out) = 0;
-
-  // Batch map: semantically identical to Map(keys[i], values[i], out) in
-  // order (the default loop). Mappers with per-record independence can
-  // override to stage outputs and hand them to Emitter::EmitBatch in one
-  // call. Overrides must preserve the scalar emit sequence exactly — the
-  // config-space harness (tests/config_space_test.cc) compares full job
-  // fingerprints across thread counts and SIMD tiers.
-  virtual void MapBatch(const RecordBatch& batch, Emitter* out) {
-    for (size_t i = 0; i < batch.size; ++i) {
-      Map(batch.keys[i], batch.values[i], out);
-    }
-  }
 };
 
 // Streaming iterator over the values of one key.

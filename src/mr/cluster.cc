@@ -452,12 +452,14 @@ Status ReducePlane(DataPlane& dp, const DeliveryOrder& order,
   return Status::OK();
 }
 
-// Resident shuffle tier (DESIGN.md §5.9): rewrites time-plane charges
-// only. The delivery order came from the disk-mode traces and the reduce
-// plane already consumed it, so kDisk and kResident consume identical
-// deliveries in identical order and outputs are byte-identical by
-// construction. `cached_input`: this stage re-reads the store the
-// previous stage scanned, which the M3R input cache serves from memory.
+// Resident shuffle tier (DESIGN.md §5.9), run on every chain stage:
+// rewrites time-plane charges only. The delivery order came from the
+// disk traces and the reduce plane already consumed it, so a chain stage
+// consumes the deliveries a solo job would, in the same order, and
+// outputs are byte-identical by construction. Filling each map's
+// push_bytes is what marks the job resident to the Replayer.
+// `cached_input`: this stage re-reads the store the previous stage
+// scanned, which the M3R input cache serves from memory.
 void ResidentTransform(DataPlane& dp, bool cached_input) {
   PreparedJob& pj = dp.pj;
   const JobConfig& config = dp.config;
@@ -558,9 +560,7 @@ Result<ChainInputs> ResolveChain(const JobConfig& config,
                                  const ChunkStore& input,
                                  const ResidentContext* resident) {
   ChainInputs in;
-  if (config.shuffle_mode != ShuffleMode::kResident || resident == nullptr) {
-    return in;
-  }
+  if (resident == nullptr) return in;
   const int reducers = config.cluster.nodes * config.reducers_per_node;
   if (config.engine == EngineKind::kIncHash ||
       config.engine == EngineKind::kDincHash) {
@@ -654,9 +654,7 @@ Result<PreparedJob> LocalCluster::PrepareJob(const JobSpec& spec,
   }
   const DeliveryOrder order = OrderDeliveries(pj);
   RETURN_IF_ERROR(ReducePlane(dp, order, chain.adopt, chain.save));
-  if (config.shuffle_mode == ShuffleMode::kResident) {
-    ResidentTransform(dp, chain.cached_input);
-  }
+  if (resident != nullptr) ResidentTransform(dp, chain.cached_input);
   Package(dp, chain.reduce_pins);
   return pj;
 }

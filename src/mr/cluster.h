@@ -31,7 +31,7 @@
 // MapPlane is step 1, OrderDeliveries step 2 and ReducePlane step 3.
 // NodeCombine (combine_scope == kNode, §5.10) folds co-located map outputs
 // into virtual combine tasks before the order is fixed; ResidentTransform
-// (shuffle_mode == kResident, §5.9) rewrites only time-plane charges;
+// (a chain stage, §5.9) rewrites only time-plane charges;
 // Package fills the reduce replay inputs, the progress totals and the CPU
 // attribution. The map and reduce planes may execute across a
 // work-stealing thread pool (JobConfig::data_plane_threads; DESIGN.md
@@ -171,13 +171,14 @@ class LocalCluster {
   // The caller owns when and where the time plane runs — solo (RunJob) or
   // interleaved with other jobs on a shared SlotPool (JobManager).
   //
-  // `resident` (may be null) carries one iteration's worth of chain state
-  // under shuffle_mode == kResident (DESIGN.md §5.9): prior reduce state
-  // to adopt, the placement to pin tasks to, where to save this job's
-  // state, and the previous input store for input caching. It never
-  // changes the data plane's outputs — phases 1-3 consume the same bytes
-  // in the same order either way; only the recorded time-plane charges and
-  // task placement differ.
+  // `resident` is non-null exactly on a chain stage (RunJobChain; DESIGN.md
+  // §5.9), which makes the job resident. It carries one iteration's worth
+  // of chain state: prior reduce state to adopt, the placement to pin
+  // tasks to, where to save this job's state, and the previous input
+  // store for input caching. A solo job (RunJob, the JobManager) passes
+  // null. It never changes the data plane's outputs — phases 1-3 consume
+  // the same bytes in the same order either way; only the recorded
+  // time-plane charges and task placement differ.
   static Result<PreparedJob> PrepareJob(const JobSpec& spec,
                                         const JobConfig& config,
                                         const ChunkStore& input,

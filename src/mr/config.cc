@@ -19,16 +19,6 @@ std::string_view EngineKindName(EngineKind kind) {
   return "unknown";
 }
 
-std::string_view ShuffleModeName(ShuffleMode mode) {
-  switch (mode) {
-    case ShuffleMode::kDisk:
-      return "disk";
-    case ShuffleMode::kResident:
-      return "resident";
-  }
-  return "unknown";
-}
-
 std::string_view CombineScopeName(CombineScope scope) {
   switch (scope) {
     case CombineScope::kTask:

@@ -24,20 +24,6 @@ enum class EngineKind : uint8_t {
 
 std::string_view EngineKindName(EngineKind kind);
 
-// How map output reaches the reducers (DESIGN.md §5.9). kDisk is the
-// paper's path: every push segment is written to the mapper's local disk
-// and served from memory only within the retention window. kResident is
-// the M3R-style path for iterative/repeated jobs whose shuffle fits in
-// memory: every push segment stays in its producer's memory and is served
-// from there for the whole job. Outputs are byte-identical between the
-// two modes — only the time plane's charges differ.
-enum class ShuffleMode : uint8_t {
-  kDisk,
-  kResident,
-};
-
-std::string_view ShuffleModeName(ShuffleMode mode);
-
 // Where combining happens before map output is pushed (DESIGN.md §5.10).
 // kTask is the classic map-side combiner: each map task collapses its own
 // duplicates and pushes one segment per task — byte-identical to the
@@ -152,11 +138,6 @@ struct JobConfig {
   // pre-checkpoint platform.
   uint64_t checkpoint_interval_segments = 0;
   int checkpoint_replication = 2;
-
-  // Shuffle delivery mode (see ShuffleMode). Resident mode changes only
-  // what the time plane charges for publishing and re-reading map output;
-  // the data plane, delivery order, and outputs are identical to kDisk.
-  ShuffleMode shuffle_mode = ShuffleMode::kDisk;
 
   // Block codec for every spill/shuffle/bucket stream (DESIGN.md §5.5).
   // kNone keeps the raw varint record format on disk and on the wire —

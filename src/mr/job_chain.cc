@@ -8,12 +8,6 @@ namespace {
 
 constexpr size_t kMaxChainStages = 64;
 
-bool CarriesState(const JobConfig& cfg) {
-  return cfg.shuffle_mode == ShuffleMode::kResident &&
-         (cfg.engine == EngineKind::kIncHash ||
-          cfg.engine == EngineKind::kDincHash);
-}
-
 }  // namespace
 
 Result<ChainResult> RunJobChain(const std::vector<ChainStage>& stages) {
@@ -35,13 +29,13 @@ Result<ChainResult> RunJobChain(const std::vector<ChainStage>& stages) {
       return Status(s.code(), "chain stage " + std::to_string(i) + ": " +
                                   std::string(s.message()));
     }
-    if (i > 0 && st.config.shuffle_mode == ShuffleMode::kResident) {
+    if (i > 0) {
       const JobConfig& prev = stages[i - 1].config;
       if (st.config.engine != prev.engine || st.config.seed != prev.seed ||
           st.config.cluster.nodes != prev.cluster.nodes ||
           st.config.reducers_per_node != prev.reducers_per_node) {
         return Status::InvalidArgument(
-            "resident chain stages must agree on engine kind, seed, node "
+            "chain stages must agree on engine kind, seed, node "
             "count, and reducers_per_node (stage " + std::to_string(i) +
             " diverges)");
       }
@@ -60,10 +54,9 @@ Result<ChainResult> RunJobChain(const std::vector<ChainStage>& stages) {
 
   for (size_t i = 0; i < stages.size(); ++i) {
     const ChainStage& st = stages[i];
-    const bool res = st.config.shuffle_mode == ShuffleMode::kResident;
-    ResidentStateHandle* save =
-        CarriesState(st.config) ? (prior == &state_a ? &state_b : &state_a)
-                                : nullptr;
+    // PrepareJob's ResolveChain saves state only on the engines that
+    // carry it (INC/DINC).
+    ResidentStateHandle* save = prior == &state_a ? &state_b : &state_a;
 
     ResidentContext ctx;
     ctx.prior_state = i > 0 ? prior : nullptr;
@@ -73,7 +66,7 @@ Result<ChainResult> RunJobChain(const std::vector<ChainStage>& stages) {
 
     ASSIGN_OR_RETURN(PreparedJob pj,
                      LocalCluster::PrepareJob(st.spec, st.config, *st.input,
-                                              res ? &ctx : nullptr));
+                                              &ctx));
     // The prepared job keeps no pointer into `placement`, so the replay
     // may overwrite it with this stage's winners.
     ASSIGN_OR_RETURN(JobResult result,

@@ -1,7 +1,8 @@
 // Job chains (DESIGN.md §5.9): run a sequence of jobs as one iterative
 // computation with M3R-style reuse between stages.
 //
-// Under shuffle_mode == kResident, each stage after the first inherits:
+// Every stage is resident (its shuffle stays in memory; resident.h), and
+// each stage after the first inherits:
 //   * the PartitionPlacement of its predecessor — reduce partitions pin to
 //     the nodes that finished them, map tasks prefer the replica that
 //     produced their output, so state and cached input stay local;
@@ -14,9 +15,8 @@
 //   * input caching — a stage that re-reads its predecessor's ChunkStore
 //     serves map input at memory speed.
 //
-// Under kDisk every stage is an ordinary cold RunJob; the chain is then
-// just a loop, which is precisely the baseline bench_iterative compares
-// against.
+// The cold baseline bench_iterative compares against is a loop of solo
+// RunJob calls.
 
 #ifndef ONEPASS_MR_JOB_CHAIN_H_
 #define ONEPASS_MR_JOB_CHAIN_H_
@@ -29,9 +29,9 @@
 namespace onepass {
 
 // One stage of a chain. `input` is borrowed and must outlive the run.
-// Consecutive resident stages must agree on engine kind, seed, cluster
-// shape, and reducers_per_node (the carried table's hash family and
-// partitioning derive from them).
+// Consecutive stages must agree on engine kind, seed, node count, and
+// reducers_per_node (the carried table's hash family and partitioning
+// derive from them).
 struct ChainStage {
   JobSpec spec;
   JobConfig config;
@@ -46,11 +46,11 @@ struct ChainResult {
   PartitionPlacement placement;
 };
 
-// Runs the stages in order, threading placement and (when applicable)
+// Runs the stages in order, threading placement and (INC/DINC only)
 // reduce state between them. Every stage passes ValidateJob, and
-// consecutive resident stages must agree, before stage 0 runs: an invalid
-// or incompatible stage fails the chain (naming the stage) with no task
-// run. A stage's job failure fails the chain with that stage's status.
+// consecutive stages must agree, before stage 0 runs: an invalid or
+// incompatible stage fails the chain (naming the stage) with no task run.
+// A stage's job failure fails the chain with that stage's status.
 Result<ChainResult> RunJobChain(const std::vector<ChainStage>& stages);
 
 }  // namespace onepass

@@ -44,18 +44,11 @@ double NearestRank(const std::vector<double>& sorted, double q) {
   return sorted[rank - 1];
 }
 
-SlotPool::Options PoolOptions(const ManagerConfig& mc) {
-  SlotPool::Options o;
-  o.policy = mc.policy;
-  o.preemption = mc.preemption;
-  return o;
-}
-
 // One batch replay: owns the engine, the pool, and every job's state.
 class ManagerRun {
  public:
   ManagerRun(const ManagerConfig& mc, const std::vector<JobSubmission>& subs)
-      : mc_(mc), subs_(subs), pool_(&engine_, mc.cluster, PoolOptions(mc)) {}
+      : mc_(mc), subs_(subs), pool_(&engine_, mc.cluster, mc.policy) {}
 
   Result<ManagerResult> Run();
 

@@ -12,9 +12,9 @@
 //     backpressure the client can act on) rather than hanging — graceful
 //     degradation under burst overload.
 //   * Fair-share scheduling — the pool arbitrates task slots by tenant
-//     weight (SchedulePolicy::kFairShare), optionally evicting running
-//     map attempts of over-share tenants (preemption).
-//     SchedulePolicy::kFifo is the baseline: strict arrival order.
+//     weight (SchedulePolicy::kFairShare) and evicts running map attempts
+//     of over-share tenants (preemption). SchedulePolicy::kFifo is the
+//     baseline: strict arrival order, never preempting.
 //   * Up-front validation — Run() passes every submission through
 //     ValidateJob before the first one arrives, so a job that cannot run
 //     fails the batch with InvalidArgument. A job that fails at run time
@@ -58,8 +58,8 @@ struct ManagerConfig {
   // pool is one physical cluster, not per-job hardware.
   ClusterConfig cluster;
 
+  // kFairShare preempts over-share tenants' maps; kFifo never preempts.
   SchedulePolicy policy = SchedulePolicy::kFairShare;
-  bool preemption = true;
 
   // Admission bounds: jobs replaying concurrently / waiting for a slot.
   // max_queued_jobs = 0 rejects whenever all run slots are taken.

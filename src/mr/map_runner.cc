@@ -28,42 +28,26 @@ class PartitionEmitter : public Emitter {
         init_(init_per_record) {}
 
   void Emit(std::string_view key, std::string_view value) override {
-    Route(key, value,
-          FastRangeBucket((*partitioner_)(key), partitions_->size()));
-  }
-
-  // Batch emit: partitioner digests for the whole run at once (§5.8).
-  // FastRangeBucket(digest, n) == partitioner.Bucket(key, n) exactly, and
-  // records route in batch order, so output is identical to per-emit.
-  void EmitBatch(const RecordBatch& batch) override {
-    if (digests_.size() < batch.size) digests_.resize(batch.size);
-    partitioner_->HashBatch(batch.keys, batch.size, digests_.data());
-    for (size_t i = 0; i < batch.size; ++i) {
-      Route(batch.keys[i], batch.values[i],
-            FastRangeBucket(digests_[i], partitions_->size()));
+    KvBuffer& part = (*partitions_)[FastRangeBucket((*partitioner_)(key),
+                                                    partitions_->size())];
+    if (init_ != nullptr) {
+      const std::string state = init_->Init(key, value);
+      part.Append(key, state);
+      bytes_ += RecordBytes(key, state);
+    } else {
+      part.Append(key, value);
+      bytes_ += RecordBytes(key, value);
     }
+    ++records_;
   }
 
   uint64_t bytes() const { return bytes_; }
   uint64_t records() const { return records_; }
 
  private:
-  void Route(std::string_view key, std::string_view value, uint64_t part) {
-    if (init_ != nullptr) {
-      const std::string state = init_->Init(key, value);
-      (*partitions_)[part].Append(key, state);
-      bytes_ += RecordBytes(key, state);
-    } else {
-      (*partitions_)[part].Append(key, value);
-      bytes_ += RecordBytes(key, value);
-    }
-    ++records_;
-  }
-
   const UniversalHash* partitioner_;
   std::vector<KvBuffer>* partitions_;
   IncrementalReducer* init_;
-  std::vector<uint64_t> digests_;
   uint64_t bytes_ = 0;
   uint64_t records_ = 0;
 };
@@ -375,16 +359,15 @@ Result<MapTaskOutput> MapRunner::Run(const KvBuffer& chunk,
       PartitionEmitter emitter(
           &partitioner_, &parts,
           mode_ == MapOutputMode::kHashInit ? inc_ : nullptr);
-      // Batch plane (§5.8): hand the mapper whole RecordBatches. These
-      // paths have no mid-stream thresholds, so batches yield the same
-      // emit sequence as a per-record walk — MapBatch overrides included
-      // (they must preserve per-record order, and the default loops Map).
+      // Records Map one at a time, as on every other path; batching buys
+      // the decoded view staging.
       KvBatchReader reader(chunk, kBatchRecords);
       for (;;) {
         const size_t bn = reader.Fill();
         if (bn == 0) break;
-        const RecordBatch rb{reader.keys(), reader.values(), bn};
-        mapper_->MapBatch(rb, &emitter);
+        for (size_t i = 0; i < bn; ++i) {
+          mapper_->Map(reader.keys()[i], reader.values()[i], &emitter);
+        }
       }
       trace.Cpu(map_fn_cost, OpTag::kMapFn);
       const double per_record =

@@ -72,7 +72,6 @@ Replayer::Replayer(sim::Engine* engine, SlotPool* pool,
       reduces_(std::move(reduces)),
       totals_(totals),
       opts_(options),
-      resident_(config.shuffle_mode == ShuffleMode::kResident),
       engine_(engine),
       pool_(pool),
       ladder_(config, plan, CheckpointMarksOf(reduces_)) {
@@ -814,7 +813,7 @@ void Replayer::CrashNode(int n) {
         // A resident push that dies with its node is a cache invalidation:
         // the segment falls back to re-execution through the ordinary
         // lost-output recovery below.
-        if (resident_) {
+        if (!maps_[m].push_bytes.empty()) {
           ++recovery_.resident_invalidated_segments;
           recovery_.resident_invalidated_bytes +=
               p < maps_[m].push_bytes.size() ? maps_[m].push_bytes[p] : 0;
@@ -1041,7 +1040,8 @@ void Replayer::StartFetch(int r, int a) {
   // evicted from the holder's memory and re-reads it from disk. A
   // resident push is exempt: it stays in the holder's memory for the
   // whole job, so there is no retention window to miss.
-  if (d.bytes > 0 && !resident_ &&
+  if (d.bytes > 0 &&
+      maps_[static_cast<size_t>(d.map_task)].push_bytes.empty() &&
       at.start > ready + config_.costs.map_output_retention_s) {
     shuffle_from_disk_bytes_ += d.bytes;
     TraceOp read;
@@ -1154,7 +1154,9 @@ void Replayer::FetchOverNet(int r, int a, uint32_t s) {
         // later (restarted or speculative) attempt pulls is recovery
         // re-fetch traffic.
         if (a > 0) recovery_.shuffle_refetched_bytes += d.bytes;
-        if (resident_) recovery_.resident_hit_bytes += d.bytes;
+        if (!maps_[static_cast<size_t>(d.map_task)].push_bytes.empty()) {
+          recovery_.resident_hit_bytes += d.bytes;
+        }
         att.fetched[s] = true;
         ++att.fetch_section;
         StartFetch(r, a);

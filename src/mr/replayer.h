@@ -75,9 +75,10 @@ class Replayer {
     // gate op index -> push index, for push-ready bookkeeping.
     std::map<uint32_t, uint32_t> gates;
     uint32_t num_pushes = 0;
-    // Total bytes per push (all parts), filled by PrepareJob's resident
-    // transform (DESIGN.md §5.9) to size cache invalidations. Empty under
-    // kDisk.
+    // Total bytes per push (all parts), filled only by PrepareJob's
+    // resident transform (DESIGN.md §5.9) to size cache invalidations. A
+    // filled push_bytes marks a resident map: its pushes stay in memory
+    // for the whole job. Empty in a solo job.
     std::vector<uint64_t> push_bytes;
     // Node combine tier (DESIGN.md §5.10): a virtual combine task lists
     // the co-located map tasks whose node feeds it merges. It is not
@@ -359,10 +360,6 @@ class Replayer {
   std::vector<ReduceTaskIn> reduces_;
   Totals totals_;
   Options opts_;
-  // Resident shuffle (DESIGN.md §5.9): every push stays in its producer's
-  // memory for the whole job, so a fetch never pays the retention-window
-  // re-read, and losing a push's node counts as a cache invalidation.
-  const bool resident_;
 
   sim::Engine* engine_;
   SlotPool* pool_;

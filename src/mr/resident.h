@@ -1,11 +1,12 @@
 // Resident shuffle support (DESIGN.md §5.9): the M3R-style layer that
 // lets iterative and repeated jobs stop paying disk for the shuffle.
 //
-// Under shuffle_mode = kResident every map push segment stays in its
-// producer's memory for the whole job: its publish write is charged at
-// memory speed and a late fetch skips the retention-window disk re-read
-// (PrepareJob's resident transform and the Replayer). Two pieces of state
-// carry a chain from one stage to the next:
+// On a chain stage (RunJobChain, src/mr/job_chain.h) every map push
+// segment stays in its producer's memory for the whole job: its publish
+// write is charged at memory speed and a late fetch skips the
+// retention-window disk re-read (PrepareJob's resident transform and the
+// Replayer). Two pieces of state carry a chain from one stage to the
+// next:
 //
 //   PartitionPlacement — the registry that pins partition→node assignment
 //     across a chain: which node finished each reduce partition and which
@@ -19,9 +20,9 @@
 //     codec) kept in memory so the next job in the chain adopts it instead
 //     of re-aggregating unchanged keys.
 //
-// None of this changes the data plane: phases 1-3 run identically under
-// kDisk and kResident, so outputs are byte-identical by construction. Only
-// the phase-4 time plane sees different charges.
+// None of this changes the data plane: phases 1-3 run identically on a
+// chain stage and in a solo job, so outputs are byte-identical by
+// construction. Only the phase-4 time plane sees different charges.
 
 #ifndef ONEPASS_MR_RESIDENT_H_
 #define ONEPASS_MR_RESIDENT_H_
@@ -64,9 +65,10 @@ struct ResidentStateHandle {
   int reducers() const { return static_cast<int>(states.size()); }
 };
 
-// Everything PrepareJob needs to run one iteration of a resident chain.
-// All pointers are borrowed; null members simply disable that feature, so
-// a default-constructed context is a cold resident job.
+// Everything PrepareJob needs to run one iteration of a resident chain;
+// passing one is what makes a job resident. All pointers are borrowed;
+// null members simply disable that feature, so a default-constructed
+// context is a cold resident job.
 struct ResidentContext {
   // Prior iteration's reduce state to adopt (INC/DINC only; null = cold).
   const ResidentStateHandle* prior_state = nullptr;

@@ -20,8 +20,8 @@ SlotPool::NodeState::NodeState(sim::Engine* engine, const ClusterConfig& cl,
 }
 
 SlotPool::SlotPool(sim::Engine* engine, const ClusterConfig& cluster,
-                   Options options)
-    : engine_(engine), cluster_(cluster), options_(options) {
+                   SchedulePolicy policy)
+    : engine_(engine), cluster_(cluster), policy_(policy) {
   nodes_.reserve(static_cast<size_t>(cluster.nodes));
   for (int n = 0; n < cluster.nodes; ++n) {
     nodes_.push_back(std::make_unique<NodeState>(engine, cluster, n));
@@ -79,9 +79,7 @@ void SlotPool::QueueReduce(int job, int node, PendingTask p) {
 void SlotPool::EnqueueMap(int job, int node, PendingTask p) {
   QueueMap(job, node, p);
   PumpNode(node);
-  if (options_.preemption && options_.policy == SchedulePolicy::kFairShare) {
-    MaybePreempt(node, job);
-  }
+  if (policy_ == SchedulePolicy::kFairShare) MaybePreempt(node, job);
 }
 
 void SlotPool::EnqueueReduce(int job, int node, PendingTask p) {
@@ -129,7 +127,7 @@ int SlotPool::PickJob(const NodeState& node, int node_id,
     if (q.empty()) continue;
     const JobInfo& info = jobs_.at(job);
     if (!info.client->SchedulableOn(node_id)) continue;
-    if (options_.policy == SchedulePolicy::kFifo) return job;
+    if (policy_ == SchedulePolicy::kFifo) return job;
     const TenantState& t = tenants_.at(info.tenant);
     const double share = static_cast<double>(t.running) / t.weight;
     // Ties go to the earlier job (ascending map order).
@@ -177,10 +175,7 @@ void SlotPool::PumpNode(int n) {
 }
 
 void SlotPool::PreemptForJob(int job) {
-  if (!options_.preemption ||
-      options_.policy != SchedulePolicy::kFairShare) {
-    return;
-  }
+  if (policy_ != SchedulePolicy::kFairShare) return;
   for (size_t n = 0; n < nodes_.size(); ++n) {
     NodeState& nd = *nodes_[n];
     auto it = nd.map_q.find(job);

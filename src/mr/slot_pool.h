@@ -15,10 +15,10 @@
 //     first. Work-conserving: a heavy tenant waits only while a lighter
 //     one has runnable work.
 //
-// Preemption rides on top of fair share: when a tenant in deficit
-// enqueues a map task onto a full node, the pool may evict a running map
-// attempt of the most over-share tenant (the victim requeues; its attempt
-// budget is not charged — see Replayer::PreemptMapOn).
+// Fair share preempts, FIFO never does: when a tenant in deficit enqueues
+// a map task onto a full node, the pool may evict a running map attempt
+// of the most over-share tenant (the victim requeues; its attempt budget
+// is not charged — see Replayer::PreemptMapOn).
 //
 // Determinism: the pool never consults wall clock or RNG. Queues pop in
 // insertion order per job, jobs are picked by (share, job id), and every
@@ -59,15 +59,8 @@ struct PendingTask {
 
 class SlotPool {
  public:
-  struct Options {
-    SchedulePolicy policy = SchedulePolicy::kFifo;
-    bool preemption = false;
-  };
-
-  SlotPool(sim::Engine* engine, const ClusterConfig& cluster)
-      : SlotPool(engine, cluster, Options()) {}
   SlotPool(sim::Engine* engine, const ClusterConfig& cluster,
-           Options options);
+           SchedulePolicy policy = SchedulePolicy::kFifo);
 
   // Declares a tenant (weight > 0). Tenant 0 exists implicitly with
   // weight 1 — solo replays never call this.
@@ -86,14 +79,14 @@ class SlotPool {
   void QueueReduce(int job, int node, PendingTask p);
 
   // Appends and immediately pumps the node; EnqueueMap may then preempt
-  // (fair-share + preemption only) if the entry is still waiting.
+  // (fair share only) if the entry is still waiting.
   void EnqueueMap(int job, int node, PendingTask p);
   void EnqueueReduce(int job, int node, PendingTask p);
 
   // One preemption pass on behalf of a newly admitted job: for every node
   // where the job still has queued maps on a full node, tries to evict a
-  // running attempt of an over-share tenant. No-op unless preemption and
-  // fair share are both on (so also a no-op for solo replays).
+  // running attempt of an over-share tenant. No-op under kFifo (so also
+  // for solo replays).
   void PreemptForJob(int job);
 
   // Removes and returns the job's queued entries on `node` (crash
@@ -163,7 +156,7 @@ class SlotPool {
 
   sim::Engine* engine_;
   ClusterConfig cluster_;
-  Options options_;
+  SchedulePolicy policy_;
   std::vector<std::unique_ptr<NodeState>> nodes_;
   std::map<int, JobInfo> jobs_;
   std::map<int, TenantState> tenants_;

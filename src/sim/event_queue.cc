@@ -17,7 +17,6 @@ double Engine::Run() {
     queue_.pop();
     now_ = ev.time;
     current_stream_ = ev.stream;
-    ++events_processed_;
     ev.cb();
   }
   current_stream_ = 0;

@@ -58,7 +58,6 @@ class Engine {
   double now() const { return now_; }
   // Stream of the event currently being processed (0 outside the loop).
   uint64_t current_stream() const { return current_stream_; }
-  uint64_t events_processed() const { return events_processed_; }
 
  private:
   struct Event {
@@ -79,7 +78,6 @@ class Engine {
   double now_ = 0;
   uint64_t current_stream_ = 0;
   uint64_t next_seq_ = 0;
-  uint64_t events_processed_ = 0;
 };
 
 }  // namespace onepass::sim

@@ -130,16 +130,18 @@ std::string EncodeKvStream(const KvBuffer& records, BlockEncoding encoding,
                            BlockCodecKind codec, uint64_t block_bytes,
                            CodecStats* stats) {
   BlockBuilder builder(encoding, codec, block_bytes, stats);
-  // Batched decode (§5.8): stage a RecordBatch of views per Fill; the
-  // builder consumes them in order, so the stream is unchanged. A small
-  // stream (a checkpoint delta) stages only its own records.
+  // Batched decode (§5.8): stage a batch of up to kBatchRecords views
+  // per Fill; the builder adds them in order. A small stream (a
+  // checkpoint delta) stages only its own records.
   KvBatchReader reader(
       records, static_cast<size_t>(std::min<uint64_t>(kBatchRecords,
                                                       records.count())));
   for (;;) {
     const size_t n = reader.Fill();
     if (n == 0) break;
-    builder.AddBatch(reader.keys(), reader.values(), n);
+    for (size_t i = 0; i < n; ++i) {
+      builder.Add(reader.keys()[i], reader.values()[i]);
+    }
   }
   return builder.Finish();
 }

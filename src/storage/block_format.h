@@ -91,14 +91,6 @@ class BlockBuilder {
 
   void Add(std::string_view key, std::string_view value);
 
-  // Adds a whole RecordBatch in order — identical to calling Add per
-  // record (block cuts depend only on the record sequence, so the encoded
-  // stream is byte-identical at every batch size; DESIGN.md §5.8).
-  void AddBatch(const std::string_view* keys, const std::string_view* values,
-                size_t n) {
-    for (size_t i = 0; i < n; ++i) Add(keys[i], values[i]);
-  }
-
   // Flushes the open block and returns the stream. The builder is spent.
   std::string Finish();
 

@@ -1,11 +1,12 @@
 // Batch hashing for the vectorized data plane (DESIGN.md §5.8).
 //
-// The batch plane computes UniversalHash digests for a whole RecordBatch
-// into a scratch array (UniversalHash::HashBatch, declared in hash.h and
-// implemented here), then walks the batch issuing software prefetches
-// kProbePrefetchDistance slots ahead of each FlatTable probe. Digests are
-// bit-identical to the scalar per-record path at every SIMD tier — the
-// tier only changes how fast the Mix64+affine finalize pass runs.
+// The batch plane computes UniversalHash digests for a batch of
+// kBatchRecords records into a scratch array (UniversalHash::HashBatch,
+// declared in hash.h and implemented here), then walks the batch issuing
+// software prefetches kProbePrefetchDistance slots ahead of each FlatTable
+// probe. Digests are bit-identical to the scalar per-record path at every
+// SIMD tier — the tier only changes how fast the Mix64+affine finalize
+// pass runs.
 
 #ifndef ONEPASS_UTIL_BATCH_HASH_H_
 #define ONEPASS_UTIL_BATCH_HASH_H_

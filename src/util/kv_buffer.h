@@ -113,21 +113,18 @@ class KvBufferReader {
 
   bool AtEnd() const { return rest_.empty(); }
 
-  // Bytes not yet consumed.
-  size_t remaining_bytes() const { return rest_.size(); }
-
  private:
   std::string_view rest_;
 };
 
-// Records per RecordBatch in the data plane's batched loops (DESIGN.md
+// Records per batch in the data plane's batched loops (DESIGN.md
 // §5.8): the ~48 KB codec block over a nominal 64-byte record. Batch size
 // only changes wall-clock, never what a consumer sees, so it is a constant
 // rather than a knob.
 inline constexpr size_t kBatchRecords = 768;
 
 // Batch-at-a-time reader: decodes up to `capacity` records per Fill() into
-// parallel key/value view arrays (the RecordBatch layout, DESIGN.md §5.8).
+// parallel key/value view arrays (DESIGN.md §5.8).
 // Views point into the underlying buffer and stay valid for its lifetime,
 // so a whole batch can be hashed, prefetched, and probed without copying.
 // Record order is exactly KvBufferReader order — batch size only changes

@@ -32,27 +32,6 @@ void ClickCountMapper::Map(std::string_view /*key*/, std::string_view value,
   out->Emit(key, EncodeCountState(1, false));
 }
 
-void ClickCountMapper::MapBatch(const RecordBatch& batch, Emitter* out) {
-  const std::string one = EncodeCountState(1, false);
-  // Slots are sized before any view is taken, so key_store_ never
-  // reallocates while key_views_ points into it.
-  if (key_store_.size() < batch.size) key_store_.resize(batch.size);
-  key_views_.clear();
-  value_views_.clear();
-  size_t n = 0;
-  for (size_t i = 0; i < batch.size; ++i) {
-    Click c;
-    if (!DecodeClick(batch.values[i], &c)) continue;  // same skip as Map
-    key_store_[n] =
-        field_ == ClickKeyField::kUser ? UserKey(c.user) : UrlKey(c.url);
-    key_views_.push_back(key_store_[n]);
-    value_views_.push_back(one);
-    ++n;
-  }
-  const RecordBatch staged{key_views_.data(), value_views_.data(), n};
-  out->EmitBatch(staged);
-}
-
 void TrigramMapper::Map(std::string_view /*key*/, std::string_view value,
                         Emitter* out) {
   // Words are single-space separated, so a trigram is the contiguous span

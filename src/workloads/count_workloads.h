@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/mr/api.h"
 
@@ -45,16 +44,9 @@ class ClickCountMapper : public Mapper {
   explicit ClickCountMapper(ClickKeyField field) : field_(field) {}
   void Map(std::string_view key, std::string_view value,
            Emitter* out) override;
-  // Batched map (DESIGN.md §5.8): stages the decoded keys for the whole
-  // batch, then hands them to the emitter as one RecordBatch. Emits the
-  // same (key, value) sequence as per-record Map, so output is unchanged.
-  void MapBatch(const RecordBatch& batch, Emitter* out) override;
 
  private:
   ClickKeyField field_;
-  std::vector<std::string> key_store_;       // owned key bytes for the batch
-  std::vector<std::string_view> key_views_;  // views over key_store_
-  std::vector<std::string_view> value_views_;
 };
 
 // Map for trigram counting: splits a whitespace-separated document line

@@ -3,16 +3,17 @@
 // seeded generator draws (workload, JobConfig, fault plan) triples from
 // the space ValidateJob accepts: engine, map-side combine, memory, merge
 // factor, page size and estimates, cluster shape, codec, SIMD tier,
-// threads, shuffle mode, combine scope and budget, sort-merge pipelining
-// and snapshots, checkpoints, and crash, straggler, speculation,
-// transient and corruption plans. Each draw checks four oracles against
-// a baseline run at one thread on the scalar SIMD tier (a draw there is
-// its own baseline):
+// threads, shuffle (a resident draw runs as a one-stage RunJobChain, a
+// disk draw as a solo RunJob), combine scope and budget, sort-merge
+// pipelining and snapshots, checkpoints, and crash, straggler,
+// speculation, transient and corruption plans. Each draw checks four
+// oracles against a baseline run at one thread on the scalar SIMD tier
+// (a draw there is its own baseline):
 //   1. the answer equals the workload's reference (src/workloads/reference.*);
 //   2. the full Fingerprint is byte-identical at the drawn threads and tier;
-//   3. the answer is unchanged with codec, shuffle mode, combine scope and
-//      checkpoints reset to their defaults (byte-identical when only the
-//      shuffle mode and checkpoints, which leave the data plane alone,
+//   3. the answer is unchanged as a solo RunJob with codec, combine scope
+//      and checkpoints reset to their defaults (byte-identical when only
+//      the shuffle and checkpoints, which leave the data plane alone,
 //      were reset), and each tier's counters are engaged exactly when on;
 //   4. Definition-1 map and reduce progress never decrease and end at 100%
 //      (an empty answer or a silent map included).
@@ -45,6 +46,7 @@
 #include <vector>
 
 #include "src/mr/cluster.h"
+#include "src/mr/job_chain.h"
 #include "src/util/random.h"
 #include "src/util/simd_dispatch.h"
 #include "src/workloads/clickstream.h"
@@ -204,6 +206,9 @@ struct Draw {
   Input input;
   JobConfig cfg;
   SimdTier tier = SimdTier::kScalar;
+  // Runs as a one-stage RunJobChain, whose stage is resident, instead of
+  // a solo RunJob.
+  bool resident = false;
   // Further (threads, tier) runs whose Fingerprint must equal the
   // baseline's too.
   std::vector<std::pair<int, SimdTier>> shapes;
@@ -382,7 +387,7 @@ std::string Describe(const Draw& d) {
      << " simd=" << SimdTierName(d.tier) << "(runs "
      << SimdTierName(SimdTierSupported(d.tier) ? d.tier : DetectSimdTier())
      << ") threads=" << c.data_plane_threads
-     << " shuffle=" << ShuffleModeName(c.shuffle_mode)
+     << " shuffle=" << (d.resident ? "resident" : "disk")
      << " scope=" << CombineScopeName(c.combine_scope)
      << " budget=" << c.node_combine_budget_bytes
      << " pipelining=" << c.pipelining << "/" << c.pipeline_push_bytes
@@ -435,7 +440,7 @@ Coords CoordsOf(const Draw& d) {
   };
   return {static_cast<int>(c.engine),
           c.block_codec == BlockCodecKind::kLz,
-          c.shuffle_mode == ShuffleMode::kResident,
+          d.resident,
           c.combine_scope == CombineScope::kTask
               ? 0
               : (c.node_combine_budget_bytes > 0 ? 2 : 1),
@@ -576,7 +581,7 @@ Draw MakeDraw(int index, std::set<Pair>* covered) {
   JobConfig& c = d.cfg;
   c.engine = static_cast<EngineKind>(v[kEngine]);
   c.block_codec = v[kCodec] ? BlockCodecKind::kLz : BlockCodecKind::kNone;
-  c.shuffle_mode = v[kShuffle] ? ShuffleMode::kResident : ShuffleMode::kDisk;
+  d.resident = v[kShuffle] != 0;
   c.combine_scope = v[kScope] ? CombineScope::kNode : CombineScope::kTask;
   c.node_combine_budget_bytes = v[kScope] == 2 ? 4096 : 0;
   c.checkpoint_interval_segments = v[kCkpt] ? Pick(rng, {2u, 4u, 8u}) : 0;
@@ -668,10 +673,20 @@ void ExpectSame(const std::string& got, const std::string& want,
                 << "\" vs \"" << line(want) << "\"";
 }
 
+// A resident run is a one-stage chain, a solo one a RunJob.
+Result<JobResult> RunOnce(const Draw& d, const JobConfig& cfg,
+                          const ChunkStore& input, bool resident) {
+  if (!resident) return LocalCluster::RunJob(SpecFor(d), cfg, input);
+  ASSIGN_OR_RETURN(ChainResult chain,
+                   RunJobChain({{SpecFor(d), cfg, &input}}));
+  return std::move(chain.iterations[0]);
+}
+
 Result<JobResult> RunAt(const Draw& d, const JobConfig& cfg,
-                        const ChunkStore& input, SimdTier tier) {
+                        const ChunkStore& input, SimdTier tier,
+                        bool resident) {
   SetSimdTier(tier);
-  Result<JobResult> r = LocalCluster::RunJob(SpecFor(d), cfg, input);
+  Result<JobResult> r = RunOnce(d, cfg, input, resident);
   SetSimdTier(DetectSimdTier());
   return r;
 }
@@ -682,8 +697,10 @@ void ExpectProgress(const char* name, const sim::StepSeries& s) {
   EXPECT_NEAR(s.values.empty() ? 0 : s.values.back(), 100.0, 1e-9) << name;
 }
 
-// Each tier's counters are engaged exactly when the tier is on.
-void ExpectTierCounters(const JobConfig& cfg, const JobMetrics& m) {
+// Each tier's counters are engaged exactly when the tier is on: the
+// resident ones only on a chain stage, never in a solo RunJob.
+void ExpectTierCounters(const JobConfig& cfg, bool resident,
+                        const JobMetrics& m) {
   const bool data = m.map_output_records > 0;
   if (cfg.block_codec == BlockCodecKind::kNone) {
     EXPECT_EQ(m.codec_map_spill_raw_bytes + m.codec_map_spill_encoded_bytes +
@@ -696,10 +713,10 @@ void ExpectTierCounters(const JobConfig& cfg, const JobMetrics& m) {
   } else if (data) {
     EXPECT_GT(m.codec_shuffle_raw_bytes, 0u) << "kLz never engaged";
   }
-  if (cfg.shuffle_mode == ShuffleMode::kDisk) {
+  if (!resident) {
     EXPECT_EQ(m.resident_publish_segments + m.resident_hit_bytes, 0u);
   } else {
-    EXPECT_GT(m.resident_publish_segments, 0u) << "kResident never engaged";
+    EXPECT_GT(m.resident_publish_segments, 0u) << "resident never engaged";
   }
   if (cfg.combine_scope == CombineScope::kTask) {
     EXPECT_EQ(m.node_combine_tasks + m.node_combine_input_records, 0u);
@@ -721,13 +738,15 @@ void RunDraw(const Draw& d, const ChunkStore& input,
   SCOPED_TRACE(Describe(d));
   const Status valid = ValidateJob(SpecFor(d), d.cfg);
   ASSERT_TRUE(valid.ok()) << valid.ToString();
-  const Result<JobResult> run = RunAt(d, d.cfg, input, d.tier);
+  const Result<JobResult> run = RunAt(d, d.cfg, input, d.tier, d.resident);
   JobConfig base_cfg = d.cfg;
   base_cfg.data_plane_threads = 1;
   const bool at_base =
       d.tier == SimdTier::kScalar && d.cfg.data_plane_threads == 1;
   std::optional<Result<JobResult>> base_run;
-  if (!at_base) base_run = RunAt(d, base_cfg, input, SimdTier::kScalar);
+  if (!at_base) {
+    base_run = RunAt(d, base_cfg, input, SimdTier::kScalar, d.resident);
+  }
   const Result<JobResult>& base = at_base ? run : *base_run;
   if (d.fault == kLostReplicas) {
     EXPECT_TRUE(base.status().IsResourceExhausted())
@@ -756,7 +775,7 @@ void RunDraw(const Draw& d, const ChunkStore& input,
   for (const auto& [threads, tier] : d.shapes) {
     JobConfig cfg = d.cfg;
     cfg.data_plane_threads = threads;
-    const Result<JobResult> r = RunAt(d, cfg, input, tier);
+    const Result<JobResult> r = RunAt(d, cfg, input, tier, d.resident);
     const std::string shape = "threads=" + std::to_string(threads) +
                               " simd=" + std::string(SimdTierName(tier));
     ASSERT_TRUE(r.ok()) << shape << ": " << r.status().ToString();
@@ -765,27 +784,27 @@ void RunDraw(const Draw& d, const ChunkStore& input,
   // 4: Definition-1 progress.
   ExpectProgress("map_progress", run->map_progress);
   ExpectProgress("reduce_progress", run->reduce_progress);
-  ExpectTierCounters(d.cfg, run->metrics);
+  ExpectTierCounters(d.cfg, d.resident, run->metrics);
 
-  // 3: the default tiers give the same answer.
+  // 3: the default tiers give the same answer in a solo RunJob.
   JobConfig plain_cfg = d.cfg;
   plain_cfg.block_codec = BlockCodecKind::kNone;
-  plain_cfg.shuffle_mode = ShuffleMode::kDisk;
   plain_cfg.combine_scope = CombineScope::kTask;
   plain_cfg.node_combine_budget_bytes = 0;
   plain_cfg.checkpoint_interval_segments = 0;
   const bool lz = d.cfg.block_codec == BlockCodecKind::kLz;
   const bool node = d.cfg.combine_scope == CombineScope::kNode;
-  if (!lz && !node && d.cfg.shuffle_mode == ShuffleMode::kDisk &&
+  if (!lz && !node && !d.resident &&
       d.cfg.checkpoint_interval_segments == 0) {
     return;  // the draw already runs every default tier
   }
-  const Result<JobResult> plain = RunAt(d, plain_cfg, input, d.tier);
+  const Result<JobResult> plain =
+      RunAt(d, plain_cfg, input, d.tier, /*resident=*/false);
   ASSERT_TRUE(plain.ok()) << "default tiers: " << plain.status().ToString();
-  ExpectTierCounters(plain_cfg, plain->metrics);
+  ExpectTierCounters(plain_cfg, /*resident=*/false, plain->metrics);
   if (!lz && !node) {
     ExpectSame(SortedOutputs(*run), SortedOutputs(*plain),
-               "shuffle mode or checkpoints changed the output bytes");
+               "residency or checkpoints changed the output bytes");
   } else {
     ExpectSame(Answer(d.workload, d.cfg, *run),
                Answer(d.workload, plain_cfg, *plain),
@@ -888,7 +907,7 @@ Draw Pinned(Workload w, EngineKind e, unsigned pins) {
   JobConfig& c = d.cfg;
   sim::FaultConfig& f = c.faults;
   if (pins & kPinLz) c.block_codec = BlockCodecKind::kLz;
-  if (pins & kPinResident) c.shuffle_mode = ShuffleMode::kResident;
+  if (pins & kPinResident) d.resident = true;
   if (pins & (kPinNode | kPinBudget)) c.combine_scope = CombineScope::kNode;
   if (pins & kPinBudget) c.node_combine_budget_bytes = 4096;
   if (pins & (kPinThreads | kPinBatchShape)) c.data_plane_threads = 8;
@@ -1204,7 +1223,8 @@ TEST(ConfigSpaceCoverage, SomeDrawRestoresACheckpoint) {
         d.cfg.checkpoint_interval_segments == 0) {
       continue;
     }
-    const Result<JobResult> r = RunAt(d, d.cfg, BuildInput(d), d.tier);
+    const Result<JobResult> r =
+        RunAt(d, d.cfg, BuildInput(d), d.tier, d.resident);
     ASSERT_TRUE(r.ok()) << Describe(d) << ": " << r.status().ToString();
     if (r->metrics.checkpoints_restored > 0) return;
   }
@@ -1225,7 +1245,8 @@ TEST(EngineComparison, HashEnginesSpillLess) {
     d.input.clicks_per_second = 2;
     d.cfg.reduce_memory_bytes = 48 << 10;  // tight memory: spills expected
     d.cfg.expected_keys_per_reducer = 120;
-    const Result<JobResult> r = RunAt(d, d.cfg, BuildInput(d), d.tier);
+    const Result<JobResult> r =
+        RunAt(d, d.cfg, BuildInput(d), d.tier, d.resident);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     spilled.push_back(r->metrics.reduce_spill_write_bytes);
   }

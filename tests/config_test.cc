@@ -172,12 +172,6 @@ TEST(CostModelTest, PaperConstants) {
   EXPECT_DOUBLE_EQ(c.task_start_s, 0.100);
 }
 
-TEST(ConfigValidateTest, ResidentShuffleKnobs) {
-  JobConfig cfg;
-  cfg.shuffle_mode = ShuffleMode::kResident;
-  EXPECT_TRUE(cfg.Validate().ok());
-}
-
 // Engine-only features: pipelining and snapshots belong to the sort-merge
 // baseline (§3.3), the coverage threshold to DINC-hash (§4.3). Each one
 // validates on its own engine and is InvalidArgument on every other.
@@ -270,13 +264,6 @@ TEST(ConfigTest, CombineScopeNamesAreDistinct) {
             CombineScopeName(CombineScope::kNode));
   EXPECT_EQ(CombineScopeName(CombineScope::kTask), "task");
   EXPECT_EQ(CombineScopeName(CombineScope::kNode), "node");
-}
-
-TEST(ConfigTest, ShuffleModeNamesAreDistinct) {
-  EXPECT_NE(ShuffleModeName(ShuffleMode::kDisk),
-            ShuffleModeName(ShuffleMode::kResident));
-  EXPECT_EQ(ShuffleModeName(ShuffleMode::kDisk), "disk");
-  EXPECT_EQ(ShuffleModeName(ShuffleMode::kResident), "resident");
 }
 
 TEST(CostModelTest, SortCostIsNLogN) {

@@ -21,7 +21,6 @@ namespace {
 JobConfig ChainConfig(EngineKind engine) {
   JobConfig cfg;
   cfg.engine = engine;
-  cfg.shuffle_mode = ShuffleMode::kResident;
   cfg.cluster.nodes = 4;
   cfg.cluster.cores_per_node = 2;
   cfg.cluster.map_slots = 2;
@@ -70,11 +69,8 @@ TEST_P(JobChainExactness, GrowingLogChainEqualsColdJobOverUnion) {
   // delta, so the cold reference is the final delta alone.
   const bool carries = GetParam() == EngineKind::kIncHash ||
                        GetParam() == EngineKind::kDincHash;
-  JobConfig cold_cfg = cfg;
-  cold_cfg.shuffle_mode = ShuffleMode::kDisk;
   auto cold = LocalCluster::RunJob(
-      ClickCountJob(), cold_cfg,
-      carries ? *log.fulls.back() : *log.deltas.back());
+      ClickCountJob(), cfg, carries ? *log.fulls.back() : *log.deltas.back());
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
 
   EXPECT_EQ(SortedOutputs(chain->iterations.back()), SortedOutputs(*cold))
@@ -133,7 +129,6 @@ TEST_P(JobChainCheckpointed, AdoptedStateIsFullUnderCheckpointChains) {
   EXPECT_GT(chain->iterations[1].metrics.resident_state_restores, 0u);
 
   JobConfig cold_cfg = cfg;
-  cold_cfg.shuffle_mode = ShuffleMode::kDisk;
   cold_cfg.checkpoint_interval_segments = 0;
   auto cold = LocalCluster::RunJob(ClickCountJob(), cold_cfg,
                                    *log.fulls.back());
@@ -163,9 +158,7 @@ TEST(JobChainTest, RepeatedSameInputChainIsExactAndCachesInput) {
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
   ASSERT_EQ(chain->iterations.size(), 3u);
 
-  JobConfig cold_cfg = cfg;
-  cold_cfg.shuffle_mode = ShuffleMode::kDisk;
-  auto cold = LocalCluster::RunJob(LabelPropagationJob(), cold_cfg, input);
+  auto cold = LocalCluster::RunJob(LabelPropagationJob(), cfg, input);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
 
   const std::string want = SortedOutputs(*cold);
@@ -175,36 +168,6 @@ TEST(JobChainTest, RepeatedSameInputChainIsExactAndCachesInput) {
   EXPECT_EQ(chain->iterations[0].metrics.resident_cached_input_bytes, 0u);
   EXPECT_GT(chain->iterations[1].metrics.resident_cached_input_bytes, 0u);
   EXPECT_GT(chain->iterations[2].metrics.resident_state_restores, 0u);
-}
-
-TEST(JobChainTest, DiskModeChainRunsColdEveryIteration) {
-  const GrowingLog log = MakeLog(2);
-  JobConfig cfg = ChainConfig(EngineKind::kIncHash);
-  cfg.shuffle_mode = ShuffleMode::kDisk;
-  std::vector<ChainStage> stages = {
-      {ClickCountJob(), cfg, log.deltas[0].get()},
-      {ClickCountJob(), cfg, log.deltas[1].get()},
-  };
-  auto chain = RunJobChain(stages);
-  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
-  ASSERT_EQ(chain->iterations.size(), stages.size());
-  for (size_t i = 0; i < stages.size(); ++i) {
-    const JobResult& iter = chain->iterations[i];
-    EXPECT_EQ(iter.metrics.resident_publish_segments, 0u);
-    EXPECT_EQ(iter.metrics.resident_state_restores, 0u);
-    EXPECT_EQ(iter.metrics.resident_cached_input_bytes, 0u);
-    // A kDisk stage is an ordinary cold job, replayed on the same path
-    // as RunJob, so it must reproduce RunJob exactly.
-    auto solo = LocalCluster::RunJob(ClickCountJob(), cfg, *stages[i].input);
-    ASSERT_TRUE(solo.ok()) << solo.status().ToString();
-    EXPECT_EQ(iter.metrics.Serialize(), solo->metrics.Serialize());
-    EXPECT_EQ(iter.running_time, solo->running_time);
-    EXPECT_EQ(iter.map_finish_time, solo->map_finish_time);
-    EXPECT_EQ(iter.reduce_progress.times, solo->reduce_progress.times);
-    EXPECT_EQ(iter.reduce_progress.values, solo->reduce_progress.values);
-    EXPECT_EQ(iter.cpu_util.bin_seconds, solo->cpu_util.bin_seconds);
-    EXPECT_EQ(iter.cpu_util.values, solo->cpu_util.values);
-  }
 }
 
 // Partition-stable placement survives a crash: stage 1 loses node 1 at
@@ -277,7 +240,7 @@ TEST(JobChainTest, RejectsMalformedChains) {
     EXPECT_FALSE(RunJobChain(stages).ok());
   }
 
-  // Consecutive resident stages must agree on the engine.
+  // Consecutive stages must agree on the engine.
   {
     JobConfig other = cfg;
     other.engine = EngineKind::kDincHash;

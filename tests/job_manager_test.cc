@@ -66,7 +66,6 @@ TEST(JobManagerTest, SingleJobMatchesSoloRunJob) {
 
   ManagerConfig mc = SmallManagerConfig(cfg);
   mc.policy = SchedulePolicy::kFifo;
-  mc.preemption = false;
   auto mr = JobManager::Run(mc, {Submit(input, cfg)});
   ASSERT_TRUE(mr.ok()) << mr.status().ToString();
   ASSERT_EQ(mr->jobs.size(), 1u);
@@ -121,7 +120,6 @@ TEST(JobManagerTest, FifoFinishesInArrivalOrder) {
   const JobConfig cfg = FaultConfigFor(EngineKind::kIncHash, 1);
   ManagerConfig mc = SmallManagerConfig(cfg);
   mc.policy = SchedulePolicy::kFifo;
-  mc.preemption = false;
   mc.max_concurrent_jobs = 3;
 
   std::vector<JobSubmission> subs;
@@ -144,7 +142,6 @@ TEST(JobManagerTest, WeightedFairShareFavorsHeavyTenant) {
   const JobConfig cfg = FaultConfigFor(EngineKind::kIncHash, 1);
   ManagerConfig mc = SmallManagerConfig(cfg);
   mc.policy = SchedulePolicy::kFairShare;
-  mc.preemption = false;
   mc.max_concurrent_jobs = 6;
   mc.tenants = {{"light", 1.0}, {"heavy", 2.0}};
 
@@ -208,7 +205,6 @@ TEST(JobManagerTest, PreemptionHelpsLateArrival) {
   const JobConfig cfg = FaultConfigFor(EngineKind::kIncHash, 1);
   ManagerConfig mc = SmallManagerConfig(cfg);
   mc.policy = SchedulePolicy::kFairShare;
-  mc.preemption = true;
   mc.max_concurrent_jobs = 4;
   mc.tenants = {{"batch", 1.0}, {"interactive", 4.0}};
 
@@ -227,14 +223,8 @@ TEST(JobManagerTest, PreemptionHelpsLateArrival) {
   EXPECT_GT(mr->jobs[0].result.metrics.preempted_attempts +
                 mr->jobs[1].result.metrics.preempted_attempts,
             0u);
-
-  ManagerConfig no_preempt = mc;
-  no_preempt.preemption = false;
-  auto base = JobManager::Run(no_preempt, subs);
-  ASSERT_TRUE(base.ok());
-  EXPECT_EQ(base->preemptions, 0u);
   // (A single short interactive job can still finish later with
-  // preemption on — evicted batch maps rerun and contend during its
+  // preemption — evicted batch maps rerun and contend during its
   // shuffle — so per-job latency is asserted on sustained bursts in
   // bench_multitenant, not here.)
 }

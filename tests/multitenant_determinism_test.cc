@@ -167,7 +167,6 @@ TEST(MultiTenantDeterminismTest, IdenticalAcrossThreadCounts) {
     ManagerConfig mc;
     mc.cluster = DetJobConfig(faulted).cluster;
     mc.policy = SchedulePolicy::kFairShare;
-    mc.preemption = true;
     mc.max_concurrent_jobs = 3;
     mc.max_queued_jobs = 2;
     mc.tenants = {{"batch", 1.0}, {"interactive", 3.0}};

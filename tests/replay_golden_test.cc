@@ -206,7 +206,6 @@ void AppendChainRows(EngineKind engine, const GrowingLog& log,
                      std::vector<std::string>* rows) {
   const std::string name = "chain/" + EngineTag(engine);
   JobConfig cfg = BaseConfig(engine, 2);
-  cfg.shuffle_mode = ShuffleMode::kResident;
   JobConfig crashed = cfg;
   crashed.faults.crashes = {CrashAtMaps(1, 0.3)};
   std::vector<ChainStage> stages;
@@ -276,7 +275,6 @@ std::string ManagerRow(const std::string& name, const ChunkStore& input,
   ManagerConfig mc;
   mc.cluster = cfg.cluster;
   mc.policy = SchedulePolicy::kFairShare;
-  mc.preemption = true;
   mc.max_concurrent_jobs = 3;
   mc.max_queued_jobs = 2;
   mc.tenants = {{"batch", 1.0}, {"interactive", 3.0}};
